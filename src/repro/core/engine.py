@@ -586,14 +586,17 @@ class XCQLEngine:
         Returns a dict with the strategy, the translated XQuery text, the
         statically derived (stream, tsid) dependencies, whether the query
         is time-sensitive (mentions ``now``), how many ``get_fillers``
-        calls the pipeline folded, the delta/shared/routing verdicts, and
+        calls the pipeline folded, the delta/shared/routing verdicts (with
+        the tuple-index shape the routing predicate files under), and
         the full per-pass trace (``"passes"``) with the pipeline
         fingerprint that participates in the plan-cache key.
         """
+        from repro.streams.routing import index_shape
         from repro.streams.scheduler import dependencies_of
 
         compiled = self.compile(source, strategy, optimize=optimize)
         dependencies = dependencies_of(compiled)
+        routing = compiled.shared_plan.routing if self.prepare_shared(compiled) else None
         return {
             "strategy": strategy.value,
             "translated": compiled.translated_source,
@@ -613,11 +616,11 @@ class XCQLEngine:
             "shared_group": (
                 compiled.shared_plan.group_key if compiled.shared_plan else None
             ),
-            "routing_predicate": (
-                compiled.shared_plan.routing.describe()
-                if compiled.shared_plan and compiled.shared_plan.routing
-                else None
-            ),
+            "routing_predicate": routing.describe() if routing else None,
+            # The group tuple-index shape a scheduler files the query
+            # under: members with equal shapes share one operand
+            # extraction per binding tuple (None = takes every tuple).
+            "routing_index_shape": index_shape(routing) if routing else None,
             "automaton": (
                 compiled.info.automaton.describe()
                 if compiled.info and compiled.info.automaton
@@ -690,7 +693,7 @@ class XCQLEngine:
             module = parse(source, xcql=True)
         except Exception:
             return issues  # the linter already reported the syntax error
-        functions = dict(default_functions())
+        functions = default_functions()
         functions.update(self._extra_functions)
         for name in ("get_fillers", "get_fillers_list", "get_fillers_by_tsid",
                      "materialized_view"):

@@ -505,6 +505,8 @@ _ROUTABLE_OPS = {
     ">=": ">=", "ge": ">=",
 }
 
+_GENERAL_ROUTABLE = frozenset(("=", "!=", "<", "<=", ">", ">="))
+
 _FLIPPED_OPS = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
@@ -519,10 +521,12 @@ class RoutingPredicate:
     ``attribute`` a final attribute name (``vtFrom``/``vtTo`` probe the
     filler's validTime; other attributes probe the payload), ``text_only``
     marks a final ``text()`` step.  ``value`` is a float for numeric and
-    validTime comparisons, a string otherwise.  The probe is conservative
-    by construction: it may wake a query whose residual then yields
-    nothing, but it only *skips* when no binding tuple from the filler can
-    satisfy the conjunct.
+    validTime comparisons, a string otherwise.  ``single`` records a value
+    comparison (``gt``, ``eq``, ...), which raises over a multi-item
+    operand where the general form is existential.  The probe is
+    conservative by construction: it may wake a query whose residual then
+    yields nothing, but it only *skips* when no binding tuple from the
+    filler can satisfy the conjunct.
     """
 
     tuple_tag: str
@@ -532,15 +536,20 @@ class RoutingPredicate:
     op: str
     value: object
     numeric: bool
+    single: bool = False
 
-    def describe(self) -> str:
+    def operand(self) -> str:
+        """The compared path below the bound tuple (the predicate's shape)."""
         target = "/".join(self.path) if self.path else "."
         if self.attribute is not None:
             target = (target + "/" if self.path else "") + "@" + self.attribute
         elif self.text_only:
             target += "/text()"
+        return target
+
+    def describe(self) -> str:
         shown = self.value if not isinstance(self.value, str) else f"\"{self.value}\""
-        return f"{self.tuple_tag}[{target} {self.op} {shown}]"
+        return f"{self.tuple_tag}[{self.operand()} {self.op} {shown}]"
 
 
 @dataclasses.dataclass
@@ -678,7 +687,10 @@ def _match_routing(
     value, numeric = _routing_literal(literal, attribute)
     if value is None:
         return None
-    return RoutingPredicate(tuple_tag, path, attribute, text_only, op, value, numeric)
+    return RoutingPredicate(
+        tuple_tag, path, attribute, text_only, op, value, numeric,
+        single=expr.op not in _GENERAL_ROUTABLE,
+    )
 
 
 def _routing_path(var: str, expr: object):
@@ -717,6 +729,8 @@ def _routing_literal(node: object, attribute: Optional[str]):
         if isinstance(value, bool):
             return None, False
         if isinstance(value, (int, float)):
+            if float(value) != value:
+                return None, False  # an integer no float holds exactly
             return float(value), True
         if isinstance(value, str):
             return value, False

@@ -57,7 +57,9 @@ class FragmentStore:
         self.use_cache = use_cache
         self._fillers: list[Filler] = []
         self._by_id: dict[int, list[Filler]] = {}
-        self._by_tsid: dict[int, list[int]] = {}
+        # tsid -> its filler ids in first-arrival order (dict as ordered
+        # set: membership on ingest is O(1) however long the history).
+        self._by_tsid: dict[int, dict[int, None]] = {}
         self._seen: set[tuple[int, str]] = set()
         self._version_cache: dict[int, list[Element]] = {}
         self._wrapper_cache: dict[int, Element] = {}
@@ -132,9 +134,7 @@ class FragmentStore:
         index = bisect_right(keys, epoch)
         keys.insert(index, epoch)
         bucket.insert(index, filler)
-        tsid_bucket = self._by_tsid.setdefault(filler.tsid, [])
-        if filler_id not in tsid_bucket:
-            tsid_bucket.append(filler_id)
+        self._by_tsid.setdefault(filler.tsid, {})[filler_id] = None
         insort(self._tsid_endpoints.setdefault(filler.tsid, []), epoch)
         self._seq += 1
         self._arrival_log.append(filler)
@@ -211,6 +211,12 @@ class FragmentStore:
         found = [f for f in self._fillers if f.filler_id == filler_id]
         found.sort(key=lambda f: f.valid_time.to_epoch_seconds())
         return found
+
+    def version_count(self, filler_id: int) -> int:
+        """How many versions of a fragment the store holds (no list copy)."""
+        if self.use_index:
+            return len(self._by_id.get(int(filler_id), ()))
+        return len(self.fillers_of(filler_id))
 
     def filler_ids_of_tsid(self, tsid: int) -> list[int]:
         """All filler ids carrying the given tsid."""
@@ -459,20 +465,29 @@ class FragmentStore:
         """
         return (self._seq, self._mutation_epoch)
 
-    def fillers_since(self, seq: int, tsid: Optional[int] = None) -> list[Filler]:
+    def fillers_since(
+        self,
+        seq: int,
+        tsid: Optional[int] = None,
+        filler_id: Optional[int] = None,
+    ) -> list[Filler]:
         """Fillers accepted after watermark ``seq``, in acceptance order.
 
-        ``tsid`` restricts the answer to one tag.  Watermarks older than
-        the arrival log (the log restarts on ``clear``/``prune_before``)
-        return the whole log — callers detect that case through
-        :attr:`mutation_epoch` and resynchronize.
+        ``tsid`` restricts the answer to one tag, ``filler_id`` to one
+        fragment — together the window a delta plan's driving source
+        reads.  Watermarks older than the arrival log (the log restarts on
+        ``clear``/``prune_before``) return the whole log — callers detect
+        that case through :attr:`mutation_epoch` and resynchronize.
         """
         start = max(0, int(seq) - self._arrival_base)
         tail = self._arrival_log[start:]
-        if tsid is None:
-            return tail
-        tsid = int(tsid)
-        return [filler for filler in tail if filler.tsid == tsid]
+        if tsid is not None:
+            tsid = int(tsid)
+            tail = [filler for filler in tail if filler.tsid == tsid]
+        if filler_id is not None:
+            filler_id = int(filler_id)
+            tail = [filler for filler in tail if filler.filler_id == filler_id]
+        return tail
 
     def tsid_watermark(self, tsid: int) -> int:
         """The seq at which the newest filler of ``tsid`` arrived (0 = never).
@@ -541,10 +556,7 @@ class FragmentStore:
             self._delta_memo_hits += 1
             return cached
         self._delta_memo_misses += 1
-        fresh = self.fillers_since(seq, tsid=tsid)
-        if filler_id is not None:
-            target = int(filler_id)
-            fresh = [filler for filler in fresh if filler.filler_id == target]
+        fresh = self.fillers_since(seq, tsid=tsid, filler_id=filler_id)
         wrappers = self.delta_wrappers(fresh) if fresh else []
         self._delta_memo[key] = (fresh, wrappers)
         while len(self._delta_memo) > 64:
@@ -634,9 +646,7 @@ class FragmentStore:
         self._by_tsid.clear()
         self._tsid_endpoints.clear()
         for filler in kept:
-            bucket = self._by_tsid.setdefault(filler.tsid, [])
-            if filler.filler_id not in bucket:
-                bucket.append(filler.filler_id)
+            self._by_tsid.setdefault(filler.tsid, {})[filler.filler_id] = None
             self._tsid_endpoints.setdefault(filler.tsid, []).append(
                 filler.valid_time.to_epoch_seconds()
             )

@@ -39,7 +39,7 @@ from repro.fragments.tagstructure import TagType
 from repro.temporal.chrono import XSDateTime
 from repro.xquery.xdm import string_value
 
-__all__ = ["ContinuousQuery", "item_identity"]
+__all__ = ["ContinuousQuery", "delta_applicable", "item_identity"]
 
 
 class ContinuousQuery:
@@ -110,20 +110,24 @@ class ContinuousQuery:
     def evaluate(
         self,
         now: Optional[XSDateTime] = None,
-        tuple_source: Optional[Callable[[int], Optional[list]]] = None,
+        tuple_source: Optional[Callable[[int], Optional[tuple]]] = None,
     ) -> list:
         """Run the query at ``now`` and emit per the emission mode.
 
         Returns the emitted items (delta mode: the new ones only).
 
         ``tuple_source`` is the scheduler's shared-evaluation hook: called
-        with this query's watermark sequence number, it may return the
-        group's already-materialized binding tuples for the fillers past
-        that watermark (see :class:`repro.streams.scheduler.QueryScheduler`).
-        The query then runs only its residual closure over those tuples
-        instead of its own delta scan.  Returning ``None`` falls back to
-        the solo delta path; every watermark/epoch/applicability guard
-        still runs here, so sharing never changes what gets evaluated.
+        with this query's watermark sequence number, it returns the delta
+        window ``(fresh, applicable, tuples)`` its group already worked
+        out this tick — the fillers past that watermark on the plan's
+        source, the :func:`delta_applicable` verdict over
+        them, and the binding tuples this query's residual has to look at
+        (see :class:`repro.streams.scheduler.QueryScheduler`).  The query
+        then runs only its residual closure over those tuples instead of
+        its own delta scan.  ``tuples`` of ``None`` falls back to the solo
+        delta path; the watermark and epoch guards still run here, and the
+        applicability verdict is this module's own function of the store,
+        so sharing never changes what gets evaluated.
         """
         self.evaluations += 1
         result = self._evaluate_delta(now, tuple_source) if self.incremental else None
@@ -165,7 +169,7 @@ class ContinuousQuery:
     def _evaluate_delta(
         self,
         now: Optional[XSDateTime],
-        tuple_source: Optional[Callable[[int], Optional[list]]] = None,
+        tuple_source: Optional[Callable[[int], Optional[tuple]]] = None,
     ) -> Optional[list]:
         """The incremental answer, or ``None`` to force a full run."""
         delta = self.engine.prepare_delta(self.compiled)
@@ -182,26 +186,34 @@ class ContinuousQuery:
             # tuples may reference dropped or re-annotated versions.
             self._watermark = None
             return None
-        fresh = store.fillers_since(seq, tsid=delta.tsid)
-        if delta.filler_id is not None:
-            target = int(delta.filler_id)
-            fresh = [filler for filler in fresh if filler.filler_id == target]
-        if not self._delta_applicable(store, delta, fresh):
+        window = tuple_source(seq) if tuple_source is not None else None
+        if window is not None:
+            fresh, applicable, tuples = window
+        else:
+            fresh = store.fillers_since(
+                seq, tsid=delta.tsid, filler_id=delta.filler_id
+            )
+            applicable = delta_applicable(store, delta.binds_versions, fresh)
+            tuples = None
+        if not applicable:
             self._watermark = None
             return None
         mode = "delta"
         self._delta_items = []
         if fresh:
-            tuples = tuple_source(seq) if tuple_source is not None else None
             shared = (
                 self.engine.prepare_shared(self.compiled)
                 if tuples is not None
                 else None
             )
             if shared is not None:
-                self._delta_items = self.engine.execute_shared_residual(
-                    shared, tuples, now=now
-                )
+                # No tuple for this query (none bound, or the group's
+                # predicate index pruned them all): the residual's driving
+                # ``for`` over nothing yields nothing — skip the context.
+                if tuples:
+                    self._delta_items = self.engine.execute_shared_residual(
+                        shared, tuples, now=now
+                    )
                 mode = "shared"
             else:
                 # Wrapper construction (a DOM build over the batch) is
@@ -214,7 +226,8 @@ class ContinuousQuery:
                     seq, tsid=delta.tsid, filler_id=delta.filler_id
                 )
                 self._delta_items = self.engine.execute_delta(delta, wrappers, now=now)
-            self._retained = self._retained + self._delta_items
+            if self._delta_items:
+                self._retained = self._retained + self._delta_items
         if mode == "shared":
             self.shared_runs += 1
         else:
@@ -222,33 +235,6 @@ class ContinuousQuery:
         self.last_mode = mode
         self._watermark = store.watermark
         return list(self._retained)
-
-    def _delta_applicable(self, store, delta, fresh) -> bool:
-        """Runtime guards the static analysis cannot decide.
-
-        A batch may be incrementally folded in unless some arriving
-        fragment id already had versions *before* the batch and either
-        (a) the plan binds whole wrappers — the retained tuples computed
-        from the old, shorter wrapper are stale — or (b) the fragment is
-        not an event, so the new version closes the previous version's
-        open ``vtTo`` (temporal) or retracts it outright (snapshot),
-        mutating annotations the retained result already incorporates.
-        Event lifespans are position-independent (``vtFrom = vtTo`` = own
-        validTime), so shared event holes — many events reusing one
-        filler id — stay on the delta path.
-        """
-        counts: dict[int, int] = {}
-        for filler in fresh:
-            counts[filler.filler_id] = counts.get(filler.filler_id, 0) + 1
-        for filler in fresh:
-            preexisting = len(store.fillers_of(filler.filler_id)) > counts[filler.filler_id]
-            if not preexisting:
-                continue
-            if not delta.binds_versions:
-                return False
-            if store.tag_type_of(filler.tsid) is not TagType.EVENT:
-                return False
-        return True
 
     def _remember(self, result: list) -> None:
         """After a full run, reset the retained state and watermark."""
@@ -322,6 +308,36 @@ class ContinuousQuery:
             f"<ContinuousQuery {self.strategy.value} emit={self.emit}"
             f" evaluations={self.evaluations}>"
         )
+
+
+def delta_applicable(store, binds_versions: bool, fresh: list) -> bool:
+    """Runtime guards the static analysis cannot decide.
+
+    A batch may be incrementally folded in unless some arriving
+    fragment id already had versions *before* the batch and either
+    (a) the plan binds whole wrappers — the retained tuples computed
+    from the old, shorter wrapper are stale — or (b) the fragment is
+    not an event, so the new version closes the previous version's
+    open ``vtTo`` (temporal) or retracts it outright (snapshot),
+    mutating annotations the retained result already incorporates.
+    Event lifespans are position-independent (``vtFrom = vtTo`` = own
+    validTime), so shared event holes — many events reusing one
+    filler id — stay on the delta path.
+
+    A function of the store and the plan's source alone, so a scheduler
+    asks once per shared group and watermark, not once per member.
+    """
+    counts: dict[int, int] = {}
+    for filler in fresh:
+        counts[filler.filler_id] = counts.get(filler.filler_id, 0) + 1
+    for filler in fresh:
+        if store.version_count(filler.filler_id) <= counts[filler.filler_id]:
+            continue  # a brand-new fragment id
+        if not binds_versions:
+            return False
+        if store.tag_type_of(filler.tsid) is not TagType.EVENT:
+            return False
+    return True
 
 
 def _identity(item: object) -> str:

@@ -25,7 +25,7 @@ The server's front door reuses the predicate routing index: a BATCH is
 fanned out only to connections whose subscriptions can match the
 arriving envelope — same ``(stream, tsid)`` dependency test, same
 conservative supersede rule for non-event tags, and the same
-:func:`~repro.streams.scheduler._route_match` probe the in-process
+:func:`~repro.streams.routing.route_match` probe the in-process
 scheduler and the sharded coordinator run.
 
 Catch-up sequence (the no-retransmission model's only recovery path)::
@@ -87,7 +87,7 @@ from repro.fragments.tagstructure import TagStructure, TagType
 from repro.streams.compression import TagCodec
 from repro.streams import netproto as proto
 from repro.streams.netproto import FrameDecoder, ProtocolError
-from repro.streams.scheduler import _route_match
+from repro.streams.routing import route_match
 from repro.streams.sharding import ShardWorkerHost
 from repro.streams.transport import FILLER, TAG_STRUCTURE, Message, peek_filler
 
@@ -155,6 +155,7 @@ class Subscription:
                 "op": pred.op,
                 "value": pred.value,
                 "numeric": pred.numeric,
+                "single": pred.single,
             }
         return entry
 
@@ -176,6 +177,7 @@ class Subscription:
                     op=raw["op"],
                     value=raw["value"],
                     numeric=bool(raw.get("numeric")),
+                    single=bool(raw.get("single")),
                 )
             except (KeyError, TypeError) as exc:
                 raise ProtocolError(f"malformed routing predicate: {exc}") from exc
@@ -705,7 +707,7 @@ class StreamServer:
                 except ValueError:
                     return True  # undecidable — conservative wake
                 probe_cache["filler"] = filler
-            if _route_match(sub.predicate, filler, tag_type, probe_cache):
+            if route_match(sub.predicate, filler, tag_type, probe_cache):
                 return True
         return False
 

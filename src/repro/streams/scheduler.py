@@ -33,6 +33,14 @@ regime of paper §2/§7):
   skipped query's watermark does not advance, so skipped fillers are
   simply folded in at its next wake — semantics identical to the
   dependency-based skips.
+- **Group predicate index.**  The same conjunct also decides, per
+  binding tuple, which members of a group have to look at it.  Members
+  whose predicates differ only in the literal are filed sorted by it at
+  registration (:class:`repro.streams.routing.TupleIndex`); a tick
+  extracts the operand once per tuple and hands each member the
+  order-preserving sub-list its literal accepts.  The member's residual
+  runs unchanged over the survivors, so the index only has to be
+  exact-or-wider, and a member left with nothing skips its residual.
 
 Re-evaluations run each query's cached :class:`CompiledQuery` — with the
 default ``"compiled"`` backend that is a closure plan (see
@@ -48,13 +56,12 @@ from typing import Callable, Optional, Union
 
 from repro.core.engine import CompiledQuery, SharedPlan
 from repro.core.optimizer import RoutingPredicate
-from repro.dom.nodes import Element, Text
 from repro.fragments.model import Filler
 from repro.fragments.tagstructure import TagType
-from repro.streams.continuous import ContinuousQuery
+from repro.streams.continuous import ContinuousQuery, delta_applicable
+from repro.streams.routing import TupleIndex, batch_supersedes, route_match
 from repro.temporal.chrono import XSDateTime
 from repro.xquery import xast
-from repro.xquery.xdm import string_value
 
 __all__ = ["QueryDependencies", "dependencies_of", "QueryScheduler"]
 
@@ -134,14 +141,26 @@ def _literal(node: object):
     return None
 
 
-@dataclass
+class _Window:
+    """One group's delta window at one watermark, worked out once a tick."""
+
+    __slots__ = ("fresh", "applicable", "tuples", "partition")
+
+    def __init__(self, fresh: list, applicable: bool) -> None:
+        self.fresh = fresh
+        self.applicable = applicable
+        self.tuples: Optional[list] = None  # the group's binding tuples
+        self.partition: Optional[dict] = None  # id(entry) -> its sub-list
+
+
+@dataclass(eq=False)
 class _Entry:
     query: ContinuousQuery
     dependencies: QueryDependencies
     shared: Optional[SharedPlan] = None
     group_key: Optional[tuple] = None  # (id(engine), *SharedPlan.group_key)
-    route_key: Optional[tuple] = None  # (stream, tsid) when routed
-    routing: Optional[RoutingPredicate] = None
+    route_key: Optional[tuple] = None  # (stream, tsid) when wake-routed
+    routing: Optional[RoutingPredicate] = None  # set whenever routing is on
     automaton: Optional[object] = None  # compile-stream-automaton verdict
     dirty: bool = False  # routed entries: a probed arrival matched
     # Store seq through which every probed filler missed: a skip may then
@@ -191,10 +210,16 @@ class QueryScheduler:
         self.stream_automata = stream_automata
         self._groups: dict[tuple, list[_Entry]] = {}
         self._routes: dict[tuple[str, int], list[_Entry]] = {}
-        # Per-tick cache of materialized binding tuples, keyed
+        # Per-group tuple dispatch index over the members' leading
+        # predicates; maintained by add/remove, only read inside a poll.
+        self._indexes: dict[tuple, TupleIndex] = {}
+        # Per-tick cache of delta windows (fresh fillers, applicability,
+        # binding tuples, per-member partition), keyed
         # (group key, member watermark, store seq, store epoch).
-        self._tick_tuples: dict[tuple, list] = {}
+        self._tick_windows: dict[tuple, _Window] = {}
         self._notifications = 0
+        self._tuple_probes = 0
+        self._tuples_pruned = 0
         self._routing_probes = 0
         self._routing_wakes = 0
         self._routing_skips = 0
@@ -211,9 +236,10 @@ class QueryScheduler:
         """Track a continuous query; returns its derived dependencies.
 
         Shared-safe queries join their prefix group; those whose residual
-        carries a routable predicate and whose dependencies are exactly
-        one concrete ``(stream, tsid)`` also register in the routing
-        index (broader dependencies keep the broadcast wake — routing a
+        carries a routable predicate are filed in the group's tuple
+        dispatch index, and those whose dependencies are exactly one
+        concrete ``(stream, tsid)`` also register for the wake probe
+        (broader dependencies keep the broadcast wake — routing a
         query that can also observe other arrivals would be unsound).
         """
         dependencies = dependencies_of(query.compiled)
@@ -239,16 +265,19 @@ class QueryScheduler:
                 entry.automaton = info.automaton
                 query.engine.automaton_host.register(info.automaton)
             routing = info.routing if info is not None else shared.routing
-            if (
-                self.routing
-                and routing is not None
-                and shared.tsid is not None
-                and dependencies.streams == frozenset({(shared.stream, shared.tsid)})
-                and not dependencies.time_sensitive
-            ):
+            if self.routing and routing is not None:
                 entry.routing = routing
-                entry.route_key = (shared.stream, shared.tsid)
-                self._routes.setdefault(entry.route_key, []).append(entry)
+                index = self._indexes.get(entry.group_key) or TupleIndex()
+                if index.add(entry, routing):
+                    self._indexes[entry.group_key] = index
+                if (
+                    shared.tsid is not None
+                    and dependencies.streams
+                    == frozenset({(shared.stream, shared.tsid)})
+                    and not dependencies.time_sensitive
+                ):
+                    entry.route_key = (shared.stream, shared.tsid)
+                    self._routes.setdefault(entry.route_key, []).append(entry)
         self._entries.append(entry)
         return dependencies
 
@@ -256,8 +285,8 @@ class QueryScheduler:
         """Stop tracking a query; returns whether it was tracked.
 
         Group co-members simply shrink their group (a group of one falls
-        back to solo delta evaluation); the routing index forgets the
-        query's predicate.
+        back to solo delta evaluation); the wake probe and the group's
+        tuple index forget the query's predicate.
         """
         for entry in self._entries:
             if entry.query is query:
@@ -270,6 +299,11 @@ class QueryScheduler:
                         members.remove(entry)
                     if not members:
                         self._groups.pop(entry.group_key, None)
+                    index = self._indexes.get(entry.group_key)
+                    if index is not None:
+                        index.remove(entry)
+                        if not index:
+                            del self._indexes[entry.group_key]
                 if entry.route_key is not None:
                     routed = self._routes.get(entry.route_key, [])
                     if entry in routed:
@@ -317,7 +351,7 @@ class QueryScheduler:
                 store is not None
                 and tag_type is not TagType.EVENT
                 and supersede_cache.setdefault(
-                    id(store), _batch_supersedes(store, fillers)
+                    id(store), batch_supersedes(store, fillers)
                 )
             ):
                 # A non-event fragment got another version: the new
@@ -329,7 +363,7 @@ class QueryScheduler:
                 entry.routing_wakes += 1
                 self._routing_wakes += 1
                 continue
-            if any(_route_match(entry.routing, filler, tag_type, value_cache)
+            if any(route_match(entry.routing, filler, tag_type, value_cache)
                    for filler in fillers):
                 entry.dirty = True
                 entry.routing_wakes += 1
@@ -366,7 +400,7 @@ class QueryScheduler:
     def poll(self, now: XSDateTime) -> dict[ContinuousQuery, list]:
         """Re-evaluate exactly the queries whose answer can have changed."""
         emitted: dict[ContinuousQuery, list] = {}
-        self._tick_tuples.clear()
+        self._tick_windows.clear()
         for entry in self._ordered_entries():
             if self._should_run(entry, now):
                 tuple_source = self._tuple_source_for(entry)
@@ -390,7 +424,7 @@ class QueryScheduler:
             entry.dirty = False
             entry.cleared_seq = None
         self._arrivals.clear()
-        self._tick_tuples.clear()
+        self._tick_windows.clear()
         if self.stream_automata:
             self._prune_automata()
         return emitted
@@ -451,9 +485,11 @@ class QueryScheduler:
         return False
 
     def _tuple_source_for(self, entry: _Entry) -> Optional[Callable]:
-        """The entry's binding-tuple hook for this tick, or ``None``.
+        """The entry's delta-window hook for this tick, or ``None``.
 
-        Two producers hide behind one closure, tried in order:
+        The hook answers ``(fresh, applicable, tuples)`` for the member's
+        watermark (see :meth:`ContinuousQuery.evaluate`).  Two tuple
+        producers hide behind it, tried in order:
 
         1. the engine's automaton host — event captures recorded at
            ``feed_raw`` ingest answer the wake with zero DOM work (any
@@ -462,14 +498,18 @@ class QueryScheduler:
            (a solo member's prefix run would just re-spell its own delta
            scan).
 
-        The closure is keyed by the member's watermark, so members at
-        equal watermarks — the steady state under a scheduler — reuse one
-        tuple materialization per tick regardless of which producer made
-        it; a member that was skipped for a while simply pays one catch-up
-        run for its older watermark.  A ``None`` return falls back to the
-        member's own solo delta path; every watermark/epoch/applicability
-        guard runs in :class:`~repro.streams.continuous.ContinuousQuery`,
-        so neither producer can change what gets evaluated.
+        Everything is keyed by the member's watermark, so members at
+        equal watermarks — the steady state under a scheduler — share one
+        fresh-filler scan, one applicability verdict, one tuple
+        materialization and one pass of the group's predicate index per
+        tick, regardless of which producer made the tuples; a member that
+        was skipped for a while simply pays one catch-up run for its
+        older watermark.  The member receives the sub-list of tuples its
+        leading predicate can accept (all of them when it has none, or
+        ``routing`` is off).  ``tuples`` of ``None`` falls back to the
+        member's own solo delta path; the watermark and epoch guards run
+        in :class:`~repro.streams.continuous.ContinuousQuery`, so neither
+        producer can change what gets evaluated.
         """
         if entry.shared is None:
             return None
@@ -483,35 +523,53 @@ class QueryScheduler:
         group_shared = len(members) >= 2
         if automaton is None and not group_shared:
             return None
+        index = self._indexes.get(entry.group_key)
 
-        def source(watermark_seq: int) -> Optional[list]:
+        def source(watermark_seq: int) -> tuple:
             key = (entry.group_key, watermark_seq, store.seq, store.mutation_epoch)
-            if key in self._tick_tuples:
-                self._prefix_reuses += 1
-                return self._tick_tuples[key]
-            tuples = None
-            if automaton is not None:
-                fresh = store.fillers_since(watermark_seq, tsid=shared.tsid)
-                if shared.filler_id is not None:
-                    target = int(shared.filler_id)
-                    fresh = [f for f in fresh if f.filler_id == target]
-                tuples = engine.automaton_host.answer(automaton, fresh, store)
-                if tuples is not None:
-                    entry.automaton_runs += 1
-                    self._automaton_runs += 1
-                else:
-                    entry.automaton_fallbacks += 1
-                    self._automaton_fallbacks += 1
-                    if not group_shared:
-                        return None  # solo fallback: the member's own delta scan
-            if tuples is None:
-                _, wrappers = store.delta_batch(
+            window = self._tick_windows.get(key)
+            if window is None:
+                fresh = store.fillers_since(
                     watermark_seq, tsid=shared.tsid, filler_id=shared.filler_id
                 )
-                tuples = engine.execute_shared_prefix(shared, wrappers)
-                self._prefix_runs += 1
-            self._tick_tuples[key] = tuples
-            return tuples
+                window = self._tick_windows[key] = _Window(
+                    fresh, delta_applicable(store, shared.binds_versions, fresh)
+                )
+            fresh = window.fresh
+            if not window.applicable or not fresh:
+                return fresh, window.applicable, None
+            if window.tuples is not None:
+                self._prefix_reuses += 1
+            else:
+                tuples = None
+                if automaton is not None:
+                    tuples = engine.automaton_host.answer(automaton, fresh, store)
+                    if tuples is not None:
+                        entry.automaton_runs += 1
+                        self._automaton_runs += 1
+                    else:
+                        entry.automaton_fallbacks += 1
+                        self._automaton_fallbacks += 1
+                        if not group_shared:
+                            # solo fallback: the member's own delta scan
+                            return fresh, True, None
+                if tuples is None:
+                    _, wrappers = store.delta_batch(
+                        watermark_seq, tsid=shared.tsid, filler_id=shared.filler_id
+                    )
+                    tuples = engine.execute_shared_prefix(shared, wrappers)
+                    self._prefix_runs += 1
+                window.tuples = tuples
+                if index is not None:
+                    window.partition = index.partition(tuples)
+                    self._tuple_probes += index.shapes * len(tuples)
+            tuples = window.tuples
+            if window.partition is not None:
+                accepted = window.partition.get(id(entry))
+                if accepted is not None:
+                    self._tuples_pruned += len(tuples) - len(accepted)
+                    return fresh, True, accepted
+            return fresh, True, tuples
 
         return source
 
@@ -557,7 +615,10 @@ class QueryScheduler:
         runs split between shared (``shared_runs``), solo incremental
         (``delta_runs``) and full-scan (``full_runs``) evaluations
         (ablations A10/A11).  ``routing`` reports the dispatch index:
-        probes performed, wakes granted, wakes skipped; ``shared_prefix``
+        probes performed, wakes granted, wakes skipped, and for the
+        per-group tuple index ``tuple_probes`` (operand extractions: one
+        per binding tuple per predicate shape) and ``tuples_pruned``
+        (tuple × member pairs no residual had to look at); ``shared_prefix``
         reports group-scan economy (each reuse is one avoided delta scan);
         ``groups`` maps each shared group to its member count.
         """
@@ -573,6 +634,8 @@ class QueryScheduler:
                 "probes": self._routing_probes,
                 "wakes": self._routing_wakes,
                 "skips": self._routing_skips,
+                "tuple_probes": self._tuple_probes,
+                "tuples_pruned": self._tuples_pruned,
             },
             "shared_prefix": {
                 "runs": self._prefix_runs,
@@ -611,148 +674,3 @@ class QueryScheduler:
                 for entry in self._entries
             ],
         }
-
-
-# -- the routing probe ---------------------------------------------------------------
-
-
-def _batch_supersedes(store, fillers: list[Filler]) -> bool:
-    """Did some arriving fragment id already have versions in the store?
-
-    Mirrors ``ContinuousQuery._delta_applicable``: the batch is already
-    ingested when the probe runs, so an id with more store versions than
-    batch arrivals had history before this batch.
-    """
-    counts: dict[int, int] = {}
-    for filler in fillers:
-        counts[filler.filler_id] = counts.get(filler.filler_id, 0) + 1
-    return any(
-        len(store.fillers_of(filler_id)) > count
-        for filler_id, count in counts.items()
-    )
-
-
-def _route_match(pred: RoutingPredicate, filler: Filler,
-                 tag_type: Optional[TagType],
-                 value_cache: Optional[dict] = None) -> bool:
-    """Can this filler produce a binding tuple satisfying ``pred``?
-
-    Conservative: ``True`` (wake) whenever the probe cannot decide.  The
-    candidate set — the content root plus any descendant elements with the
-    bound tag name — is a superset of the tuples the shared prefix will
-    actually bind from this filler (the prefix only navigates downward
-    from filler wrappers), so a ``False`` verdict is sound: no candidate
-    can satisfy the conjunct, the residual's leftmost ``where`` rejects
-    every tuple, and the query's answer cannot change.
-    """
-    values = _filler_values(pred, filler, tag_type, value_cache)
-    if values is None:
-        return True  # cannot decide — wake
-    return any(_probe_compare(value, pred) for value in values)
-
-
-def _filler_values(pred: RoutingPredicate, filler: Filler,
-                   tag_type: Optional[TagType],
-                   value_cache: Optional[dict]) -> Optional[list]:
-    """Every comparable value ``pred``'s left side yields for a filler.
-
-    ``None`` = some candidate is undecidable (wake).  Keyed by the
-    predicate *shape* (not its literal), so same-shape predicates with
-    different thresholds share one content walk per filler.
-    """
-    key = (id(filler), pred.tuple_tag, pred.path, pred.attribute,
-           pred.text_only, pred.numeric)
-    if value_cache is not None and key in value_cache:
-        return value_cache[key]
-    candidates: list[Element] = []
-    root = filler.content
-    if root.tag == pred.tuple_tag:
-        candidates.append(root)
-    candidates.extend(_descendants_with_tag(root, pred.tuple_tag))
-    merged: Optional[list] = []
-    for candidate in candidates:
-        values = _probe_values(pred, candidate, root, filler, tag_type)
-        if values is None:
-            merged = None
-            break
-        merged.extend(values)
-    if value_cache is not None:
-        value_cache[key] = merged
-    return merged
-
-
-def _descendants_with_tag(element: Element, tag: str) -> list[Element]:
-    found: list[Element] = []
-    for child in element.child_elements():
-        if child.tag == tag:
-            found.append(child)
-        found.extend(_descendants_with_tag(child, tag))
-    return found
-
-
-def _probe_values(pred: RoutingPredicate, candidate: Element, root: Element,
-                  filler: Filler, tag_type: Optional[TagType]):
-    """The comparable values ``pred``'s left side yields for a candidate.
-
-    ``None`` means undecidable (wake); an empty list means the operand is
-    an empty sequence — a general comparison over it is false, so the
-    candidate cannot match.
-    """
-    if pred.attribute in ("vtFrom", "vtTo"):
-        # Annotation attributes exist on the wrapper level only: the
-        # arriving version's vtFrom is its own validTime for every tag
-        # type, and its vtTo equals vtFrom for events.  A temporal or
-        # snapshot vtTo depends on *other* versions — undecidable here.
-        if pred.path or candidate is not root:
-            return None
-        if pred.attribute == "vtTo" and tag_type is not TagType.EVENT:
-            return None
-        return [filler.valid_time.to_epoch_seconds()]
-    targets = [candidate]
-    for name in pred.path:
-        targets = [
-            child
-            for element in targets
-            for child in element.child_elements(name)
-        ]
-    values: list = []
-    for element in targets:
-        if pred.attribute is not None:
-            if pred.attribute in element.attrs:
-                values.append(str(element.attrs[pred.attribute]))
-        elif pred.text_only:
-            values.extend(
-                child.text
-                for child in element.children
-                if isinstance(child, Text)
-            )
-        else:
-            values.append(string_value(element))
-    if pred.numeric:
-        numeric: list = []
-        for value in values:
-            try:
-                numeric.append(float(value))
-            except (TypeError, ValueError):
-                return None  # non-numeric operand would raise at runtime — wake
-        return numeric
-    return values
-
-
-def _probe_compare(value, pred: RoutingPredicate) -> bool:
-    try:
-        if pred.op == "=":
-            return value == pred.value
-        if pred.op == "!=":
-            return value != pred.value
-        if pred.op == "<":
-            return value < pred.value
-        if pred.op == "<=":
-            return value <= pred.value
-        if pred.op == ">":
-            return value > pred.value
-        if pred.op == ">=":
-            return value >= pred.value
-    except TypeError:
-        return True  # incomparable — wake
-    return True  # unknown operator — wake

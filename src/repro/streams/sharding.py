@@ -116,11 +116,8 @@ from repro.fragments.tagstructure import TagStructure, TagType
 from repro.streams import netproto as proto
 from repro.streams.compression import TagCodec
 from repro.streams.continuous import ContinuousQuery, item_identity
-from repro.streams.scheduler import (
-    QueryScheduler,
-    dependencies_of,
-    _route_match,
-)
+from repro.streams.routing import route_match
+from repro.streams.scheduler import QueryScheduler, dependencies_of
 from repro.streams.transport import (
     FILLER,
     TAG_STRUCTURE,
@@ -1314,7 +1311,7 @@ class ShardedEngine:
                 self._dispatch_wakes += 1
                 return True
             if any(
-                _route_match(route.predicate, filler, tag_type, value_cache)
+                route_match(route.predicate, filler, tag_type, value_cache)
                 for filler in relevant
             ):
                 self._dispatch_wakes += 1

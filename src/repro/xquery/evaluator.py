@@ -94,7 +94,7 @@ class Context:
         hole_resolver: Optional[Callable[[object], list]] = None,
     ):
         self.variables: dict[str, list] = dict(variables) if variables else {}
-        self.functions = dict(default_functions())
+        self.functions = default_functions()
         if functions:
             self.functions.update(functions)
         self.now = now or XSDateTime(2000, 1, 1)

@@ -19,6 +19,12 @@ from typing import Callable
 from repro.dom.nodes import Attr, Element, Node
 from repro.temporal.chrono import ChronoError, XSDateTime, XSDuration
 from repro.xquery.errors import XQueryDynamicError, XQueryTypeError
+from repro.xquery.temporal_functions import (
+    fn_interval_projection,
+    fn_version_projection,
+    fn_vt_from,
+    fn_vt_to,
+)
 from repro.xquery.xdm import (
     atomize,
     atomize_sequence,
@@ -455,15 +461,7 @@ def _xs_boolean(ctx, args):
     return [effective_boolean_value(args[0])]
 
 
-def default_functions() -> dict[str, Builtin]:
-    """The default function registry for new contexts."""
-    from repro.xquery.temporal_functions import (
-        fn_interval_projection,
-        fn_version_projection,
-        fn_vt_from,
-        fn_vt_to,
-    )
-
+def _build_builtins() -> dict[str, Builtin]:
     table: dict[str, Builtin] = {}
 
     def add(name: str, lo: int, hi: int, fn: Callable) -> None:
@@ -549,3 +547,17 @@ def default_functions() -> dict[str, Builtin]:
     add("version_projection", 3, 3, fn_version_projection)
 
     return table
+
+
+# Built once: every evaluation context starts from a copy of this table
+# (a context is made per ``engine.execute`` and per standing-query wake).
+_BUILTINS = _build_builtins()
+
+
+def default_functions() -> dict[str, Builtin]:
+    """The default function registry for new contexts.
+
+    Each call returns a fresh ``dict`` over the shared :class:`Builtin`
+    records, so registering into one context never reaches another.
+    """
+    return dict(_BUILTINS)

@@ -278,6 +278,41 @@ class TestStore:
         credit_store.clear()
         assert credit_store.filler_count == 0
         assert credit_store.versions_of(0) == []
+        assert credit_store.version_count(0) == 0
+        assert credit_store.filler_ids_of_tsid(5) == []
+
+    def test_tsid_ids_keep_first_arrival_order(self, credit_structure):
+        store = FragmentStore(credit_structure)
+        for filler_id, day in ((30, 3), (10, 1), (30, 4), (20, 2), (10, 5)):
+            store.append(Filler(filler_id, 5, XSDateTime(2003, 1, day), Element("transaction")))
+        assert store.filler_ids_of_tsid(5) == [30, 10, 20]
+        scanned = FragmentStore(credit_structure, use_index=False)
+        scanned.extend(store.fillers_of(i)[n] for i, n in ((30, 0), (10, 0), (30, 1), (20, 0)))
+        assert scanned.filler_ids_of_tsid(5) == [30, 10, 20]
+        # clear() forgets membership too: a re-arriving id is filed again.
+        store.clear()
+        store.append(Filler(20, 5, T0, Element("transaction")))
+        store.append(Filler(30, 5, T0, Element("transaction")))
+        assert store.filler_ids_of_tsid(5) == [20, 30]
+
+    def test_version_count_matches_fillers_of(self, credit_structure, credit_fillers):
+        for use_index in (True, False):
+            store = FragmentStore(credit_structure, use_index=use_index)
+            store.extend(credit_fillers)
+            for filler_id in {f.filler_id for f in credit_fillers} | {999}:
+                assert store.version_count(filler_id) == len(store.fillers_of(filler_id))
+
+    def test_version_count_survives_a_schema_swap(self, credit_structure):
+        store = FragmentStore(credit_structure)
+        for month in (1, 2):
+            limit = Element("creditLimit")
+            limit.add_text(str(month))
+            store.append(Filler(4, 4, XSDateTime(2003, month, 1), limit))
+        epoch = store.mutation_epoch
+        store.set_tag_structure(TagStructure.from_xml(credit_structure.to_xml()))
+        assert store.mutation_epoch == epoch + 1
+        assert store.version_count(4) == 2
+        assert store.filler_ids_of_tsid(4) == [4]
 
     def test_complete_store_has_no_dangling_holes(self, credit_store):
         assert credit_store.is_complete()

@@ -136,6 +136,8 @@ class TestStoreWatermarks:
         assert [f.filler_id for f in store.fillers_since(0)] == [1, 9, 2]
         assert [f.filler_id for f in store.fillers_since(1)] == [9, 2]
         assert [f.filler_id for f in store.fillers_since(1, tsid=2)] == [2]
+        assert [f.filler_id for f in store.fillers_since(0, filler_id=9)] == [9]
+        assert store.fillers_since(0, tsid=2, filler_id=9) == []
         assert store.fillers_since(store.seq) == []
 
     def test_tsid_watermark(self):

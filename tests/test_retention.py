@@ -65,6 +65,18 @@ class TestPruneTemporal:
         assert first.attrs["vtTo"] == "2003-10-01T00:00:00"
 
 
+    def test_version_count_and_tsid_ids_follow_the_prune(self, versioned_store):
+        assert versioned_store.version_count(4) == 4
+        versioned_store.prune_before(XSDateTime(2003, 8, 1))
+        assert versioned_store.version_count(4) == 2
+        # The two events before the horizon are gone, ids included; a
+        # later arrival of a dropped id is filed afresh, after the survivor.
+        assert versioned_store.version_count(100) == 0
+        assert versioned_store.filler_ids_of_tsid(5) == [102]
+        versioned_store.append(Filler(100, 5, XSDateTime(2003, 12, 1), txn("again")))
+        assert versioned_store.filler_ids_of_tsid(5) == [102, 100]
+
+
 class TestPruneEvents:
     def test_old_events_dropped(self, versioned_store):
         versioned_store.prune_before(XSDateTime(2003, 7, 1))

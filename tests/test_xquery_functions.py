@@ -7,7 +7,7 @@ import pytest
 from repro.dom import parse_document
 from repro.temporal import XSDateTime
 from repro.xquery import Context, evaluate
-from repro.xquery.errors import XQueryDynamicError, XQueryTypeError
+from repro.xquery.errors import XQueryDynamicError, XQueryNameError, XQueryTypeError
 
 
 @pytest.fixture()
@@ -216,6 +216,26 @@ class TestConstructorFunctions:
 
     def test_fn_prefix_accepted(self):
         assert evaluate("fn:count((1, 2))") == [2]
+
+
+class TestRegistry:
+    def test_contexts_share_builtins_but_not_registrations(self):
+        from repro.xquery.functions import default_functions
+
+        first, second = Context(), Context()
+        assert first.functions is not second.functions
+        assert first.functions["count"] is second.functions["count"]  # built once
+        first.register_function("twice", lambda ctx, args: [2 * args[0][0]], (1, 1))
+        first.register_function("count", lambda ctx, args: [-1], (1, 1))
+        assert evaluate("twice(21)", first) == [42]
+        assert evaluate("count((1, 2))", first) == [-1]
+        assert "twice" not in second.functions
+        assert "twice" not in Context().functions
+        assert "twice" not in default_functions()
+        assert evaluate("count((1, 2))", second) == [2]
+        assert evaluate("count((1, 2))") == [2]
+        with pytest.raises(XQueryNameError):
+            evaluate("twice(21)", second)
 
 
 class TestVtAccessors:
