@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional, Union
 from repro.dom.nodes import Document, Element
 from repro.dom.parser import EventParser, build_fragment_indexed
 from repro.fragments.assemble import temporalize
-from repro.fragments.model import Filler, LazyFiller
+from repro.fragments.model import Filler, LazyFiller, envelope_header
 from repro.fragments.store import FragmentStore
 from repro.fragments.tagstructure import TagStructure, TagType
 from repro.temporal.chrono import XSDateTime
@@ -317,8 +317,8 @@ class XCQLEngine:
     ) -> tuple[Filler, list]:
         """One incremental pass over an envelope: validate + run automata.
 
-        Replicates ``parse_filler``'s checks (and their exact error
-        messages/ordering) over the event stream, feeding the first
+        Counts what ``parse_filler``'s checks need over the event stream
+        (:func:`envelope_header` then runs them), feeding the first
         payload subtree's events to a fresh matcher per registered
         automaton.  Returns the (lazy) filler and the fed matchers.
         """
@@ -394,21 +394,10 @@ class XCQLEngine:
             for start in range(0, len(raw), chunk_size):
                 consume(parser.feed(raw[start : start + chunk_size]))
         consume(parser.close())
-        if top_elements != 1:
-            raise ValueError("expected a single <filler> element")
-        if envelope_tag != "filler":
-            raise ValueError(f"expected <filler>, got <{envelope_tag}>")
-        if payload_elements != 1:
-            raise ValueError("filler must contain exactly one payload element")
-        try:
-            filler = LazyFiller(
-                filler_id=int(envelope_attrs["id"]),
-                tsid=int(envelope_attrs["tsid"]),
-                valid_time=XSDateTime.parse(envelope_attrs["validTime"]),
-                raw=raw,
-            )
-        except KeyError as exc:
-            raise ValueError(f"filler missing attribute {exc}") from exc
+        filler_id, tsid, valid_time = envelope_header(
+            top_elements, envelope_tag, envelope_attrs, payload_elements
+        )
+        filler = LazyFiller(filler_id, tsid, valid_time, raw)
         return filler, matchers
 
     def _matchers_for(self, name: str, envelope_attrs: dict) -> list:

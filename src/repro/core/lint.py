@@ -155,17 +155,36 @@ PIPELINE_ONLY_NAMES = frozenset(
 #: optimizer's own module).
 _PIPELINE_EXEMPT = ("core/pipeline.py", "core/optimizer.py")
 
-#: Modules that must stay DOM-free.  The stream-automaton
-#: compiler/matcher's whole point is matching raw parse events without
-#: materializing nodes; the network wire layer frames bytes and must
-#: never parse the envelopes it carries; the in-process transport moves
-#: wire text between endpoints and peeks with regexes only — for all
-#: three, any import of the DOM node types is a layering regression.
-_DOM_FREE_MODULES = (
-    "xquery/automata.py",
-    "streams/netproto.py",
-    "streams/transport.py",
-)
+#: Modules that must stay DOM-free, each with its diagnostic code and
+#: the reason: for all of them, any import of the DOM package is a
+#: layering regression.
+_DOM_FREE_MODULES = {
+    "xquery/automata.py": (
+        "automata-dom-import",
+        "the stream-automaton module must stay DOM-free (it matches "
+        "raw parse events); move node materialization to the engine's "
+        "automaton host",
+    ),
+    "streams/netproto.py": (
+        "netproto-dom-import",
+        "the wire-protocol module must stay DOM-free (it frames bytes "
+        "and forwards envelope text verbatim); parse payloads at the "
+        "endpoints, not in the framing layer",
+    ),
+    "streams/transport.py": (
+        "transport-dom-import",
+        "the transport module must stay DOM-free (channels and shard "
+        "links move wire text between endpoints; peeks are regex-only); "
+        "parse payloads at the endpoints, not in the delivery layer",
+    ),
+    "streams/net.py": (
+        "net-dom-import",
+        "the network server must stay DOM-free (it relays envelope text "
+        "verbatim and its front door decides routing predicates over "
+        "parser events, routing.envelope_match); a DOM build per publish "
+        "costs more than everything else a relayed frame does",
+    ),
+}
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -184,7 +203,9 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     forwards envelope text verbatim, so a DOM import there means some
     payload is being parsed on the framing hot path), and a
     ``transport-dom-import`` when :mod:`repro.streams.transport` does
-    (channels and shard links move wire text; peeks are regex-only).
+    (channels and shard links move wire text; peeks are regex-only), and
+    a ``net-dom-import`` when :mod:`repro.streams.net` does (the server
+    relays text and probes routing predicates over parser events).
     The netproto module is additionally held *repro-free*
     (``netproto-repro-import``): both endpoints of every deployment
     embed it, so any ``repro.*`` import there couples the wire format to
@@ -200,8 +221,9 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
         except (OSError, SyntaxError, ValueError) as exc:
             diagnostics.append(Diagnostic("syntax-error", f"{path}: {exc}"))
             continue
-        if normalized.endswith(_DOM_FREE_MODULES):
-            _check_dom_free(path, tree, diagnostics)
+        for suffix, (code, why) in _DOM_FREE_MODULES.items():
+            if normalized.endswith(suffix):
+                _check_dom_free(path, tree, code, why, diagnostics)
         if normalized.endswith("streams/netproto.py"):
             _check_repro_free(path, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
@@ -224,30 +246,10 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     return _dedup(diagnostics)
 
 
-def _check_dom_free(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> None:
-    """Flag any import of the DOM node module inside a DOM-free module."""
-    normalized = path.replace(os.sep, "/")
-    if normalized.endswith("streams/netproto.py"):
-        code = "netproto-dom-import"
-        why = (
-            "the wire-protocol module must stay DOM-free (it frames bytes "
-            "and forwards envelope text verbatim); parse payloads at the "
-            "endpoints, not in the framing layer"
-        )
-    elif normalized.endswith("streams/transport.py"):
-        code = "transport-dom-import"
-        why = (
-            "the transport module must stay DOM-free (channels and shard "
-            "links move wire text between endpoints; peeks are regex-only); "
-            "parse payloads at the endpoints, not in the delivery layer"
-        )
-    else:
-        code = "automata-dom-import"
-        why = (
-            "the stream-automaton module must stay DOM-free (it matches "
-            "raw parse events); move node materialization to the engine's "
-            "automaton host"
-        )
+def _check_dom_free(
+    path: str, tree: _pyast.AST, code: str, why: str, out: list[Diagnostic]
+) -> None:
+    """Flag any import of the DOM package inside a DOM-free module."""
     for module, lineno in _imported_modules(tree):
         if module == "repro.dom" or module.startswith("repro.dom."):
             out.append(Diagnostic(code, f"{path}:{lineno}: {why}"))

@@ -10,14 +10,21 @@ creates a new *version* of that fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from repro.dom.nodes import Element
 from repro.dom.parser import parse_fragment
 from repro.dom.serializer import serialize
 from repro.temporal.chrono import XSDateTime
 
-__all__ = ["Filler", "LazyFiller", "make_hole", "parse_filler", "FRAGMENTS_DOC_NAME"]
+__all__ = [
+    "Filler",
+    "LazyFiller",
+    "make_hole",
+    "parse_filler",
+    "envelope_header",
+    "FRAGMENTS_DOC_NAME",
+]
 
 FRAGMENTS_DOC_NAME = "fragments.xml"
 
@@ -122,26 +129,44 @@ class LazyFiller(Filler):
         return self._content is not None
 
 
-def parse_filler(source: Union[str, Element]) -> Filler:
-    """Parse a ``<filler>`` envelope from wire text or a parsed element."""
-    if isinstance(source, str):
-        nodes = [n for n in parse_fragment(source) if isinstance(n, Element)]
-        if len(nodes) != 1:
-            raise ValueError("expected a single <filler> element")
-        element = nodes[0]
-    else:
-        element = source
-    if element.tag != "filler":
-        raise ValueError(f"expected <filler>, got <{element.tag}>")
-    payload = element.child_elements()
-    if len(payload) != 1:
+def envelope_header(
+    top_elements: int, tag: Optional[str], attrs: dict, payload_elements: int
+) -> tuple[int, int, XSDateTime]:
+    """``(filler_id, tsid, valid_time)`` of a scanned envelope, or ``ValueError``.
+
+    The checks every reader of wire text owes an envelope once its scan
+    is over, in one order with one set of messages — whether the scan
+    built a DOM (:func:`parse_filler`), ran the stream automata
+    (``XCQLEngine.feed_raw``) or probed a routing predicate
+    (:func:`repro.streams.routing.envelope_values`).  ``top_elements``
+    counts the top-level elements, ``tag`` and ``attrs`` describe the
+    first, ``payload_elements`` counts its child elements.
+    """
+    if top_elements != 1:
+        raise ValueError("expected a single <filler> element")
+    if tag != "filler":
+        raise ValueError(f"expected <filler>, got <{tag}>")
+    if payload_elements != 1:
         raise ValueError("filler must contain exactly one payload element")
     try:
-        return Filler(
-            filler_id=int(element.attrs["id"]),
-            tsid=int(element.attrs["tsid"]),
-            valid_time=XSDateTime.parse(element.attrs["validTime"]),
-            content=payload[0].copy(),
+        return (
+            int(attrs["id"]),
+            int(attrs["tsid"]),
+            XSDateTime.parse(attrs["validTime"]),
         )
     except KeyError as exc:
         raise ValueError(f"filler missing attribute {exc}") from exc
+
+
+def parse_filler(source: Union[str, Element]) -> Filler:
+    """Parse a ``<filler>`` envelope from wire text or a parsed element."""
+    if isinstance(source, str):
+        tops = [n for n in parse_fragment(source) if isinstance(n, Element)]
+    else:
+        tops = [source]
+    first = tops[0] if tops else Element("")  # no element: the count check raises
+    payload = first.child_elements()
+    filler_id, tsid, valid_time = envelope_header(
+        len(tops), first.tag, first.attrs, len(payload)
+    )
+    return Filler(filler_id, tsid, valid_time, payload[0].copy())

@@ -98,29 +98,46 @@ class Journal:
     def __init__(self, path: Union[str, os.PathLike]):
         self.path = os.fspath(path)
         self.records_written = 0
+        self._handle = None  # the append handle, opened by the first record
 
     # -- writing -----------------------------------------------------------------
 
     def record(self, message: "Message") -> None:
         """Append one broadcast message (a Channel subscriber callback)."""
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(self._line(message))
-        self.records_written += 1
+        self._append([self._line(message)])
 
     def record_many(self, messages) -> int:
-        """Append a batch of messages with one file open; returns the count.
+        """Append a batch of messages with one write; returns the count.
 
         The sharded coordinator journals every per-shard filler batch
-        before forwarding it, so the append is on the feed hot path —
-        batching the open/flush keeps journaling from dominating dispatch.
+        before forwarding it, so the append is on the feed hot path.
         """
         lines = [self._line(message) for message in messages]
-        if not lines:
-            return 0
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.writelines(lines)
-        self.records_written += len(lines)
+        if lines:
+            self._append(lines)
         return len(lines)
+
+    def _append(self, lines: list) -> None:
+        """Write through one held handle, flushed before returning.
+
+        Readers open the file by path (catch-up during live publish,
+        failover replay, a restarted server), so every record must be in
+        the file — not in this process's buffer — when its append
+        returns; the flush also means a journal that is never closed
+        still leaves a complete file.
+        """
+        handle = self._handle
+        if handle is None:
+            handle = self._handle = open(self.path, "a", encoding="utf-8")
+        handle.writelines(lines)
+        handle.flush()
+        self.records_written += len(lines)
+
+    def close(self) -> None:
+        """Release the append handle (idempotent; a later record reopens it)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     @staticmethod
     def _line(message: "Message") -> str:

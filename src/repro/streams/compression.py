@@ -22,7 +22,7 @@ traffic.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from repro.dom.nodes import Element
 from repro.dom.parser import parse_fragment
@@ -34,9 +34,20 @@ __all__ = ["TagCodec", "CompressingChannel"]
 
 _PRESERVED = ("filler", "hole")
 
-_NAME_RE = re.compile(r"[A-Za-z_:][\w.\-:]*")
-# Markup whose interior must never be tag-decoded.
-_OPAQUE_MARKERS = ("<!--", "<![CDATA[")
+_NAME = r"[A-Za-z_:][\w.\-:]*"
+_TAG_OPEN_RE = re.compile(rf"(</?)({_NAME})")
+# One ``<``-construct per match, so a name is only ever rewritten where a
+# tag opens: opaque markup (no groups; its interior is never tag-decoded),
+# a complete tag as (lead, name, rest) where quoted attribute values may
+# hold ``>``, or — when neither is complete — the markup still arriving,
+# which runs to the end of the buffer.  A ``<`` that opens none of these
+# (``a < b``) is text.
+_CONSTRUCT_RE = re.compile(
+    r"<!--.*?-->|<!\[CDATA\[.*?\]\]>|<\?.*?\?>|<!(?!--|\[CDATA\[)[^>]*>"
+    rf"|(</?)({_NAME})([^>\"']*(?:\"[^\"]*\"[^>\"']*|'[^']*'[^>\"']*)*>)"
+    r"|(<(?:[!?]|/?(?:[A-Za-z_:]|\Z)).*)",
+    re.DOTALL,
+)
 
 
 class TagCodec:
@@ -125,13 +136,11 @@ class TagCodec:
     ) -> Iterator[str]:
         buffer = ""
         for chunk in chunks:
-            buffer += chunk
-            done, buffer = self._rewrite_stream(buffer, table, final=False)
+            done, buffer = self._rewrite_stream(buffer + chunk, table, final=False)
             if done:
                 yield done
-        done, buffer = self._rewrite_stream(buffer, table, final=True)
-        if done:
-            yield done
+        if buffer:
+            yield self._rewrite_stream(buffer, table, final=True)[0]
 
     def _rewrite_stream(
         self, buffer: str, table: dict[str, str], final: bool
@@ -143,78 +152,28 @@ class TagCodec:
         incomplete construct).  With ``final=True`` everything is consumed,
         passing any trailing malformed markup through verbatim.
         """
-        out: list[str] = []
-        pos = 0
-        n = len(buffer)
-        while pos < n:
-            lt = buffer.find("<", pos)
-            if lt == -1:
-                out.append(buffer[pos:])
-                pos = n
-                break
-            if lt > pos:
-                out.append(buffer[pos:lt])
-                pos = lt
-            rest = buffer[pos:]
-            if not final and any(
-                marker.startswith(rest) for marker in _OPAQUE_MARKERS
-            ):
-                break  # could still become a comment/CDATA opener
-            consumed = self._rewrite_construct(buffer, pos, table, final, out)
-            if consumed is None:
-                break  # construct incomplete: hold it for the next chunk
-            pos = consumed
-        return "".join(out), buffer[pos:]
+        held = len(buffer)
 
-    def _rewrite_construct(
-        self, buffer: str, pos: int, table: dict[str, str], final: bool, out: list[str]
-    ) -> Optional[int]:
-        """Transcode one ``<``-construct at ``pos``; None = incomplete."""
-        n = len(buffer)
-        for marker, closer in (("<!--", "-->"), ("<![CDATA[", "]]>"), ("<?", "?>"), ("<!", ">")):
-            if buffer.startswith(marker, pos):
-                end = buffer.find(closer, pos + len(marker))
-                if end == -1:
-                    if final:
-                        out.append(buffer[pos:])
-                        return n
-                    return None
-                out.append(buffer[pos : end + len(closer)])
-                return end + len(closer)
-        name_start = pos + (2 if buffer.startswith("</", pos) else 1)
-        match = _NAME_RE.match(buffer, name_start)
-        if match is None:
-            if name_start >= n and not final:
-                return None  # bare "<" or "</" at the buffer edge
-            out.append(buffer[pos:name_start])
-            return name_start
-        if match.end() == n and not final:
-            return None  # the name may continue in the next chunk
-        end = _scan_tag_end(buffer, match.end())
-        if end is None and not final:
-            return None  # attributes/terminator still arriving
-        name = match.group()
-        out.append(buffer[pos : name_start] + table.get(name, name))
-        out.append(buffer[match.end() : end if end is not None else n])
-        return end if end is not None else n
+        def rewrite(match: "re.Match") -> str:
+            nonlocal held
+            lead, name, rest, tail = match.groups()
+            if name is not None:
+                return lead + table.get(name, name) + rest
+            if tail is None:
+                return match.group()  # comment, CDATA, PI, declaration: opaque
+            if not final:
+                held = match.start()  # still arriving: hold it for the next chunk
+                return ""
+            opened = _TAG_OPEN_RE.match(tail)
+            if opened is None:
+                return tail
+            lead, name = opened.groups()
+            return lead + table.get(name, name) + tail[opened.end():]
+
+        return _CONSTRUCT_RE.sub(rewrite, buffer), buffer[held:]
 
     def __len__(self) -> int:
         return len(self._encode)
-
-
-def _scan_tag_end(buffer: str, pos: int) -> Optional[int]:
-    """Index just past the ``>`` closing the tag, honoring quoted attrs."""
-    quote: Optional[str] = None
-    for index in range(pos, len(buffer)):
-        ch = buffer[index]
-        if quote is not None:
-            if ch == quote:
-                quote = None
-        elif ch in ('"', "'"):
-            quote = ch
-        elif ch == ">":
-            return index + 1
-    return None
 
 
 class CompressingChannel(Channel):

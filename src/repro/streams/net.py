@@ -24,9 +24,9 @@ real sockets:
 The server's front door reuses the predicate routing index: a BATCH is
 fanned out only to connections whose subscriptions can match the
 arriving envelope — same ``(stream, tsid)`` dependency test, same
-conservative supersede rule for non-event tags, and the same
-:func:`~repro.streams.routing.route_match` probe the in-process
-scheduler and the sharded coordinator run.
+conservative supersede rule for non-event tags, and the probe kernel of
+the in-process scheduler and the sharded coordinator, at its wire-text
+granularity (:func:`~repro.streams.routing.envelope_match`: no DOM).
 
 Catch-up sequence (the no-retransmission model's only recovery path)::
 
@@ -79,15 +79,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.core.optimizer import RoutingPredicate
-from repro.dom.nodes import Element
-from repro.dom.parser import parse_fragment
-from repro.fragments.model import Filler, parse_filler
 from repro.fragments.persist import Journal
 from repro.fragments.tagstructure import TagStructure, TagType
 from repro.streams.compression import TagCodec
 from repro.streams import netproto as proto
 from repro.streams.netproto import FrameDecoder, ProtocolError
-from repro.streams.routing import route_match
+from repro.streams.routing import envelope_match
 from repro.streams.sharding import ShardWorkerHost
 from repro.streams.transport import FILLER, TAG_STRUCTURE, Message, peek_filler
 
@@ -115,13 +112,6 @@ _COMPRESS_SLICE = 4096
 
 def _slices(text: str, size: int = _COMPRESS_SLICE):
     return (text[i : i + size] for i in range(0, len(text), size))
-
-
-def _parse_envelope(payload: str) -> Filler:
-    nodes = [n for n in parse_fragment(payload) if isinstance(n, Element)]
-    if len(nodes) != 1:
-        raise ValueError("expected a single <filler> element")
-    return parse_filler(nodes[0])
 
 
 # -- subscriptions -----------------------------------------------------------------
@@ -543,14 +533,18 @@ class StreamServer:
         the same answers it would have given before the restart: the
         per-filler version counts (the conservative supersede wake) are
         part of that state, so they are rebuilt from the journal along
-        with the schemas — otherwise the first post-restart version of a
-        long-lived fragment would look like its first version ever.
+        with the schemas, record by record like the live door — or a
+        fragment's first post-restart version would look like its first ever.
         """
         for seq, message in self.journal.read_indexed():
             if message.kind == TAG_STRUCTURE:
                 self._register_structure(seq, message)
-        for key, count in self.journal.filler_version_counts().items():
-            self._version_counts[key] = count
+                continue
+            try:
+                filler_id, tsid, _holes = peek_filler(message.payload)
+            except ValueError:
+                continue  # not an envelope: nothing the door could count
+            self._note_version(message.stream, filler_id, tsid)
 
     @property
     def port(self) -> int:
@@ -568,6 +562,8 @@ class StreamServer:
             await self._server.wait_closed()
         for conn in list(self._conns):
             self._close_conn(conn)
+        if self.journal is not None:
+            self.journal.close()
         await asyncio.sleep(0)
 
     def _close_conn(self, conn: _Connection) -> None:
@@ -606,9 +602,7 @@ class StreamServer:
             self._register_structure(seq, message)
         elif message.kind == FILLER:
             peeked = peek_filler(message.payload)
-            key = (message.stream, peeked[0])
-            supersede = self._version_counts.get(key, 0) > 0
-            self._version_counts[key] = self._version_counts.get(key, 0) + 1
+            supersede = self._note_version(message.stream, peeked[0], peeked[1])
         if self.engine is not None:
             self.engine.deliver(message)
         probe_cache: dict = {}
@@ -655,6 +649,21 @@ class StreamServer:
         """Sync-callable publish for :meth:`Channel.pipe_to` bridging."""
         return asyncio.run_coroutine_threadsafe(self.publish(message), loop)
 
+    def _note_version(self, stream: str, filler_id: int, tsid: int) -> bool:
+        """Count one published version; had the fragment one already?
+
+        The door asks only for non-event tags, and each live event is a
+        fragment of its own: counting a tsid known to be an event would
+        grow the table by an entry per message for ever.  An unknown
+        tsid is counted — the schema may yet say otherwise.
+        """
+        if self._tag_types.get((stream, tsid)) is TagType.EVENT:
+            return False
+        key = (stream, filler_id)
+        versions = self._version_counts.get(key, 0)
+        self._version_counts[key] = versions + 1
+        return versions > 0
+
     def _register_structure(self, seq: int, message: Message) -> None:
         structure = TagStructure.from_xml(message.payload)
         self._structures[message.stream] = structure
@@ -662,9 +671,6 @@ class StreamServer:
         self._structure_records[message.stream] = (seq, message)
         for tag in structure.all_tags():
             self._tag_types[(message.stream, tag.tsid)] = tag.type
-
-    def _codec_of(self, stream: str) -> Optional[TagCodec]:
-        return self._codecs.get(stream)
 
     def _should_send(
         self,
@@ -678,7 +684,8 @@ class StreamServer:
 
         Mirrors the sharded coordinator's dispatch probe: tsid-narrowed
         subscriptions are dependency-tested; predicate subscriptions are
-        probed with the routing index's filler probe under the same
+        probed over the envelope's parser events (one tokenizer pass per
+        publish, kept in ``probe_cache``; no DOM) under the same
         conservative supersede rule for non-event tags.  Uncertainty
         always sends.
         """
@@ -700,15 +707,11 @@ class StreamServer:
                 # A non-event fragment got another version: annotations
                 # of the previous version move regardless of the predicate.
                 return True
-            filler = probe_cache.get("filler")
-            if filler is None:
-                try:
-                    filler = _parse_envelope(message.payload)
-                except ValueError:
-                    return True  # undecidable — conservative wake
-                probe_cache["filler"] = filler
-            if route_match(sub.predicate, filler, tag_type, probe_cache):
-                return True
+            try:
+                if envelope_match(sub.predicate, message.payload, tag_type, probe_cache):
+                    return True
+            except ValueError:
+                return True  # not a readable envelope: undecidable, send
         return False
 
     # -- connection handling ------------------------------------------------------
@@ -724,7 +727,7 @@ class StreamServer:
             compress_threshold=self.compress_threshold,
             queue_frames=self.queue_frames,
             policy=self.slow_policy,
-            codec_of=self._codec_of,
+            codec_of=self._codecs.get,
             on_overflow=lambda: None,  # rebound below with the conn
             cache=self._fanout_cache,
         )
@@ -873,16 +876,7 @@ class StreamServer:
             if any(sub.predicate is not None for sub in conn.subscriptions):
                 counts = self.journal.filler_version_counts(upto=after)
             for seq, message in self.journal.read_indexed(after):
-                supersede = False
-                if message.kind == FILLER and counts is not None:
-                    try:
-                        key = (message.stream, peek_filler(message.payload)[0])
-                    except ValueError:
-                        key = None
-                    if key is not None:
-                        supersede = counts.get(key, 0) > 0
-                        counts[key] = counts.get(key, 0) + 1
-                if not self._replay_match(conn, message, supersede):
+                if not self._replay_match(conn, message, counts):
                     skipped += 1
                     continue
                 await conn.outbox.enqueue(seq, message)
@@ -909,12 +903,13 @@ class StreamServer:
         return True
 
     def _replay_match(
-        self, conn: _Connection, message: Message, supersede: bool
+        self, conn: _Connection, message: Message, counts: Optional[dict]
     ) -> bool:
         """Replay filter: the live front-door probe, fed journal state.
 
-        ``supersede`` is the reconstructed had-this-filler-a-version-yet
-        flag for the entry (see :meth:`_on_catchup`); with it, the exact
+        ``counts`` holds the reconstructed version counts as of this
+        entry (see :meth:`_on_catchup`; ``None`` when no subscription
+        asks); with its had-this-filler-a-version-yet answer, the exact
         :meth:`_should_send` probe applies — same tsid dependency test,
         same predicate probe, same conservative non-event supersede wake
         — so a catch-up client receives precisely the frames it would
@@ -926,6 +921,11 @@ class StreamServer:
             peeked = peek_filler(message.payload)
         except ValueError:
             return True  # undecidable — conservative replay
+        supersede = False
+        if counts is not None:
+            key = (message.stream, peeked[0])
+            supersede = counts.get(key, 0) > 0
+            counts[key] = counts.get(key, 0) + 1
         return self._should_send(conn, message, peeked, supersede, {})
 
     async def _on_feed(self, conn: _Connection, frame: proto.Frame) -> bool:

@@ -1,16 +1,20 @@
-"""Routing predicates at run time: one probe kernel, two granularities.
+"""Routing predicates at run time: one probe kernel, three granularities.
 
 A :class:`~repro.core.optimizer.RoutingPredicate` is the leading
 literal comparison of a standing query's residual (``$t/amount > 50``).
 This module owns what every consumer of one needs — extracting the
-operand's values from payload elements with exactly the residual's
-coercion, and comparing them with the literal — and the two decisions
-built on it:
+operand's values from a payload with exactly the residual's coercion,
+and comparing them with the literal — and the three decisions built on
+it:
 
+- **per envelope, over parser events** (:func:`envelope_match`): the
+  per-filler question below, asked of wire text nobody has parsed.  The
+  network server's subscription door tokenizes the envelope once and
+  walks the events; no DOM is built for a frame that is only relayed.
 - **per filler** (:func:`route_match`): can *any* binding tuple of an
-  arriving filler satisfy the predicate?  The scheduler's wake probe,
-  the sharded coordinator's front route and the network server's
-  subscription door all ask this and skip the filler on ``False``.
+  arriving filler satisfy the predicate?  The scheduler's wake probe and
+  the sharded coordinator's front route, which hold materialized
+  fillers, ask this and skip the filler on ``False``.
 - **per binding tuple** (:class:`TupleIndex`): which members of a shared
   group can accept *this* tuple?  Members whose predicates differ only
   in the literal are kept sorted by it, the operand is extracted once
@@ -18,7 +22,7 @@ built on it:
   shared by many standing queries is decided once per event, not once
   per query (Koch et al., schema-based scheduling of event processors).
 
-Both are conservative in the same direction: whatever the kernel cannot
+All are conservative in the same direction: whatever the kernel cannot
 decide (an operand that is not a number where one is compared, a
 multi-valued operand under a value comparison, ``NaN``, an annotation
 attribute that depends on other versions) wakes the query, or passes the
@@ -33,7 +37,8 @@ from typing import Optional
 
 from repro.core.optimizer import RoutingPredicate
 from repro.dom.nodes import Element, Text
-from repro.fragments.model import Filler
+from repro.dom.parser import EventParser
+from repro.fragments.model import Filler, envelope_header
 from repro.fragments.tagstructure import TagType
 from repro.xquery.errors import XQueryTypeError
 from repro.xquery.xdm import to_number
@@ -43,6 +48,8 @@ __all__ = [
     "batch_supersedes",
     "compare",
     "descendants_with_tag",
+    "envelope_match",
+    "envelope_values",
     "filler_values",
     "index_shape",
     "operand_values",
@@ -55,6 +62,7 @@ __all__ = [
 # to_number keeps such text as an exact int.
 _EXACT_FLOAT = float(2**53)
 
+_ANNOTATIONS = ("vtFrom", "vtTo")  # wrapper-level attributes, not payload content
 _ORDERED = ("<", "<=", ">", ">=")
 _OPERATORS = _ORDERED + ("=", "!=")
 
@@ -102,6 +110,16 @@ def operand_values(pred: RoutingPredicate, element: Element) -> Optional[list]:
             )
         else:
             values.append(target.string_value())
+    return _coerced(pred, values)
+
+
+def _coerced(pred: RoutingPredicate, values: list) -> Optional[list]:
+    """One bound element's operand strings as the residual compares them.
+
+    The half of the extraction that is not the walk: the DOM kernel
+    (:func:`operand_values`) and the event kernel
+    (:func:`envelope_values`) both end here.
+    """
     if pred.single and len(values) > 1:
         return None  # a value comparison over a sequence raises
     if pred.numeric:
@@ -110,6 +128,37 @@ def operand_values(pred: RoutingPredicate, element: Element) -> Optional[list]:
         except XQueryTypeError:
             return None
     return values
+
+
+def _annotation_values(pred: RoutingPredicate, is_root: bool, valid_time,
+                       tag_type: Optional[TagType]) -> Optional[list]:
+    """``@vtFrom``/``@vtTo`` of a candidate, as far as one arrival tells.
+
+    Annotation attributes exist on the wrapper level only — the arriving
+    version's ``vtFrom`` is its own validTime for every tag type, and its
+    ``vtTo`` equals ``vtFrom`` for events.  A temporal or snapshot
+    ``vtTo`` depends on *other* versions — undecidable here.
+    """
+    if pred.path or not is_root:
+        return None
+    if pred.attribute == "vtTo" and tag_type is not TagType.EVENT:
+        return None
+    return [valid_time.to_epoch_seconds()]
+
+
+def _merged(per_candidate) -> Optional[list]:
+    """Every candidate's values in one list; ``None`` once one is undecidable."""
+    merged: list = []
+    for values in per_candidate:
+        if values is None:
+            return None
+        merged.extend(values)
+    return merged
+
+
+def _any_match(pred: RoutingPredicate, values: Optional[list]) -> bool:
+    """The probe's verdict over extracted values: undecidable wakes."""
+    return values is None or any(compare(value, pred) for value in values)
 
 
 def compare(value, pred: RoutingPredicate) -> bool:
@@ -163,10 +212,7 @@ def route_match(pred: RoutingPredicate, filler: Filler,
     can satisfy the conjunct, the residual's leftmost ``where`` rejects
     every tuple, and the query's answer cannot change.
     """
-    values = filler_values(pred, filler, tag_type, value_cache)
-    if values is None:
-        return True  # cannot decide — wake
-    return any(compare(value, pred) for value in values)
+    return _any_match(pred, filler_values(pred, filler, tag_type, value_cache))
 
 
 def filler_values(pred: RoutingPredicate, filler: Filler,
@@ -186,13 +232,10 @@ def filler_values(pred: RoutingPredicate, filler: Filler,
     if root.tag == pred.tuple_tag:
         candidates.append(root)
     candidates.extend(descendants_with_tag(root, pred.tuple_tag))
-    merged: Optional[list] = []
-    for candidate in candidates:
-        values = probe_values(pred, candidate, root, filler, tag_type)
-        if values is None:
-            merged = None
-            break
-        merged.extend(values)
+    merged = _merged(
+        probe_values(pred, candidate, root, filler, tag_type)
+        for candidate in candidates
+    )
     if value_cache is not None:
         value_cache[key] = merged
     return merged
@@ -212,18 +255,132 @@ def probe_values(pred: RoutingPredicate, candidate: Element, root: Element,
     """The comparable values ``pred``'s left side yields for a candidate.
 
     :func:`operand_values` plus the one thing only the filler level
-    knows: annotation attributes exist on the wrapper level only — the
-    arriving version's ``vtFrom`` is its own validTime for every tag
-    type, and its ``vtTo`` equals ``vtFrom`` for events.  A temporal or
-    snapshot ``vtTo`` depends on *other* versions — undecidable here.
+    knows: the annotation attributes (:func:`_annotation_values`).
     """
-    if pred.attribute in ("vtFrom", "vtTo"):
-        if pred.path or candidate is not root:
-            return None
-        if pred.attribute == "vtTo" and tag_type is not TagType.EVENT:
-            return None
-        return [filler.valid_time.to_epoch_seconds()]
+    if pred.attribute in _ANNOTATIONS:
+        return _annotation_values(pred, candidate is root, filler.valid_time, tag_type)
     return operand_values(pred, candidate)
+
+
+# -- per envelope: the wire-text probe ---------------------------------------------------
+
+
+def envelope_match(pred: RoutingPredicate, payload: str,
+                   tag_type: Optional[TagType],
+                   value_cache: Optional[dict] = None) -> bool:
+    """:func:`route_match` for an envelope still in wire form.
+
+    The same verdict ``route_match(pred, parse_filler(payload), ...)``
+    gives, without the DOM.  Raises ``ValueError`` for text that is not
+    one well-formed filler envelope; the caller decides what an
+    unreadable envelope means (the network door sends it).
+    """
+    return _any_match(pred, envelope_values(pred, payload, tag_type, value_cache))
+
+
+def envelope_values(pred: RoutingPredicate, payload: str,
+                    tag_type: Optional[TagType],
+                    value_cache: Optional[dict] = None) -> Optional[list]:
+    """:func:`filler_values` over the parser events of an envelope's text.
+
+    Returns exactly ``filler_values(pred, parse_filler(payload),
+    tag_type, None)`` and raises ``ValueError`` exactly where
+    ``parse_filler`` does.  The text is tokenized once per
+    ``value_cache`` (the event list is kept under ``"events"``) and
+    walked once per predicate *shape*; only the walk differs from the
+    DOM kernel — coercion, annotation rule and merge are shared.
+    """
+    cache = {} if value_cache is None else value_cache
+    key = _shape(pred)
+    if key in cache:
+        return cache[key]
+    events = cache.get("events")
+    if events is None:
+        parser = EventParser(fragment=True)
+        events = parser.feed(payload)
+        events += parser.close()
+        cache["events"] = events
+    valid_time, candidates = _walk_events(pred, events)
+    if pred.attribute in _ANNOTATIONS:
+        merged = _merged(
+            _annotation_values(pred, is_root, valid_time, tag_type)
+            for is_root, _values in candidates
+        )
+    else:
+        merged = _merged(_coerced(pred, values) for _is_root, values in candidates)
+    cache[key] = merged
+    return merged
+
+
+def _walk_events(pred: RoutingPredicate, events: list) -> tuple:
+    """``(valid_time, candidates)`` of one envelope's event list.
+
+    A path NFA over the payload subtree whose whole state is the stack
+    of open tags: every element named ``pred.tuple_tag`` is a candidate,
+    and an element is a target of the candidate ``len(pred.path)``
+    levels above it when the tags between them spell ``pred.path`` —
+    child steps only, so an element is the target of at most one
+    candidate and open targets nest.  A target contributes its
+    attribute, its direct text children, or its string value.
+    ``candidates`` lists ``(is_payload_root, operand strings)`` in
+    document order, the strings being what :func:`operand_values`
+    collects below that element.  Everything below the envelope is
+    walked as if it were the one payload: when it is not,
+    :func:`envelope_header` raises and the walk's result is dropped.
+    """
+    tuple_tag, attribute, text_only = pred.tuple_tag, pred.attribute, pred.text_only
+    path = list(pred.path)
+    steps = len(path)
+    last_tag = path[-1] if path else tuple_tag
+    depth = top_elements = payload_elements = 0
+    envelope_tag = None
+    envelope_attrs: dict = {}
+    tags: list = []  # open elements below the envelope; the payload root is depth 2
+    candidates: list = []
+    values_at: dict = {}  # depth -> the values of the candidate opened there last
+    targets: list = []  # open targets, innermost last: (depth, values, text parts)
+    for event in events:
+        kind = event[0]
+        if kind == "start":
+            depth += 1
+            if depth == 1:
+                top_elements += 1
+                envelope_tag, envelope_attrs = event[1], event[2]
+                continue
+            if depth == 2:
+                payload_elements += 1
+            tag = event[1]
+            tags.append(tag)
+            if tag == tuple_tag:
+                values_at[depth] = values = []
+                candidates.append((depth == 2, values))
+            origin = depth - steps
+            if (tag == last_tag and origin >= 2 and tags[origin - 2] == tuple_tag
+                    and tags[origin - 1:] == path):
+                values = values_at[origin]
+                if attribute is not None:
+                    if attribute in event[2]:
+                        values.append(event[2][attribute])
+                else:
+                    targets.append((depth, values, None if text_only else []))
+        elif kind == "end":
+            if depth > 1:
+                tags.pop()
+                if targets and targets[-1][0] == depth:
+                    _, values, parts = targets.pop()
+                    if parts is not None:
+                        values.append("".join(parts))
+            depth -= 1
+        elif kind == "text" or kind == "cdata":
+            for target_depth, values, parts in targets:
+                if parts is not None:
+                    parts.append(event[1])
+                elif depth == target_depth:
+                    values.append(event[1])
+    _, _, valid_time = envelope_header(
+        top_elements, envelope_tag, envelope_attrs, payload_elements
+    )
+    return valid_time, candidates
 
 
 def _shape(pred: RoutingPredicate) -> tuple:
@@ -241,7 +398,7 @@ def index_shape(pred: RoutingPredicate) -> Optional[str]:
     annotation attribute, whose value the bare tuple does not carry for
     every tag type, or a literal no ordering can file (``NaN``).
     """
-    if pred.attribute in ("vtFrom", "vtTo") or pred.value != pred.value:
+    if pred.attribute in _ANNOTATIONS or pred.value != pred.value:
         return None
     if pred.op not in _OPERATORS:
         return None

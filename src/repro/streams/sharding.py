@@ -1568,6 +1568,8 @@ class ShardedEngine:
                 shard.stop()
             except Exception:
                 pass
+        for journal in self._journals:
+            journal.close()
         if self._own_journal_dir:
             shutil.rmtree(self._journal_dir, ignore_errors=True)
 

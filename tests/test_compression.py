@@ -113,6 +113,78 @@ class TestDecompressIter:
         assert "".join(codec.decompress_iter(["<zzz/>"])) == "<zzz/>"
 
 
+class TestConstructScan:
+    """The one-regex scanner keeps the per-character scanner's contract:
+    names are rewritten only where a tag opens, whatever the chunking."""
+
+    CASES = [
+        # text that merely looks like markup is text
+        ("a < t2 and t2 > b", "a < t2 and t2 > b"),
+        ("1<2 </ 3 <> <1t2> t2", "1<2 </ 3 <> <1t2> t2"),
+        ("<<t2>>", "<<account>>"),
+        # attributes: names inside values stay, quotes protect '>' and '<'
+        ('<t2 a="<t2>" b=\'</t2>\'>', '<account a="<t2>" b=\'</t2>\'>'),
+        ("<t2\n  a = 'x'\n/>", "<account\n  a = 'x'\n/>"),
+        ("<t2/><t2 /></t2 >", "<account/><account /></account >"),
+        # a tag runs to its first unquoted '>', even across a stray '<'
+        ("<t2 <t3>", "<account <t3>"),
+        # opaque constructs, closed and not
+        ("<!--<t2>--><t2>", "<!--<t2>--><account>"),
+        ("<!DOCTYPE t2 [<t2>]><t2>", "<!DOCTYPE t2 [<t2>]><account>"),  # opaque to its first '>'
+        ("<!-x><t2>", "<!-x><account>"),
+        ("<?t2 <t2>?><t2>", "<?t2 <t2>?><account>"),
+        ("<![CDATA[]]><t2>", "<![CDATA[]]><account>"),
+        # malformed tails flush verbatim — but an opened tag's name is decoded
+        ("<t2><!-- <t2>", "<account><!-- <t2>"),
+        ("<t2><![CDATA[ <t2>", "<account><![CDATA[ <t2>"),
+        ("<t2><? <t2>", "<account><? <t2>"),
+        ("<t2><!x <t2", "<account><!x <t2"),
+        ("x</t2", "x</account"),
+        ('<t2 a="<t3>', '<account a="<t3>'),
+        ("x</", "x</"),
+        ("<!--->", "<!--->"),
+        ("<?>", "<?>"),
+        # names: greedy, unicode, unknown
+        ("<t2.x><t22><t2é>", "<t2.x><t22><t2é>"),
+        ("<é:t2>", "<é:t2>"),
+    ]
+
+    @pytest.mark.parametrize("wire, decoded", CASES)
+    def test_every_split_point(self, codec, wire, decoded):
+        assert "".join(codec.decompress_iter([wire])) == decoded
+        for cut in range(len(wire) + 1):
+            assert "".join(codec.decompress_iter([wire[:cut], wire[cut:]])) == decoded, cut
+        assert "".join(codec.decompress_iter(iter(wire))) == decoded
+
+    @pytest.mark.parametrize("wire, decoded", CASES)
+    def test_compress_inverts_decompress(self, codec, wire, decoded):
+        assert "".join(codec.compress_iter([decoded])) == wire
+        assert "".join(codec.compress_iter(iter(decoded))) == wire
+
+    def test_holdover_starts_at_the_incomplete_construct(self, codec):
+        done, held = codec._rewrite_stream("x<t2>y<t2 a='", codec._decode, final=False)
+        assert (done, held) == ("x<account>y", "<t2 a='")
+        done, held = codec._rewrite_stream("<t2><!-- <t3> <", codec._decode, final=False)
+        assert (done, held) == ("<account>", "<!-- <t3> <")
+        assert codec._rewrite_stream("a < b", codec._decode, final=False) == ("a < b", "")
+        assert codec._rewrite_stream("a <", codec._decode, final=False) == ("a ", "<")
+
+    def test_round_trip_on_real_fillers_in_slices(self):
+        structure = auction_tag_structure()
+        codec = TagCodec(structure)
+        fillers = Fragmenter(structure).fragment(
+            generate_auction_document(0.0), XSDateTime(2003, 1, 1)
+        )
+        for filler in fillers[:200]:
+            text = filler.to_xml()
+            for size in (7, 64, 4096):
+                slices = [text[i : i + size] for i in range(0, len(text), size)]
+                packed = "".join(codec.compress_iter(slices))
+                assert packed == codec.encode_wire(text)
+                repacked = [packed[i : i + size] for i in range(0, len(packed), size)]
+                assert "".join(codec.decompress_iter(repacked)) == text
+
+
 class TestCompressingChannel:
     def test_transparent_to_client(self):
         structure = TagStructure.from_xml(CREDIT_TAG_STRUCTURE_XML)

@@ -133,7 +133,9 @@ class TestProbeKernel:
     def test_one_kernel_serves_every_door(self):
         from repro.streams import net, scheduler, sharding
 
-        assert net.route_match is routing.route_match
+        # The network door asks the same kernel at its wire-text granularity.
+        assert net.envelope_match is routing.envelope_match
+        assert not hasattr(net, "route_match")
         assert sharding.route_match is routing.route_match
         assert scheduler.route_match is routing.route_match
         assert not hasattr(scheduler, "_route_match")

@@ -163,3 +163,75 @@ class TestJournal:
         before = client.store_of("credit").filler_count
         journal.replay(client._on_message)  # duplicates: all dropped
         assert client.store_of("credit").filler_count == before
+
+
+class TestJournalAppendHandle:
+    """One held append handle, flushed per record: every reader that
+    opens the file by path sees each record the moment its append
+    returns, and a journal nobody closes still leaves a complete file."""
+
+    @staticmethod
+    def _message(i: int) -> Message:
+        return Message(
+            FILLER, "s", f"<filler id='{i}' tsid='1' validTime='2003-01-01T00:00:00'><a/></filler>"
+        )
+
+    def test_no_file_until_the_first_record(self, tmp_path):
+        journal = Journal(tmp_path / "lazy.journal")
+        assert journal.last_seq == 0
+        assert not (tmp_path / "lazy.journal").exists()
+        journal.close()  # closing a journal that never wrote is a no-op
+
+    def test_every_record_is_readable_by_path_at_once(self, tmp_path):
+        path = tmp_path / "live.journal"
+        journal = Journal(path)
+        for i in range(1, 6):
+            journal.record(self._message(i))
+            other = Journal(path)  # a reader of its own, e.g. a restarted server
+            assert other.last_seq == i
+            assert [seq for seq, _m in other.read_indexed()] == list(range(1, i + 1))
+            assert other.filler_version_counts() == {("s", k): 1 for k in range(1, i + 1)}
+        assert journal.record_many([self._message(6), self._message(7)]) == 2
+        assert journal.record_many([]) == 0
+        assert Journal(path).last_seq == 7
+        assert journal.records_written == 7
+        # Never closed: the bytes are in the file all the same.
+        assert path.read_text().count("</journal>\n") == 7
+
+    def test_one_handle_for_many_records(self, tmp_path, monkeypatch):
+        import builtins
+
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "a" in mode:
+                opened.append(file)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        journal = Journal(tmp_path / "held.journal")
+        for i in range(50):
+            journal.record(self._message(i))
+        journal.record_many([self._message(i) for i in range(50, 60)])
+        assert len(opened) == 1
+        assert journal.last_seq == 60
+
+    def test_close_is_idempotent_and_a_later_record_reopens(self, tmp_path):
+        path = tmp_path / "reopen.journal"
+        journal = Journal(path)
+        journal.record(self._message(1))
+        journal.close()
+        journal.close()
+        journal.record(self._message(2))
+        assert [seq for seq, _m in Journal(path).read_indexed()] == [1, 2]
+        journal.close()
+
+    def test_two_writers_interleave_whole_records(self, tmp_path):
+        """A coordinator restarted beside a stale handle: appends never tear."""
+        path = tmp_path / "shared.journal"
+        first, second = Journal(path), Journal(path)
+        for i in range(10):
+            (first if i % 2 else second).record(self._message(i))
+        ids = [m.payload.split("'")[1] for _seq, m in Journal(path).read_indexed()]
+        assert ids == [str(i) for i in range(10)]

@@ -353,6 +353,22 @@ class TestSourceLint:
         assert [f.code for f in findings] == ["automata-dom-import"] * 2
         assert "DOM-free" in findings[0].message
 
+    def test_network_server_may_not_import_dom(self, tmp_path):
+        package = tmp_path / "streams"
+        package.mkdir()
+        offender = package / "net.py"
+        offender.write_text(
+            "from repro.dom.parser import parse_fragment\n"
+            "from repro.streams.routing import envelope_match\n"
+        )
+        findings = lint_sources([str(offender)])
+        assert [f.code for f in findings] == ["net-dom-import"]
+        assert "envelope_match" in findings[0].message
+        # ...and the wire layer next to it keeps its own code.
+        (package / "netproto.py").write_text("import repro.dom\n")
+        codes = {f.code for f in lint_sources([str(package)])}
+        assert codes == {"net-dom-import", "netproto-dom-import", "netproto-repro-import"}
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")

@@ -451,6 +451,25 @@ class TestWorkerLifecycle:
         assert all(not shard["in_process"] for shard in stats["shards"])
 
 
+    def test_close_releases_the_shard_journals(self, tmp_path):
+        """The coordinator holds one append handle per shard journal while
+        it runs (records stay readable by path for failover) and releases
+        them on close; journals in a caller's directory survive it."""
+        batches = ledger_batches(count=12, batch=6)
+        engine = ShardedEngine(2, in_process=True, journal_dir=tmp_path)
+        engine.register_stream("ledger", TagStructure.from_xml(LEDGER_STRUCTURE_XML))
+        for batch in batches:
+            engine.feed("ledger", batch)
+        written = [journal.records_written for journal in engine._journals]
+        assert sum(written) == sum(len(batch) for batch in batches) + 2  # + schemas
+        assert [journal.last_seq for journal in engine._journals] == written
+        assert all(journal._handle is not None for journal in engine._journals)
+        engine.close()
+        assert all(journal._handle is None for journal in engine._journals)
+        assert [journal.last_seq for journal in engine._journals] == written
+        engine.close()  # idempotent
+
+
 class TestRemoteWorkerLifecycle:
     def test_sigkilled_remote_worker_fails_over_then_respawns_remote(self):
         """The cross-host acceptance scenario: SIGKILL the remote worker
