@@ -116,7 +116,7 @@ class CompiledQuery:
     hoisted_calls: int = 0  # get_fillers folds applied by the optimizer
     backend: str = "interpreted"
     plan: Optional[Callable] = field(default=None, repr=False, compare=False)
-    merge_joins: int = 0  # interval joins lowered to sort-merge plans
+    merge_joins: int = 0  # FLWORs lowered to sort-merge or hash joins
     # Incremental-evaluation state, populated lazily by
     # :meth:`XCQLEngine.prepare_delta` (shared through the plan cache —
     # delta safety is a property of the translated plan, not the query
@@ -488,8 +488,8 @@ class XCQLEngine:
         the translated AST into a closure plan; ``"interpreted"`` keeps
         the tree walker); ``None`` uses the engine's ``default_backend``.
         ``merge_joins`` overrides the engine-level knob that lowers
-        interval-comparison joins to sort-merge plans (compiled backend
-        only).
+        interval-comparison joins to sort-merge plans and correlated
+        ``=`` joins to hash joins (compiled backend only).
 
         All rewriting and analysis runs through ``self.pipeline`` (see
         :mod:`repro.core.pipeline`): the returned query carries a

@@ -148,7 +148,10 @@ def _tags_of(expr: object, structures: dict[str, TagStructure]):
 
 #: Optimizer entry points that only :mod:`repro.core.pipeline` may import.
 PIPELINE_ONLY_NAMES = frozenset(
-    {"analyze_delta", "analyze_shared", "hoist_common_fillers", "lower_interval_joins"}
+    {
+        "analyze_delta", "analyze_shared", "hoist_common_fillers",
+        "lower_interval_joins", "lower_value_joins",
+    }
 )
 
 #: Modules allowed to import those names (the pipeline itself, and the

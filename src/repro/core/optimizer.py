@@ -31,6 +31,7 @@ from repro.xquery import xast
 __all__ = [
     "hoist_common_fillers",
     "lower_interval_joins",
+    "lower_value_joins",
     "count_calls",
     "analyze_delta",
     "analyze_shared",
@@ -47,12 +48,17 @@ _HOISTED_SUFFIX = "__fillers"
 def hoist_common_fillers(module: xast.Module) -> tuple[xast.Module, int]:
     """Apply the let-hoisting rewrite; returns (module, hoisted count)."""
     hoisted = [0]
-    body = _rewrite(module.body, hoisted)
+    return _map_module(module, lambda expr: _rewrite(expr, hoisted)), hoisted[0]
+
+
+def _map_module(module: xast.Module, rewrite) -> xast.Module:
+    """``module`` with ``rewrite`` applied to its body and every function body."""
+    body = rewrite(module.body)
     functions = [
-        xast.FunctionDef(f.name, f.params, f.return_type, _rewrite(f.body, hoisted))
+        xast.FunctionDef(f.name, f.params, f.return_type, rewrite(f.body))
         for f in module.functions
     ]
-    return xast.Module(functions, body), hoisted[0]
+    return xast.Module(functions, body)
 
 
 def count_calls(node: object, name: str) -> int:
@@ -169,12 +175,7 @@ def lower_interval_joins(module: xast.Module) -> tuple[xast.Module, int]:
     clauses untouched plus the join metadata; returns (module, count).
     """
     lowered = [0]
-    body = _lower(module.body, lowered)
-    functions = [
-        xast.FunctionDef(f.name, f.params, f.return_type, _lower(f.body, lowered))
-        for f in module.functions
-    ]
-    return xast.Module(functions, body), lowered[0]
+    return _map_module(module, lambda expr: _lower(expr, lowered)), lowered[0]
 
 
 def _lower(node: object, lowered: list[int]) -> object:
@@ -260,6 +261,115 @@ def _contains_constructor(node: object) -> bool:
     if isinstance(node, _CONSTRUCTOR_TYPES):
         return True
     return any(_contains_constructor(child) for child in xast.children(node))
+
+
+# ---------------------------------------------------------------------------
+# Value-join lowering (decorrelated hash equi-join)
+# ---------------------------------------------------------------------------
+
+
+def lower_value_joins(module: xast.Module) -> tuple[xast.Module, int, Optional[str]]:
+    """Annotate correlated equi-joins for the compiled build/probe path.
+
+    Recognizes a ``let`` or ``for`` clause, below a ``for`` of the same
+    FLWOR, that binds an inner FLWOR ``for $t in S where K = P [and rest]
+    return R`` in which ``S`` references no variable the enclosing FLWOR
+    bound before the clause, constructs no nodes and calls no prolog
+    function, ``K`` depends on ``$t`` and on none of those variables
+    either, and ``P`` is free of ``$t`` — XMark Q8: ``S`` the closed
+    auctions, ``K`` the buyer, ``P`` the person id.  Everything that makes
+    the inner side the same sequence for every enclosing tuple is checked
+    here; whether hashing gives the nested loop's answer depends on the
+    atoms and is decided at run time.  The enclosing FLWOR is replaced by a
+    :class:`~repro.xquery.xast.ValueJoinFLWOR` carrying the original
+    clauses untouched.
+
+    Returns (module, count, reason); ``reason`` names the condition the
+    first declined candidate failed, ``None`` when none was declined.
+    """
+    lowered = [0]
+    declined: list[str] = []
+    defined = {definition.name for definition in module.functions}
+
+    def lower(node: object) -> object:
+        node = xast.map_children(node, lower)
+        if type(node) is xast.FLWOR:
+            node = _lower_value_flwor(node, defined, lowered, declined)
+        return node
+
+    module = _map_module(module, lower)
+    return module, lowered[0], declined[0] if declined else None
+
+
+def _lower_value_flwor(
+    flwor: xast.FLWOR, defined: set, lowered: list[int], declined: list[str]
+) -> xast.FLWOR:
+    ordered = any(isinstance(c, xast.OrderByClause) for c in flwor.clauses)
+    bound: list[str] = []  # variables the clauses before `index` bind
+    looped = False
+    for index, clause in enumerate(flwor.clauses):
+        if not isinstance(clause, (xast.ForClause, xast.LetClause)):
+            continue
+        if isinstance(clause.expr, xast.FLWOR):
+            if ordered:
+                # order-by forces the materialized pipeline; keep nested loops.
+                reason = "enclosing FLWOR has an order by"
+            elif not looped:
+                reason = "no for clause encloses the inner FLWOR"
+            else:
+                reason = _value_join_obstacle(clause.expr, bound, defined)
+            if reason is None:
+                driver, where = clause.expr.clauses
+                lowered[0] += 1
+                return xast.ValueJoinFLWOR(
+                    clauses=flwor.clauses,
+                    return_expr=flwor.return_expr,
+                    join_index=index,
+                    inner_on_left=_references_var(_leftmost(where.expr).left, driver.var),
+                )
+            declined.append(reason)
+        bound.append(clause.var)
+        if isinstance(clause, xast.ForClause):
+            looped = True
+            if clause.position_var is not None:
+                bound.append(clause.position_var)
+    return flwor
+
+
+def _value_join_obstacle(
+    inner: xast.FLWOR, bound: list[str], defined: set
+) -> Optional[str]:
+    """Why an inner FLWOR has to stay a nested loop (None: it need not)."""
+    if type(inner) is not xast.FLWOR or [type(c) for c in inner.clauses] != [
+        xast.ForClause, xast.WhereClause,
+    ]:
+        return "inner FLWOR is not a single for/where/return"
+    driver, where = inner.clauses
+    if driver.position_var is not None:
+        return "inner for clause is positional"
+    for name in bound:
+        if _references_var(driver.expr, name):
+            return f"inner source is correlated (references ${name})"
+    if _contains_constructor(driver.expr):
+        return "inner source contains a constructor"
+    if _calls_any(driver.expr, defined):
+        return "inner source calls a user-defined function"
+    join = _leftmost(where.expr)
+    if not (isinstance(join, xast.BinOp) and join.op == "="):
+        return "leading where conjunct is not a general = comparison"
+    var = driver.var
+
+    def is_key(side: xast.Expr) -> bool:
+        return _references_var(side, var) and not any(
+            _references_var(side, name) for name in bound
+        )
+
+    if not (
+        is_key(join.left) and not _references_var(join.right, var)
+        or is_key(join.right) and not _references_var(join.left, var)
+    ):
+        return f"= does not compare a ${var}-only key with a ${var}-free value"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +477,7 @@ def analyze_delta(module: xast.Module) -> DeltaAnalysis:
     unsafe = DeltaAnalysis(False)
 
     body = module.body
-    if type(body) is not xast.FLWOR:
+    if type(body) not in (xast.FLWOR, xast.ValueJoinFLWOR):
         return dataclasses.replace(unsafe, reason="body is not a simple FLWOR")
     if not body.clauses or not isinstance(body.clauses[0], xast.ForClause):
         return dataclasses.replace(unsafe, reason="plan does not start with a for clause")

@@ -16,7 +16,7 @@ editing the pipeline can never serve a stale plan.
 Two pass kinds exist, distinguished only by what they touch:
 
 - **rewrite** passes (``translate``, ``hoist-fillers``,
-  ``lower-merge-joins``) return a new module;
+  ``lower-merge-joins``, ``lower-value-joins``) return a new module;
 - **analysis** passes (``delta-safety``, ``shared-split``,
   ``routing-predicate``, ``compile-stream-automaton``) return the module
   unchanged and record verdicts on the :class:`PlanInfo`.
@@ -26,7 +26,7 @@ filler-level form), rewrites before analyses (verdicts describe the final
 plan), ``delta-safety`` before ``shared-split`` (sharing refines the delta
 split), ``routing-predicate`` after that (it reads the shared verdict),
 ``compile-stream-automaton`` last (it compiles the shared prefix into an
-event automaton).  A new rewrite slots in after ``lower-merge-joins``; a
+event automaton).  A new rewrite slots in after ``lower-value-joins``; a
 new analysis appends at the end.  Each pass gates itself and appends exactly one
 :class:`PassTrace`, so ``engine.compile`` contains no pass-specific
 branching and ``explain()`` can replay the whole decision trail.
@@ -54,6 +54,7 @@ from repro.core.optimizer import (
     analyze_shared,
     hoist_common_fillers,
     lower_interval_joins,
+    lower_value_joins,
 )
 from repro.core.translator import Strategy, Translator
 from repro.xquery import xast
@@ -67,6 +68,7 @@ __all__ = [
     "TranslatePass",
     "HoistFillersPass",
     "LowerMergeJoinsPass",
+    "LowerValueJoinsPass",
     "DeltaSafetyPass",
     "SharedSplitPass",
     "RoutingPredicatePass",
@@ -151,8 +153,8 @@ class PlanInfo:
 class PassOptions:
     """The normalized compile request every pass gates on.
 
-    ``merge_joins`` arrives already normalized (sort-merge lowering is a
-    compiled-backend feature); ``translate=False`` is the
+    ``merge_joins`` arrives already normalized (both join lowerings are
+    compiled-backend features); ``translate=False`` is the
     ``execute_on_view`` reference path, which runs raw XCQL over
     materialized views and therefore skips the schema-directed rewrite.
     """
@@ -260,8 +262,32 @@ class LowerMergeJoinsPass(Pass):
             )
             return module
         module, lowered = lower_interval_joins(module)
-        info.lowered_joins = lowered
+        info.lowered_joins += lowered
         info.record(PassTrace(self.name, lowered > 0, rewrites=lowered))
+        return module
+
+
+class LowerValueJoinsPass(Pass):
+    """Lower correlated ``=`` joins to build-once hash joins (compiled only).
+
+    Rides on the same ``merge_joins`` request as the sort-merge lowering:
+    both replace a nested loop by a join operator whose answer the
+    interpreter's nested loop checks.  ``detail`` names the condition the
+    first declined candidate failed.
+    """
+
+    name = "lower-value-joins"
+    kind = "rewrite"
+
+    def run(self, module, info, options, engine):
+        if not options.merge_joins:
+            info.record(
+                PassTrace(self.name, False, detail="merge joins disabled or interpreted backend")
+            )
+            return module
+        module, lowered, reason = lower_value_joins(module)
+        info.lowered_joins += lowered
+        info.record(PassTrace(self.name, lowered > 0, rewrites=lowered, detail=reason))
         return module
 
 
@@ -365,6 +391,7 @@ def default_passes() -> list:
         TranslatePass(),
         HoistFillersPass(),
         LowerMergeJoinsPass(),
+        LowerValueJoinsPass(),
         DeltaSafetyPass(),
         SharedSplitPass(),
         RoutingPredicatePass(),

@@ -169,4 +169,11 @@ def parse_filler(source: Union[str, Element]) -> Filler:
     filler_id, tsid, valid_time = envelope_header(
         len(tops), first.tag, first.attrs, len(payload)
     )
-    return Filler(filler_id, tsid, valid_time, payload[0].copy())
+    if isinstance(source, str):
+        # The tree just parsed is private: detach the payload instead of
+        # copying it and leaving the original a parent-linked cycle.
+        content = payload[0]
+        first.remove(content)
+    else:
+        content = payload[0].copy()  # the caller owns ``source``
+    return Filler(filler_id, tsid, valid_time, content)

@@ -72,6 +72,7 @@ from repro.xquery.temporal_functions import (
 )
 from repro.xquery.xdm import (
     atomize,
+    atomize_sequence,
     effective_boolean_value,
     general_compare,
     string_value,
@@ -365,16 +366,24 @@ def _streaming_flwor(
     dict, so mutation is unobservable — while the per-tuple context clone
     and the per-stage list of the materialized pipeline disappear.
     """
+    return _streaming_run(_stream_chain(clauses, scope, _stream_return(return_expr)))
 
+
+def _stream_return(return_expr: Plan):
     def terminal(ctx: Context, out: list) -> None:
         out.extend(return_expr(ctx))
 
-    drive = terminal
+    return terminal
+
+
+def _stream_chain(clauses, scope: _ModuleScope, drive):
+    """Nest the drivers of ``clauses`` around ``drive``, in clause order."""
     for clause in reversed(clauses):
         drive = _stream_clause(clause, scope, drive)
+    return drive
 
-    final = drive
 
+def _streaming_run(final) -> Plan:
     def run(ctx: Context) -> list:
         scratch = ctx._clone()
         scratch.variables = dict(ctx.variables)
@@ -385,18 +394,19 @@ def _streaming_flwor(
     return run
 
 
-def _stream_clause(clause, scope: _ModuleScope, drive):
+def _stream_clause(clause, scope: _ModuleScope, drive, source: Optional[Plan] = None):
+    """One clause's driver; ``source`` replaces the clause's own expression
+    plan (a join driver supplies the sequence a ``for``/``let`` binds)."""
     if isinstance(clause, xast.ForClause):
-        return _stream_for(clause, scope, drive)
+        return _stream_for(clause, source or _compile(clause.expr, scope), drive)
     if isinstance(clause, xast.LetClause):
-        return _stream_let(clause, scope, drive)
+        return _stream_let(clause, source or _compile(clause.expr, scope), drive)
     if isinstance(clause, xast.WhereClause):
         return _stream_where(clause, scope, drive)
     return drive
 
 
-def _stream_for(clause: xast.ForClause, scope: _ModuleScope, rest):
-    source = _compile(clause.expr, scope)
+def _stream_for(clause: xast.ForClause, source: Plan, rest):
     var = clause.var
     position_var = clause.position_var
 
@@ -422,8 +432,7 @@ def _stream_for(clause: xast.ForClause, scope: _ModuleScope, rest):
     return drive_at
 
 
-def _stream_let(clause: xast.LetClause, scope: _ModuleScope, rest):
-    source = _compile(clause.expr, scope)
+def _stream_let(clause: xast.LetClause, source: Plan, rest):
     var = clause.var
 
     def drive(ctx: Context, out: list) -> None:
@@ -489,28 +498,10 @@ def _c_interval_join_flwor(expr: xast.IntervalJoinFLWOR, scope: _ModuleScope) ->
     ):
         return _c_flwor(expr, scope)
 
-    return_expr = _compile(expr.return_expr, scope)
-
-    def terminal(ctx: Context, out: list) -> None:
-        out.extend(return_expr(ctx))
-
-    drive = terminal
-    for clause in reversed(clauses[j + 3:]):
-        drive = _stream_clause(clause, scope, drive)
+    drive = _stream_return(_compile(expr.return_expr, scope))
+    drive = _stream_chain(clauses[j + 3:], scope, drive)
     drive = _stream_interval_join(clauses[j], clauses[j + 1], expr, scope, drive)
-    for clause in reversed(clauses[:j]):
-        drive = _stream_clause(clause, scope, drive)
-
-    final = drive
-
-    def run(ctx: Context) -> list:
-        scratch = ctx._clone()
-        scratch.variables = dict(ctx.variables)
-        out: list = []
-        final(scratch, out)
-        return out
-
-    return run
+    return _streaming_run(_stream_chain(clauses[:j], scope, drive))
 
 
 def _stream_interval_join(
@@ -630,6 +621,156 @@ def _stream_interval_join(
                 emit(ctx, out)
 
     return drive
+
+
+# -- decorrelated hash equi-joins ----------------------------------------------
+
+# Where a ValueJoinFLWOR keeps one execution's build table.  No query
+# variable can spell the name, and every execution sets the slot afresh in
+# its own scratch bindings, so nested and recursive executions never share.
+_JOIN_SLOT = "#value-join"
+
+
+def _c_value_join_flwor(expr: xast.ValueJoinFLWOR, scope: _ModuleScope) -> Plan:
+    """Compile an optimizer-annotated correlated equi-join as a hash join.
+
+    Only the annotated clause changes: the sequence it binds comes from a
+    build/probe plan instead of the inner FLWOR's nested loop.  All other
+    clauses compile exactly as in a plain FLWOR.
+    """
+    clauses = expr.clauses
+    j = expr.join_index
+    clause = clauses[j] if j < len(clauses) else None
+    inner = getattr(clause, "expr", None)
+    if (
+        any(isinstance(c, xast.OrderByClause) for c in clauses)
+        or not isinstance(clause, (xast.ForClause, xast.LetClause))
+        or type(inner) is not xast.FLWOR
+        or [type(c) for c in inner.clauses] != [xast.ForClause, xast.WhereClause]
+        or inner.clauses[0].position_var is not None
+    ):
+        return _c_flwor(expr, scope)
+    # The where expression's left spine: the join, then the residual
+    # conjuncts in the order short-circuit ``and`` evaluates them.
+    join, residual = inner.clauses[1].expr, []
+    while isinstance(join, xast.BinOp) and join.op == "and":
+        residual.insert(0, join.right)
+        join = join.left
+    if not (isinstance(join, xast.BinOp) and join.op == "="):
+        return _c_flwor(expr, scope)
+
+    drive = _stream_return(_compile(expr.return_expr, scope))
+    drive = _stream_chain(clauses[j + 1:], scope, drive)
+    source = _value_join_source(inner, join, residual, expr.inner_on_left, scope)
+    drive = _stream_clause(clause, scope, drive, source)
+    first = _stream_chain(clauses[:j], scope, drive)
+
+    def begin(ctx: Context, out: list) -> None:
+        ctx.variables[_JOIN_SLOT] = []
+        first(ctx, out)
+
+    return _streaming_run(begin)
+
+
+def _value_join_source(
+    inner: xast.FLWOR,
+    join: xast.BinOp,
+    residual: list,
+    inner_on_left: bool,
+    scope: _ModuleScope,
+) -> Plan:
+    """The build-once / probe-per-tuple plan of ``for $t in S where K = P``.
+
+    Items, item order and error surfacing are identical to the nested loop
+    it replaces:
+
+    - the *first* enclosing tuple of an execution evaluates ``S`` and does
+      the literal scan — both sides of ``=`` in source order, then the
+      full general comparison, per inner item (so an error raises at
+      exactly the pair the interpreter raises at) — keeping ``S`` and
+      every item's key atoms;
+    - every later tuple evaluates ``P`` once and looks its atoms up in a
+      dict from key string to inner positions, emitting the matches in
+      inner order and re-applying the residual conjuncts per match.
+
+    String equality is the general comparison only between two ``str``
+    atoms (the first row of ``xdm._coerce_pair``): a key atom of any other
+    type keeps every tuple of the execution on the literal scan, a probe
+    atom of any other type that one tuple.  ``S`` is evaluated once per
+    execution either way, and never when no enclosing tuple arrives.
+    """
+    driver = inner.clauses[0]
+    inner_source = _compile(driver.expr, scope)
+    inner_var = driver.var
+    left = _compile(join.left, scope)
+    right = _compile(join.right, scope)
+    probe = right if inner_on_left else left
+    conjuncts = tuple(_compile(conjunct, scope) for conjunct in residual)
+    result = _compile(inner.return_expr, scope)
+
+    def emit(ctx: Context, out: list) -> None:
+        for conjunct in conjuncts:
+            if not effective_boolean_value(conjunct(ctx)):
+                return
+        out.extend(result(ctx))
+
+    def scan(ctx: Context, inner_items: list, keys: Optional[list], out: list) -> None:
+        variables = ctx.variables
+        for item in inner_items:
+            variables[inner_var] = [item]
+            a = atomize_sequence(left(ctx))
+            b = atomize_sequence(right(ctx))
+            if keys is not None:
+                keys.append(a if inner_on_left else b)
+            if general_compare("=", a, b, ctx.now):
+                emit(ctx, out)
+
+    def run(ctx: Context) -> list:
+        state = ctx.variables[_JOIN_SLOT]
+        # Like the inner FLWOR's own run: $t is bound in a private copy.
+        tup = ctx._clone()
+        tup.variables = variables = dict(ctx.variables)
+        out: list = []
+        if not state:
+            inner_items = inner_source(tup)
+            keys: list = []
+            scan(tup, inner_items, keys, out)
+            state.extend((inner_items, _positions_by_key(keys)))
+            return out
+        inner_items, by_key = state
+        if not inner_items:
+            return out
+        if by_key is not None:
+            atoms = atomize_sequence(probe(tup))
+            if all(type(atom) is str for atom in atoms):
+                if len(atoms) == 1:
+                    positions = by_key.get(atoms[0], ())
+                else:
+                    positions = sorted(
+                        {k for atom in atoms for k in by_key.get(atom, ())}
+                    )
+                for k in positions:
+                    variables[inner_var] = [inner_items[k]]
+                    emit(tup, out)
+                return out
+        scan(tup, inner_items, None, out)
+        return out
+
+    return run
+
+
+def _positions_by_key(keys: list) -> Optional[dict]:
+    """Inner positions (ascending) per key string; ``None`` when some key
+    atom is not a ``str``, i.e. when equality may coerce."""
+    by_key: dict = {}
+    for position, atoms in enumerate(keys):
+        for atom in atoms:
+            if type(atom) is not str:
+                return None
+            bucket = by_key.setdefault(atom, [])
+            if not bucket or bucket[-1] != position:
+                bucket.append(position)
+    return by_key
 
 
 def _for_stage(clause: xast.ForClause, scope: _ModuleScope):
@@ -1727,6 +1868,7 @@ _COMPILERS: dict = {
     xast.IfExpr: _c_if,
     xast.FLWOR: _c_flwor,
     xast.IntervalJoinFLWOR: _c_interval_join_flwor,
+    xast.ValueJoinFLWOR: _c_value_join_flwor,
     xast.Quantified: _c_quantified,
     xast.BinOp: _c_binop,
     xast.UnaryOp: _c_unary,

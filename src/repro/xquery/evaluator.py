@@ -829,8 +829,9 @@ Evaluator._DISPATCH = {
     xast.FLWOR: Evaluator._eval_flwor,
     # The interpreter deliberately ignores the join annotations and keeps
     # nested-loop semantics: it is the differential reference for the
-    # compiled sort-merge join.
+    # compiled sort-merge and hash joins.
     xast.IntervalJoinFLWOR: Evaluator._eval_flwor,
+    xast.ValueJoinFLWOR: Evaluator._eval_flwor,
     xast.Quantified: Evaluator._eval_quantified,
     xast.BinOp: Evaluator._eval_binop,
     xast.UnaryOp: Evaluator._eval_unary,

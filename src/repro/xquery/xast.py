@@ -31,6 +31,7 @@ __all__ = [
     "OrderByClause",
     "FLWOR",
     "IntervalJoinFLWOR",
+    "ValueJoinFLWOR",
     "Quantified",
     "BinOp",
     "UnaryOp",
@@ -198,6 +199,29 @@ class IntervalJoinFLWOR(FLWOR):
     join_op: str = "overlaps"
     outer_on_left: bool = True
     residual: Optional[Expr] = None
+
+
+@dataclass
+class ValueJoinFLWOR(FLWOR):
+    """A FLWOR one of whose clauses binds a decorrelatable equi-join.
+
+    Produced by ``repro.core.optimizer.lower_value_joins`` when the clause
+    at ``join_index`` (a ``let`` or a ``for``) binds an inner FLWOR
+    ``for $t in S where K = P [and rest] return R`` whose source ``S`` and
+    key ``K`` do not depend on the enclosing loop (XMark Q8's shape).  As
+    with :class:`IntervalJoinFLWOR`, ``clauses``/``return_expr`` stay
+    byte-identical, so every consumer that treats this as a plain FLWOR
+    keeps nested-loop semantics; only the compiled backend reads the
+    annotations, evaluates ``S`` once per execution and probes a hash
+    table of ``K`` per enclosing tuple.
+
+    ``inner_on_left`` records which side of the ``=`` — the leftmost
+    conjunct of the inner ``where`` — depends on the inner variable.  The
+    node adds no expression fields, so tree walks see exactly the FLWOR.
+    """
+
+    join_index: int = 0
+    inner_on_left: bool = True
 
 
 @dataclass

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.dom import Element, parse_document, serialize
+from repro.dom.nodes import sort_document_order
 from repro.fragments import (
     Filler,
     Fragmenter,
@@ -15,6 +16,7 @@ from repro.fragments import (
 )
 from repro.fragments.assemble import generate_reconstruction_query
 from repro.fragments.fragmenter import FragmentationError
+from repro.fragments.model import LazyFiller
 from repro.temporal import XSDateTime
 
 T0 = XSDateTime.parse("1998-01-01T00:00:00")
@@ -56,6 +58,38 @@ class TestFillerModel:
     def test_wire_size_positive(self):
         filler = Filler(1, 1, T0, Element("x"))
         assert filler.wire_size == len(filler.to_xml())
+
+    def test_wire_text_payload_is_detached_not_copied(self):
+        text = (
+            '<filler id="100" tsid="5" validTime="2003-10-23T12:23:34">'
+            '<transaction id="12345"><vendor>Southlake Pizza</vendor>'
+            '<amount>$38.20</amount><hole id="200" tsid="7"/></transaction>'
+            "</filler>"
+        )
+        lazy = LazyFiller(100, 5, XSDateTime.parse("2003-10-23T12:23:34"), text)
+        content = lazy.content
+        # A root of its own: nothing keeps the parsed <filler> shell alive.
+        assert content.parent is None and content.root() is content
+        walked = list(content.iter())
+        assert sort_document_order(reversed(walked)) == walked
+        assert [n.tag for n in walked if isinstance(n, Element)] == [
+            "transaction", "vendor", "amount", "hole",
+        ]
+        assert lazy.to_xml() == text
+        assert parse_filler(lazy.to_xml()).to_xml() == text
+
+    def test_element_source_leaves_the_callers_tree_intact(self):
+        envelope = parse_document(
+            '<filler id="1" tsid="2" validTime="2003-01-01T00:00:00">'
+            "<a><b>x</b></a></filler>"
+        ).document_element
+        before = serialize(envelope)
+        filler = parse_filler(envelope)
+        assert serialize(envelope) == before
+        payload = envelope.child_elements()[0]
+        assert payload.parent is envelope
+        assert filler.content is not payload
+        assert serialize(filler.content) == serialize(payload)
 
     @pytest.mark.parametrize(
         "bad",

@@ -96,6 +96,50 @@ class TestHoisting:
         assert count_calls(module.body, "g") == 1
 
 
+VENDOR_JOIN = """
+for $a in stream("credit")//account
+let $m := for $t in stream("credit")//transaction
+          where $t/vendor = $a/transaction/vendor
+          return $t
+where count($a/transaction) >= 1 and count($a/transaction) < 99
+return <r id="{$a/@id}">{ count($m) }</r>
+"""
+
+
+class TestValueJoinAfterHoisting:
+    """The two rewrites compose: hoisting inserts a ``let`` before the join
+    clause, and the lowering annotates the clause where it ends up."""
+
+    @pytest.mark.parametrize("strategy", [Strategy.QAC, Strategy.QAC_PLUS])
+    def test_join_index_follows_the_hoisted_let(self, credit_engine, strategy):
+        from repro.xquery import xast
+
+        compiled = credit_engine.compile(VENDOR_JOIN, strategy, optimize=True)
+        assert (compiled.hoisted_calls, compiled.merge_joins) == (1, 1)
+        body = compiled.translated.body
+        assert type(body) is xast.ValueJoinFLWOR
+        assert [c.var for c in body.clauses[:3]] == ["a", "a__fillers", "m"]
+        assert body.join_index == 2 and body.inner_on_left
+        # The annotation adds no nodes: call counts are those of the FLWOR.
+        plain = credit_engine.compile(
+            VENDOR_JOIN, strategy, optimize=True, merge_joins=False
+        )
+        assert count_calls(body, "get_fillers") == count_calls(
+            plain.translated.body, "get_fillers"
+        )
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_results_identical(self, credit_engine, strategy):
+        def run(**options):
+            compiled = credit_engine.compile(VENDOR_JOIN, strategy, **options)
+            return [serialize(i) for i in credit_engine.execute(compiled, now=NOW_2003_12_15)]
+
+        lowered = run(optimize=True)
+        assert lowered == ['<r id="1234">2</r>', '<r id="7777">1</r>']
+        assert lowered == run(optimize=False, merge_joins=False)
+        assert lowered == run(optimize=True, backend="interpreted")
+
+
 class TestOptimizedBench:
     def test_optimized_is_not_slower(self, credit_engine):
         import time

@@ -3,7 +3,7 @@
 Four layers of guarantees:
 
 - **Golden traces**: representative queries (plain, hoisted, merge-join,
-  delta-safe, shared+routing, interpreted) produce the expected per-pass
+  value-join, delta-safe, shared+routing, interpreted) produce the expected per-pass
   trace, with the legacy reason strings preserved verbatim.
 - **Differential**: pipeline-compiled plans are byte-identical to the
   pre-refactor compile sequence (parse → translate → hoist → lower →
@@ -44,6 +44,7 @@ PASS_NAMES = [
     "translate",
     "hoist-fillers",
     "lower-merge-joins",
+    "lower-value-joins",
     "delta-safety",
     "shared-split",
     "routing-predicate",
@@ -70,6 +71,36 @@ JOIN_QUERY = (
     'for $y in stream("s")//txn?[2003-01-01, 2003-12-31] '
     "where $x overlaps $y return 1"
 )
+
+
+VALUE_JOIN_QUERY = (
+    'for $x in stream("s")//txn '
+    'let $a := for $t in stream("s")//txn where $t/amount = $x/amount return $t '
+    "return count($a)"
+)
+
+# Queries the value-join pass sees a candidate in but declines, with the
+# condition its trace must name.
+DECLINED_VALUE_JOINS = {
+    "correlated source": (
+        'for $x in stream("s")//txn '
+        "let $a := for $t in $x/amount where $t = $x/amount return $t "
+        "return count($a)",
+        "inner source is correlated (references $x)",
+    ),
+    "constructor": (
+        'for $x in stream("s")//txn '
+        "let $a := for $t in <amount>80</amount> where $t = $x/amount return $t "
+        "return count($a)",
+        "inner source contains a constructor",
+    ),
+    "non-= conjunct": (
+        'for $x in stream("s")//txn '
+        'let $a := for $t in stream("s")//txn where $t/amount >= $x/amount return $t '
+        "return count($a)",
+        "leading where conjunct is not a general = comparison",
+    ),
+}
 
 
 def event_engine(**kwargs) -> XCQLEngine:
@@ -118,6 +149,43 @@ class TestGoldenTraces:
         trace = trace_by_name(compiled)
         assert trace["lower-merge-joins"].fired
         assert trace["lower-merge-joins"].rewrites == compiled.merge_joins == 1
+
+    def test_value_join_query(self):
+        engine = event_engine()
+        compiled = engine.compile(VALUE_JOIN_QUERY, Strategy.QAC_PLUS)
+        trace = trace_by_name(compiled)
+        assert not trace["lower-merge-joins"].fired
+        assert trace["lower-value-joins"].fired
+        assert trace["lower-value-joins"].rewrites == compiled.merge_joins == 1
+        assert trace["lower-value-joins"].detail is None
+        # The analyses read the annotated plan as the FLWOR it is.
+        nested = engine.compile(VALUE_JOIN_QUERY, Strategy.QAC_PLUS, merge_joins=False)
+        assert nested.merge_joins == 0
+        off = trace_by_name(nested)
+        assert off["lower-value-joins"].detail == "merge joins disabled or interpreted backend"
+        assert trace["delta-safety"] == off["delta-safety"]
+        assert compiled.translated_source == nested.translated_source
+
+    @pytest.mark.parametrize("condition", sorted(DECLINED_VALUE_JOINS))
+    def test_declined_value_join_names_the_failed_condition(self, condition):
+        source, reason = DECLINED_VALUE_JOINS[condition]
+        compiled = event_engine().compile(source, Strategy.QAC_PLUS)
+        entry = trace_by_name(compiled)["lower-value-joins"]
+        assert (entry.fired, entry.rewrites, entry.detail) == (False, 0, reason)
+        assert compiled.merge_joins == 0
+
+    def test_value_join_keeps_a_delta_safe_plan_delta_safe(self):
+        source = (
+            'for $x in stream("s")//txn '
+            "let $a := for $t in (80, 90) where $t = $x/amount return $t "
+            "return count($a)"
+        )
+        engine = event_engine()
+        lowered = engine.compile(source, Strategy.QAC_PLUS)
+        nested = engine.compile(source, Strategy.QAC_PLUS, merge_joins=False)
+        assert (lowered.merge_joins, nested.merge_joins) == (1, 0)
+        assert lowered.info.delta is not None and nested.info.delta is not None
+        assert lowered.info.shared.group_key == nested.info.shared.group_key
 
     def test_delta_safe_shared_routed_query(self):
         compiled = event_engine().compile(EVENT_QUERY, Strategy.QAC_PLUS)
@@ -318,6 +386,8 @@ class TestSourceLint:
         assert len(findings) == 1
         assert findings[0].code == "pipeline-bypass"
         assert "analyze_delta" in findings[0].message
+        offender.write_text("from repro.core.optimizer import lower_value_joins\n")
+        assert [f.code for f in lint_sources([str(offender)])] == ["pipeline-bypass"]
 
     def test_pipeline_module_is_exempt(self, tmp_path):
         exempt = tmp_path / "core"
@@ -409,6 +479,27 @@ class TestCLI:
         assert [entry["name"] for entry in report["passes"]] == PASS_NAMES
         assert report["delta_safe"] is True
         assert len(report["fingerprint"]) == 12
+
+    def test_explain_passes_show_the_value_join(self, snapshot, capsys):
+        from repro.cli import xcql_main
+
+        def passes_of(source: str) -> dict:
+            code = xcql_main([
+                "explain", "--store", snapshot, "--stream", "s",
+                "--query", source, "--strategy", Strategy.QAC_PLUS.value,
+                "--passes",
+            ])
+            assert code == 0
+            report = json.loads(capsys.readouterr().out)
+            assert [entry["name"] for entry in report["passes"]] == PASS_NAMES
+            return {entry["name"]: entry for entry in report["passes"]}
+
+        fired = passes_of(VALUE_JOIN_QUERY)["lower-value-joins"]
+        assert (fired["fired"], fired["rewrites"], fired["detail"]) == (True, 1, None)
+        for source, reason in DECLINED_VALUE_JOINS.values():
+            declined = passes_of(source)["lower-value-joins"]
+            assert (declined["fired"], declined["rewrites"]) == (False, 0)
+            assert declined["detail"] == reason
 
     def test_explain_without_passes_omits_trace(self, snapshot, capsys):
         from repro.cli import xcql_main
