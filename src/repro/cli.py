@@ -599,11 +599,13 @@ def _replay_sharded(args, store, source: str, strategy, now) -> int:
 def lint_main(argv: list[str] | None = None) -> int:
     """Run the repo's source lint; non-zero exit on findings.
 
-    Currently one rule: ``pipeline-bypass`` — the optimizer's
-    rewrite/analysis entry points may only be imported by
-    :mod:`repro.core.pipeline`, so every compilation path stays
-    traceable through the pass pipeline (see ``repro-xcql explain
-    --passes``).
+    The rules live in :func:`repro.core.lint.lint_sources`:
+    ``pipeline-bypass`` — the optimizer's rewrite/analysis entry points
+    may only be imported by :mod:`repro.core.pipeline`, so every
+    compilation path stays traceable through the pass pipeline (see
+    ``repro-xcql explain --passes``) — the DOM-free module rules, and
+    ``builder-primitive`` (only the DOM builders may link children
+    without ``append``'s bookkeeping).
     """
     from repro.core.lint import lint_sources
 

@@ -642,15 +642,18 @@ class XCQLEngine:
         """Engine-level counters for perf triage (see ``repro.cli --stats``).
 
         Covers the plan cache, the temporal endpoint index, and each
-        stream's store: filler/fragment population, sequence number,
-        mutation epoch, and the ``delta_batch`` memo that shared
-        evaluation leans on.
+        stream's store: filler/fragment population, how many fillers pin
+        a DOM and how many version elements the wrapper cache holds,
+        sequence number, mutation epoch, and the ``delta_batch`` memo
+        that shared evaluation leans on.
         """
         streams = {}
         for name, store in sorted(self.stores.items()):
             index = getattr(store, "endpoint_index_info", None)
             streams[name] = {
                 "fillers": store.filler_count,
+                "materialized_fillers": store.materialized_fillers,
+                "cached_versions": store.cached_versions,
                 "fragments": store.fragment_count,
                 "seq": store.seq,
                 "mutation_epoch": store.mutation_epoch,

@@ -189,6 +189,15 @@ _DOM_FREE_MODULES = {
     ),
 }
 
+#: ``_Container._link_child`` skips everything ``append`` does for a live
+#: tree, so only the builders whose trees are provably still detached
+#: roots under construction may name it.
+_BUILDER_PRIMITIVE = "_link_child"
+_BUILDER_MODULES = (
+    "dom/nodes.py", "dom/parser.py",
+    "xquery/temporal_functions.py", "fragments/assemble.py",
+)
+
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     """Check Python sources for pipeline-bypassing optimizer imports.
@@ -212,7 +221,10 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     The netproto module is additionally held *repro-free*
     (``netproto-repro-import``): both endpoints of every deployment
     embed it, so any ``repro.*`` import there couples the wire format to
-    engine internals.  Unparseable files yield ``syntax-error``
+    engine internals.  A ``builder-primitive`` diagnostic is reported
+    for any reference to ``_Container._link_child`` outside the DOM
+    builders (``_BUILDER_MODULES``): it is ``append`` minus every step a
+    navigated tree needs.  Unparseable files yield ``syntax-error``
     diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
@@ -229,6 +241,8 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
                 _check_dom_free(path, tree, code, why, diagnostics)
         if normalized.endswith("streams/netproto.py"):
             _check_repro_free(path, tree, diagnostics)
+        if not normalized.endswith(_BUILDER_MODULES):
+            _check_builder_primitive(path, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
         for node in _pyast.walk(tree):
@@ -268,6 +282,21 @@ def _check_repro_free(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> Non
                     f"{path}:{lineno}: the wire layer is embedded by every "
                     "endpoint of every deployment and must not import "
                     "repro internals — mirror constants locally instead",
+                )
+            )
+
+
+def _check_builder_primitive(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> None:
+    """Flag a reference to the tree-builder primitive outside the builders."""
+    for node in _pyast.walk(tree):
+        if isinstance(node, _pyast.Attribute) and node.attr == _BUILDER_PRIMITIVE:
+            out.append(
+                Diagnostic(
+                    "builder-primitive",
+                    f"{path}:{node.lineno}: {_BUILDER_PRIMITIVE} links a child "
+                    "without detaching it, resetting the tag index or marking "
+                    "the tree dirty — only the DOM builders may use it; call "
+                    "append() here",
                 )
             )
 

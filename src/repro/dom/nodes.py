@@ -145,6 +145,19 @@ class _Container(Node):
         for node in nodes:
             self.append(node)
 
+    def _link_child(self, node: Node) -> None:
+        """Builder primitive: ``append`` for a tree still under construction.
+
+        Precondition, not checked: ``node`` is detached, and this
+        container is a detached root that nothing has navigated yet — so
+        it is still dirty and has no tag index, and there is no old
+        parent to leave, no index to reset and no root to walk to.
+        Callers are the tree builders ``repro-lint`` lists; everyone
+        else uses :meth:`append`.
+        """
+        node.parent = self
+        self._children.append(node)
+
     def _mark_dirty(self) -> None:
         root = self.root()
         if isinstance(root, _Container):
@@ -209,7 +222,14 @@ class Element(_Container):
     __slots__ = ("tag", "attrs", "_lifespan")
 
     def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None):
-        super().__init__()
+        # Every slot is set here, not through the base constructors: one
+        # call per node instead of three on the builders' hot path.
+        self.parent = None
+        self._serial = 0
+        self._children = []
+        self._tree_id = next(_tree_ids)
+        self._dirty = True
+        self._tag_index = None
         self.tag = tag
         self.attrs: dict[str, str] = dict(attrs) if attrs else {}
         # Memoized parsed lifespan (a TimeInterval, False for "no temporal
@@ -264,17 +284,18 @@ class Element(_Container):
 
     def copy(self, deep: bool = True) -> "Element":
         """A detached copy of this element (deep by default)."""
-        clone = Element(self.tag, dict(self.attrs))
+        clone = Element(self.tag, self.attrs)
         if deep:
+            link = clone._link_child
             for child in self._children:
                 if isinstance(child, Element):
-                    clone.append(child.copy())
+                    link(child.copy())
                 elif isinstance(child, Text):
-                    clone.append(Text(child.text))
+                    link(Text(child.text))
                 elif isinstance(child, Comment):
-                    clone.append(Comment(child.text))
+                    link(Comment(child.text))
                 elif isinstance(child, ProcessingInstruction):
-                    clone.append(ProcessingInstruction(child.target, child.text))
+                    link(ProcessingInstruction(child.target, child.text))
         return clone
 
     def __repr__(self) -> str:
@@ -287,7 +308,8 @@ class Text(Node):
     __slots__ = ("text",)
 
     def __init__(self, text: str):
-        super().__init__()
+        self.parent = None
+        self._serial = 0
         self.text = str(text)
 
     def string_value(self) -> str:

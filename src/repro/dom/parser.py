@@ -663,7 +663,7 @@ def build_fragment_indexed(events: Iterable[tuple]) -> tuple[list, dict]:
 def _apply_event(event: tuple, stack: list, top=None) -> None:
     kind = event[0]
     if kind == "start":
-        stack.append(Element(event[1], dict(event[2])))
+        stack.append(Element(event[1], event[2]))
     elif kind == "end":
         _attach(stack.pop(), stack, top)
     elif kind in ("text", "cdata"):
@@ -676,7 +676,9 @@ def _apply_event(event: tuple, stack: list, top=None) -> None:
 
 def _attach(node, stack: list, top) -> None:
     if stack:
-        stack[-1].append(node)
+        # The open element joins its own parent only at its "end" event,
+        # so it is still a detached root: the builder primitive applies.
+        stack[-1]._link_child(node)
     elif top is not None:
         top.append(node)
 

@@ -35,18 +35,18 @@ def temporalize(store: FragmentStore) -> Document:
 
 
 def _resolve(element: Element, store: FragmentStore) -> Element:
-    copy = Element(element.tag, dict(element.attrs))
+    copy = Element(element.tag, element.attrs)
     for child in element.children:
         if isinstance(child, Text):
-            copy.append(Text(child.text))
+            copy._link_child(Text(child.text))
             continue
         if not isinstance(child, Element):
             continue
         if child.tag == "hole":
             for version in store.versions_of(int(child.attrs["id"])):
-                copy.append(_resolve(version, store))
+                copy._link_child(_resolve(version, store))
         else:
-            copy.append(_resolve(child, store))
+            copy._link_child(_resolve(child, store))
     return copy
 
 
@@ -64,11 +64,11 @@ def schema_driven_temporalize(store: FragmentStore, tag_structure: TagStructure)
 
 
 def _schema_resolve(element: Element, tag: TagNode, store: FragmentStore) -> Element:
-    copy = Element(element.tag, dict(element.attrs))
+    copy = Element(element.tag, element.attrs)
     fragmented = {child.name for child in tag.children if child.type.is_fragmented}
     for child in element.children:
         if isinstance(child, Text):
-            copy.append(Text(child.text))
+            copy._link_child(Text(child.text))
             continue
         if not isinstance(child, Element):
             continue
@@ -76,18 +76,18 @@ def _schema_resolve(element: Element, tag: TagNode, store: FragmentStore) -> Ele
             hole_tag = tag_structure_child_by_tsid(tag, child.attrs.get("tsid"))
             for version in store.versions_of(int(child.attrs["id"])):
                 if hole_tag is not None:
-                    copy.append(_schema_resolve(version, hole_tag, store))
+                    copy._link_child(_schema_resolve(version, hole_tag, store))
                 else:
-                    copy.append(_resolve(version, store))
+                    copy._link_child(_resolve(version, store))
         elif child.tag in fragmented:
             # A fragmented tag embedded inline would violate the schema.
-            copy.append(_resolve(child, store))
+            copy._link_child(_resolve(child, store))
         else:
             child_tag = tag.child(child.tag)
             if child_tag is not None:
-                copy.append(_schema_resolve(child, child_tag, store))
+                copy._link_child(_schema_resolve(child, child_tag, store))
             else:
-                copy.append(_resolve(child, store))
+                copy._link_child(_resolve(child, store))
     return copy
 
 

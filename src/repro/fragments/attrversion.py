@@ -86,7 +86,7 @@ def demote_attributes(element: Element, now: XSDateTime, ctx=None) -> Element:
 
     if ctx is None:
         ctx = Context(now=now)
-    copy = Element(element.tag, dict(element.attrs))
+    copy = Element(element.tag, element.attrs)
     for child in element.children:
         if isinstance(child, Text):
             copy.append(Text(child.text))

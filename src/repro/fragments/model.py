@@ -62,6 +62,20 @@ class Filler:
         """Serialize the envelope to wire text."""
         return serialize(self.envelope())
 
+    @property
+    def materialized(self) -> bool:
+        """Whether this filler pins a payload DOM (an eager one always does)."""
+        return True
+
+    @property
+    def wire_text(self) -> Optional[str]:
+        """The envelope exactly as received, when the filler retains it."""
+        return None
+
+    def detached_content(self) -> Element:
+        """A payload tree the caller owns; ``content`` itself stays untouched."""
+        return self.content.copy()
+
     def holes(self) -> list[Element]:
         """All hole placeholders anywhere in the payload."""
         return [
@@ -87,15 +101,18 @@ class Filler:
 
 
 class LazyFiller(Filler):
-    """A filler whose payload DOM is built only on first ``content`` access.
+    """A filler kept as wire text; a payload DOM is pinned only on request.
 
     The raw-feed ingest path (:meth:`repro.core.engine.XCQLEngine.feed_raw`)
     tokenizes the whole envelope once to validate it and drive the stream
     automata, but defers the DOM build: standing queries answered from
-    automaton captures never touch ``content`` at all.  Anything that does —
-    full re-evaluations, routing probes, ``to_xml`` — parses the retained
-    wire text on demand and caches the result, after which the instance
-    behaves exactly like an eager :class:`Filler`.
+    automaton captures never need a tree at all.  The store's read path
+    (``versions_of`` / ``get_fillers``) parses the retained text through
+    :meth:`detached_content` into a tree *it* owns — the one DOM of the
+    stored version — and leaves the filler as text.  Only the filler's own
+    DOM-facing API — ``content``, ``holes()``, ``to_xml()``, DOM routing
+    probes — parses on demand *and retains* the result, after which the
+    instance behaves exactly like an eager :class:`Filler`.
     """
 
     def __init__(
@@ -108,25 +125,42 @@ class LazyFiller(Filler):
         self.filler_id = filler_id
         self.tsid = tsid
         self.valid_time = valid_time
-        self._raw = raw
+        self._raw: Optional[str] = raw
         self._content: Union[Element, None] = None
 
     @property
     def content(self) -> Element:
         if self._content is None:
-            # The raw text was fully tokenized and validated at ingest, so
-            # this re-parse cannot newly fail.
-            self._content = parse_filler(self._raw).content
+            self._content = self.detached_content()
         return self._content
 
     @content.setter
     def content(self, value: Element) -> None:
         self._content = value
+        self._raw = None  # the received text no longer describes the payload
+
+    @property
+    def wire_text(self) -> Optional[str]:
+        return self._raw
 
     @property
     def materialized(self) -> bool:
-        """Whether the payload DOM has been built (observability hook)."""
+        """Whether a payload DOM has been built *and retained* on the filler.
+
+        True after ``content``, ``holes()``, ``to_xml()`` or a DOM routing
+        probe; never set by the store's own read path, which parses into
+        trees the store owns (observability hook).
+        """
         return self._content is not None
+
+    def detached_content(self) -> Element:
+        if self._content is not None:
+            # An assigned or already pinned payload is authoritative.
+            return self._content.copy()
+        # The raw text was fully tokenized and validated at ingest, so
+        # this re-parse cannot newly fail.  The tree is the caller's:
+        # only the ``content`` getter retains one.
+        return parse_filler(self._raw).content
 
 
 def envelope_header(

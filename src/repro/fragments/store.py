@@ -16,6 +16,15 @@ Duplicate transmissions (same filler id and validTime — the paper's
 servers may repeat critical fragments, and clients cannot NACK) are
 dropped on ingest.
 
+One DOM per stored version: with caching on, the annotated version
+elements *are* the children of the cached ``<filler>`` wrapper —
+``versions_of`` and ``get_fillers`` read the same cache, and the store
+owns those trees (a lazily stored filler stays wire text; an eager
+filler's ``content`` stays the caller's).  They are shared and read-only.
+A write never patches a cached tree: it drops the id's wrapper and the
+next read builds a new one, so a result retained from before the write
+remains the snapshot it was.
+
 Index and memoization behaviour are switchable for the ablation benches:
 ``use_index=False`` degrades lookups to linear scans (paper §8 envisions
 get_fillers as a join — the index is the hash-join side), and
@@ -61,14 +70,15 @@ class FragmentStore:
         # set: membership on ingest is O(1) however long the history).
         self._by_tsid: dict[int, dict[int, None]] = {}
         self._seen: set[tuple[int, str]] = set()
-        self._version_cache: dict[int, list[Element]] = {}
+        # filler id -> its <filler> wrapper, whose children are the
+        # annotated versions: the store's only retained DOM.
         self._wrapper_cache: dict[int, Element] = {}
         # Per-bucket epoch keys, kept aligned with _by_id: append() inserts
         # with bisect instead of re-sorting the whole bucket per ingest.
         self._sort_keys: dict[int, list[float]] = {}
         # Temporal endpoint index: per filler id a (froms, tos, open_last)
         # triple of sorted lifespan endpoints derived from _sort_keys, built
-        # lazily and invalidated per filler id like the version cache.
+        # lazily and invalidated per filler id like the wrapper cache.
         self._endpoint_cache: dict[int, Optional[tuple[list[float], list[float], bool]]] = {}
         # Per-tsid sorted validTime epochs of every filler of the tsid,
         # maintained incrementally on ingest (rebuilt on prune).
@@ -114,12 +124,22 @@ class FragmentStore:
 
     def _ingest(self, filler: Filler) -> bool:
         """Index one filler without touching the derived caches."""
-        key = (filler.filler_id, str(filler.valid_time))
+        time_key = str(filler.valid_time)
+        key = (filler.filler_id, time_key)
         if key in self._seen:
-            signature = filler.to_xml()
-            time_key = str(filler.valid_time)
+            # Equal wire text means equal canonical form, so a repeated
+            # envelope is recognised without building a DOM on either
+            # side; only differing texts need the serialised comparison.
+            text = filler.wire_text
+            signature = None
             for existing in self._by_id.get(filler.filler_id, ()):
-                if str(existing.valid_time) == time_key and existing.to_xml() == signature:
+                if str(existing.valid_time) != time_key:
+                    continue
+                if text is not None and existing.wire_text == text:
+                    return False
+                if signature is None:
+                    signature = filler.to_xml()
+                if existing.to_xml() == signature:
                     return False
         else:
             self._seen.add(key)
@@ -143,7 +163,6 @@ class FragmentStore:
 
     def _invalidate(self, filler_id: int) -> None:
         """Drop every derived structure of one filler id (one event)."""
-        self._version_cache.pop(filler_id, None)
         self._wrapper_cache.pop(filler_id, None)
         self._endpoint_cache.pop(filler_id, None)
         self.invalidations += 1
@@ -171,7 +190,6 @@ class FragmentStore:
         self._by_id.clear()
         self._by_tsid.clear()
         self._seen.clear()
-        self._version_cache.clear()
         self._wrapper_cache.clear()
         self._sort_keys.clear()
         self._endpoint_cache.clear()
@@ -192,7 +210,6 @@ class FragmentStore:
         if tag_structure is self.tag_structure:
             return
         self.tag_structure = tag_structure
-        self._version_cache.clear()
         self._wrapper_cache.clear()
         self._endpoint_cache.clear()
         self._delta_memo.clear()
@@ -235,18 +252,13 @@ class FragmentStore:
         """Annotated version elements of a fragment (no wrapper).
 
         This is what replaces a hole in the temporal view: the sequence of
-        all versions, each carrying its derived ``vtFrom``/``vtTo``.
+        all versions, each carrying its derived ``vtFrom``/``vtTo``.  With
+        caching on these are the children of the :meth:`get_fillers`
+        wrapper — shared, read-only, and parented by it.
         """
-        filler_id = int(filler_id)
         if self.use_cache:
-            cached = self._version_cache.get(filler_id)
-            if cached is not None:
-                return cached
-        fillers = self.fillers_of(filler_id)
-        versions = self._annotate(fillers)
-        if self.use_cache:
-            self._version_cache[filler_id] = versions
-        return versions
+            return self.get_fillers(filler_id).children
+        return self._annotate(self.fillers_of(filler_id))
 
     def get_fillers(self, filler_id: int) -> Element:
         """The paper's ``get_fillers``: versions encased in a ``<filler>``.
@@ -255,20 +267,18 @@ class FragmentStore:
         they want (a context fragment may have holes for different tags).
 
         With caching on, the assembled wrapper is memoized per filler id —
-        a standing query re-evaluated every tick then skips the per-call
-        deep copy of every version.  (Sharing one wrapper across calls
+        a standing query re-evaluated every tick then skips parsing and
+        annotating every version again.  (Sharing one wrapper across calls
         matches the sharing the optimizer's ``let``-hoisted plans already
         exhibit.)  If a caller adopted the cached wrapper into a
-        constructed tree, a fresh one is built instead.
+        constructed tree, a fresh one is built from the fillers instead.
         """
         filler_id = int(filler_id)
         if self.use_cache:
             cached = self._wrapper_cache.get(filler_id)
             if cached is not None and cached.parent is None:
                 return cached
-        wrapper = Element("filler", {"id": str(filler_id)})
-        for version in self.versions_of(filler_id):
-            wrapper.append(version.copy())
+        wrapper = self._wrap(filler_id, self.fillers_of(filler_id))
         if self.use_cache:
             self._wrapper_cache[filler_id] = wrapper
         return wrapper
@@ -294,13 +304,18 @@ class FragmentStore:
         wrappers: list[Element] = []
         for filler_id, fillers in grouped.items():
             fillers.sort(key=lambda f: f.valid_time.to_epoch_seconds())
-            wrapper = Element("filler", {"id": str(filler_id)})
-            for version in self._annotate(fillers):
-                wrapper.append(version)
-            wrappers.append(wrapper)
+            wrappers.append(self._wrap(filler_id, fillers))
         return wrappers
 
+    def _wrap(self, filler_id: int, fillers: list[Filler]) -> Element:
+        """A new ``<filler>`` wrapper over freshly built annotated versions."""
+        wrapper = Element("filler", {"id": str(filler_id)})
+        for version in self._annotate(fillers):
+            wrapper.append(version)
+        return wrapper
+
     def _annotate(self, fillers: list[Filler]) -> list[Element]:
+        """Lifespan-stamped payload trees, built anew and owned by the caller."""
         versions: list[Element] = []
         count = len(fillers)
         if fillers and self._type_of(fillers[0].tsid) is TagType.SNAPSHOT:
@@ -309,9 +324,9 @@ class FragmentStore:
             # predecessor (paper §4.1: the root "is always static"; §1:
             # removing a hole makes the children inaccessible).  Only the
             # latest version is visible.
-            return [fillers[-1].content.copy()]
+            return [fillers[-1].detached_content()]
         for position, filler in enumerate(fillers):
-            version = filler.content.copy()
+            version = filler.detached_content()
             tag_type = self._type_of(filler.tsid)
             if tag_type is TagType.SNAPSHOT:
                 versions.append(version)
@@ -521,10 +536,7 @@ class FragmentStore:
         wrappers: list[Element] = []
         for filler_id, group in grouped.items():
             group.sort(key=lambda f: f.valid_time.to_epoch_seconds())
-            wrapper = Element("filler", {"id": str(filler_id)})
-            for version in self._annotate(group):
-                wrapper.append(version)
-            wrappers.append(wrapper)
+            wrappers.append(self._wrap(filler_id, group))
         return wrappers
 
     def delta_batch(
@@ -690,6 +702,16 @@ class FragmentStore:
     def fragment_count(self) -> int:
         """Distinct fragment (filler id) count."""
         return len(self._by_id)
+
+    @property
+    def materialized_fillers(self) -> int:
+        """Fillers pinning a payload DOM (0 for an untouched raw-fed store)."""
+        return sum(1 for filler in self._fillers if filler.materialized)
+
+    @property
+    def cached_versions(self) -> int:
+        """Version elements the wrapper cache holds (at most one per filler)."""
+        return sum(len(w.children) for w in self._wrapper_cache.values())
 
     @property
     def wire_size(self) -> int:

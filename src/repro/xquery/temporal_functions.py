@@ -270,11 +270,11 @@ def _project_one(node: object, begin: XSDateTime, end: XSDateTime, ctx, index=No
     span = _attr_lifespan(node)
     if span is False:
         # Snapshot element: no temporal dimension of its own; recurse.
-        clone = Element(node.tag, dict(node.attrs))
+        clone = Element(node.tag, node.attrs)
         for child in node.children:
             for projected in _project_one(child, begin, end, ctx, index):
                 if isinstance(projected, Node):
-                    clone.append(projected)
+                    clone._link_child(projected)
         return [clone]
 
     vt_from = resolve_point(span.begin, ctx.now)
@@ -292,13 +292,13 @@ def _project_one(node: object, begin: XSDateTime, end: XSDateTime, ctx, index=No
         return []
     clipped_from = max(vt_from, begin)
     clipped_to = min(vt_to, end)
-    clone = Element(node.tag, dict(node.attrs))
+    clone = Element(node.tag, node.attrs)
     clone.set(_VT_FROM, str(clipped_from))
     clone.set(_VT_TO, str(clipped_to))
     for child in node.children:
         for projected in _project_one(child, begin, end, ctx, index):
             if isinstance(projected, Node):
-                clone.append(projected)
+                clone._link_child(projected)
     return [clone]
 
 
@@ -323,13 +323,13 @@ def version_project_nodes(nodes: list, begin: int, end: int, ctx, index=None) ->
             out.append(node)
             continue
         span = element_lifespan(node, ctx).resolve(ctx.now)
-        clone = Element(node.tag, dict(node.attrs))
+        clone = Element(node.tag, node.attrs)
         for child in node.children:
             if isinstance(child, Text):
-                clone.append(Text(child.text))
+                clone._link_child(Text(child.text))
                 continue
             for projected in _project_one(child, span.begin, span.end, ctx, index):
                 if isinstance(projected, Node):
-                    clone.append(projected)
+                    clone._link_child(projected)
         out.append(clone)
     return out

@@ -1,9 +1,13 @@
 """Tests for filler model, fragmenter, store and reconstruction."""
 
+import gc
+
 import pytest
 
+from repro import XCQLEngine
+from repro.core.translator import Strategy
 from repro.dom import Element, parse_document, serialize
-from repro.dom.nodes import sort_document_order
+from repro.dom.nodes import Node, sort_document_order
 from repro.fragments import (
     Filler,
     Fragmenter,
@@ -18,6 +22,9 @@ from repro.fragments.assemble import generate_reconstruction_query
 from repro.fragments.fragmenter import FragmentationError
 from repro.fragments.model import LazyFiller
 from repro.temporal import XSDateTime
+from repro.xmark import AUCTION_STREAM, generate_auction_document
+from repro.xmark.queries import Q1, Q2, Q5, Q8
+from tests.conftest import CREDIT_TAG_STRUCTURE_XML
 
 T0 = XSDateTime.parse("1998-01-01T00:00:00")
 
@@ -369,6 +376,199 @@ class TestStore:
         store.extend(statuses)
         assert store.is_complete()
         assert missing_before > 0
+
+
+def _limit(value: str) -> Element:
+    return Element("creditLimit").add_text(value)
+
+
+def _limit_store(structure, **options) -> FragmentStore:
+    store = FragmentStore(structure, **options)
+    store.append(Filler(4, 4, XSDateTime(2003, 1, 1), _limit("100")))
+    store.append(Filler(4, 4, XSDateTime(2003, 2, 1), _limit("200")))
+    return store
+
+
+class TestOneDomPerVersion:
+    """The cached wrapper's children *are* the versions; nothing is patched."""
+
+    def test_versions_are_the_wrapper_children(self, credit_structure):
+        store = _limit_store(credit_structure)
+        wrapper = store.get_fillers(4)
+        versions = store.versions_of(4)
+        assert len(versions) == 2
+        assert all(v is c for v, c in zip(versions, wrapper.children))
+        assert store.get_fillers(4) is wrapper
+        assert store.cached_versions == 2
+
+    def test_scan_mode_builds_fresh_unshared_trees(self, credit_structure):
+        store = _limit_store(credit_structure, use_cache=False)
+        first, second = store.versions_of(4), store.versions_of(4)
+        assert [serialize(v) for v in first] == [serialize(v) for v in second]
+        assert all(a is not b for a, b in zip(first, second))
+        assert all(v.parent is None for v in first)
+        wrapper = store.get_fillers(4)
+        assert store.get_fillers(4) is not wrapper
+        assert all(c is not v for c in wrapper.children for v in first + second)
+        assert store.cached_versions == 0
+
+    def test_wrapper_from_before_a_write_stays_a_snapshot(self, credit_structure):
+        store = _limit_store(credit_structure)
+        before = store.get_fillers(4)
+        text = serialize(before)
+        store.append(Filler(4, 4, XSDateTime(2003, 3, 1), _limit("300")))
+        assert serialize(before) == text
+        assert before.children[-1].attrs["vtTo"] == "now"
+        after = store.get_fillers(4)
+        assert after is not before
+        assert [c.attrs["vtTo"] for c in after.children] == [
+            "2003-02-01T00:00:00", "2003-03-01T00:00:00", "now"
+        ]
+        assert all(a is not b for a, b in zip(after.children, before.children))
+
+    def test_schema_swap_prune_and_clear_drop_the_cache(self, credit_structure):
+        store = _limit_store(credit_structure)
+        wrapper = store.get_fillers(4)
+        store.set_tag_structure(TagStructure.from_xml(CREDIT_TAG_STRUCTURE_XML))
+        assert store.cached_versions == 0
+        swapped = store.get_fillers(4)
+        assert swapped is not wrapper
+        assert store.prune_before(XSDateTime(2003, 2, 15)) == 1
+        assert store.cached_versions == 0
+        pruned = store.get_fillers(4)
+        assert pruned is not swapped and len(pruned.children) == 1
+        assert len(swapped.children) == 2  # the retained snapshot is untouched
+        store.clear()
+        assert store.cached_versions == 0
+        assert store.get_fillers(4).children == []
+
+    def test_adopted_wrapper_is_rebuilt_not_served(self, credit_structure):
+        store = _limit_store(credit_structure)
+        adopted = store.get_fillers(4)
+        Element("result").append(adopted)
+        rebuilt = store.get_fillers(4)
+        assert rebuilt is not adopted and rebuilt.parent is None
+        assert serialize(rebuilt) == serialize(adopted)
+        assert all(v is c for v, c in zip(store.versions_of(4), rebuilt.children))
+        assert all(r is not a for r, a in zip(rebuilt.children, adopted.children))
+
+    def test_snapshot_tsid_exposes_only_the_latest_version(self, credit_structure):
+        store = FragmentStore(credit_structure)
+        for year in (2001, 2002):
+            root = Element("creditAccounts", {"rev": str(year)})
+            store.append(Filler(0, 1, XSDateTime(year, 1, 1), root))
+        (version,) = store.versions_of(0)
+        assert version.attrs == {"rev": "2002"}
+        assert store.get_fillers(0).children == [version]
+        assert store.cached_versions == 1
+
+    def test_eager_content_is_never_reparented_or_mutated(self, credit_structure):
+        content = _limit("100")
+        holder = Element("holder")
+        holder.append(content)
+        text = serialize(holder)
+        store = FragmentStore(credit_structure)
+        store.append(Filler(4, 4, XSDateTime(2003, 1, 1), content))
+        (version,) = store.versions_of(4)
+        assert version is not content and version.attrs["vtTo"] == "now"
+        assert content.parent is holder and content.attrs == {}
+        assert serialize(holder) == text
+        assert store.materialized_fillers == 1  # an eager filler pins its DOM
+
+
+AUCTION_NOW = XSDateTime.parse("2003-06-01T00:00:00")
+
+
+@pytest.fixture(scope="module")
+def auction_wire(auction_structure):
+    """The tiny XMark document as wire text, and the DOM nodes it describes."""
+    fillers = Fragmenter(auction_structure).fragment(
+        generate_auction_document(0.0), XSDateTime.parse("2003-01-01T00:00:00")
+    )
+    nodes = sum(sum(1 for _ in filler.content.iter()) for filler in fillers)
+    return [filler.to_xml() for filler in fillers], nodes
+
+
+def _raw_fed_engine(auction_structure, payloads):
+    engine = XCQLEngine(default_now=AUCTION_NOW)
+    engine.register_stream(AUCTION_STREAM, auction_structure)
+    assert engine.feed_raw(AUCTION_STREAM, payloads) == len(payloads)
+    return engine, engine.stores[AUCTION_STREAM]
+
+
+class TestRawFedStore:
+    """A raw-fed store keeps wire text plus one DOM per version it was asked for."""
+
+    def test_adhoc_queries_leave_every_filler_as_text(
+        self, auction_structure, auction_wire
+    ):
+        engine, store = _raw_fed_engine(auction_structure, auction_wire[0])
+        interval = (
+            'stream("auction")//open_auction'
+            "?[2003-01-01T00:00:00, 2003-03-01T00:00:00]"
+        )
+        for strategy in (Strategy.QAC_PLUS, Strategy.QAC, Strategy.CAQ):
+            for source in (Q1, Q2, Q5, interval):
+                engine.execute(source, strategy)
+        engine.execute(Q8, Strategy.QAC_PLUS)
+        stats = engine.stats()["streams"][AUCTION_STREAM]
+        assert stats["materialized_fillers"] == store.materialized_fillers == 0
+        assert 0 < stats["cached_versions"] <= stats["fillers"]
+        assert not any(f.materialized for f in store.fillers_since(0))
+        for filler in store.fillers_since(0):
+            fid = filler.filler_id
+            versions, wrapper = store.versions_of(fid), store.get_fillers(fid)
+            assert all(v is c for v, c in zip(versions, wrapper.children))
+        assert store.cached_versions == store.filler_count
+
+    def test_cold_queries_hold_one_dom_per_version(
+        self, auction_structure, auction_wire
+    ):
+        """The headline as a count: live nodes ≈ the nodes the wire text describes."""
+        payloads, described = auction_wire
+
+        def live_nodes() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, Node))
+
+        baseline = live_nodes()
+        engine, store = _raw_fed_engine(auction_structure, payloads)
+        assert live_nodes() == baseline  # ingest alone builds no tree
+        for strategy in (Strategy.QAC_PLUS, Strategy.QAC, Strategy.CAQ):
+            assert len(engine.execute('stream("auction")//open_auction', strategy)) == 12
+        assert store.cached_versions == store.filler_count  # all of it was read
+        # One element per <filler> wrapper on top of the described nodes.
+        assert described <= live_nodes() - baseline <= 1.15 * described
+
+    def test_repeated_envelopes_build_no_dom(self, auction_structure, auction_wire):
+        payloads = auction_wire[0]
+        engine, store = _raw_fed_engine(auction_structure, payloads)
+        seq = store.seq
+        assert engine.feed_raw(AUCTION_STREAM, payloads) == 0
+        assert (store.filler_count, store.seq) == (len(payloads), seq)
+        assert store.materialized_fillers == 0
+
+    def test_requoted_or_respaced_repeat_is_still_a_duplicate(
+        self, auction_structure, auction_wire
+    ):
+        payloads = auction_wire[0]
+        engine, store = _raw_fed_engine(auction_structure, payloads)
+        variants = []
+        for raw in payloads:
+            head, rest = raw.split(">", 1)
+            variants.append(head.replace('"', "'") + " >\n  " + rest)
+        assert variants != payloads
+        assert engine.feed_raw(AUCTION_STREAM, variants) == 0
+        assert store.filler_count == len(payloads)
+
+    def test_same_instant_different_payload_is_kept(self, credit_structure):
+        engine = XCQLEngine()
+        engine.register_stream("credit", credit_structure)
+        envelope = '<filler id="9" tsid="5" validTime="2003-03-03T03:03:03">%s</filler>'
+        first = envelope % "<transaction><amount>1</amount></transaction>"
+        second = envelope % "<transaction><amount>2</amount></transaction>"
+        assert engine.feed_raw("credit", [first, second, first, second]) == 2
+        assert engine.stores["credit"].version_count(9) == 2
 
 
 class TestReconstruction:

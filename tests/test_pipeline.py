@@ -439,6 +439,18 @@ class TestSourceLint:
         codes = {f.code for f in lint_sources([str(package)])}
         assert codes == {"net-dom-import", "netproto-dom-import", "netproto-repro-import"}
 
+    def test_builder_primitive_is_private_to_the_builders(self, tmp_path):
+        call = "def graft(parent, child):\n    parent._link_child(child)\n"
+        offender = tmp_path / "fragments"
+        offender.mkdir()
+        (offender / "store.py").write_text(call)
+        findings = lint_sources([str(offender)])
+        assert [f.code for f in findings] == ["builder-primitive"]
+        assert "append()" in findings[0].message
+        # The four builders themselves may name it.
+        (offender / "assemble.py").write_text(call)
+        assert [f.code for f in lint_sources([str(offender / "assemble.py")])] == []
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")

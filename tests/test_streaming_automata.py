@@ -104,7 +104,11 @@ class TestCreditCorpusDifferential:
             'count(stream("credit")//transaction)', now=NOW_2003_12_15
         )
         assert result == [3]
-        assert any(f.materialized for f in fillers if f.tsid == 5)
+        # ...into trees the store owns: the fillers themselves stay text.
+        assert not any(f.materialized for f in fillers)
+        store = engine.stores["credit"]
+        for filler_id in store.filler_ids_of_tsid(5):
+            assert [v.tag for v in store.versions_of(filler_id)] == ["transaction"]
 
     def test_mixed_feed_declines_to_fallback(self, credit_structure,
                                              credit_fillers):

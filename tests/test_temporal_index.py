@@ -345,6 +345,21 @@ class TestEndpointIndexStore:
                 if survives:
                     assert lo <= position < hi
 
+    def test_hole_and_wrapper_windows_serve_the_shared_versions(self, store):
+        """Both index lookups hand out the one cached DOM, positions aligned."""
+        engine = XCQLEngine()
+        engine.register_stream("sensor", SENSOR_STRUCTURE, store)
+        hook = engine.temporal_index
+        begin, end = t(2, 1).to_epoch_seconds(), t(5, 15).to_epoch_seconds()
+        versions, lo, hi = hook.hole_window("1", begin, end)
+        wrapper = store.get_fillers(1)
+        assert versions is wrapper.children and versions[lo].parent is wrapper
+        assert hook.wrapper_window(wrapper, begin, end) == (lo, hi)
+        # A wrapper from before a write no longer aligns with the index.
+        store.append(Filler(1, 2, t(12, 1), frag('<reading s="a" v="8"/>')))
+        assert hook.wrapper_window(wrapper, begin, end) is None
+        assert hook.wrapper_window(store.get_fillers(1), begin, end) == (lo, hi)
+
     def test_index_invalidated_by_append(self, store):
         froms, _, _ = store.endpoint_index(1)
         assert len(froms) == 8
