@@ -152,9 +152,9 @@ def test_results_agree(workload):
 def test_delta_path_engages_under_scheduler(workload):
     small = IncrementalWorkload(workload.scale, preload=40, ticks=4)
     engine = small.engine()
-    # Routing off: this ablation pins the *solo* delta path; with the
-    # PR-4 routing index the early non-matching ticks would be skipped
-    # outright (measured by A11) instead of exercising delta runs.
+    # Routing off: this ablation pins a group of one; with the PR-4
+    # routing index the early non-matching ticks would be skipped outright
+    # (measured by A11) instead of exercising incremental runs.
     scheduler = QueryScheduler(engine, routing=False)
     query = small.standing_query(engine, incremental=True)
     scheduler.add(query)
@@ -165,9 +165,9 @@ def test_delta_path_engages_under_scheduler(workload):
     scheduler.poll(small.now)  # no arrivals: skip
     stats = scheduler.stats()
     assert stats["full_runs"] == 1
-    assert stats["delta_runs"] == small.ticks
+    assert stats["shared_runs"] == small.ticks  # scheduled incremental runs
     assert stats["skips"] == 1
-    assert engine.prepare_delta(query.compiled) is not None
+    assert engine.prepare_incremental(query.compiled) is not None
 
 
 def test_incremental_speedup(benchmark, workload):

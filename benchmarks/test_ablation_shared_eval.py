@@ -242,7 +242,7 @@ def test_shared_speedup(benchmark, workload):
         },
         "shared_prefix": stats["shared_prefix"],
         "shared_runs": stats["shared_runs"],
-        "solo_delta_runs": solo_sched.stats()["delta_runs"],
+        "solo_delta_runs": solo_sched.stats()["shared_runs"],
     }
     _JSON_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 

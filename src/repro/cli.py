@@ -127,7 +127,7 @@ def xcql_main(argv: list[str] | None = None) -> int:
         help="instead of one evaluation, replay the snapshot's fillers "
         "through a fresh engine in arrival batches of N with the query "
         "standing under a scheduler, then print engine + scheduler "
-        "statistics (shared/delta/full runs, automaton vs fallback runs, "
+        "statistics (incremental vs full runs, automaton vs fallback runs, "
         "routing probe/skip counts) as JSON — the quick perf-triage view",
     )
     parser.add_argument(
@@ -483,8 +483,8 @@ def _replay(args, store, source: str, strategy, now) -> int:
     ``args.replay``, with ``source`` as a standing continuous query; each
     batch is followed by a poll.  Prints the emitted results, then the
     engine and scheduler statistics as one JSON document — plan cache,
-    delta-memo, shared vs delta vs full runs, and routing probe/skip
-    counts (perf triage for the PR-4 shared evaluation layer).
+    delta-memo, incremental (``shared_runs``) vs full runs, and routing
+    probe/skip counts (perf triage for the PR-4 shared evaluation layer).
     """
     import json
 

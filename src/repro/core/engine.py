@@ -38,7 +38,7 @@ from repro.core.pipeline import (
 from repro.core.translator import Strategy, TranslationError
 from repro.xquery import xast
 from repro.xquery.automata import AutomatonMatcher, StreamAutomaton, schema_reachable
-from repro.xquery.compiler import compile_module
+from repro.xquery.compiler import compile_delta_plan, compile_module
 from repro.xquery.errors import XQueryDynamicError
 from repro.xquery.evaluator import Context, Evaluator
 from repro.xquery.parser import parse
@@ -48,45 +48,31 @@ from repro.xquery.xdm import atomize_sequence
 __all__ = [
     "XCQLEngine",
     "CompiledQuery",
-    "DeltaPlan",
-    "SharedPlan",
+    "IncrementalPlan",
     "Strategy",
     "AutomatonHost",
 ]
 
 
 @dataclass
-class DeltaPlan:
-    """The incremental half of a delta-safe compiled query.
-
-    ``plan(ctx, wrappers)`` runs the rewritten module over just-arrived
-    filler wrappers; ``stream`` plus either ``tsid`` (QaC+-style driving
-    source) or ``filler_id`` (literal ``get_fillers``) identify which
-    arrivals concern the query.  ``binds_versions`` is the analysis fact
-    the runtime guard needs: whether the driving ``for`` binds version
-    elements (safe to delta an existing event fragment) or whole wrappers
-    (only brand-new fragment ids may be delta'd).
-    """
-
-    stream: str
-    tsid: Optional[int]
-    filler_id: Optional[int]
-    binds_versions: bool
-    plan: Callable = field(repr=False, compare=False, default=None)
-
-
-@dataclass
-class SharedPlan:
-    """The shared-evaluation split of a delta-safe compiled query.
+class IncrementalPlan:
+    """The executable form of a delta-safe compiled query.
 
     ``prefix(ctx, wrappers)`` evaluates the driving binding path over
     just-arrived filler wrappers and returns the materialized binding
     tuples; ``residual(ctx, tuples)`` runs the query's remaining clauses
-    and return body over those tuples.  Queries with equal ``group_key``
-    bind identical tuples from identical arrivals, so a scheduler can run
-    one group member's prefix per tick and feed every member's residual
-    (see :class:`repro.streams.scheduler.QueryScheduler`).  ``routing`` is
-    the extracted dispatch predicate, when the residual has one.
+    and return body over those tuples.  ``stream`` plus either ``tsid``
+    (QaC+-style driving source) or ``filler_id`` (literal ``get_fillers``)
+    identify which arrivals concern the query.  ``binds_versions`` is the
+    analysis fact the runtime guard needs: whether the driving ``for``
+    binds version elements (safe to fold into an existing event fragment)
+    or whole wrappers (only brand-new fragment ids may be folded in).
+    Queries with equal ``group_key`` bind identical tuples from identical
+    arrivals, so a scheduler can run one group member's prefix per tick
+    and feed every member's residual (see
+    :class:`repro.streams.scheduler.QueryScheduler`); a query evaluated on
+    its own is a group of one.  ``routing`` is the extracted dispatch
+    predicate, when the residual has one.
     """
 
     stream: str
@@ -117,27 +103,19 @@ class CompiledQuery:
     backend: str = "interpreted"
     plan: Optional[Callable] = field(default=None, repr=False, compare=False)
     merge_joins: int = 0  # FLWORs lowered to sort-merge or hash joins
-    # Incremental-evaluation state, populated lazily by
-    # :meth:`XCQLEngine.prepare_delta` (shared through the plan cache —
-    # delta safety is a property of the translated plan, not the query
-    # instance).  ``delta_reason`` records why a plan is full-only.
-    delta_plan: Optional[DeltaPlan] = field(default=None, repr=False, compare=False)
-    delta_reason: Optional[str] = field(default=None, repr=False, compare=False)
-    delta_prepared: bool = field(default=False, repr=False, compare=False)
-    # Shared-evaluation state, populated lazily by
-    # :meth:`XCQLEngine.prepare_shared` (shared through the plan cache,
-    # like the delta plan).
-    shared_plan: Optional[SharedPlan] = field(default=None, repr=False, compare=False)
-    shared_reason: Optional[str] = field(default=None, repr=False, compare=False)
-    shared_prepared: bool = field(default=False, repr=False, compare=False)
+    # The lowered prefix/residual closures, populated lazily by
+    # :meth:`XCQLEngine.prepare_incremental` (shared through the plan
+    # cache — the split is a property of the translated plan, not the
+    # query instance).
+    incremental_plan: Optional[IncrementalPlan] = field(default=None, repr=False, compare=False)
     # Memo slot for repro.streams.scheduler.dependencies_of: the derived
     # dependencies are a property of the translated plan, so re-adding a
     # query to a scheduler (or registering it for routing) must not
     # re-walk the AST.
     dependencies_memo: Optional[object] = field(default=None, repr=False, compare=False)
-    # The pass pipeline's annotations (trace, delta/shared verdicts,
-    # routing predicate) — every engine-compiled plan carries one; see
-    # :class:`repro.core.pipeline.PlanInfo`.
+    # The pass pipeline's annotations (trace, incremental verdict with its
+    # routing predicate, automaton) — every engine-compiled plan carries
+    # one; see :class:`repro.core.pipeline.PlanInfo`.
     info: Optional[PlanInfo] = field(default=None, repr=False, compare=False)
 
     @property
@@ -575,17 +553,21 @@ class XCQLEngine:
         Returns a dict with the strategy, the translated XQuery text, the
         statically derived (stream, tsid) dependencies, whether the query
         is time-sensitive (mentions ``now``), how many ``get_fillers``
-        calls the pipeline folded, the delta/shared/routing verdicts (with
-        the tuple-index shape the routing predicate files under), and
-        the full per-pass trace (``"passes"``) with the pipeline
-        fingerprint that participates in the plan-cache key.
+        calls the pipeline folded, the incremental verdict (with the
+        reason a plan is full-only, or the group an incremental one
+        evaluates in, its routing predicate and the tuple-index shape
+        that predicate files under), and the full per-pass trace
+        (``"passes"``) with the pipeline fingerprint that participates in
+        the plan-cache key.
         """
         from repro.streams.routing import index_shape
         from repro.streams.scheduler import dependencies_of
 
         compiled = self.compile(source, strategy, optimize=optimize)
         dependencies = dependencies_of(compiled)
-        routing = compiled.shared_plan.routing if self.prepare_shared(compiled) else None
+        info = compiled.info
+        analysis = info.incremental
+        routing = analysis.routing if analysis is not None else None
         return {
             "strategy": strategy.value,
             "translated": compiled.translated_source,
@@ -598,29 +580,19 @@ class XCQLEngine:
             ),
             "time_sensitive": dependencies.time_sensitive,
             "hoisted_calls": compiled.hoisted_calls,
-            "delta_safe": self.prepare_delta(compiled) is not None,
-            "delta_reason": compiled.delta_reason,
-            "shared_safe": self.prepare_shared(compiled) is not None,
-            "shared_reason": compiled.shared_reason,
-            "shared_group": (
-                compiled.shared_plan.group_key if compiled.shared_plan else None
-            ),
+            "incremental": analysis is not None,
+            "incremental_reason": info.incremental_reason,
+            "incremental_group": analysis.group_key if analysis is not None else None,
             "routing_predicate": routing.describe() if routing else None,
             # The group tuple-index shape a scheduler files the query
             # under: members with equal shapes share one operand
             # extraction per binding tuple (None = takes every tuple).
             "routing_index_shape": index_shape(routing) if routing else None,
-            "automaton": (
-                compiled.info.automaton.describe()
-                if compiled.info and compiled.info.automaton
-                else None
-            ),
-            "automaton_reason": (
-                compiled.info.automaton_reason if compiled.info else None
-            ),
+            "automaton": info.automaton.describe() if info.automaton else None,
+            "automaton_reason": info.automaton_reason,
             "automaton_schema_reachable": self._automaton_reachability(compiled),
-            "passes": compiled.info.trace_dicts() if compiled.info else [],
-            "fingerprint": compiled.info.fingerprint if compiled.info else None,
+            "passes": info.trace_dicts(),
+            "fingerprint": info.fingerprint,
         }
 
     def _automaton_reachability(self, compiled: CompiledQuery) -> Optional[bool]:
@@ -631,7 +603,7 @@ class XCQLEngine:
         matches at runtime, so a ``False`` is a diagnostic, never a gate.
         """
         info = compiled.info
-        if info is None or info.automaton is None:
+        if info.automaton is None:
             return None
         structure = self.tag_structures.get(info.automaton.stream)
         if structure is None:
@@ -722,124 +694,68 @@ class XCQLEngine:
             return compiled.plan(context)
         return Evaluator(context).evaluate_module(compiled.translated)
 
-    # -- incremental (delta) evaluation ---------------------------------------------------
+    # -- incremental evaluation -----------------------------------------------------------
 
-    def prepare_delta(self, compiled: CompiledQuery) -> Optional[DeltaPlan]:
-        """The query's delta plan, or ``None`` when it must run full-scan.
+    def prepare_incremental(self, compiled: CompiledQuery) -> Optional[IncrementalPlan]:
+        """The query's prefix/residual plan, or ``None`` when it must run full-scan.
 
-        The monotonicity verdict was computed at compile time by the
-        pipeline's ``delta-safety`` pass and lives on ``compiled.info``;
-        this method only lowers the rewritten delta module into its
-        runtime closure, memoized on the :class:`CompiledQuery` (which
-        the plan cache shares across continuous queries of the same
-        source).  The interpreted backend never gets a delta plan — it
-        stays the full-scan differential reference.
-        """
-        if compiled.delta_prepared:
-            return compiled.delta_plan
-        compiled.delta_prepared = True
-        info = compiled.info
-        if info is None:
-            compiled.delta_reason = "plan was not compiled through the pass pipeline"
-            return None
-        if info.delta is None or compiled.plan is None:
-            compiled.delta_reason = info.delta_reason
-            return None
-        from repro.xquery.compiler import compile_delta_plan
-
-        analysis = info.delta
-        compiled.delta_plan = DeltaPlan(
-            stream=analysis.stream,
-            tsid=analysis.tsid,
-            filler_id=analysis.filler_id,
-            binds_versions=analysis.binds_versions,
-            plan=compile_delta_plan(analysis.module, DELTA_VAR),
-        )
-        return compiled.delta_plan
-
-    def execute_delta(
-        self,
-        delta: DeltaPlan,
-        wrappers: list,
-        now: Optional[XSDateTime] = None,
-        variables: Optional[dict[str, list]] = None,
-    ) -> list:
-        """Run a delta plan over just-arrived filler wrappers.
-
-        Returns the result tuples the new fillers contribute; callers
-        union them with their retained state (see
-        :class:`~repro.streams.continuous.ContinuousQuery`).
-        """
-        context = self.build_context(now=now, variables=variables)
-        return delta.plan(context, wrappers)
-
-    # -- shared (grouped) evaluation ---------------------------------------------------
-
-    def prepare_shared(self, compiled: CompiledQuery) -> Optional[SharedPlan]:
-        """The query's shared prefix/residual split, or ``None``.
-
-        Builds on :meth:`prepare_delta`: only delta-safe plans can be
-        shared.  The split itself was decided at compile time by the
-        pipeline's ``shared-split`` pass; this method only lowers the
-        prefix/residual modules into their runtime closures, memoized on
-        the :class:`CompiledQuery` (shared through the plan cache), so a
+        The verdict and the split were computed at compile time by the
+        pipeline's ``incremental`` pass and live on ``compiled.info``
+        (``incremental_reason`` says why a plan is full-only — the
+        interpreted backend always is: it stays the full-scan
+        differential reference).  This method only lowers the two modules
+        into their runtime closures, memoized on the
+        :class:`CompiledQuery` (which the plan cache shares), so a
         scheduler re-adding hundreds of same-source queries pays for one
         lowering.
         """
-        if compiled.shared_prepared:
-            return compiled.shared_plan
-        compiled.shared_prepared = True
-        if self.prepare_delta(compiled) is None:
-            compiled.shared_reason = compiled.delta_reason
-            return None
-        from repro.xquery.compiler import (
-            bind_free_var,
-            compile_delta_plan,
-            compile_expr,
-        )
+        analysis = compiled.info.incremental
+        if compiled.incremental_plan is None and analysis is not None:
+            compiled.incremental_plan = IncrementalPlan(
+                stream=analysis.stream,
+                tsid=analysis.tsid,
+                filler_id=analysis.filler_id,
+                binds_versions=analysis.binds_versions,
+                group_key=analysis.group_key,
+                routing=analysis.routing,
+                prefix=compile_delta_plan(analysis.prefix_module, DELTA_VAR),
+                residual=compile_delta_plan(analysis.residual_module, SHARED_VAR),
+            )
+        return compiled.incremental_plan
 
-        analysis = compiled.info.shared
-        if analysis is None:
-            compiled.shared_reason = compiled.info.shared_reason
-            return None
-        delta = analysis.delta
-        compiled.shared_plan = SharedPlan(
-            stream=delta.stream,
-            tsid=delta.tsid,
-            filler_id=delta.filler_id,
-            binds_versions=delta.binds_versions,
-            group_key=analysis.group_key,
-            routing=analysis.routing,
-            prefix=bind_free_var(compile_expr(analysis.prefix_expr), DELTA_VAR),
-            residual=compile_delta_plan(analysis.residual_module, SHARED_VAR),
-        )
-        return compiled.shared_plan
-
-    def execute_shared_prefix(
+    def execute_prefix(
         self,
-        shared: SharedPlan,
+        plan: IncrementalPlan,
         wrappers: list,
-        now: Optional[XSDateTime] = None,
+        context: Optional[Context] = None,
     ) -> list:
         """Materialize a group's binding tuples from just-arrived wrappers.
 
-        Shared-safe plans are ``now``-free by construction (delta safety
+        Incremental plans are ``now``-free by construction (delta safety
         bans clock dependence), so the tuples are valid for every group
-        member regardless of its evaluation instant.
+        member regardless of its evaluation instant.  ``context`` lets a
+        wake that runs both halves build its evaluation context once.
         """
-        context = self.build_context(now=now)
-        return shared.prefix(context, wrappers)
+        if context is None:
+            context = self.build_context()
+        return plan.prefix(context, wrappers)
 
-    def execute_shared_residual(
+    def execute_residual(
         self,
-        shared: SharedPlan,
+        plan: IncrementalPlan,
         tuples: list,
         now: Optional[XSDateTime] = None,
-        variables: Optional[dict[str, list]] = None,
+        context: Optional[Context] = None,
     ) -> list:
-        """Run one member's residual over the group's binding tuples."""
-        context = self.build_context(now=now, variables=variables)
-        return shared.residual(context, tuples)
+        """Run one query's residual over binding tuples.
+
+        Returns the result items those tuples contribute; callers union
+        them with their retained state (see
+        :class:`~repro.streams.continuous.ContinuousQuery`).
+        """
+        if context is None:
+            context = self.build_context(now=now)
+        return plan.residual(context, tuples)
 
     def execute_on_view(
         self,

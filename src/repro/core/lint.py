@@ -149,7 +149,7 @@ def _tags_of(expr: object, structures: dict[str, TagStructure]):
 #: Optimizer entry points that only :mod:`repro.core.pipeline` may import.
 PIPELINE_ONLY_NAMES = frozenset(
     {
-        "analyze_delta", "analyze_shared", "hoist_common_fillers",
+        "analyze_delta", "hoist_common_fillers",
         "lower_interval_joins", "lower_value_joins",
     }
 )

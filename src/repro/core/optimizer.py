@@ -34,9 +34,7 @@ __all__ = [
     "lower_value_joins",
     "count_calls",
     "analyze_delta",
-    "analyze_shared",
     "DeltaAnalysis",
-    "SharedAnalysis",
     "RoutingPredicate",
     "DELTA_VAR",
     "SHARED_VAR",
@@ -376,8 +374,11 @@ def _value_join_obstacle(
 # Delta-safety analysis (incremental continuous-query evaluation)
 # ---------------------------------------------------------------------------
 
-# The variable the delta driver binds the just-arrived filler wrappers to.
+# Reserved names of an incremental plan: the prefix ranges over the
+# just-arrived filler wrappers bound to DELTA_VAR, the residual's driving
+# ``for`` over the prefix's binding tuples bound to SHARED_VAR.
 DELTA_VAR = "__delta_fillers__"
+SHARED_VAR = "__shared_binding__"
 
 # Calls that read stream state.  A delta-safe plan has exactly one — the
 # driving source — so every other expression is a pure function of the one
@@ -445,12 +446,19 @@ class DeltaAnalysis:
     ``safe`` means re-evaluating the plan over only newly arrived filler
     wrappers and appending to the retained result reproduces a full
     re-evaluation (as a multiset; arrival order inside existing fragments
-    may permute document order).  ``module`` is the rewritten plan with
-    the driving stream access replaced by ``$__delta_fillers__``;
-    ``binds_versions`` records whether the driving ``for`` steps *into*
-    the wrappers (binding version elements) rather than binding the
-    wrappers themselves — the runtime guard needs the distinction when an
-    existing fragment id receives another version.
+    may permute document order).  A safe plan comes split in two: the
+    *prefix* (``prefix_module``: the driving stream access, replaced by
+    ``$__delta_fillers__``, plus its downward-axis binding path) and the
+    *residual* (``residual_module``: every remaining clause plus the
+    return body, its driving ``for`` ranging over ``$__shared_binding__``).
+    Queries with equal ``group_key`` (stream, tsid, filler id, prefix
+    source) bind identical tuple sequences from the same arrivals, so one
+    prefix evaluation per tick can feed every member's residual; a query
+    on its own is a group of one.  ``binds_versions`` records whether the
+    driving ``for`` steps *into* the wrappers (binding version elements)
+    rather than binding the wrappers themselves — the runtime guard needs
+    the distinction when an existing fragment id receives another version.
+    ``routing`` carries the extracted dispatch predicate, when one exists.
     """
 
     safe: bool
@@ -459,7 +467,10 @@ class DeltaAnalysis:
     tsid: Optional[int] = None
     filler_id: Optional[int] = None
     binds_versions: bool = False
-    module: Optional[xast.Module] = None
+    group_key: Optional[tuple] = None
+    prefix_module: Optional[xast.Module] = None
+    residual_module: Optional[xast.Module] = None
+    routing: Optional[RoutingPredicate] = None
 
 
 def analyze_delta(module: xast.Module) -> DeltaAnalysis:
@@ -473,6 +484,11 @@ def analyze_delta(module: xast.Module) -> DeltaAnalysis:
     others — ordering, positional access, parent/sibling axes, a second
     stream access, ``now``-dependence, temporal projections (they resolve
     holes, i.e. other fragments) — forces full re-evaluation.
+
+    A safe plan is returned split: the driving ``for $v in <path over the
+    stream access>`` becomes prefix ``<path over $__delta_fillers__>``
+    (evaluated once per group per tick) plus residual ``for $v in
+    $__shared_binding__ <rest> return <body>``.
     """
     unsafe = DeltaAnalysis(False)
 
@@ -542,8 +558,8 @@ def analyze_delta(module: xast.Module) -> DeltaAnalysis:
             problem.append("positional for binding")
         elif isinstance(node, xast.Step) and node.axis not in _DOWNWARD_AXES:
             problem.append(f"{node.axis} axis escapes the tuple subtree")
-        elif isinstance(node, xast.VarRef) and node.name == DELTA_VAR:
-            problem.append(f"plan already references ${DELTA_VAR}")
+        elif isinstance(node, xast.VarRef) and node.name in (DELTA_VAR, SHARED_VAR):
+            problem.append(f"plan already references ${node.name}")
         elif isinstance(node, xast.FunctionCall):
             name = node.name
             if name in _STREAM_FNS and node is not call:
@@ -570,38 +586,35 @@ def analyze_delta(module: xast.Module) -> DeltaAnalysis:
     if problem:
         return dataclasses.replace(unsafe, reason=problem[0])
 
-    rewritten = _bind_delta_source(module, body, call)
+    # The split is purely structural.  Because the compiled FLWOR pipeline
+    # evaluates its driving expression to a materialized sequence before
+    # binding, feeding the prefix's tuples through the residual reproduces
+    # the unsplit plan byte-for-byte.
+    prefix = xast.substitute(driver.expr, call, xast.VarRef(DELTA_VAR))
+    # Two queries may define different bodies under one function name, so a
+    # prefix that calls the prolog carries it — into its compiled form and,
+    # through the source text, into the group key.
+    prefix_module = xast.Module(
+        module.functions if _calls_any(prefix, defined) else [], prefix
+    )
+    rebound = xast.ForClause(driver.var, xast.VarRef(SHARED_VAR), None)
+    residual = xast.FLWOR([rebound] + list(body.clauses[1:]), body.return_expr)
     return DeltaAnalysis(
         True,
         stream=stream,
         tsid=tsid,
         filler_id=filler_id,
         binds_versions=binds_versions,
-        module=rewritten,
+        group_key=(stream, tsid, filler_id, xast.to_source(prefix_module)),
+        prefix_module=prefix_module,
+        residual_module=xast.Module(module.functions, residual),
+        routing=_extract_routing(driver, body.clauses[1:]),
     )
 
 
-def _bind_delta_source(
-    module: xast.Module, flwor: xast.FLWOR, call: xast.FunctionCall
-) -> xast.Module:
-    """The delta plan: the driving stream access becomes ``$__delta_fillers__``."""
-    driver = flwor.clauses[0]
-    rebound = xast.ForClause(
-        driver.var,
-        xast.substitute(driver.expr, call, xast.VarRef(DELTA_VAR)),
-        driver.position_var,
-    )
-    body = xast.FLWOR([rebound] + list(flwor.clauses[1:]), flwor.return_expr)
-    return xast.Module(module.functions, body)
-
-
 # ---------------------------------------------------------------------------
-# Shared multi-query evaluation (prefix/residual split + predicate routing)
+# Predicate routing (the residual's leading literal comparison)
 # ---------------------------------------------------------------------------
-
-# The variable a residual plan binds the shared prefix's materialized
-# binding tuples to (see :func:`analyze_shared`).
-SHARED_VAR = "__shared_binding__"
 
 # Comparison operators a routing predicate can encode, normalized to the
 # general-comparison spelling; _FLIPPED_OPS mirrors an operator across a
@@ -624,7 +637,7 @@ _FLIPPED_OPS = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="
 class RoutingPredicate:
     """A literal-comparable residual predicate, probeable per arriving filler.
 
-    Encodes the leftmost where-conjunct of a shared-safe residual when it
+    Encodes the leftmost where-conjunct of a residual when it
     has the shape ``$tuple/child-path [op] literal`` (or the literal on the
     left, operator mirrored): ``tuple_tag`` is the element test the driving
     path binds, ``path`` the child-element chain below the bound tuple,
@@ -662,84 +675,6 @@ class RoutingPredicate:
         return f"{self.tuple_tag}[{self.operand()} {self.op} {shown}]"
 
 
-@dataclasses.dataclass
-class SharedAnalysis:
-    """Verdict of :func:`analyze_shared` over one translated module.
-
-    A shared-safe plan is a delta-safe plan split into a *shared prefix*
-    (the driving stream access plus its downward-axis binding path over
-    arriving filler wrappers — ``prefix_expr``, referencing
-    ``$__delta_fillers__``) and a *per-query residual* (every remaining
-    clause plus the return body — ``residual_module``, whose driving
-    ``for`` binds ``$__shared_binding__``).  Queries with equal
-    ``group_key`` (stream, tsid, filler id, prefix source) bind identical
-    tuple sequences from the same arrivals, so one prefix evaluation per
-    tick can feed every member's residual.  ``routing`` carries the
-    extracted dispatch predicate, when one exists.
-    """
-
-    safe: bool
-    reason: str = ""
-    delta: Optional[DeltaAnalysis] = None
-    group_key: Optional[tuple] = None
-    prefix_expr: Optional[xast.Expr] = None
-    residual_module: Optional[xast.Module] = None
-    routing: Optional[RoutingPredicate] = None
-
-
-def analyze_shared(
-    module: xast.Module, delta: Optional[DeltaAnalysis] = None
-) -> SharedAnalysis:
-    """Split a delta-safe plan into a shared prefix and a residual.
-
-    The split is purely structural: the delta plan's driving ``for $v in
-    <path over $__delta_fillers__>`` becomes prefix ``<path>`` (evaluated
-    once per group per tick) plus residual ``for $v in $__shared_binding__
-    <rest> return <body>``.  Because the compiled FLWOR pipeline evaluates
-    its driving expression to a materialized sequence before binding,
-    feeding the prefix's tuples through the residual reproduces the solo
-    delta evaluation byte-for-byte.  Plans whose driving path calls
-    user-defined functions are not shared (two queries could define
-    different bodies under one name, breaking group-key equality).
-    """
-    if delta is None:
-        delta = analyze_delta(module)
-    if not delta.safe:
-        return SharedAnalysis(False, delta.reason, delta=delta)
-    body = delta.module.body
-    driver = body.clauses[0]
-    if _references_var(body, SHARED_VAR) or any(
-        _references_var(definition.body, SHARED_VAR)
-        for definition in module.functions
-    ):
-        return SharedAnalysis(
-            False, f"plan already references ${SHARED_VAR}", delta=delta
-        )
-    defined = {definition.name for definition in module.functions}
-    if _calls_any(driver.expr, defined):
-        return SharedAnalysis(
-            False, "driving path calls user-defined functions", delta=delta
-        )
-    prefix_expr = driver.expr
-    residual_body = xast.FLWOR(
-        [xast.ForClause(driver.var, xast.VarRef(SHARED_VAR), None)]
-        + list(body.clauses[1:]),
-        body.return_expr,
-    )
-    residual_module = xast.Module(module.functions, residual_body)
-    group_key = (
-        delta.stream, delta.tsid, delta.filler_id, xast.to_source(prefix_expr)
-    )
-    return SharedAnalysis(
-        True,
-        delta=delta,
-        group_key=group_key,
-        prefix_expr=prefix_expr,
-        residual_module=residual_module,
-        routing=_extract_routing(driver, body.clauses[1:]),
-    )
-
-
 def _calls_any(node: object, names: set) -> bool:
     if isinstance(node, xast.FunctionCall) and node.name in names:
         return True
@@ -751,12 +686,14 @@ def _extract_routing(
 ) -> Optional[RoutingPredicate]:
     """The dispatch predicate of a residual, if one is extractable.
 
-    Takes the leftmost conjunct of the residual's first ``where`` clause
-    (sound under short-circuit ``and``: if the leftmost conjunct cannot
-    hold for any tuple of a filler, no conjunction over those tuples can)
-    and matches it against the literal-comparison shape.  The driving path
-    must end in an element test so the probe knows which payload elements
-    become binding tuples.
+    Takes the leftmost conjunct of the ``where`` clause that directly
+    follows the driving ``for`` (sound under short-circuit ``and``: if the
+    leftmost conjunct cannot hold for any tuple of a filler, no
+    conjunction over those tuples can) and matches it against the
+    literal-comparison shape.  A clause in between would run — and could
+    raise — for a tuple the predicate rejects, so pruning that tuple would
+    swallow the error.  The driving path must end in an element test so
+    the probe knows which payload elements become binding tuples.
     """
     expr = driver.expr
     steps = expr.steps if isinstance(expr, xast.PathExpr) else []
@@ -767,10 +704,9 @@ def _extract_routing(
         return None
     if last.test in ("text()", "node()"):
         return None
-    for clause in clauses:
-        if isinstance(clause, xast.WhereClause):
-            return _match_routing(driver.var, last.test, _leftmost(clause.expr))
-    return None
+    if not (clauses and isinstance(clauses[0], xast.WhereClause)):
+        return None
+    return _match_routing(driver.var, last.test, _leftmost(clauses[0].expr))
 
 
 def _leftmost(expr: xast.Expr) -> xast.Expr:

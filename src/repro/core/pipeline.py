@@ -1,11 +1,10 @@
 """The unified plan-pass pipeline: parse once, annotate once, reuse everywhere.
 
-PRs 1–4 accumulated four rewrites/analyses over the translated XQuery AST —
-§8-style ``get_fillers`` hoisting, interval-join lowering, delta-safety
-classification, and the shared prefix/residual split with its routing
-predicate.  Each lived as an ad-hoc traversal hand-sequenced inside
-``engine.compile`` and re-derived lazily by ``prepare_delta`` /
-``prepare_shared``.  This module turns them into a Calcite-style pass
+PRs 1–4 accumulated rewrites/analyses over the translated XQuery AST —
+§8-style ``get_fillers`` hoisting, join lowering, and the delta-safety
+classification with its prefix/residual split and routing predicate.
+Each lived as an ad-hoc traversal hand-sequenced inside
+``engine.compile``.  This module turns them into a Calcite-style pass
 pipeline (cf. "One SQL to Rule Them All"): a :class:`PassManager` runs a
 fixed, named sequence of passes over one mutable :class:`PlanInfo` carried
 on every :class:`~repro.core.engine.CompiledQuery`, records a per-pass
@@ -17,24 +16,23 @@ Two pass kinds exist, distinguished only by what they touch:
 
 - **rewrite** passes (``translate``, ``hoist-fillers``,
   ``lower-merge-joins``, ``lower-value-joins``) return a new module;
-- **analysis** passes (``delta-safety``, ``shared-split``,
-  ``routing-predicate``, ``compile-stream-automaton``) return the module
-  unchanged and record verdicts on the :class:`PlanInfo`.
+- **analysis** passes (``incremental``, ``compile-stream-automaton``)
+  return the module unchanged and record verdicts on the
+  :class:`PlanInfo`.
 
 The ordering contract: ``translate`` first (every later pass assumes the
 filler-level form), rewrites before analyses (verdicts describe the final
-plan), ``delta-safety`` before ``shared-split`` (sharing refines the delta
-split), ``routing-predicate`` after that (it reads the shared verdict),
-``compile-stream-automaton`` last (it compiles the shared prefix into an
-event automaton).  A new rewrite slots in after ``lower-value-joins``; a
-new analysis appends at the end.  Each pass gates itself and appends exactly one
+plan), ``incremental`` before ``compile-stream-automaton`` (it compiles
+the incremental plan's prefix into an event automaton).  A new rewrite
+slots in after ``lower-value-joins``; a new analysis appends at the end.
+Each pass gates itself and appends exactly one
 :class:`PassTrace`, so ``engine.compile`` contains no pass-specific
 branching and ``explain()`` can replay the whole decision trail.
 
 This module is also the *only* sanctioned import point for the underlying
 optimizer entry points — ``repro lint`` (see
 :func:`repro.core.lint.lint_sources`) rejects direct
-``analyze_delta``/``analyze_shared``/``hoist_common_fillers`` imports
+``analyze_delta``/``hoist_common_fillers`` imports
 elsewhere, so future rewrites go through the pipeline.
 """
 
@@ -49,9 +47,7 @@ from repro.core.optimizer import (
     SHARED_VAR,
     DeltaAnalysis,
     RoutingPredicate,
-    SharedAnalysis,
     analyze_delta,
-    analyze_shared,
     hoist_common_fillers,
     lower_interval_joins,
     lower_value_joins,
@@ -69,9 +65,7 @@ __all__ = [
     "HoistFillersPass",
     "LowerMergeJoinsPass",
     "LowerValueJoinsPass",
-    "DeltaSafetyPass",
-    "SharedSplitPass",
-    "RoutingPredicatePass",
+    "IncrementalPass",
     "CompileStreamAutomatonPass",
     "PassManager",
     "default_passes",
@@ -80,7 +74,6 @@ __all__ = [
     "DELTA_VAR",
     "SHARED_VAR",
     "DeltaAnalysis",
-    "SharedAnalysis",
     "RoutingPredicate",
     "hoist_common_fillers",
 ]
@@ -116,8 +109,8 @@ class PlanInfo:
 
     Built once at compile time and memoized on
     :class:`~repro.core.engine.CompiledQuery` (shared through the plan
-    cache), so ``prepare_delta``/``prepare_shared``/``explain()`` and the
-    scheduler read verdicts instead of re-running analyses.
+    cache), so ``prepare_incremental``/``explain()`` and the scheduler
+    read verdicts instead of re-running analyses.
     """
 
     strategy: Strategy
@@ -127,11 +120,8 @@ class PlanInfo:
     fingerprint: str
     hoisted_calls: int = 0
     lowered_joins: int = 0
-    delta: Optional[DeltaAnalysis] = None
-    delta_reason: Optional[str] = None
-    shared: Optional[SharedAnalysis] = None
-    shared_reason: Optional[str] = None
-    routing: Optional[RoutingPredicate] = None
+    incremental: Optional[DeltaAnalysis] = None
+    incremental_reason: Optional[str] = None
     automaton: Optional[StreamAutomaton] = None
     automaton_reason: Optional[str] = None
     trace: list = field(default_factory=list)
@@ -291,91 +281,56 @@ class LowerValueJoinsPass(Pass):
         return module
 
 
-class DeltaSafetyPass(Pass):
-    """Classify the final plan as delta-safe or full-only (PR 3)."""
+class IncrementalPass(Pass):
+    """Classify the final plan as incremental or full-only, and split it.
 
-    name = "delta-safety"
+    One verdict: a delta-safe plan *is* its prefix/residual split (see
+    :func:`repro.core.optimizer.analyze_delta`), routing predicate
+    included — ``detail`` names the group it would evaluate in.
+    """
+
+    name = "incremental"
+    version = 2
     kind = "analysis"
 
     def run(self, module, info, options, engine):
         if options.backend != "compiled":
-            info.delta_reason = "interpreted backend stays full-scan"
-            info.record(PassTrace(self.name, False, detail=info.delta_reason))
+            info.incremental_reason = "interpreted backend stays full-scan"
+            info.record(PassTrace(self.name, False, detail=info.incremental_reason))
             return module
         analysis = analyze_delta(module)
         if analysis.safe:
-            info.delta = analysis
-            info.record(PassTrace(self.name, True, detail=analysis.stream))
-        else:
-            info.delta_reason = analysis.reason
-            info.record(PassTrace(self.name, False, detail=analysis.reason))
-        return module
-
-
-class SharedSplitPass(Pass):
-    """Split delta-safe plans into shared prefix + residual (PR 4)."""
-
-    name = "shared-split"
-    kind = "analysis"
-
-    def run(self, module, info, options, engine):
-        if info.delta is None:
-            info.shared_reason = info.delta_reason
-            info.record(PassTrace(self.name, False, detail=info.delta_reason))
-            return module
-        analysis = analyze_shared(module, info.delta)
-        if analysis.safe:
-            info.shared = analysis
+            info.incremental = analysis
             info.record(
                 PassTrace(self.name, True, detail="/".join(str(k) for k in analysis.group_key))
             )
         else:
-            info.shared_reason = analysis.reason
+            info.incremental_reason = analysis.reason
             info.record(PassTrace(self.name, False, detail=analysis.reason))
         return module
 
 
-class RoutingPredicatePass(Pass):
-    """Promote the shared split's dispatch predicate to a plan annotation."""
-
-    name = "routing-predicate"
-    kind = "analysis"
-
-    def run(self, module, info, options, engine):
-        routing = info.shared.routing if info.shared is not None else None
-        if routing is None:
-            detail = (
-                "no literal leading conjunct" if info.shared is not None
-                else "plan is not shared-safe"
-            )
-            info.record(PassTrace(self.name, False, detail=detail))
-            return module
-        info.routing = routing
-        info.record(PassTrace(self.name, True, detail=routing.describe()))
-        return module
-
-
 class CompileStreamAutomatonPass(Pass):
-    """Compile the shared prefix into a streaming event automaton (PR 6).
+    """Compile the incremental prefix into a streaming event automaton (PR 6).
 
-    Gates on the shared-split verdict: only delta-safe, shared-safe plans
-    whose prefix is a downward-only path over the arriving filler wrappers
-    (and whose residual never navigates back up) get an automaton.  The
-    automaton lets the scheduler answer wakes from event-buffer captures
-    recorded at ingest (:meth:`repro.core.engine.XCQLEngine.feed_raw`)
-    instead of building wrapper DOMs per tick; any decline reason recorded
-    here is also the runtime's fallback explanation in ``explain``.
+    Gates on the ``incremental`` verdict: only plans whose prefix is a
+    downward-only path over the arriving filler wrappers (and whose
+    residual never navigates back up) get an automaton.  The automaton
+    lets the scheduler answer wakes from event-buffer captures recorded
+    at ingest (:meth:`repro.core.engine.XCQLEngine.feed_raw`) instead of
+    building wrapper DOMs per tick; any decline reason recorded here is
+    also the runtime's fallback explanation in ``explain``.
     """
 
     name = "compile-stream-automaton"
     kind = "analysis"
 
     def run(self, module, info, options, engine):
-        if info.shared is None:
-            info.automaton_reason = info.shared_reason or "plan is not shared-safe"
+        if info.incremental is None:
+            info.automaton_reason = info.incremental_reason
             info.record(PassTrace(self.name, False, detail=info.automaton_reason))
             return module
-        automaton, reason = compile_automaton(info.shared)
+        automaton, reason = compile_automaton(info.incremental)
         if automaton is None:
             info.automaton_reason = reason
             info.record(PassTrace(self.name, False, detail=reason))
@@ -392,9 +347,7 @@ def default_passes() -> list:
         HoistFillersPass(),
         LowerMergeJoinsPass(),
         LowerValueJoinsPass(),
-        DeltaSafetyPass(),
-        SharedSplitPass(),
-        RoutingPredicatePass(),
+        IncrementalPass(),
         CompileStreamAutomatonPass(),
     ]
 

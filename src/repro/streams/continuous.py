@@ -11,13 +11,17 @@ Result identity is the serialized form of each item, so a re-appearing
 answer (same account flagged again with identical content) is emitted only
 once; ``full`` mode re-emits everything each run.
 
-With ``incremental=True`` (the default) delta-safe plans — classified at
-compile time by the pipeline's ``delta-safety`` pass and read off
+With ``incremental=True`` (the default) delta-safe plans — classified and
+split at compile time by the pipeline's ``incremental`` pass and read off
 ``CompiledQuery.info`` (see :mod:`repro.core.pipeline`) — are not re-run
 over the whole store on every tick.  The query keeps its last result and a store
-watermark ``(seq, mutation_epoch)``; a re-evaluation then runs the
-compiled plan over only the fillers past the watermark and appends their
-tuples to the retained result.  Runtime guards fall back to a full
+watermark ``(seq, mutation_epoch)``; a re-evaluation is then *tuple source
+→ residual*: the binding tuples of the fillers past the watermark, run
+through the plan's residual, appended to the retained result.  The tuple
+source is the plan's prefix over those fillers — scanned by the query
+itself, or handed in by a :class:`~repro.streams.scheduler.QueryScheduler`
+that worked the window out once for the query's whole group (a query on
+its own is a group of one).  Runtime guards fall back to a full
 re-evaluation whenever the delta could diverge: after ``prune_before`` /
 ``clear`` / a Tag Structure swap (the mutation epoch moved), and when a
 non-event fragment id receives another version (the new version closes
@@ -39,13 +43,13 @@ from repro.fragments.tagstructure import TagType
 from repro.temporal.chrono import XSDateTime
 from repro.xquery.xdm import string_value
 
-__all__ = ["ContinuousQuery", "delta_applicable", "item_identity"]
+__all__ = ["ContinuousQuery", "DeltaWindow", "delta_applicable", "item_identity"]
 
 
 class ContinuousQuery:
     """One standing XCQL query over an engine's streams.
 
-    ``incremental`` enables the delta evaluation path for delta-safe
+    ``incremental`` enables the incremental evaluation path for delta-safe
     plans (full-scan plans are unaffected); ``seen_cap`` bounds the
     delta-emission dedup memory (``None`` = unbounded): when more than
     ``seen_cap`` distinct result identities have been emitted, the oldest
@@ -80,11 +84,11 @@ class ContinuousQuery:
         self.evaluations = 0
         self.skips = 0  # polls a scheduler decided not to re-evaluate
         self.full_runs = 0  # evaluations that re-scanned the whole store
-        self.delta_runs = 0  # evaluations served from the solo delta path
-        self.shared_runs = 0  # delta evaluations fed from a group's shared scan
+        self.delta_runs = 0  # incremental evaluations over the query's own scan
+        self.shared_runs = 0  # incremental evaluations fed by a scheduler's group
         self.emitted_total = 0
         self.seen_evictions = 0
-        self.last_mode: Optional[str] = None  # "full" | "delta" after a run
+        self.last_mode: Optional[str] = None  # "full" | "delta" | "shared"
         # Insertion-ordered so the cap evicts the oldest identity first.
         self._seen: dict[str, None] = {}
         self.last_result: list = []
@@ -110,27 +114,26 @@ class ContinuousQuery:
     def evaluate(
         self,
         now: Optional[XSDateTime] = None,
-        tuple_source: Optional[Callable[[int], Optional[tuple]]] = None,
+        tuple_source: Optional[Callable] = None,
     ) -> list:
         """Run the query at ``now`` and emit per the emission mode.
 
         Returns the emitted items (delta mode: the new ones only).
 
-        ``tuple_source`` is the scheduler's shared-evaluation hook: called
-        with this query's watermark sequence number, it returns the delta
-        window ``(fresh, applicable, tuples)`` its group already worked
-        out this tick — the fillers past that watermark on the plan's
-        source, the :func:`delta_applicable` verdict over
-        them, and the binding tuples this query's residual has to look at
-        (see :class:`repro.streams.scheduler.QueryScheduler`).  The query
-        then runs only its residual closure over those tuples instead of
-        its own delta scan.  ``tuples`` of ``None`` falls back to the solo
-        delta path; the watermark and epoch guards still run here, and the
-        applicability verdict is this module's own function of the store,
-        so sharing never changes what gets evaluated.
+        ``tuple_source`` is the scheduler's hook: called as
+        ``tuple_source(seq, context)`` with this query's watermark
+        sequence number and the wake's context getter, it returns the
+        binding tuples this query's residual has to look at — those the
+        fillers past that watermark bind on the plan's source, which the
+        query's group worked out once this tick — or ``None`` when those
+        fillers cannot be folded in (see :class:`DeltaWindow`).  Without
+        one the query scans its own window.  The watermark and epoch
+        guards run here either way, and the window is this module's own
+        function of the store, so sharing never changes what gets
+        evaluated.
         """
         self.evaluations += 1
-        result = self._evaluate_delta(now, tuple_source) if self.incremental else None
+        result = self._evaluate_incremental(now, tuple_source) if self.incremental else None
         if result is None:
             result = self.engine.execute(self.compiled, now=now)
             self.full_runs += 1
@@ -164,18 +167,19 @@ class ContinuousQuery:
                 subscriber(fresh)
         return fresh
 
-    # -- the delta driver -----------------------------------------------------------
+    # -- the incremental driver: tuple source -> residual -----------------------------
 
-    def _evaluate_delta(
-        self,
-        now: Optional[XSDateTime],
-        tuple_source: Optional[Callable[[int], Optional[tuple]]] = None,
+    def _plan_and_store(self) -> tuple:
+        """The query's incremental plan and the store it reads, if both exist."""
+        plan = self.engine.prepare_incremental(self.compiled)
+        store = self.engine.stores.get(plan.stream) if plan is not None else None
+        return plan, store
+
+    def _evaluate_incremental(
+        self, now: Optional[XSDateTime], tuple_source: Optional[Callable]
     ) -> Optional[list]:
         """The incremental answer, or ``None`` to force a full run."""
-        delta = self.engine.prepare_delta(self.compiled)
-        if delta is None:
-            return None
-        store = self.engine.stores.get(delta.stream)
+        plan, store = self._plan_and_store()
         if store is None:
             return None
         if self._watermark is None:
@@ -186,53 +190,45 @@ class ContinuousQuery:
             # tuples may reference dropped or re-annotated versions.
             self._watermark = None
             return None
-        window = tuple_source(seq) if tuple_source is not None else None
-        if window is not None:
-            fresh, applicable, tuples = window
+        # One Context per wake, built on first use: the prefix scan (when
+        # this wake is the one that runs it) and the residual share it, and
+        # a wake left with no tuples builds none.
+        made: list = []
+
+        def context():
+            if not made:
+                made.append(self.engine.build_context(now=now))
+            return made[0]
+
+        if tuple_source is not None:
+            tuples = tuple_source(seq, context)
         else:
-            fresh = store.fillers_since(
-                seq, tsid=delta.tsid, filler_id=delta.filler_id
-            )
-            applicable = delta_applicable(store, delta.binds_versions, fresh)
-            tuples = None
-        if not applicable:
+            window = DeltaWindow(store, plan, seq)
+            if not window.applicable:
+                tuples = None
+            elif window.fresh:
+                tuples = window.scan(self.engine, context())
+            else:
+                tuples = []
+        if tuples is None:
             self._watermark = None
             return None
-        mode = "delta"
-        self._delta_items = []
-        if fresh:
-            shared = (
-                self.engine.prepare_shared(self.compiled)
-                if tuples is not None
-                else None
-            )
-            if shared is not None:
-                # No tuple for this query (none bound, or the group's
-                # predicate index pruned them all): the residual's driving
-                # ``for`` over nothing yields nothing — skip the context.
-                if tuples:
-                    self._delta_items = self.engine.execute_shared_residual(
-                        shared, tuples, now=now
-                    )
-                mode = "shared"
-            else:
-                # Wrapper construction (a DOM build over the batch) is
-                # deferred to this fallback branch: when the scheduler
-                # serves binding tuples — from a shared prefix scan or the
-                # streaming automaton host — no wrappers are needed at all.
-                # Memoized in the store so N same-watermark queries in a
-                # shared group build the wrapper batch once per tick.
-                _, wrappers = store.delta_batch(
-                    seq, tsid=delta.tsid, filler_id=delta.filler_id
-                )
-                self._delta_items = self.engine.execute_delta(delta, wrappers, now=now)
-            if self._delta_items:
-                self._retained = self._retained + self._delta_items
-        if mode == "shared":
+        # No tuple for this query (no arrivals, none bound, or the group's
+        # predicate index pruned them all): the residual's driving ``for``
+        # over nothing yields nothing.
+        self._delta_items = (
+            self.engine.execute_residual(plan, tuples, context=context())
+            if tuples
+            else []
+        )
+        if self._delta_items:
+            self._retained = self._retained + self._delta_items
+        if tuple_source is not None:
             self.shared_runs += 1
+            self.last_mode = "shared"
         else:
             self.delta_runs += 1
-        self.last_mode = mode
+            self.last_mode = "delta"
         self._watermark = store.watermark
         return list(self._retained)
 
@@ -240,10 +236,7 @@ class ContinuousQuery:
         """After a full run, reset the retained state and watermark."""
         if not self.incremental:
             return
-        delta = self.engine.prepare_delta(self.compiled)
-        if delta is None:
-            return
-        store = self.engine.stores.get(delta.stream)
+        _, store = self._plan_and_store()
         if store is None:
             return
         self._retained = list(result)
@@ -263,10 +256,7 @@ class ContinuousQuery:
         """
         if self._watermark is None:
             return
-        delta = self.engine.prepare_delta(self.compiled)
-        if delta is None:
-            return
-        store = self.engine.stores.get(delta.stream)
+        _, store = self._plan_and_store()
         if store is None:
             return
         seq, epoch = self._watermark
@@ -287,10 +277,11 @@ class ContinuousQuery:
 
         ``skips`` counts scheduler polls that decided the answer could not
         have changed (no dependent arrivals, clock irrelevant); a query
-        evaluated directly never accrues skips.  ``delta_runs`` of the
-        ``evaluations`` were served incrementally (``full_runs`` re-scanned
-        the store); ``seen_size``/``seen_evictions`` report the bounded
-        emission-dedup memory.
+        evaluated directly never accrues skips.  ``delta_runs`` +
+        ``shared_runs`` of the ``evaluations`` were served incrementally
+        (over the query's own scan / a scheduler's group window;
+        ``full_runs`` re-scanned the store); ``seen_size`` /
+        ``seen_evictions`` report the bounded emission-dedup memory.
         """
         return {
             "evaluations": self.evaluations,
@@ -310,6 +301,45 @@ class ContinuousQuery:
         )
 
 
+class DeltaWindow:
+    """The arrivals past one watermark on one incremental plan's source.
+
+    ``fresh`` is the arrival-ordered filler list, ``applicable`` the
+    :func:`delta_applicable` verdict over it, ``tuples`` the binding
+    tuples once somebody has produced them (:meth:`scan`, or a scheduler
+    answering from event captures) and ``partition`` a scheduler's
+    per-member split of them.  A function of the store and the plan's
+    source alone, so a scheduler builds one per group and watermark, not
+    one per member.
+    """
+
+    __slots__ = ("store", "plan", "seq", "fresh", "applicable", "tuples", "partition")
+
+    def __init__(self, store, plan, seq: int) -> None:
+        self.store = store
+        self.plan = plan
+        self.seq = seq
+        self.fresh = store.fillers_since(
+            seq, tsid=plan.tsid, filler_id=plan.filler_id
+        )
+        self.applicable = delta_applicable(store, plan.binds_versions, self.fresh)
+        self.tuples: Optional[list] = None
+        self.partition: Optional[dict] = None  # id(member) -> its sub-list
+
+    def scan(self, engine: XCQLEngine, context) -> list:
+        """Bind the window's tuples: the plan's prefix over wrapper DOMs.
+
+        The wrapper batch (a DOM build over ``fresh``) is memoized in the
+        store, so windows of different groups over one source at one
+        watermark build it once per tick.
+        """
+        _, wrappers = self.store.delta_batch(
+            self.seq, tsid=self.plan.tsid, filler_id=self.plan.filler_id
+        )
+        self.tuples = engine.execute_prefix(self.plan, wrappers, context)
+        return self.tuples
+
+
 def delta_applicable(store, binds_versions: bool, fresh: list) -> bool:
     """Runtime guards the static analysis cannot decide.
 
@@ -323,9 +353,6 @@ def delta_applicable(store, binds_versions: bool, fresh: list) -> bool:
     Event lifespans are position-independent (``vtFrom = vtTo`` = own
     validTime), so shared event holes — many events reusing one
     filler id — stay on the delta path.
-
-    A function of the store and the plan's source alone, so a scheduler
-    asks once per shared group and watermark, not once per member.
     """
     counts: dict[int, int] = {}
     for filler in fresh:

@@ -16,14 +16,14 @@ core of that idea at query granularity:
 Two multi-query optimizations sit on top (the many-standing-queries
 regime of paper §2/§7):
 
-- **Shared group evaluation.**  Queries whose plan splits into an equal
-  shared prefix (the pipeline's ``shared-split`` pass — the verdict is
-  read off ``CompiledQuery.info``; see :mod:`repro.core.pipeline`) are
-  grouped by ``(engine, stream, tsid, filler id, prefix source)``.  A poll
-  tick materializes each group's binding tuples *once* per distinct
-  watermark and hands them to every member's residual closure, so N
-  same-source queries cost one delta scan plus N cheap residuals instead
-  of N scans.
+- **Shared group evaluation.**  Incremental queries (the pipeline's
+  ``incremental`` pass — the verdict is read off ``CompiledQuery.info``;
+  see :mod:`repro.core.pipeline`) are grouped by ``(engine, stream, tsid,
+  filler id, prefix source)``.  A poll tick materializes each group's
+  binding tuples *once* per distinct watermark and hands them to every
+  member's residual closure, so N same-source queries cost one delta scan
+  plus N cheap residuals instead of N scans.  A query with nobody to
+  share with is a group of one: same window, same driver.
 - **Predicate routing.**  A query whose residual leads with a
   literal-comparable conjunct (``$t/amount > 50``) registers in a
   per-(stream, tsid) dispatch table.  An arriving filler batch is probed
@@ -54,16 +54,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from repro.core.engine import CompiledQuery, SharedPlan
+from repro.core.engine import CompiledQuery, IncrementalPlan
 from repro.core.optimizer import RoutingPredicate
 from repro.fragments.model import Filler
 from repro.fragments.tagstructure import TagType
-from repro.streams.continuous import ContinuousQuery, delta_applicable
+from repro.streams.continuous import ContinuousQuery, DeltaWindow
 from repro.streams.routing import TupleIndex, batch_supersedes, route_match
 from repro.temporal.chrono import XSDateTime
 from repro.xquery import xast
 
-__all__ = ["QueryDependencies", "dependencies_of", "QueryScheduler"]
+__all__ = ["QueryDependencies", "dependencies_of", "wake_route", "QueryScheduler"]
 
 ALL_TSIDS = "*"
 
@@ -141,24 +141,35 @@ def _literal(node: object):
     return None
 
 
-class _Window:
-    """One group's delta window at one watermark, worked out once a tick."""
+def wake_route(
+    plan: Optional[IncrementalPlan], dependencies: QueryDependencies
+) -> Optional[tuple[str, int]]:
+    """The ``(stream, tsid)`` a query's wake probe may be keyed on, if any.
 
-    __slots__ = ("fresh", "applicable", "tuples", "partition")
-
-    def __init__(self, fresh: list, applicable: bool) -> None:
-        self.fresh = fresh
-        self.applicable = applicable
-        self.tuples: Optional[list] = None  # the group's binding tuples
-        self.partition: Optional[dict] = None  # id(entry) -> its sub-list
+    Probing arrivals against the plan's routing predicate decides the
+    wake only when the routed ``(stream, tsid)`` is everything the query
+    can observe: broader dependencies (or the clock) keep the broadcast
+    wake — routing a query that can also see other arrivals would be
+    unsound.  The in-process index and the sharded front door both ask
+    here.
+    """
+    if (
+        plan is not None
+        and plan.routing is not None
+        and plan.tsid is not None
+        and dependencies.streams == frozenset({(plan.stream, plan.tsid)})
+        and not dependencies.time_sensitive
+    ):
+        return plan.stream, plan.tsid
+    return None
 
 
 @dataclass(eq=False)
 class _Entry:
     query: ContinuousQuery
     dependencies: QueryDependencies
-    shared: Optional[SharedPlan] = None
-    group_key: Optional[tuple] = None  # (id(engine), *SharedPlan.group_key)
+    plan: Optional[IncrementalPlan] = None
+    group_key: Optional[tuple] = None  # (id(engine), *IncrementalPlan.group_key)
     route_key: Optional[tuple] = None  # (stream, tsid) when wake-routed
     routing: Optional[RoutingPredicate] = None  # set whenever routing is on
     automaton: Optional[object] = None  # compile-stream-automaton verdict
@@ -171,12 +182,12 @@ class _Entry:
     evaluations: int = 0
     skips: int = 0
     full_runs: int = 0    # evaluations that re-scanned the whole store
-    delta_runs: int = 0   # evaluations served by the solo incremental path
-    shared_runs: int = 0  # evaluations fed from the group's shared scan
+    delta_runs: int = 0   # incremental evaluations over the query's own scan
+    shared_runs: int = 0  # incremental evaluations fed from a group window
     routing_wakes: int = 0
     routing_skips: int = 0
     automaton_runs: int = 0       # wakes answered from event captures
-    automaton_fallbacks: int = 0  # declines that took the DOM delta path
+    automaton_fallbacks: int = 0  # declines that took the DOM prefix scan
 
 
 class QueryScheduler:
@@ -184,20 +195,20 @@ class QueryScheduler:
 
     Pass ``engine`` (or call :meth:`watch_engine`) to receive arrival
     notifications automatically from every :meth:`XCQLEngine.feed` — no
-    hand-plumbed ``notify_arrival`` calls.  Queries the scheduler does run
-    use their own incremental (delta) path when their plan is delta-safe;
-    :meth:`poll` records per query whether the run was shared, a solo
-    delta, a full re-evaluation, or a skip.
+    hand-plumbed ``notify_arrival`` calls.  An incremental query the
+    scheduler runs is handed its group's delta window; :meth:`poll` records
+    per query whether the run was incremental (``shared``), a full
+    re-evaluation, or a skip.
 
-    ``share_groups`` enables the shared prefix evaluation for groups of ≥2
-    same-prefix queries; ``routing`` enables the predicate routing index;
+    ``share_groups`` lets same-prefix queries share one window per tick
+    (off: every query is a group of one and scans for itself);
+    ``routing`` enables the predicate routing index;
     ``stream_automata`` lets automaton-compiled plans answer wakes from
     the engine's :class:`~repro.core.engine.AutomatonHost` event captures
     (recorded by ``feed_raw``) before touching any wrapper DOM — a decline
-    falls back to the shared scan or solo delta path, so results are
-    identical either way.  All default on and only ever *reduce* work —
-    disabling them restores the earlier behaviour (the A11/A12 baseline
-    arms).
+    falls back to the prefix scan, so results are identical either way.
+    All default on and only ever *reduce* work — disabling them restores
+    the earlier behaviour (the A11/A12 baseline arms).
     """
 
     def __init__(self, engine=None, share_groups: bool = True,
@@ -216,7 +227,7 @@ class QueryScheduler:
         # Per-tick cache of delta windows (fresh fillers, applicability,
         # binding tuples, per-member partition), keyed
         # (group key, member watermark, store seq, store epoch).
-        self._tick_windows: dict[tuple, _Window] = {}
+        self._tick_windows: dict[tuple, DeltaWindow] = {}
         self._notifications = 0
         self._tuple_probes = 0
         self._tuples_pruned = 0
@@ -235,48 +246,31 @@ class QueryScheduler:
     def add(self, query: ContinuousQuery) -> QueryDependencies:
         """Track a continuous query; returns its derived dependencies.
 
-        Shared-safe queries join their prefix group; those whose residual
+        Incremental queries join their prefix group; those whose residual
         carries a routable predicate are filed in the group's tuple
-        dispatch index, and those whose dependencies are exactly one
-        concrete ``(stream, tsid)`` also register for the wake probe
-        (broader dependencies keep the broadcast wake — routing a
-        query that can also observe other arrivals would be unsound).
+        dispatch index, and those :func:`wake_route` admits also register
+        for the wake probe.
         """
         dependencies = dependencies_of(query.compiled)
         entry = _Entry(query, dependencies)
-        shared = query.engine.prepare_shared(query.compiled)
-        if shared is not None:
-            entry.shared = shared
-            entry.group_key = (id(query.engine),) + shared.group_key
+        plan = query.engine.prepare_incremental(query.compiled)
+        if plan is not None:
+            entry.plan = plan
+            entry.group_key = (id(query.engine),) + plan.group_key
             self._groups.setdefault(entry.group_key, []).append(entry)
-            # The dispatch predicate is a compile-time pipeline
-            # annotation (the routing-predicate pass) carried on
-            # CompiledQuery.info.
-            info = query.compiled.info
-            if (
-                self.stream_automata
-                and info is not None
-                and getattr(info, "automaton", None) is not None
-            ):
+            automaton = query.compiled.info.automaton
+            if self.stream_automata and automaton is not None:
                 # The compile-stream-automaton verdict: wakes try the
-                # engine's capture host first (works for solo queries
-                # too — the automaton replaces the delta scan itself,
-                # not just the group's sharing of it).
-                entry.automaton = info.automaton
-                query.engine.automaton_host.register(info.automaton)
-            routing = info.routing if info is not None else shared.routing
-            if self.routing and routing is not None:
-                entry.routing = routing
+                # engine's capture host before the prefix scan.
+                entry.automaton = automaton
+                query.engine.automaton_host.register(automaton)
+            if self.routing and plan.routing is not None:
+                entry.routing = plan.routing
                 index = self._indexes.get(entry.group_key) or TupleIndex()
-                if index.add(entry, routing):
+                if index.add(entry, plan.routing):
                     self._indexes[entry.group_key] = index
-                if (
-                    shared.tsid is not None
-                    and dependencies.streams
-                    == frozenset({(shared.stream, shared.tsid)})
-                    and not dependencies.time_sensitive
-                ):
-                    entry.route_key = (shared.stream, shared.tsid)
+                entry.route_key = wake_route(plan, dependencies)
+                if entry.route_key is not None:
                     self._routes.setdefault(entry.route_key, []).append(entry)
         self._entries.append(entry)
         return dependencies
@@ -284,9 +278,8 @@ class QueryScheduler:
     def remove(self, query: ContinuousQuery) -> bool:
         """Stop tracking a query; returns whether it was tracked.
 
-        Group co-members simply shrink their group (a group of one falls
-        back to solo delta evaluation); the wake probe and the group's
-        tuple index forget the query's predicate.
+        Group co-members simply shrink their group; the wake probe and the
+        group's tuple index forget the query's predicate.
         """
         for entry in self._entries:
             if entry.query is query:
@@ -487,89 +480,77 @@ class QueryScheduler:
     def _tuple_source_for(self, entry: _Entry) -> Optional[Callable]:
         """The entry's delta-window hook for this tick, or ``None``.
 
-        The hook answers ``(fresh, applicable, tuples)`` for the member's
-        watermark (see :meth:`ContinuousQuery.evaluate`).  Two tuple
-        producers hide behind it, tried in order:
+        The hook answers the binding tuples past the member's watermark
+        (see :meth:`ContinuousQuery.evaluate`).  Two tuple producers hide
+        behind it, tried in order:
 
         1. the engine's automaton host — event captures recorded at
-           ``feed_raw`` ingest answer the wake with zero DOM work (any
-           entry with a compiled automaton, even solo);
-        2. the group's shared prefix scan — only groups with ≥2 members
-           (a solo member's prefix run would just re-spell its own delta
-           scan).
+           ``feed_raw`` ingest answer the wake with zero DOM work;
+        2. the plan's prefix scan over the window's wrapper DOMs, which
+           every automaton decline falls back to.
 
-        Everything is keyed by the member's watermark, so members at
-        equal watermarks — the steady state under a scheduler — share one
-        fresh-filler scan, one applicability verdict, one tuple
+        Windows are keyed by the group and the member's watermark, so
+        members at equal watermarks — the steady state under a scheduler —
+        share one fresh-filler scan, one applicability verdict, one tuple
         materialization and one pass of the group's predicate index per
         tick, regardless of which producer made the tuples; a member that
         was skipped for a while simply pays one catch-up run for its
         older watermark.  The member receives the sub-list of tuples its
         leading predicate can accept (all of them when it has none, or
-        ``routing`` is off).  ``tuples`` of ``None`` falls back to the
-        member's own solo delta path; the watermark and epoch guards run
-        in :class:`~repro.streams.continuous.ContinuousQuery`, so neither
+        ``routing`` is off).  With ``share_groups`` off every member keys
+        its own windows and takes all their tuples.  The watermark and
+        epoch guards run in
+        :class:`~repro.streams.continuous.ContinuousQuery`, so neither
         producer can change what gets evaluated.
         """
-        if entry.shared is None:
+        plan = entry.plan
+        if plan is None:
             return None
-        shared = entry.shared
         engine = entry.query.engine
-        store = engine.stores.get(shared.stream)
+        store = engine.stores.get(plan.stream)
         if store is None:
             return None
         automaton = entry.automaton
-        members = self._groups.get(entry.group_key, []) if self.share_groups else []
-        group_shared = len(members) >= 2
-        if automaton is None and not group_shared:
-            return None
-        index = self._indexes.get(entry.group_key)
+        group = entry.group_key if self.share_groups else id(entry)
+        index = self._indexes.get(entry.group_key) if self.share_groups else None
 
-        def source(watermark_seq: int) -> tuple:
-            key = (entry.group_key, watermark_seq, store.seq, store.mutation_epoch)
+        def source(watermark_seq: int, context: Callable) -> Optional[list]:
+            key = (group, watermark_seq, store.seq, store.mutation_epoch)
             window = self._tick_windows.get(key)
             if window is None:
-                fresh = store.fillers_since(
-                    watermark_seq, tsid=shared.tsid, filler_id=shared.filler_id
+                window = self._tick_windows[key] = DeltaWindow(
+                    store, plan, watermark_seq
                 )
-                window = self._tick_windows[key] = _Window(
-                    fresh, delta_applicable(store, shared.binds_versions, fresh)
-                )
-            fresh = window.fresh
-            if not window.applicable or not fresh:
-                return fresh, window.applicable, None
+            if not window.applicable:
+                return None
+            if not window.fresh:
+                return []
             if window.tuples is not None:
                 self._prefix_reuses += 1
             else:
-                tuples = None
                 if automaton is not None:
-                    tuples = engine.automaton_host.answer(automaton, fresh, store)
-                    if tuples is not None:
+                    window.tuples = engine.automaton_host.answer(
+                        automaton, window.fresh, store
+                    )
+                    if window.tuples is not None:
                         entry.automaton_runs += 1
                         self._automaton_runs += 1
                     else:
                         entry.automaton_fallbacks += 1
                         self._automaton_fallbacks += 1
-                        if not group_shared:
-                            # solo fallback: the member's own delta scan
-                            return fresh, True, None
-                if tuples is None:
-                    _, wrappers = store.delta_batch(
-                        watermark_seq, tsid=shared.tsid, filler_id=shared.filler_id
-                    )
-                    tuples = engine.execute_shared_prefix(shared, wrappers)
+                if window.tuples is None:
+                    window.scan(engine, context())
                     self._prefix_runs += 1
-                window.tuples = tuples
                 if index is not None:
-                    window.partition = index.partition(tuples)
-                    self._tuple_probes += index.shapes * len(tuples)
+                    window.partition = index.partition(window.tuples)
+                    self._tuple_probes += index.shapes * len(window.tuples)
             tuples = window.tuples
             if window.partition is not None:
                 accepted = window.partition.get(id(entry))
                 if accepted is not None:
                     self._tuples_pruned += len(tuples) - len(accepted)
-                    return fresh, True, accepted
-            return fresh, True, tuples
+                    return accepted
+            return tuples
 
         return source
 

@@ -15,7 +15,7 @@ Why partition-by-filler is sound
 --------------------------------
 
 Only *delta-safe* queries are admitted (``add_query`` raises otherwise,
-quoting the pipeline's ``delta_reason``).  Delta safety means the plan is
+quoting the pipeline's ``incremental_reason``).  Delta safety means the plan is
 a single-stream, downward-only, order-insensitive FLWOR whose answer is
 a union of per-tuple contributions — PR 3's incremental driver already
 relies on exactly this to fold arrival batches in one at a time.  The
@@ -117,7 +117,7 @@ from repro.streams import netproto as proto
 from repro.streams.compression import TagCodec
 from repro.streams.continuous import ContinuousQuery, item_identity
 from repro.streams.routing import route_match
-from repro.streams.scheduler import QueryScheduler, dependencies_of
+from repro.streams.scheduler import QueryScheduler, dependencies_of, wake_route
 from repro.streams.transport import (
     FILLER,
     TAG_STRUCTURE,
@@ -204,7 +204,7 @@ class _FrontRoute:
         self.stream = stream
         self.dependencies = dependencies
         self.route_key = route_key  # (stream, tsid) when routable
-        self.predicate = predicate
+        self.predicate = predicate  # probed only under a route_key
 
 
 # -- the worker side ---------------------------------------------------------------
@@ -1102,36 +1102,21 @@ class ShardedEngine:
         """
         self._check_open()
         compiled = self._local.compile(source, strategy)
-        if self._local.prepare_delta(compiled) is None:
+        plan = self._local.prepare_incremental(compiled)
+        if plan is None:
             raise ValueError(
                 "query is not delta-safe, so its answer is not a partition "
-                f"union and cannot be sharded: {compiled.delta_reason}"
+                "union and cannot be sharded: "
+                f"{compiled.info.incremental_reason}"
             )
         dependencies = dependencies_of(compiled)
-        delta = self._local.prepare_delta(compiled)
-        shared = self._local.prepare_shared(compiled)
-        route_key = None
-        predicate = None
-        if shared is not None:
-            info = compiled.info
-            routing = info.routing if info is not None else shared.routing
-            # Same gates as QueryScheduler.add: routing is sound only when
-            # the routed (stream, tsid) is the query's sole dependency.
-            if (
-                routing is not None
-                and shared.tsid is not None
-                and dependencies.streams
-                == frozenset({(shared.stream, shared.tsid)})
-                and not dependencies.time_sensitive
-            ):
-                route_key = (shared.stream, shared.tsid)
-                predicate = routing
+        route_key = wake_route(plan, dependencies)
         qid = self._next_qid
         self._next_qid += 1
-        query = ShardedQuery(qid, source, strategy, emit, delta.stream)
+        query = ShardedQuery(qid, source, strategy, emit, plan.stream)
         self._queries[qid] = query
         self._fronts[qid] = _FrontRoute(
-            delta.stream, dependencies, route_key, predicate
+            plan.stream, dependencies, route_key, plan.routing
         )
         for index in range(self.shard_count):
             self._post(index, ("add_query", qid, source, strategy.value, emit))
@@ -1182,8 +1167,7 @@ class ShardedEngine:
             target = self._home(name, int(filler.filler_id))
             self._pin_holes(name, target, filler.hole_ids())
             buckets.setdefault(target, []).append(filler)
-            key = (name, int(filler.filler_id))
-            self._version_counts[key] = self._version_counts.get(key, 0) + 1
+            self._count_version(name, int(filler.filler_id), int(filler.tsid))
         value_cache: dict = {}
         for target, batch in sorted(buckets.items()):
             envelopes = [filler.to_xml() for filler in batch]
@@ -1231,8 +1215,7 @@ class ShardedEngine:
             filler_id, tsid, holes = peek_filler(payload)
             target = self._home(name, filler_id)
             self._pin_holes(name, target, holes)
-            key = (name, filler_id)
-            self._version_counts[key] = self._version_counts.get(key, 0) + 1
+            self._count_version(name, filler_id, tsid)
             buckets.setdefault(target, []).append(payload)
             tsids.setdefault(target, set()).add(tsid)
         for target, batch in sorted(buckets.items()):
@@ -1244,6 +1227,20 @@ class ShardedEngine:
                 self._dirty.add(target)
         self._fed += len(payloads)
         return len(payloads)
+
+    def _count_version(self, stream: str, filler_id: int, tsid: int) -> None:
+        """Count one forwarded version of a fragment for the supersede wake.
+
+        :meth:`_wakes` consults the count only for non-event tags, and each
+        live event is a fragment of its own: counting a tsid the Tag
+        Structure types as an event would grow the table by an entry per
+        envelope for ever.  An unknown tsid reads as temporal and is
+        counted.
+        """
+        if self._local.stores[stream].tag_type_of(tsid) is TagType.EVENT:
+            return
+        key = (stream, filler_id)
+        self._version_counts[key] = self._version_counts.get(key, 0) + 1
 
     def _home(self, stream: str, filler_id: int) -> int:
         pinned = self._homes.get((stream, filler_id))

@@ -70,21 +70,18 @@ class StreamAutomaton:
         return f"tsid={self.tsid} {self.source}"
 
 
-def compile_automaton(shared) -> tuple[Optional[StreamAutomaton], str]:
-    """Compile a :class:`SharedAnalysis` prefix into an event automaton.
+def compile_automaton(analysis) -> tuple[Optional[StreamAutomaton], str]:
+    """Compile a :class:`DeltaAnalysis` prefix into an event automaton.
 
     Returns ``(automaton, "")`` on success or ``(None, reason)`` when the
     prefix cannot be evaluated purely over events.  The gates are
     conservative: anything that could bind a non-element node, a node
     outside the payload subtree, or the synthesized wrapper itself falls
-    back to the DOM delta driver.
+    back to the DOM prefix scan.
     """
-    if shared is None or not shared.safe:
-        return None, "plan is not shared-safe"
-    delta = shared.delta
-    if delta is None or delta.tsid is None:
+    if analysis.tsid is None:
         return None, "driving access is not tsid-indexed"
-    prefix = shared.prefix_expr
+    prefix = analysis.prefix_module.body
     if not isinstance(prefix, xast.PathExpr):
         return None, "shared prefix is not a path expression"
     base = prefix.base
@@ -103,14 +100,14 @@ def compile_automaton(shared) -> tuple[Optional[StreamAutomaton], str]:
     first = steps[0]
     if first.axis == "descendant-or-self" and first.test in ("filler", "*"):
         return None, "prefix may bind the synthesized filler wrapper"
-    if _navigates_upward(shared.residual_module):
+    if _navigates_upward(analysis.residual_module):
         # Automaton captures are detached subtrees: a residual that walks
         # parent:: out of its binding tuple would see the filler wrapper on
         # the DOM path but nothing here, so such plans keep the DOM driver.
         return None, "residual navigates above its binding tuples"
     automaton = StreamAutomaton(
-        stream=delta.stream,
-        tsid=int(delta.tsid),
+        stream=analysis.stream,
+        tsid=int(analysis.tsid),
         steps=tuple(StepSpec(step.axis, step.test) for step in steps),
         source=xast.to_source(prefix),
     )

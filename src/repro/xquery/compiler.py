@@ -85,7 +85,6 @@ __all__ = [
     "compile_module",
     "compile_expr",
     "compile_delta_plan",
-    "bind_free_var",
 ]
 
 Plan = Callable[[Context], list]
@@ -167,35 +166,20 @@ def compile_expr(expr: xast.Expr) -> Plan:
 
 
 def compile_delta_plan(module: xast.Module, var: str) -> Callable:
-    """Compile a delta module into ``plan(ctx, wrappers) -> list``.
+    """Compile one half of an incremental plan into ``run(ctx, values) -> list``.
 
-    ``module`` is a delta-rewritten plan (see
-    :func:`repro.core.optimizer.analyze_delta`) whose driving stream access
-    has been replaced by ``$var``; the returned callable binds the
-    just-arrived filler wrappers to that variable and runs the ordinary
-    compiled plan over them.  Because the closure pipeline is source-
-    agnostic, the delta path reuses every existing stage — steps,
-    predicates, joins, constructors — unchanged; only the driving
-    sequence shrinks from the whole store to the batch.
-
-    The same mechanism drives shared multi-query evaluation: a residual
-    module (see :func:`repro.core.optimizer.analyze_shared`) compiles here
-    with ``var`` set to the shared binding variable, so the residual runs
-    against the *materialized tuples* a group's prefix produced instead of
-    re-walking the wrappers per member query.
+    ``module`` is the prefix or the residual module of a delta-safe plan
+    (see :func:`repro.core.optimizer.analyze_delta`), whose driving
+    sequence has been replaced by ``$var``; the returned callable binds
+    ``values`` to that variable and runs the ordinary compiled plan over
+    them — just-arrived filler wrappers in and binding tuples out for the
+    prefix, binding tuples in and result items out for the residual.
+    Because the closure pipeline is source-agnostic, the incremental path
+    reuses every existing stage — steps, predicates, joins, constructors —
+    unchanged; only the driving sequence shrinks from the whole store to
+    the batch.
     """
-    return bind_free_var(compile_module(module), var)
-
-
-def bind_free_var(plan: Callable, var: str) -> Callable:
-    """Wrap a compiled plan as ``run(ctx, values) -> list``.
-
-    ``values`` is bound to ``$var`` for the duration of the call — the
-    generic "plan with one free variable" adapter behind both the delta
-    driver (wrappers in) and the shared prefix/residual split (prefix:
-    wrappers in, binding tuples out; residual: binding tuples in, result
-    items out).
-    """
+    plan = compile_module(module)
 
     def run(ctx: Context, values: list) -> list:
         ctx.variables[var] = list(values)

@@ -36,7 +36,7 @@ from repro.streams.continuous import ContinuousQuery, item_identity
 from repro.streams.routing import TupleIndex, index_shape, probe_number, route_match
 from repro.streams.scheduler import QueryScheduler
 from repro.temporal.chrono import XSDateTime
-from repro.xquery.errors import XQueryTypeError
+from repro.xquery.errors import XQueryError, XQueryTypeError
 from repro.xquery.xdm import general_compare, to_number
 
 STRUCTURE_XML = """
@@ -144,8 +144,8 @@ class TestProbeKernel:
         engine = make_engine()
         exact = engine.compile(whole("$s/price > 9007199254740992"), Strategy.QAC_PLUS)
         inexact = engine.compile(whole("$s/price > 9007199254740993"), Strategy.QAC_PLUS)
-        assert exact.info.routing is not None
-        assert inexact.info.routing is None
+        assert exact.info.incremental.routing is not None
+        assert inexact.info.incremental.routing is None
 
 
 # -- the index, against the interpreter's comparison -------------------------------------
@@ -455,7 +455,7 @@ class TestDifferential:
 
 class TestErrorsAreNotHidden:
     def _raises(self, run) -> tuple:
-        with pytest.raises(XQueryTypeError) as caught:
+        with pytest.raises(XQueryError) as caught:
             run()
         return type(caught.value), str(caught.value)
 
@@ -470,6 +470,11 @@ class TestErrorsAreNotHidden:
             # a value comparison over a two-item operand
             ([whole("$s/price gt 15"), whole("$s/price gt 40")],
              [(101, 1, sale_xml(1, ["20"])), (102, 2, sale_xml(2, ["1", "2"]))]),
+            # a clause before the `where` that raises for a tuple the
+            # literal predicate would have pruned
+            (['for $s in stream("s")//sale let $d := xs:dateTime($s/@seq) '
+              "where $s/price > 50 return <hit>{$s/@seq}</hit>"],
+             [(101, 1, sale_xml(1, ["10"]))]),
         ],
     )
     def test_every_arm_raises_the_same_type_error(self, sources, batch, raw):
@@ -520,8 +525,8 @@ class TestSurface:
             scheduler.add(query)
         scheduler.poll(NOW)
         calls = []
-        residual = engine.execute_shared_residual
-        engine.execute_shared_residual = lambda *a, **k: calls.append(a) or residual(*a, **k)
+        residual = engine.execute_residual
+        engine.execute_residual = lambda *a, **k: calls.append(a) or residual(*a, **k)
         engine.feed_raw("s", [sale(101, 1, sale_xml(1, ["20"])).to_xml()])
         out = scheduler.poll(NOW)
         assert len(out[low]) == 1 and out[high] == []

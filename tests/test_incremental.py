@@ -248,15 +248,15 @@ class TestDeltaAnalysis:
     def test_interpreted_backend_has_no_delta_plan(self):
         engine = make_engine()
         compiled = engine.compile(EVENT_QUERY, Strategy.QAC_PLUS, backend="interpreted")
-        assert engine.prepare_delta(compiled) is None
-        assert "interpreted" in compiled.delta_reason
+        assert engine.prepare_incremental(compiled) is None
+        assert "interpreted" in compiled.info.incremental_reason
 
     def test_explain_reports_delta_verdict(self):
         engine = make_engine()
-        assert engine.explain(EVENT_QUERY, Strategy.QAC_PLUS)["delta_safe"] is True
+        assert engine.explain(EVENT_QUERY, Strategy.QAC_PLUS)["incremental"] is True
         plan = engine.explain('count(stream("s")//txn)', Strategy.QAC_PLUS)
-        assert plan["delta_safe"] is False
-        assert plan["delta_reason"]
+        assert plan["incremental"] is False
+        assert plan["incremental_reason"]
 
 
 class TestDeltaDifferential:
@@ -435,12 +435,12 @@ class TestAutomaticArrivalWiring:
         engine.feed("s", [txn(1, 0, 80)])
         scheduler.poll(stamp(1))   # first run: full baseline
         engine.feed("s", [txn(2, 1, 90)])
-        scheduler.poll(stamp(2))   # delta
+        scheduler.poll(stamp(2))   # incremental: a scheduled run is "shared"
         scheduler.poll(stamp(3))   # skip (no arrivals)
         stats = scheduler.stats()
         assert stats["full_runs"] == 1
-        assert stats["delta_runs"] == 1
+        assert stats["shared_runs"] == 1 and stats["delta_runs"] == 0
         assert stats["skips"] == 1
         per_query = stats["queries"][0]
-        assert per_query["delta_runs"] == 1
+        assert per_query["shared_runs"] == 1
         assert per_query["full_runs"] == 1

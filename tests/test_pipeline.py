@@ -45,9 +45,7 @@ PASS_NAMES = [
     "hoist-fillers",
     "lower-merge-joins",
     "lower-value-joins",
-    "delta-safety",
-    "shared-split",
-    "routing-predicate",
+    "incremental",
     "compile-stream-automaton",
 ]
 
@@ -132,10 +130,8 @@ class TestGoldenTraces:
         assert not trace["hoist-fillers"].fired
         assert trace["hoist-fillers"].detail == "optimize=False"
         assert not trace["lower-merge-joins"].fired
-        assert not trace["delta-safety"].fired
-        assert trace["delta-safety"].detail == "body is not a simple FLWOR"
-        assert not trace["shared-split"].fired
-        assert not trace["routing-predicate"].fired
+        assert not trace["incremental"].fired
+        assert trace["incremental"].detail == "body is not a simple FLWOR"
 
     def test_hoisted_query(self, credit_engine):
         source = PAPER_QUERIES["credit_q1"]
@@ -163,7 +159,7 @@ class TestGoldenTraces:
         assert nested.merge_joins == 0
         off = trace_by_name(nested)
         assert off["lower-value-joins"].detail == "merge joins disabled or interpreted backend"
-        assert trace["delta-safety"] == off["delta-safety"]
+        assert trace["incremental"] == off["incremental"]
         assert compiled.translated_source == nested.translated_source
 
     @pytest.mark.parametrize("condition", sorted(DECLINED_VALUE_JOINS))
@@ -184,19 +180,17 @@ class TestGoldenTraces:
         lowered = engine.compile(source, Strategy.QAC_PLUS)
         nested = engine.compile(source, Strategy.QAC_PLUS, merge_joins=False)
         assert (lowered.merge_joins, nested.merge_joins) == (1, 0)
-        assert lowered.info.delta is not None and nested.info.delta is not None
-        assert lowered.info.shared.group_key == nested.info.shared.group_key
+        assert lowered.info.incremental is not None
+        assert lowered.info.incremental.group_key == nested.info.incremental.group_key
 
     def test_delta_safe_shared_routed_query(self):
         compiled = event_engine().compile(EVENT_QUERY, Strategy.QAC_PLUS)
         trace = trace_by_name(compiled)
-        assert trace["delta-safety"].fired
-        assert compiled.info.delta is not None and compiled.info.delta.safe
-        assert trace["shared-split"].fired
-        assert compiled.info.shared is not None and compiled.info.shared.safe
-        assert trace["routing-predicate"].fired
-        assert compiled.info.routing is not None
-        assert trace["routing-predicate"].detail == compiled.info.routing.describe()
+        assert trace["incremental"].fired
+        plan = compiled.info.incremental
+        assert plan is not None and plan.safe
+        assert trace["incremental"].detail == "/".join(str(k) for k in plan.group_key)
+        assert plan.routing is not None
         assert trace["compile-stream-automaton"].fired
         assert compiled.info.automaton is not None
         assert trace["compile-stream-automaton"].detail == compiled.info.automaton.describe()
@@ -206,27 +200,26 @@ class TestGoldenTraces:
         trace = trace_by_name(compiled)
         assert not trace["compile-stream-automaton"].fired
         assert compiled.info.automaton is None
-        assert compiled.info.automaton_reason == compiled.info.shared_reason
+        assert compiled.info.automaton_reason == compiled.info.incremental_reason
 
     def test_interpreted_backend_keeps_legacy_reason(self):
         engine = event_engine()
         compiled = engine.compile(EVENT_QUERY, Strategy.QAC_PLUS, backend="interpreted")
         trace = trace_by_name(compiled)
-        assert not trace["delta-safety"].fired
-        assert trace["delta-safety"].detail == "interpreted backend stays full-scan"
+        assert not trace["incremental"].fired
+        assert trace["incremental"].detail == "interpreted backend stays full-scan"
         assert not trace["lower-merge-joins"].fired
-        assert engine.prepare_delta(compiled) is None
-        assert compiled.delta_reason == "interpreted backend stays full-scan"
+        assert engine.prepare_incremental(compiled) is None
+        assert compiled.info.incremental_reason == "interpreted backend stays full-scan"
 
     def test_annotations_drive_prepare_without_reanalysis(self):
         engine = event_engine()
         compiled = engine.compile(EVENT_QUERY, Strategy.QAC_PLUS)
-        delta = engine.prepare_delta(compiled)
-        shared = engine.prepare_shared(compiled)
-        assert delta is not None and delta.stream == "s"
-        assert shared is not None
-        assert shared.group_key == compiled.info.shared.group_key
-        assert shared.routing is compiled.info.shared.routing
+        plan = engine.prepare_incremental(compiled)
+        assert plan is not None and plan.stream == "s"
+        assert plan is engine.prepare_incremental(compiled)
+        assert plan.group_key == compiled.info.incremental.group_key
+        assert plan.routing is compiled.info.incremental.routing
 
 
 class TestExplainTrace:
@@ -244,8 +237,8 @@ class TestExplainTrace:
         # The pre-pipeline summary keys survive unchanged.
         for key in (
             "strategy", "translated", "depends_on", "time_sensitive",
-            "hoisted_calls", "delta_safe", "delta_reason", "shared_safe",
-            "shared_reason", "shared_group", "routing_predicate",
+            "hoisted_calls", "incremental", "incremental_reason",
+            "incremental_group", "routing_predicate",
         ):
             assert key in plan
 
@@ -393,7 +386,7 @@ class TestSourceLint:
         exempt = tmp_path / "core"
         exempt.mkdir()
         module = exempt / "pipeline.py"
-        module.write_text("from repro.core.optimizer import analyze_shared\n")
+        module.write_text("from repro.core.optimizer import analyze_delta\n")
         assert lint_sources([str(module)]) == []
 
     def test_benign_imports_pass(self, tmp_path):
@@ -489,7 +482,7 @@ class TestCLI:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert [entry["name"] for entry in report["passes"]] == PASS_NAMES
-        assert report["delta_safe"] is True
+        assert report["incremental"] is True
         assert len(report["fingerprint"]) == 12
 
     def test_explain_passes_show_the_value_join(self, snapshot, capsys):
@@ -550,6 +543,6 @@ class TestCLI:
         assert lint_main(["src"]) == 0
         assert "clean" in capsys.readouterr().out
         offender = tmp_path / "bad.py"
-        offender.write_text("from repro.core.optimizer import analyze_shared\n")
+        offender.write_text("from repro.core.optimizer import analyze_delta\n")
         assert lint_main([str(offender)]) == 1
         assert "pipeline-bypass" in capsys.readouterr().out

@@ -454,7 +454,7 @@ class TestWatermarkEpochs:
         engine.feed("credit", [self._txn(200, 9, 900)])
         emitted = scheduler.poll(self.NOW)[query]
         assert [item.string_value() for item in emitted] == ["900"]
-        assert query.stats()["delta_runs"] >= 1
+        assert query.stats()["shared_runs"] >= 1
 
     def test_prune_before_invalidates_cleared_seq(self):
         engine, scheduler, query = self._rig()

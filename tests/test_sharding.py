@@ -634,3 +634,75 @@ class TestClearingHouse:
             assert shard["link"]["kind"] == shard["kind"]
             # The merged automaton-host view travels with scheduler stats.
             assert "host" in shard["scheduler"]["automata"]
+
+
+MIXED_STRUCTURE_XML = """
+<stream:structure>
+  <tag type="snapshot" id="1" name="log">
+    <tag type="event" id="2" name="txn">
+      <tag type="snapshot" id="4" name="amount"/>
+    </tag>
+    <tag type="temporal" id="3" name="limit"/>
+  </tag>
+</stream:structure>
+"""
+
+
+def limit_filler(filler_id: int, hour: int, value: int) -> Filler:
+    content = Element("limit")
+    content.append(Text(str(value)))
+    return Filler(
+        filler_id=filler_id,
+        tsid=3,
+        valid_time=XSDateTime.parse(f"2003-01-01T{hour:02d}:00:00"),
+        content=content,
+    )
+
+
+class TestCoordinatorState:
+    """The front door's supersede table holds what `_wakes` can consult."""
+
+    def _engine(self):
+        engine = ShardedEngine(2, in_process=True)
+        engine.register_stream("log", TagStructure.from_xml(MIXED_STRUCTURE_XML))
+        return engine
+
+    def test_event_envelopes_leave_no_version_counts(self):
+        engine = self._engine()
+        try:
+            engine.add_query(
+                'for $t in stream("log")//txn where $t/amount > 50 '
+                "return <hit>{$t/amount/text()}</hit>"
+            )
+            engine.tick(NOW)
+            engine.feed("log", [txn_filler(i, 60) for i in range(40)])
+            engine.feed_raw(
+                "log", [txn_filler(i, 60).to_xml() for i in range(40, 80)]
+            )
+            assert engine._version_counts == {}
+            # A tsid the Tag Structure does not know may yet be non-event.
+            unknown = txn_filler(500, 60).to_xml().replace('tsid="2"', 'tsid="99"')
+            engine.feed_raw("log", [unknown])
+            assert engine._version_counts == {("log", 1500): 1}
+        finally:
+            engine.close()
+
+    def test_temporal_reversion_still_forces_the_supersede_wake(self):
+        source = 'for $l in stream("log")//limit where $l > 50 return $l'
+        engine = self._engine()
+        try:
+            query = engine.add_query(source)
+            engine.tick(NOW)
+            engine.feed("log", [limit_filler(7, 1, 80)])
+            assert any('vtTo="now"' in item for item in engine.tick(NOW)[query])
+            # 10 fails "> 50", but it closes version 80's open vtTo.
+            engine.feed("log", [limit_filler(7, 2, 10)])
+            assert engine._version_counts == {("log", 7): 2}
+            emitted = engine.tick(NOW)[query]
+            assert any('vtTo="2003-01-01T02:00:00"' in item for item in emitted)
+            # A predicate miss on a fresh temporal id still skips the poll.
+            before = engine.stats()["coordinator"]["dispatch_skips"]
+            engine.feed("log", [limit_filler(8, 3, 5)])
+            assert engine.stats()["coordinator"]["dispatch_skips"] == before + 1
+        finally:
+            engine.close()

@@ -2,11 +2,11 @@
 
 Three layers of guarantees:
 
-- **Analysis**: `analyze_shared` splits delta-safe plans into a shared
+- **Analysis**: `analyze_delta` splits delta-safe plans into a shared
   prefix and a per-query residual, groups equal prefixes, and extracts
   routable predicates exactly when sound.
-- **Execution**: prefix-then-residual equals the solo delta plan equals a
-  fresh full evaluation, byte for byte.
+- **Execution**: prefix-then-residual equals the unsplit plan over the
+  same wrappers equals a fresh full evaluation, byte for byte.
 - **Differential**: a scheduler with sharing + routing enabled emits and
   retains byte-identical results to a solo-delta scheduler and to an
   interpreted-backend re-evaluation, across random arrival orders, group
@@ -20,7 +20,7 @@ from datetime import datetime, timedelta
 
 from repro.core.engine import XCQLEngine
 from repro.core.optimizer import DELTA_VAR, SHARED_VAR
-from repro.core.pipeline import analyze_shared
+from repro.core.pipeline import analyze_delta
 from repro.core.translator import Strategy
 from repro.dom.parser import parse_document
 from repro.dom.serializer import serialize
@@ -30,6 +30,7 @@ from repro.streams.continuous import ContinuousQuery
 from repro.streams.scheduler import QueryScheduler
 from repro.temporal.chrono import XSDateTime
 from repro.xquery import xast
+from repro.xquery.compiler import compile_delta_plan
 
 STRUCTURE_XML = """
 <stream:structure>
@@ -85,14 +86,14 @@ def normalized(items) -> list[str]:
 def shared_of(source: str, strategy: Strategy = Strategy.QAC_PLUS):
     engine = make_engine()
     compiled = engine.compile(source, strategy)
-    return analyze_shared(compiled.translated)
+    return analyze_delta(compiled.translated)
 
 
 class TestSharedAnalysis:
     def test_split_shape(self):
         analysis = shared_of(EVENT_QUERY)
         assert analysis.safe
-        assert DELTA_VAR in xast.to_source(analysis.prefix_expr)
+        assert DELTA_VAR in xast.to_source(analysis.prefix_module)
         body = analysis.residual_module.body
         assert isinstance(body, xast.FLWOR)
         driver = body.clauses[0]
@@ -173,33 +174,45 @@ class TestSharedAnalysis:
     def test_unsafe_query_not_shared(self):
         engine = make_engine()
         compiled = engine.compile('count(stream("s")//txn)', Strategy.QAC_PLUS)
-        assert engine.prepare_shared(compiled) is None
-        assert compiled.shared_reason
+        assert engine.prepare_incremental(compiled) is None
+        assert compiled.info.incremental_reason
 
 
 class TestEngineSharedExecution:
     def test_prefix_plus_residual_equals_delta_and_direct(self):
         engine = make_engine()
         compiled = engine.compile(EVENT_QUERY, Strategy.QAC_PLUS)
-        shared = engine.prepare_shared(compiled)
-        assert shared is not None
+        plan = engine.prepare_incremental(compiled)
+        assert plan is not None
         engine.feed("s", [txn(100 + i, i, 30 + i * 10) for i in range(6)])
         store = engine.stores["s"]
-        _, wrappers = store.delta_batch(0, tsid=shared.tsid,
-                                        filler_id=shared.filler_id)
-        tuples = engine.execute_shared_prefix(shared, wrappers)
-        via_shared = engine.execute_shared_residual(shared, tuples)
-        delta = engine.prepare_delta(compiled)
-        via_delta = engine.execute_delta(delta, wrappers)
+        _, wrappers = store.delta_batch(0, tsid=plan.tsid,
+                                        filler_id=plan.filler_id)
+        tuples = engine.execute_prefix(plan, wrappers)
+        via_split = engine.execute_residual(plan, tuples)
+        # The unsplit plan over the same wrappers: the translated module
+        # with its stream access bound to the batch.
+        unsplit = compile_delta_plan(
+            xast.Module(
+                compiled.translated.functions,
+                xast.substitute(
+                    compiled.translated.body,
+                    compiled.translated.body.clauses[0].expr.base,
+                    xast.VarRef(DELTA_VAR),
+                ),
+            ),
+            DELTA_VAR,
+        )
+        via_unsplit = unsplit(engine.build_context(), wrappers)
         direct = engine.execute(EVENT_QUERY, Strategy.QAC_PLUS)
-        assert [serialize(x) for x in via_shared] == [serialize(x) for x in via_delta]
-        assert normalized(via_shared) == normalized(direct)
+        assert [serialize(x) for x in via_split] == [serialize(x) for x in via_unsplit]
+        assert normalized(via_split) == normalized(direct)
 
     def test_explain_reports_sharing(self):
         engine = make_engine()
         plan = engine.explain(EVENT_QUERY, Strategy.QAC_PLUS)
-        assert plan["shared_safe"]
-        assert plan["shared_group"] is not None
+        assert plan["incremental"]
+        assert plan["incremental_group"] is not None
         assert plan["routing_predicate"] == "txn[amount > 50.0]"
 
     def test_delta_batch_memoized(self):
@@ -427,6 +440,130 @@ class TestSharedDifferential:
         engine.feed("s", [limit(8, 3, 5)])
         sched.poll(stamp(3))
         assert sched.stats()["routing"]["skips"] == 1
+
+
+def _gated(threshold: int, tag: str) -> str:
+    """A plan whose driving path calls the prolog function ``small``."""
+    return (
+        f"define function small($t) {{ $t/amount <= {threshold} }} "
+        f'for $t in stream("s")//txn[not(small(.))] '
+        f"return <{tag}>{{$t/amount/text()}}</{tag}>"
+    )
+
+
+# Shapes whose scheduled runs used to leave the shared path: groups of one
+# (an event plan, a temporal plan), and plans whose driving path calls a
+# prolog function — the first two under one prolog, the third defining
+# another body under the same name.
+_SOLO_SOURCES = [EVENT_QUERY, LIMIT_QUERY, _gated(50, "p"), _gated(50, "q"), _gated(90, "r")]
+
+
+class SoloRig:
+    """One arrival script into four arms, each on its own engine.
+
+    ``scheduled``: every source under one default ``QueryScheduler``;
+    ``direct``: unscheduled incremental ``ContinuousQuery`` objects;
+    ``full``: ``incremental=False``; and, on the ``full`` engine, a fresh
+    ``engine.execute`` per comparison.
+    """
+
+    def __init__(self, sources: list[str]):
+        self.sources = sources
+        self.engines = [make_engine(), make_engine(), make_engine()]
+        self.scheduler = QueryScheduler(self.engines[0])
+        self.scheduled, self.direct, self.full = (
+            [ContinuousQuery(engine, source, Strategy.QAC_PLUS, incremental=incremental)
+             for source in sources]
+            for engine, incremental in zip(self.engines, (True, True, False))
+        )
+        for query in self.scheduled:
+            self.scheduler.add(query)
+        self.emitted = {}
+        for query in self.scheduled + self.direct + self.full:
+            sink = self.emitted[id(query)] = []
+            query.subscribe(lambda items, sink=sink: sink.extend(
+                serialize(i) for i in items))
+
+    def feed(self, fillers, raw: bool) -> None:
+        for engine in self.engines:
+            copies = [
+                Filler(f.filler_id, f.tsid, f.valid_time, f.content.copy())
+                for f in fillers
+            ]
+            if raw:
+                engine.feed_raw("s", [f.to_xml() for f in copies])
+            else:
+                engine.feed("s", copies)
+
+    def tick(self, now: XSDateTime) -> None:
+        self.scheduler.poll(now)
+        for query in self.direct + self.full:
+            query.evaluate(now)
+
+    def assert_identical(self) -> None:
+        for scheduled, direct, full in zip(self.scheduled, self.direct, self.full):
+            reference = normalized(
+                self.engines[2].execute(full.source, Strategy.QAC_PLUS)
+            )
+            for query in (scheduled, direct, full):
+                assert normalized(query.last_result) == reference, query.source
+            for query in (scheduled, direct):
+                assert sorted(self.emitted[id(query)]) == sorted(
+                    self.emitted[id(full)]
+                ), query.source
+
+
+class TestGroupsOfOneDifferential:
+    def test_prolog_in_the_driving_path_decides_the_group(self):
+        engine = make_engine()
+        same, also_same, other = (
+            engine.explain(source, Strategy.QAC_PLUS) for source in _SOLO_SOURCES[2:]
+        )
+        assert same["incremental"] and other["incremental"]
+        assert same["incremental_group"] == also_same["incremental_group"]
+        assert same["incremental_group"] != other["incremental_group"]
+        rig = SoloRig(_SOLO_SOURCES)
+        assert sorted(rig.scheduler.stats()["groups"].values()) == [1, 1, 1, 2]
+
+    def test_seeded_scripts(self):
+        for seed in (3, 4, 5):
+            rng = random.Random(seed)
+            rig = SoloRig(_SOLO_SOURCES)
+            rig.tick(stamp(0))  # baseline
+            for i, batch in enumerate(_random_batches(rng, 12)):
+                if i in (2, 6, 9):
+                    # A non-event fragment gets another version: the
+                    # retained one's vtTo closes, forcing a full run.
+                    batch = batch + [limit(9, 900 + i, rng.choice([20, 80]))]
+                if i == 7:
+                    for engine in rig.engines:
+                        engine.stores["s"].prune_before(stamp(3))
+                rig.feed(batch, raw=rng.random() < 0.5)
+                rig.tick(stamp(i + 1))
+                rig.assert_identical()
+            for query in rig.scheduled + rig.direct + rig.full:
+                counts = query.stats()
+                assert (
+                    counts["full_runs"] + counts["delta_runs"] + counts["shared_runs"]
+                    == counts["evaluations"]
+                ), query.source
+            # A scheduled incremental run is "shared", an unscheduled one
+            # "delta"; both fell back to full runs on the epoch move and
+            # the re-versions.
+            for scheduled, direct, full in zip(rig.scheduled, rig.direct, rig.full):
+                assert scheduled.delta_runs == 0 and scheduled.shared_runs > 0
+                assert direct.shared_runs == 0 and direct.delta_runs > 0
+                assert direct.full_runs > 1 and scheduled.full_runs > 1
+                assert full.full_runs == full.evaluations
+            stats = rig.scheduler.stats()
+            assert (
+                stats["full_runs"] + stats["delta_runs"] + stats["shared_runs"]
+                == stats["evaluations"]
+            )
+            assert stats["delta_runs"] == 0
+            assert stats["automata"]["runs"] > 0  # raw feeds answered from captures
+            assert stats["automata"]["fallbacks"] > 0  # mixed histories declined
+            assert stats["shared_prefix"]["runs"] > 0
 
 
 class TestPushRuntimeRouting:
