@@ -197,6 +197,10 @@ _BUILDER_MODULES = (
     "dom/nodes.py", "dom/parser.py",
     "xquery/temporal_functions.py", "fragments/assemble.py",
 )
+#: A ``DeferredElement`` stands on a source its maker vouches for (shared,
+#: never written, elements and text only); only the projections can.
+_DEFERRED_COPY = "DeferredElement"
+_DEFERRED_COPY_MODULES = ("dom/nodes.py", "xquery/temporal_functions.py")
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -224,8 +228,10 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     engine internals.  A ``builder-primitive`` diagnostic is reported
     for any reference to ``_Container._link_child`` outside the DOM
     builders (``_BUILDER_MODULES``): it is ``append`` minus every step a
-    navigated tree needs.  Unparseable files yield ``syntax-error``
-    diagnostics; the linter never raises.
+    navigated tree needs; and for any ``DeferredElement(...)`` call outside
+    ``_DEFERRED_COPY_MODULES``: the copy reads its source later, which is
+    sound only over a tree the maker knows is never written.  Unparseable
+    files yield ``syntax-error`` diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
     for path in _python_files(paths):
@@ -241,8 +247,7 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
                 _check_dom_free(path, tree, code, why, diagnostics)
         if normalized.endswith("streams/netproto.py"):
             _check_repro_free(path, tree, diagnostics)
-        if not normalized.endswith(_BUILDER_MODULES):
-            _check_builder_primitive(path, tree, diagnostics)
+        _check_builder_primitive(path, normalized, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
         for node in _pyast.walk(tree):
@@ -286,19 +291,34 @@ def _check_repro_free(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> Non
             )
 
 
-def _check_builder_primitive(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> None:
-    """Flag a reference to the tree-builder primitive outside the builders."""
+def _check_builder_primitive(
+    path: str, normalized: str, tree: _pyast.AST, out: list[Diagnostic]
+) -> None:
+    """Flag the tree-builder primitive, or a deferred copy made, outside the builders."""
+    may_link = normalized.endswith(_BUILDER_MODULES)
+    may_defer = normalized.endswith(_DEFERRED_COPY_MODULES)
     for node in _pyast.walk(tree):
-        if isinstance(node, _pyast.Attribute) and node.attr == _BUILDER_PRIMITIVE:
-            out.append(
-                Diagnostic(
-                    "builder-primitive",
-                    f"{path}:{node.lineno}: {_BUILDER_PRIMITIVE} links a child "
-                    "without detaching it, resetting the tag index or marking "
-                    "the tree dirty — only the DOM builders may use it; call "
-                    "append() here",
-                )
+        if isinstance(node, _pyast.Attribute):
+            if may_link or node.attr != _BUILDER_PRIMITIVE:
+                continue
+            why = (
+                f"{_BUILDER_PRIMITIVE} links a child without detaching it, "
+                "resetting the tag index or marking the tree dirty — only the "
+                "DOM builders may use it; call append() here"
             )
+        elif isinstance(node, _pyast.Call):
+            callee = node.func
+            name = getattr(callee, "id", None) or getattr(callee, "attr", None)
+            if may_defer or name != _DEFERRED_COPY:
+                continue
+            why = (
+                f"{_DEFERRED_COPY} reads its source whenever it is first "
+                "touched, so the source must be a store-owned version nobody "
+                "writes to — only the projections may make one; call copy() here"
+            )
+        else:
+            continue
+        out.append(Diagnostic("builder-primitive", f"{path}:{node.lineno}: {why}"))
 
 
 def _imported_modules(tree: _pyast.AST) -> list[tuple[str, int]]:

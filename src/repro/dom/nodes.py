@@ -16,6 +16,8 @@ __all__ = [
     "Node",
     "Document",
     "Element",
+    "SharedElement",
+    "DeferredElement",
     "Text",
     "Comment",
     "ProcessingInstruction",
@@ -101,6 +103,15 @@ class _Container(Node):
 
     @property
     def children(self) -> list[Node]:
+        return self._children
+
+    def peek_children(self) -> list[Node]:
+        """The children for a read-only walk that keeps no node.
+
+        Same nodes as :attr:`children` here; a :class:`DeferredElement`
+        nothing has navigated answers with its source's instead of
+        building its own.
+        """
         return self._children
 
     def children_named(self, tag: str) -> list["Element"]:
@@ -300,6 +311,85 @@ class Element(_Container):
 
     def __repr__(self) -> str:
         return f"<Element {self.tag!r} attrs={self.attrs} children={len(self._children)}>"
+
+
+class SharedElement(Element):
+    """An element whose subtree is shared and read-only by contract.
+
+    The fragment store caches its ``<filler>`` wrappers as these: it
+    never patches one (a write drops the wrapper and the next read
+    builds another), so a reader may keep per-child facts in ``memo``
+    for the life of the tree and a :class:`DeferredElement` may stand on
+    a child.  Weakly referenceable, so a test can watch one die.
+    """
+
+    __slots__ = ("memo", "__weakref__")
+
+    def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None):
+        super().__init__(tag, attrs)
+        self.memo: dict = {}
+
+
+class DeferredElement(Element):
+    """A copy of ``source`` whose child list is built on first access.
+
+    ``source`` is an element of a :class:`SharedElement` tree holding
+    nothing but elements and text below it; the caller vouches for both.
+    The copy has its own tag and attributes from the start.  Its
+    ``_children`` slot stays unset until something reads it — then
+    ``__getattr__`` fills it with copies one level deep (deferred again
+    where they have children of their own), parented here, and drops the
+    source.  From that point this is an ordinary element of its own
+    tree; before it, :meth:`peek_children` and :meth:`copy` answer from
+    the source without building anything.
+    """
+
+    __slots__ = ("_source",)
+
+    def __init__(self, tag: str, attrs: dict[str, str], source: Element):
+        # Every slot but ``_children``, as Element.__init__ sets them.
+        self.parent = None
+        self._serial = 0
+        self._tree_id = next(_tree_ids)
+        self._dirty = True
+        self._tag_index = None
+        self.tag = tag
+        self.attrs = dict(attrs)
+        self._lifespan = None
+        self._source: Optional[Element] = source
+
+    def __getattr__(self, name: str):
+        # Reached only for an unset slot: ``_children`` before first touch.
+        if name != "_children":
+            raise AttributeError(name)
+        children: list[Node] = []
+        for child in self._source._children:
+            if not isinstance(child, Element):
+                built: Node = Text(child.text)
+            elif child._children:
+                built = DeferredElement(child.tag, child.attrs, child)
+            else:
+                built = Element(child.tag, child.attrs)
+            built.parent = self
+            children.append(built)
+        self._children = children
+        self._source = None
+        return children
+
+    def peek_children(self) -> list[Node]:
+        source = self._source
+        return self._children if source is None else source._children
+
+    def copy(self, deep: bool = True) -> "Element":
+        source = self._source
+        if deep and source is not None:
+            return DeferredElement(self.tag, self.attrs, source)
+        return super().copy(deep)
+
+    def __repr__(self) -> str:
+        if self._source is not None:
+            return f"<Element {self.tag!r} attrs={self.attrs} children=deferred>"
+        return super().__repr__()
 
 
 class Text(Node):

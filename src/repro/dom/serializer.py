@@ -83,7 +83,8 @@ def _write_element(
     attrs = "".join(
         f' {name}="{escape_attribute(value)}"' for name, value in element.attrs.items()
     )
-    children = element.children
+    # Read through a copy nobody has navigated: its source holds the text.
+    children = element.peek_children()
     if not children:
         out.append(f"<{element.tag}{attrs}/>")
         return

@@ -37,7 +37,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from typing import Iterable, Optional
 
-from repro.dom.nodes import Document, Element
+from repro.dom.nodes import Document, Element, SharedElement
 from repro.fragments.model import Filler
 from repro.fragments.tagstructure import TagStructure, TagType
 from repro.temporal.chrono import XSDateTime
@@ -278,7 +278,7 @@ class FragmentStore:
             cached = self._wrapper_cache.get(filler_id)
             if cached is not None and cached.parent is None:
                 return cached
-        wrapper = self._wrap(filler_id, self.fillers_of(filler_id))
+        wrapper = self._wrap(filler_id, self.fillers_of(filler_id), self.use_cache)
         if self.use_cache:
             self._wrapper_cache[filler_id] = wrapper
         return wrapper
@@ -307,9 +307,13 @@ class FragmentStore:
             wrappers.append(self._wrap(filler_id, fillers))
         return wrappers
 
-    def _wrap(self, filler_id: int, fillers: list[Filler]) -> Element:
-        """A new ``<filler>`` wrapper over freshly built annotated versions."""
-        wrapper = Element("filler", {"id": str(filler_id)})
+    def _wrap(self, filler_id: int, fillers: list[Filler], shared: bool = False) -> Element:
+        """A new ``<filler>`` wrapper over freshly built annotated versions.
+
+        ``shared`` marks the one the cache keeps: nobody writes to it, so
+        a projection may stand on its versions instead of copying them.
+        """
+        wrapper = (SharedElement if shared else Element)("filler", {"id": str(filler_id)})
         for version in self._annotate(fillers):
             wrapper.append(version)
         return wrapper

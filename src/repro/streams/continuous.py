@@ -221,8 +221,7 @@ class ContinuousQuery:
             if tuples
             else []
         )
-        if self._delta_items:
-            self._retained = self._retained + self._delta_items
+        self._retained.extend(self._delta_items)
         if tuple_source is not None:
             self.shared_runs += 1
             self.last_mode = "shared"

@@ -25,14 +25,34 @@ already-clipped points), whose ``vtFrom == vtTo``, are genuine instants and
 stay closed.
 
 Projection returns *new* elements (the inputs are never mutated), matching
-the constructor semantics of the paper's XQuery definitions.
+the constructor semantics of the paper's XQuery definitions.  When their
+children are built depends on where the input lives.  A version the
+fragment store owns (a child of its cached, read-only ``<filler>``
+wrapper) with no hole, no lifespan attribute and no comment or
+processing instruction below it projects to a clipped root over a plain
+copy of everything underneath, and that copy is put off until something
+navigates the result (``DeferredElement``): serialising it reads the
+stored version, dropping it costs nothing.  Every other input — holes,
+which resolve against the store as it is *at query time*, nested
+lifespans, trees the caller built, uncached stores — is copied by the
+recursion below before the projection returns.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.dom.nodes import Attr, Comment, Element, Node, ProcessingInstruction, Text
+from repro.dom.nodes import (
+    _LIFESPAN_ATTRS,
+    Attr,
+    Comment,
+    DeferredElement,
+    Element,
+    Node,
+    ProcessingInstruction,
+    SharedElement,
+    Text,
+)
 from repro.temporal.chrono import ChronoError, XSDateTime
 from repro.temporal.interval import NOW, START, TimeInterval, _Symbolic, resolve_point
 from repro.xquery.errors import XQueryTypeError
@@ -270,12 +290,7 @@ def _project_one(node: object, begin: XSDateTime, end: XSDateTime, ctx, index=No
     span = _attr_lifespan(node)
     if span is False:
         # Snapshot element: no temporal dimension of its own; recurse.
-        clone = Element(node.tag, node.attrs)
-        for child in node.children:
-            for projected in _project_one(child, begin, end, ctx, index):
-                if isinstance(projected, Node):
-                    clone._link_child(projected)
-        return [clone]
+        return [_clone(node, begin, end, ctx, index)]
 
     vt_from = resolve_point(span.begin, ctx.now)
     vt_to = resolve_point(span.end, ctx.now)
@@ -292,14 +307,48 @@ def _project_one(node: object, begin: XSDateTime, end: XSDateTime, ctx, index=No
         return []
     clipped_from = max(vt_from, begin)
     clipped_to = min(vt_to, end)
-    clone = Element(node.tag, node.attrs)
+    clone = _clone(node, begin, end, ctx, index)
     clone.set(_VT_FROM, str(clipped_from))
     clone.set(_VT_TO, str(clipped_to))
+    return [clone]
+
+
+def _clone(node: Element, begin: XSDateTime, end: XSDateTime, ctx, index) -> Element:
+    """A new element for ``node`` over its children projected to ``[begin, end]``."""
+    if _copies_on_touch(node):
+        return DeferredElement(node.tag, node.attrs, node)
+    clone = Element(node.tag, node.attrs)
     for child in node.children:
         for projected in _project_one(child, begin, end, ctx, index):
             if isinstance(projected, Node):
                 clone._link_child(projected)
-    return [clone]
+    return clone
+
+
+def _copies_on_touch(node: Element) -> bool:
+    """Whether projecting below ``node`` is a plain copy that can wait.
+
+    True for a version in a store-owned wrapper with only elements and
+    text below it, none a hole and none with a lifespan of its own: no
+    interval prunes or clips anything down there, and the tree cannot
+    change under the copy.  Decided once per stored version.
+    """
+    wrapper = node.parent
+    if type(wrapper) is not SharedElement:
+        return False
+    verdict = wrapper.memo.get(node)
+    if verdict is None:
+        verdict = wrapper.memo[node] = all(
+            type(below) is Text
+            or (
+                type(below) is Element
+                and below.tag != "hole"
+                and _LIFESPAN_ATTRS.isdisjoint(below.attrs)
+            )
+            for below in node.iter()
+            if below is not node
+        )
+    return verdict
 
 
 def version_project_nodes(nodes: list, begin: int, end: int, ctx, index=None) -> list:
@@ -323,13 +372,5 @@ def version_project_nodes(nodes: list, begin: int, end: int, ctx, index=None) ->
             out.append(node)
             continue
         span = element_lifespan(node, ctx).resolve(ctx.now)
-        clone = Element(node.tag, node.attrs)
-        for child in node.children:
-            if isinstance(child, Text):
-                clone._link_child(Text(child.text))
-                continue
-            for projected in _project_one(child, span.begin, span.end, ctx, index):
-                if isinstance(projected, Node):
-                    clone._link_child(projected)
-        out.append(clone)
+        out.append(_clone(node, span.begin, span.end, ctx, index))
     return out

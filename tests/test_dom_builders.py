@@ -9,12 +9,17 @@ has navigated yet.  These properties hold every builder to the reference
 query can observe: serialisation, named-child lookups, document order and
 parent/root links; and they check that a built tree is an ordinary tree
 afterwards: mutating it through the public API invalidates what it must.
+
+A projection of a store-owned version puts the copy off until something
+touches it (``DeferredElement``).  The same reference holds it however
+far and in whatever order it has been touched, and nothing done to the
+copy — before or after — reaches the version it stands on.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.dom import Document, Element, Text, parse_fragment, serialize
-from repro.dom.nodes import sort_document_order
+from repro.dom.nodes import DeferredElement, SharedElement, sort_document_order
 from repro.fragments import Filler, FragmentStore, TagStructure, temporalize
 from repro.temporal import XSDateTime
 from repro.xquery.evaluator import Context
@@ -65,6 +70,28 @@ def _temporalized(reference: Element) -> Element:
     return temporalize(store).document_element
 
 
+def _stored(reference: Element) -> Element:
+    """A copy of ``reference`` placed as the store keeps a version."""
+    wrapper = SharedElement("filler", {"id": "0"})
+    return wrapper.append(reference.copy())
+
+
+def _interval_projected(version: Element) -> Element:
+    return interval_project_nodes(
+        [version], T0, XSDateTime(2004, 1, 1), Context(now=T0)
+    )[0]
+
+
+def _version_projected(version: Element) -> Element:
+    return version_project_nodes([version], 1, 1, Context(now=T0))[0]
+
+
+DEFERRED = {
+    "interval projection": _interval_projected,
+    "version projection": _version_projected,
+    "copy of an untouched copy": lambda version: _interval_projected(version).copy(),
+}
+
 BUILDERS = {
     "copy": lambda reference: reference.copy(),
     "parser": lambda reference: parse_fragment(serialize(reference))[0],
@@ -75,6 +102,10 @@ BUILDERS = {
         [reference], 1, 1, Context(now=T0)
     )[0],
     "temporalize": _temporalized,
+    **{
+        f"deferred {name}": lambda reference, build=build: build(_stored(reference))
+        for name, build in DEFERRED.items()
+    },
 }
 
 
@@ -142,3 +173,97 @@ def test_built_trees_mutate_like_any_other(spec, rng, builder):
     other.append(inserted)
     assert inserted.parent is other and target.children_named("zz") == []
     assert_consistent(top, rng)
+
+
+def _touch_somewhere(built: Element, reference: Element, rng) -> None:
+    """Navigate ``built`` a random way down, checking it against ``reference``."""
+    frontier = [(built, reference)]
+    for _ in range(rng.randint(0, 12)):
+        node, want = rng.choice(frontier)
+        how = rng.choice(("children", "named", "serialize", "copy", "string"))
+        if how == "children":
+            assert len(node.children) == len(want.children)
+            pairs = list(zip(node.children, want.children))
+        elif how == "named":
+            tag = rng.choice(TAGS)
+            pairs = list(zip(node.children_named(tag), want.children_named(tag)))
+            assert len(pairs) == len(want.children_named(tag))
+        elif how == "serialize":
+            assert serialize(node) == serialize(want)
+            continue
+        elif how == "copy":
+            clone = node.copy()
+            assert clone.parent is None and serialize(clone) == serialize(want)
+            continue
+        else:
+            assert node.string_value() == want.string_value()
+            continue
+        for child, want_child in pairs:
+            assert child.parent is node and child.root() is built
+            if isinstance(child, Element):
+                frontier.append((child, want_child))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=tree_specs,
+    rng=st.randoms(use_true_random=False),
+    how=st.sampled_from(sorted(DEFERRED)),
+)
+def test_deferred_copy_touched_anywhere_matches_the_reference(spec, rng, how):
+    reference = reference_tree(spec)
+    text = serialize(reference)
+    version = _stored(reference)
+    built = DEFERRED[how](version)
+    assert isinstance(built, DeferredElement) and built.parent is None
+    assert serialize(built) == text  # read through, nothing built yet
+    _touch_somewhere(built, reference, rng)
+    assert serialize(built) == text  # partly built, partly read through
+    assert_consistent(built, rng)
+    assert serialize(built) == text
+    # The version underneath was only read, and none of its nodes left it.
+    assert serialize(version) == text
+    assert_consistent(version.parent, rng)
+    assert not {id(n) for n in built.iter()} & {id(n) for n in version.iter()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=tree_specs,
+    rng=st.randoms(use_true_random=False),
+    how=st.sampled_from(sorted(DEFERRED)),
+    touch_first=st.booleans(),
+)
+def test_mutating_a_deferred_copy_never_reaches_its_source(spec, rng, how, touch_first):
+    reference = reference_tree(spec)
+    text = serialize(reference)
+    version = _stored(reference)
+    built = DEFERRED[how](version)
+    if touch_first:
+        _touch_somewhere(built, reference, rng)
+    # Walk to a random element of both trees by child position, touching
+    # only the path, and edit both the same way through the public API.
+    target, want = built, reference
+    while rng.random() < 0.6:
+        positions = [
+            i for i, child in enumerate(want.children) if isinstance(child, Element)
+        ]
+        if not positions:
+            break
+        position = rng.choice(positions)
+        target, want = target.children[position], want.children[position]
+    edits = rng.sample(("set", "append", "insert", "remove last"), rng.randint(1, 4))
+    for element in (target, want):
+        for edit in edits:
+            if edit == "set":
+                element.set("k", "edited")
+            elif edit == "append":
+                element.append(Element("zz"))
+            elif edit == "insert":
+                element.insert(0, Text("lead"))
+            elif element.children:
+                element.remove(element.children[-1])
+    assert serialize(built) == serialize(reference)
+    assert_consistent(built, rng)
+    assert serialize(version) == text
+    assert_consistent(version.parent, rng)

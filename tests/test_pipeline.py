@@ -444,6 +444,26 @@ class TestSourceLint:
         (offender / "assemble.py").write_text(call)
         assert [f.code for f in lint_sources([str(offender / "assemble.py")])] == []
 
+    def test_deferred_copies_are_made_only_by_the_projections(self, tmp_path):
+        make = (
+            "from repro.dom import nodes\n"
+            "from repro.dom.nodes import DeferredElement\n"
+            "def lazy(e):\n    return DeferredElement(e.tag, e.attrs, e)\n"
+            "def lazier(e):\n    return nodes.DeferredElement(e.tag, e.attrs, e)\n"
+            "def asks(e):\n    return isinstance(e, DeferredElement)\n"
+        )
+        offender = tmp_path / "fragments"
+        offender.mkdir()
+        (offender / "assemble.py").write_text(make)  # a builder, but not this one
+        findings = lint_sources([str(offender)])
+        assert [f.code for f in findings] == ["builder-primitive"] * 2
+        assert all("copy()" in f.message for f in findings)
+        for home in ("dom/nodes.py", "xquery/temporal_functions.py"):
+            path = tmp_path / home
+            path.parent.mkdir()
+            path.write_text(make)
+            assert lint_sources([str(path)]) == []
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")

@@ -12,16 +12,24 @@ tests pit three executions of each query against each other:
 
 Also covered: the endpoint-index store API itself, batched ``extend``
 invalidation, ``prune_before`` consistency, merge-join lowering
-recognition, and property tests over random arrival orders and windows.
+recognition, and property tests over random arrival orders and windows;
+and, at the end, copy-on-touch projections against the eager recursion.
 """
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import FragmentStore, Strategy, TagStructure, XCQLEngine
 from repro.dom import parse_document, serialize
+from repro.dom.nodes import DeferredElement, Element, Node
+from repro.fragments import Fragmenter
 from repro.fragments.model import Filler
 from repro.temporal import XSDateTime
+from repro.xmark.generator import generate_auction_document
+from repro.xmark.schema import AUCTION_STREAM, auction_tag_structure
 from repro.xquery.errors import XQueryTypeError
 
 SENSOR_STRUCTURE = TagStructure.from_xml(
@@ -482,3 +490,264 @@ class TestArrivalOrderProperty:
         merge = normalized(indexed.execute(query))
         nested = normalized(indexed.execute(indexed.compile(query, merge_joins=False)))
         assert merge == nested
+
+
+# -- copy-on-touch projections ---------------------------------------------------------
+#
+# A projection of a store-owned version with nothing temporal below it
+# returns the clipped root and builds the subtree when somebody navigates
+# it.  The reference is the same store with ``use_cache=False``: it owns no
+# wrapper, so every projection there is the eager recursion.
+
+AUCTION_STRUCTURE = auction_tag_structure()
+BIDS_START = XSDateTime(2003, 6, 1)
+WINDOW = "2003-06-01T00:15:00, 2003-06-01T00:40:00"
+#: The e2e benchmark's frozen interval query (``adhoc-history``).
+FROZEN_INTERVAL = (
+    'stream("auction")//open_auction?[2003-06-01T01:00:00, 2003-06-01T03:00:00]'
+)
+
+AUCTION_PROJECTIONS = [
+    f'stream("auction")//open_auction?[{WINDOW}]',
+    'stream("auction")//open_auction?[2003-01-01T00:00:00, 2003-03-01T00:00:00]',
+    'stream("auction")//open_auction?[now]',
+    'stream("auction")//open_auction?[now - PT1H, now]',
+    'stream("auction")//open_auction?[1990-01-01T00:00:00, 1990-06-01T00:00:00]',
+    'stream("auction")//closed_auction?[2003-01-01T00:00:00, now]',
+    'stream("auction")//person?[2003-01-01T00:00:00]',
+    'for $o in stream("auction")//open_auction return $o/current?[now]',
+    f'for $o in stream("auction")//open_auction?[{WINDOW}] return count($o/bidder)',
+    f'stream("auction")//open_auction?[{WINDOW}]/bidder/increase',
+    f'for $o in stream("auction")//open_auction?[{WINDOW}] '
+    "return <seen from='{vtFrom($o)}' to='{vtTo($o)}'>{$o/current}</seen>",
+    f'<all>{{stream("auction")//open_auction?[{WINDOW}]}}</all>',
+    f'stream("auction")//open_auction?[{WINDOW}]?[2003-06-01T00:30:00, now]',
+    f'for $b in stream("auction")//open_auction?[{WINDOW}]/bidder '
+    "return $b/../@id",
+    'stream("auction")//open_auction[@id="open_auction0"]#[last - 1, last]',
+    'stream("auction")//open_auction[@id="open_auction0"]#[1]',
+    'stream("auction")//open_auction[@id="open_auction0"]#[2, 3]/bidder',
+    'stream("auction")//open_auctions#[1]',
+    'stream("auction")//site?[now]',
+]
+
+
+def auction_payloads(scale: float, bids: int) -> list[str]:
+    """The XMark catalog as wire text, then ``bids`` re-versions 30 s apart.
+
+    Auctions take turns; every bid republishes one with one more bidder.
+    """
+    fillers = Fragmenter(AUCTION_STRUCTURE).fragment(
+        generate_auction_document(scale), XSDateTime(2003, 1, 1)
+    )
+    payloads = [filler.to_xml() for filler in fillers]
+    auctions = [f for f in fillers if f.content.tag == "open_auction"]
+    for n in range(bids):
+        filler = auctions[n % len(auctions)]
+        bidder = frag(f"<bidder><time>{n}</time><increase>{1.5 * (n % 5 + 1)}</increase></bidder>")
+        content = filler.content
+        content.insert(content.children.index(content.first("current")), bidder)
+        stamp = XSDateTime.from_epoch_seconds(BIDS_START.to_epoch_seconds() + 30 * (n + 1))
+        payloads.append(Filler(filler.filler_id, filler.tsid, stamp, content).to_xml())
+    return payloads
+
+
+def auction_engine(payloads, *, cached: bool = True) -> XCQLEngine:
+    engine = XCQLEngine()
+    store = FragmentStore(AUCTION_STRUCTURE, use_cache=cached)
+    engine.register_stream(AUCTION_STREAM, AUCTION_STRUCTURE, store)
+    assert engine.feed_raw(AUCTION_STREAM, payloads) == len(payloads)
+    return engine
+
+
+def stamp_after(bids: int) -> XSDateTime:
+    return XSDateTime.from_epoch_seconds(BIDS_START.to_epoch_seconds() + 30 * bids)
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.01], ids=["tiny", "hundredth"])
+def auction_pair(request):
+    """(copy-on-touch engine, eager reference, now) over one history.
+
+    The reference is the interpreter over the wrapper-less store, asked
+    once per (query, strategy) and held as text.
+    """
+    payloads = auction_payloads(request.param, 96)
+    eager, now = auction_engine(payloads, cached=False), stamp_after(96)
+    memo: dict = {}
+
+    def reference(query: str, strategy: Strategy) -> list[str]:
+        if (query, strategy) not in memo:
+            result = eager.execute(query, strategy, now=now, backend="interpreted")
+            assert not any(isinstance(item, DeferredElement) for item in result)
+            memo[query, strategy] = normalized(result)
+        return memo[query, strategy]
+
+    return auction_engine(payloads), reference, now
+
+
+def touch_all(result) -> None:
+    for item in result:
+        if isinstance(item, Element):
+            for _ in item.iter():
+                pass
+
+
+class TestCopyOnTouchDifferential:
+    @pytest.mark.parametrize("backend", ["compiled", "interpreted"])
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    def test_every_projection_matches_the_eager_reference(
+        self, auction_pair, strategy, backend
+    ):
+        engine, reference, now = auction_pair
+        deferred = 0
+        for query in AUCTION_PROJECTIONS:
+            want = reference(query, strategy)
+            result = engine.execute(query, strategy, now=now, backend=backend)
+            deferred += sum(isinstance(item, DeferredElement) for item in result)
+            assert normalized(result) == want, query  # read through
+            touch_all(result)
+            assert normalized(result) == want, query  # built
+        # The fragment-direct strategies stand on the store's versions;
+        # CaQ projects its own materialised view, which nobody shares.
+        assert (deferred > 0) == (strategy is not Strategy.CAQ)
+
+
+class TestCopyOnTouchIsolation:
+    QUERY = FROZEN_INTERVAL
+
+    def _bid_on(self, engine, filler_id: int, at: XSDateTime) -> None:
+        store = engine.stores[AUCTION_STREAM]
+        latest = store.fillers_of(filler_id)[-1]
+        content = latest.detached_content()
+        content.append(frag("<bidder><increase>99.00</increase></bidder>"))
+        assert engine.feed_raw(
+            AUCTION_STREAM, [Filler(filler_id, latest.tsid, at, content).to_xml()]
+        ) == 1
+
+    def _filler_of(self, engine, auction: str) -> int:
+        store = engine.stores[AUCTION_STREAM]
+        tsid = next(t.tsid for t in AUCTION_STRUCTURE.all_tags() if t.name == "open_auction")
+        return next(
+            fid
+            for fid in store.filler_ids_of_tsid(tsid)
+            if store.versions_of(fid)[0].get("id") == auction
+        )
+
+    def test_a_write_between_query_and_first_touch_is_not_seen(self):
+        payloads = auction_payloads(0.0, 240)
+        engine = auction_engine(payloads)
+        now = stamp_after(241)  # 02:00:30, inside the window, between two bids
+        want = normalized(auction_engine(payloads, cached=False).execute(self.QUERY, now=now))
+        answer = engine.execute(self.QUERY, now=now)
+        assert all(isinstance(item, DeferredElement) for item in answer)
+        # The auction's last version was open-ended when asked: clipped to now.
+        current = [item for item in answer if item.get("id") == "open_auction0"][-1]
+        assert current.get("vtTo") == str(now)
+        self._bid_on(engine, self._filler_of(engine, "open_auction0"), stamp_after(250))
+        touch_all(answer)
+        assert normalized(answer) == want
+        assert current.get("vtTo") == str(now) and "99.00" not in serialize(current)
+        # Asked again after the write, the version has closed and a new one follows.
+        closed, newest = engine.execute(self.QUERY, now=stamp_after(260))[-2:]
+        assert closed.get("vtTo") == str(stamp_after(250))
+        assert newest.get("vtFrom") == str(stamp_after(250)) and "99.00" in serialize(newest)
+
+    def test_a_touched_copy_lets_go_of_its_source(self):
+        engine = auction_engine(auction_payloads(0.0, 24))
+        (version,) = engine.execute(
+            'stream("auction")//open_auction[@id="open_auction0"]#[last]', now=stamp_after(24)
+        )
+        assert isinstance(version, DeferredElement)
+        filler_id = self._filler_of(engine, "open_auction0")
+        wrapper = weakref.ref(engine.stores[AUCTION_STREAM].get_fillers(filler_id))
+        self._bid_on(engine, filler_id, stamp_after(30))
+        gc.collect()
+        assert wrapper() is not None  # the untouched answer stands on it
+        text = serialize(version)
+        touch_all([version])
+        gc.collect()
+        assert wrapper() is None and serialize(version) == text
+
+
+HOLE_STRUCTURE = TagStructure.from_xml(
+    """
+    <stream:structure>
+      <tag type="snapshot" id="1" name="log">
+        <tag type="temporal" id="2" name="unit">
+          <tag type="temporal" id="3" name="reading"/>
+        </tag>
+      </tag>
+    </stream:structure>
+    """
+)
+
+
+class TestCopyOnTouchDeclines:
+    def test_holes_below_resolve_at_query_time(self):
+        engine = XCQLEngine(default_now=NOW)
+        engine.register_stream("plant", HOLE_STRUCTURE)
+        engine.feed("plant", [
+            Filler(0, 1, t(1, 1), frag('<log><hole id="1" tsid="2"/></log>')),
+            Filler(1, 2, t(1, 2), frag('<unit n="u"><hole id="2" tsid="3"/></unit>')),
+            Filler(2, 3, t(1, 3), frag('<reading v="0"><raw>7</raw></reading>')),
+        ])
+        query = 'stream("plant")//unit?[2000-01-01, now]'
+        (unit,) = engine.execute(query, Strategy.QAC_PLUS)
+        assert type(unit) is Element
+        before = serialize(unit)
+        assert '<reading v="0"' in before and "hole" not in before
+        engine.feed("plant", Filler(2, 3, t(2, 3), frag('<reading v="1"><raw>8</raw></reading>')))
+        touch_all([unit])
+        assert serialize(unit) == before  # resolved when asked, not when read
+        (again,) = engine.execute(query, Strategy.QAC_PLUS)
+        assert 'v="1"' in serialize(again)
+
+    def test_nested_lifespans_below_are_pruned_and_clipped(self):
+        engine = make_engine([
+            Filler(0, 1, t(1, 1), frag('<log><hole id="1" tsid="2"/></log>')),
+            Filler(1, 2, t(1, 3), frag(
+                '<reading s="a"><cal vtFrom="2000-01-03T00:00:00" vtTo="2000-02-01T00:00:00"/>'
+                '<cal vtFrom="2000-02-01T00:00:00" vtTo="now"><by>x</by></cal></reading>'
+            )),
+            Filler(4, 2, t(1, 3), frag('<reading s="plain"><cal><by>y</by></cal></reading>')),
+        ])
+        nested, plain = engine.execute(
+            'stream("sensor")//reading?[2000-03-01, 2000-04-01]', Strategy.QAC_PLUS
+        )
+        assert type(nested) is Element and isinstance(plain, DeferredElement)
+        assert serialize(nested) == (
+            '<reading s="a" vtFrom="2000-03-01T00:00:00" vtTo="2000-04-01T00:00:00">'
+            '<cal vtFrom="2000-03-01T00:00:00" vtTo="2000-04-01T00:00:00"><by>x</by></cal>'
+            "</reading>"
+        )
+
+    def test_comments_below_are_dropped_by_the_eager_path(self):
+        engine = make_engine([
+            Filler(0, 1, t(1, 1), frag('<log><hole id="1" tsid="2"/></log>')),
+            Filler(1, 2, t(1, 3), frag('<reading s="a"><!-- note --><cal/><?pi x?></reading>')),
+        ])
+        (reading,) = engine.execute('stream("sensor")//reading#[1]', Strategy.QAC_PLUS)
+        assert type(reading) is Element
+        assert serialize(reading).endswith("><cal/></reading>")
+
+
+class TestCopyOnTouchCensus:
+    def test_an_unread_interval_answer_costs_a_node_per_version(self):
+        engine = auction_engine(auction_payloads(0.01, 600))
+        now = stamp_after(600)
+        query = FROZEN_INTERVAL
+        engine.execute(query, now=now)  # the store builds its versions once
+
+        def live_nodes() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, Node))
+
+        baseline = live_nodes()
+        answer = engine.execute(query, now=now)
+        assert len(answer) >= 240
+        assert len(answer) <= live_nodes() - baseline <= 1.1 * len(answer)
+        text = normalized(answer)  # read through: still nothing built
+        assert live_nodes() - baseline <= 1.1 * len(answer)
+        touch_all(answer)
+        assert live_nodes() - baseline > 20 * len(answer)
+        assert normalized(answer) == text
