@@ -128,7 +128,8 @@ def xcql_main(argv: list[str] | None = None) -> int:
         "through a fresh engine in arrival batches of N with the query "
         "standing under a scheduler, then print engine + scheduler "
         "statistics (incremental vs full runs, automaton vs fallback runs, "
-        "routing probe/skip counts) as JSON — the quick perf-triage view",
+        "routing probe/skip counts, shared_residual guards skipped/run and "
+        "bodies run/reused) as JSON — the quick perf-triage view",
     )
     parser.add_argument(
         "--raw",
@@ -483,8 +484,9 @@ def _replay(args, store, source: str, strategy, now) -> int:
     ``args.replay``, with ``source`` as a standing continuous query; each
     batch is followed by a poll.  Prints the emitted results, then the
     engine and scheduler statistics as one JSON document — plan cache,
-    delta-memo, incremental (``shared_runs``) vs full runs, and routing
-    probe/skip counts (perf triage for the PR-4 shared evaluation layer).
+    delta-memo, incremental (``shared_runs``) vs full runs, routing
+    probe/skip counts and the ``shared_residual`` guard/body economy
+    (perf triage for the shared evaluation layer).
     """
     import json
 

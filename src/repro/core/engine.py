@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from weakref import WeakValueDictionary
 from typing import Callable, Iterable, Optional, Union
 
 from repro.dom.nodes import Document, Element
@@ -38,7 +39,7 @@ from repro.core.pipeline import (
 from repro.core.translator import Strategy, TranslationError
 from repro.xquery import xast
 from repro.xquery.automata import AutomatonMatcher, StreamAutomaton, schema_reachable
-from repro.xquery.compiler import compile_delta_plan, compile_module
+from repro.xquery.compiler import compile_delta_plan, compile_guard, compile_module
 from repro.xquery.errors import XQueryDynamicError
 from repro.xquery.evaluator import Context, Evaluator
 from repro.xquery.parser import parse
@@ -60,8 +61,13 @@ class IncrementalPlan:
 
     ``prefix(ctx, wrappers)`` evaluates the driving binding path over
     just-arrived filler wrappers and returns the materialized binding
-    tuples; ``residual(ctx, tuples)`` runs the query's remaining clauses
-    and return body over those tuples.  ``stream`` plus either ``tsid``
+    tuples; the residual — the query's remaining clauses and return body
+    — runs per tuple as *guard ∘ body*: ``guard(ctx, item)`` is the
+    verdict of the routed ``where`` conjunct (``None`` when the plan has
+    none) and ``body(ctx, tuples)`` builds the items of the tuples that
+    passed.  ``body_key`` is the body's source: plans with equal keys
+    share one lowered ``body`` per engine, and a scheduler runs it once
+    per tuple for a whole group.  ``stream`` plus either ``tsid``
     (QaC+-style driving source) or ``filler_id`` (literal ``get_fillers``)
     identify which arrivals concern the query.  ``binds_versions`` is the
     analysis fact the runtime guard needs: whether the driving ``for``
@@ -81,8 +87,21 @@ class IncrementalPlan:
     binds_versions: bool
     group_key: tuple
     routing: Optional[object] = None
+    body_key: Optional[str] = None
     prefix: Callable = field(repr=False, compare=False, default=None)
-    residual: Callable = field(repr=False, compare=False, default=None)
+    guard: Optional[Callable] = field(repr=False, compare=False, default=None)
+    body: Callable = field(repr=False, compare=False, default=None)
+
+    def residual(self, ctx: Context, tuples: list) -> list:
+        """guard ∘ body, tuple by tuple in the order one FLWOR runs them."""
+        guard, body = self.guard, self.body
+        if guard is None:
+            return body(ctx, tuples)
+        out: list = []
+        for item in tuples:
+            if guard(ctx, item):
+                out.extend(body(ctx, (item,)))
+        return out
 
 
 @dataclass
@@ -168,6 +187,11 @@ class XCQLEngine:
         # Event-automaton captures recorded by feed_raw and answered to the
         # scheduler's wake path; see AutomatonHost below.
         self.automaton_host = AutomatonHost()
+        # Lowered residual bodies by IncrementalPlan.body_key: queries that
+        # differ only in their guard share one closure.  Held weakly — a
+        # body lives as long as some plan names it.
+        self._bodies: WeakValueDictionary = WeakValueDictionary()
+        self.bodies_lowered = 0
         # deliver() tallies by message kind: every delivery layer (channel
         # subscriber, network client, serve front door) funnels through
         # deliver, so these two numbers are the uniform ingest gauge the
@@ -555,8 +579,9 @@ class XCQLEngine:
         is time-sensitive (mentions ``now``), how many ``get_fillers``
         calls the pipeline folded, the incremental verdict (with the
         reason a plan is full-only, or the group an incremental one
-        evaluates in, its routing predicate and the tuple-index shape
-        that predicate files under), and the full per-pass trace
+        evaluates in, its routing predicate, the tuple-index shape that
+        predicate files under, and the residual's guard / body split), and
+        the full per-pass trace
         (``"passes"``) with the pipeline fingerprint that participates in
         the plan-cache key.
         """
@@ -588,6 +613,15 @@ class XCQLEngine:
             # under: members with equal shapes share one operand
             # extraction per binding tuple (None = takes every tuple).
             "routing_index_shape": index_shape(routing) if routing else None,
+            # The residual's two halves: the conjunct a scheduler may skip
+            # when its index decided it, and the key under which members
+            # of a group build a tuple's items once for all of them.
+            "residual_guard": (
+                to_source(analysis.guard)
+                if analysis is not None and analysis.guard is not None
+                else None
+            ),
+            "residual_body_key": analysis.body_key if analysis is not None else None,
             "automaton": info.automaton.describe() if info.automaton else None,
             "automaton_reason": info.automaton_reason,
             "automaton_schema_reachable": self._automaton_reachability(compiled),
@@ -635,6 +669,7 @@ class XCQLEngine:
         return {
             "plan_cache": self.plan_cache_info(),
             "automata": self.automaton_host.stats(),
+            "incremental": {"bodies_lowered": self.bodies_lowered},
             "delivered": dict(self.delivered),
             "streams": streams,
         }
@@ -703,14 +738,20 @@ class XCQLEngine:
         pipeline's ``incremental`` pass and live on ``compiled.info``
         (``incremental_reason`` says why a plan is full-only — the
         interpreted backend always is: it stays the full-scan
-        differential reference).  This method only lowers the two modules
-        into their runtime closures, memoized on the
+        differential reference).  This method only lowers the split
+        into its runtime closures, memoized on the
         :class:`CompiledQuery` (which the plan cache shares), so a
         scheduler re-adding hundreds of same-source queries pays for one
-        lowering.
+        lowering — and the body, the bulk of a residual, is lowered once
+        per ``body_key`` however many queries spell it.
         """
         analysis = compiled.info.incremental
         if compiled.incremental_plan is None and analysis is not None:
+            body = self._bodies.get(analysis.body_key)
+            if body is None:
+                body = compile_delta_plan(analysis.body_module, SHARED_VAR)
+                self._bodies[analysis.body_key] = body
+                self.bodies_lowered += 1
             compiled.incremental_plan = IncrementalPlan(
                 stream=analysis.stream,
                 tsid=analysis.tsid,
@@ -718,8 +759,14 @@ class XCQLEngine:
                 binds_versions=analysis.binds_versions,
                 group_key=analysis.group_key,
                 routing=analysis.routing,
+                body_key=analysis.body_key,
                 prefix=compile_delta_plan(analysis.prefix_module, DELTA_VAR),
-                residual=compile_delta_plan(analysis.residual_module, SHARED_VAR),
+                guard=(
+                    compile_guard(analysis.guard, analysis.guard_var)
+                    if analysis.guard is not None
+                    else None
+                ),
+                body=body,
             )
         return compiled.incremental_plan
 
@@ -747,11 +794,12 @@ class XCQLEngine:
         now: Optional[XSDateTime] = None,
         context: Optional[Context] = None,
     ) -> list:
-        """Run one query's residual over binding tuples.
+        """Run one query's residual — guard ∘ body — over binding tuples.
 
         Returns the result items those tuples contribute; callers union
-        them with their retained state (see
-        :class:`~repro.streams.continuous.ContinuousQuery`).
+        them with their retained state.  A standing query goes through
+        :meth:`repro.streams.continuous.DeltaWindow.residual`, the same
+        composition with a group's memo between the two halves.
         """
         if context is None:
             context = self.build_context(now=now)

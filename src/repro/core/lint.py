@@ -20,7 +20,9 @@ The linter never raises; it returns :class:`Diagnostic` records.
 :func:`lint_sources` is the repo's own source-level lint (run in CI as
 ``repro-lint src``): it forbids importing the optimizer's rewrite/analysis
 entry points anywhere but the pass pipeline, so every future compilation
-path stays traceable through :mod:`repro.core.pipeline`.
+path stays traceable through :mod:`repro.core.pipeline`, and holds a few
+layering rules (DOM-free modules, the tree-builder primitive, the one
+home of the emission identity).
 """
 
 from __future__ import annotations
@@ -201,6 +203,11 @@ _BUILDER_MODULES = (
 #: never written, elements and text only); only the projections can.
 _DEFERRED_COPY = "DeferredElement"
 _DEFERRED_COPY_MODULES = ("dom/nodes.py", "xquery/temporal_functions.py")
+#: The emission-dedup identity of a result item is its serialized form,
+#: worked out once where the item is emitted; every other consumer in the
+#: streams layer takes the strings ``ContinuousQuery`` hands over.
+_IDENTITY_HOME = "streams/continuous.py"
+_IDENTITY_NAMES = ("item_identity", "_identity")
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -230,8 +237,15 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     builders (``_BUILDER_MODULES``): it is ``append`` minus every step a
     navigated tree needs; and for any ``DeferredElement(...)`` call outside
     ``_DEFERRED_COPY_MODULES``: the copy reads its source later, which is
-    sound only over a tree the maker knows is never written.  Unparseable
-    files yield ``syntax-error`` diagnostics; the linter never raises.
+    sound only over a tree the maker knows is never written.  An
+    ``emission-identity`` diagnostic is reported when a ``streams/``
+    module other than ``streams/continuous.py`` serializes a value it
+    holds (``serialize(item)`` — building wire text from a fresh
+    ``to_xml()``/``encode()`` result is something else) or defines its own
+    ``item_identity``: an item's identity is computed once, by the query
+    that emits it, and the shard merge relies on there being one
+    definition.  Unparseable files yield ``syntax-error`` diagnostics; the
+    linter never raises.
     """
     diagnostics: list[Diagnostic] = []
     for path in _python_files(paths):
@@ -248,6 +262,8 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
         if normalized.endswith("streams/netproto.py"):
             _check_repro_free(path, tree, diagnostics)
         _check_builder_primitive(path, normalized, tree, diagnostics)
+        if "/streams/" in "/" + normalized and not normalized.endswith(_IDENTITY_HOME):
+            _check_emission_identity(path, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
         for node in _pyast.walk(tree):
@@ -319,6 +335,28 @@ def _check_builder_primitive(
         else:
             continue
         out.append(Diagnostic("builder-primitive", f"{path}:{node.lineno}: {why}"))
+
+
+def _check_emission_identity(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> None:
+    """Flag a second home for the emission identity inside the streams layer."""
+    for node in _pyast.walk(tree):
+        if isinstance(node, _pyast.FunctionDef) and node.name in _IDENTITY_NAMES:
+            why = f"{node.name} is defined in {_IDENTITY_HOME}; import it"
+        elif (
+            isinstance(node, _pyast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            == "serialize"
+            and node.args
+            and not isinstance(node.args[0], _pyast.Call)
+        ):
+            why = (
+                "serializing a held item re-computes its emission identity — "
+                "take ContinuousQuery.last_emitted_identities (or item_identity "
+                f"from {_IDENTITY_HOME}) instead"
+            )
+        else:
+            continue
+        out.append(Diagnostic("emission-identity", f"{path}:{node.lineno}: {why}"))
 
 
 def _imported_modules(tree: _pyast.AST) -> list[tuple[str, int]]:

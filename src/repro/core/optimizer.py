@@ -226,14 +226,9 @@ def _split_join_conjunct(expr: xast.Expr, outer_var: str, inner_var: str):
     ``(None, None)`` when the leftmost conjunct is not a join between the
     two variables.
     """
-    if _is_join_binop(expr, outer_var, inner_var):
-        return expr, None
-    if isinstance(expr, xast.BinOp) and expr.op == "and":
-        join, rest = _split_join_conjunct(expr.left, outer_var, inner_var)
-        if join is not None:
-            if rest is None:
-                return join, expr.right
-            return join, xast.BinOp("and", rest, expr.right)
+    join, residual = _split_leftmost(expr)
+    if _is_join_binop(join, outer_var, inner_var):
+        return join, residual
     return None, None
 
 
@@ -459,6 +454,14 @@ class DeltaAnalysis:
     rather than binding the wrappers themselves — the runtime guard needs
     the distinction when an existing fragment id receives another version.
     ``routing`` carries the extracted dispatch predicate, when one exists.
+
+    The residual is what runs, per binding tuple, as *guard ∘ body*: when
+    a routing predicate was extracted, ``guard`` is the conjunct it
+    encodes (an expression over ``$guard_var``, the driving variable) and
+    ``body_module`` the residual without it; otherwise there is no guard
+    and the body is the whole residual.  ``body_key`` is the body
+    module's source, prolog included: members of a group with equal keys
+    build equal items from one tuple, whatever their guards say.
     """
 
     safe: bool
@@ -471,6 +474,10 @@ class DeltaAnalysis:
     prefix_module: Optional[xast.Module] = None
     residual_module: Optional[xast.Module] = None
     routing: Optional[RoutingPredicate] = None
+    guard: Optional[xast.Expr] = None
+    guard_var: Optional[str] = None
+    body_module: Optional[xast.Module] = None
+    body_key: Optional[str] = None
 
 
 def analyze_delta(module: xast.Module) -> DeltaAnalysis:
@@ -598,7 +605,18 @@ def analyze_delta(module: xast.Module) -> DeltaAnalysis:
         module.functions if _calls_any(prefix, defined) else [], prefix
     )
     rebound = xast.ForClause(driver.var, xast.VarRef(SHARED_VAR), None)
-    residual = xast.FLWOR([rebound] + list(body.clauses[1:]), body.return_expr)
+    rest = list(body.clauses[1:])
+    residual = xast.FLWOR([rebound] + rest, body.return_expr)
+    routing = _extract_routing(driver, rest)
+    guard = None
+    if routing is not None:
+        # The routed conjunct leaves the body: `where P and Q` runs as
+        # guard P, then `where Q` — what short-circuit `and` does anyway.
+        guard, remaining = _split_leftmost(rest[0].expr)
+        rest = ([xast.WhereClause(remaining)] if remaining is not None else []) + rest[1:]
+    body_module = xast.Module(
+        module.functions, xast.FLWOR([rebound] + rest, body.return_expr)
+    )
     return DeltaAnalysis(
         True,
         stream=stream,
@@ -608,7 +626,11 @@ def analyze_delta(module: xast.Module) -> DeltaAnalysis:
         group_key=(stream, tsid, filler_id, xast.to_source(prefix_module)),
         prefix_module=prefix_module,
         residual_module=xast.Module(module.functions, residual),
-        routing=_extract_routing(driver, body.clauses[1:]),
+        routing=routing,
+        guard=guard,
+        guard_var=driver.var,
+        body_module=body_module,
+        body_key=xast.to_source(body_module),
     )
 
 
@@ -710,9 +732,19 @@ def _extract_routing(
 
 
 def _leftmost(expr: xast.Expr) -> xast.Expr:
-    while isinstance(expr, xast.BinOp) and expr.op == "and":
-        expr = expr.left
-    return expr
+    return _split_leftmost(expr)[0]
+
+
+def _split_leftmost(expr: xast.Expr) -> tuple:
+    """``(leftmost conjunct, the rest)`` of an ``and`` left spine.
+
+    The rest keeps the order short-circuit ``and`` evaluates the
+    remaining conjuncts in; ``None`` when the leftmost was all there was.
+    """
+    if isinstance(expr, xast.BinOp) and expr.op == "and":
+        first, rest = _split_leftmost(expr.left)
+        return first, expr.right if rest is None else xast.BinOp("and", rest, expr.right)
+    return expr, None
 
 
 def _match_routing(

@@ -285,12 +285,13 @@ class IncrementalPass(Pass):
     """Classify the final plan as incremental or full-only, and split it.
 
     One verdict: a delta-safe plan *is* its prefix/residual split (see
-    :func:`repro.core.optimizer.analyze_delta`), routing predicate
-    included — ``detail`` names the group it would evaluate in.
+    :func:`repro.core.optimizer.analyze_delta`), routing predicate and
+    the residual's guard/body halves included — ``detail`` names the
+    group it would evaluate in.
     """
 
     name = "incremental"
-    version = 2
+    version = 3
     kind = "analysis"
 
     def run(self, module, info, options, engine):

@@ -17,11 +17,13 @@ split at compile time by the pipeline's ``incremental`` pass and read off
 over the whole store on every tick.  The query keeps its last result and a store
 watermark ``(seq, mutation_epoch)``; a re-evaluation is then *tuple source
 → residual*: the binding tuples of the fillers past the watermark, run
-through the plan's residual, appended to the retained result.  The tuple
-source is the plan's prefix over those fillers — scanned by the query
-itself, or handed in by a :class:`~repro.streams.scheduler.QueryScheduler`
+through the plan's residual (*guard ∘ body*, tuple by tuple — see
+:meth:`DeltaWindow.residual`), appended to the retained result.  The
+tuple source is the plan's prefix over those fillers — scanned by the
+query itself, or by a :class:`~repro.streams.scheduler.QueryScheduler`
 that worked the window out once for the query's whole group (a query on
-its own is a group of one).  Runtime guards fall back to a full
+its own is a group of one) and lets the group's members share what a
+tuple's body built.  Runtime guards fall back to a full
 re-evaluation whenever the delta could diverge: after ``prune_before`` /
 ``clear`` / a Tag Structure swap (the mutation epoch moved), and when a
 non-event fragment id receives another version (the new version closes
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 
 from repro.core.engine import CompiledQuery, XCQLEngine
 from repro.core.translator import Strategy
-from repro.dom.nodes import Node
+from repro.dom.nodes import Element, Node
 from repro.dom.serializer import serialize
 from repro.fragments.tagstructure import TagType
 from repro.temporal.chrono import XSDateTime
@@ -91,16 +93,41 @@ class ContinuousQuery:
         self.last_mode: Optional[str] = None  # "full" | "delta" | "shared"
         # Insertion-ordered so the cap evicts the oldest identity first.
         self._seen: dict[str, None] = {}
-        self.last_result: list = []
         # Delta state: the retained result and the store watermark
         # (seq, mutation_epoch) it is valid for.  None = next run is full.
         self._retained: list = []
         self._watermark: Optional[tuple[int, int]] = None
-        self._delta_items: list = []  # the last delta run's new tuples
+        # The answer as of the last evaluation: a full run's own list, or
+        # None after an incremental run — read off _retained on demand, so
+        # a run that folds in one tuple does not copy the whole answer.
+        self._last_result: Optional[list] = []
+        # The last emission and its identity strings (None = not worked
+        # out: emit="full" never needs them itself).
+        self._emitted: list = []
+        self._emitted_keys: Optional[list[str]] = []
 
     def subscribe(self, callback: Callable[[list], None]) -> None:
         """Register a sink for emitted results."""
         self.subscribers.append(callback)
+
+    @property
+    def last_result(self) -> list:
+        """The query's whole answer as of its last evaluation."""
+        if self._last_result is None:
+            self._last_result = list(self._retained)
+        return self._last_result
+
+    @property
+    def last_emitted_identities(self) -> list[str]:
+        """:func:`item_identity` of each item of the last emission, in order.
+
+        The strings the emission was deduplicated on, for consumers that
+        merge answers across processes (the shard worker ships them) —
+        asking here does not serialize the items a second time.
+        """
+        if self._emitted_keys is None:
+            self._emitted_keys = [_identity(item) for item in self._emitted]
+        return self._emitted_keys
 
     @property
     def watermark_seq(self) -> Optional[int]:
@@ -122,10 +149,10 @@ class ContinuousQuery:
 
         ``tuple_source`` is the scheduler's hook: called as
         ``tuple_source(seq, context)`` with this query's watermark
-        sequence number and the wake's context getter, it returns the
-        binding tuples this query's residual has to look at — those the
-        fillers past that watermark bind on the plan's source, which the
-        query's group worked out once this tick — or ``None`` when those
+        sequence number and the wake's context getter, it returns what
+        the fillers past that watermark add to the answer — ``(items,
+        identity strings)``, the query's residual over the binding tuples
+        its group worked out once this tick — or ``None`` when those
         fillers cannot be folded in (see :class:`DeltaWindow`).  Without
         one the query scans its own window.  The watermark and epoch
         guards run here either way, and the window is this module's own
@@ -133,34 +160,42 @@ class ContinuousQuery:
         evaluated.
         """
         self.evaluations += 1
-        result = self._evaluate_incremental(now, tuple_source) if self.incremental else None
-        if result is None:
+        delta = self._evaluate_incremental(now, tuple_source) if self.incremental else None
+        if delta is None:
             result = self.engine.execute(self.compiled, now=now)
             self.full_runs += 1
             self.last_mode = "full"
             self._remember(result)
-        self.last_result = result
-        if self.emit == "full":
-            fresh = list(result)
+            self._last_result = candidates = result
+            keys = None
         else:
+            self._last_result = None
             # After a delta run every retained item's identity is already
             # in _seen (each previous evaluation scanned its full result),
             # so only the delta items can be fresh — unless a seen_cap may
             # have evicted identities, in which case the full scan keeps
             # re-emission semantics identical to the full-evaluation path.
-            candidates = result
-            if self.last_mode in ("delta", "shared") and self.seen_cap is None:
-                candidates = self._delta_items
-            fresh = []
-            for item in candidates:
-                key = _identity(item)
-                if key not in self._seen:
-                    self._seen[key] = None
+            if self.emit == "full" or self.seen_cap is not None:
+                candidates, keys = self._retained, None
+            else:
+                candidates, keys = delta
+        if self.emit == "full":
+            fresh, fresh_keys = list(candidates), None
+        else:
+            if keys is None:
+                keys = [_identity(item) for item in candidates]
+            fresh, fresh_keys = [], []
+            seen = self._seen
+            for item, key in zip(candidates, keys):
+                if key not in seen:
+                    seen[key] = None
                     fresh.append(item)
+                    fresh_keys.append(key)
             if self.seen_cap is not None:
-                while len(self._seen) > self.seen_cap:
-                    self._seen.pop(next(iter(self._seen)))
+                while len(seen) > self.seen_cap:
+                    seen.pop(next(iter(seen)))
                     self.seen_evictions += 1
+        self._emitted, self._emitted_keys = fresh, fresh_keys
         if fresh:
             self.emitted_total += len(fresh)
             for subscriber in self.subscribers:
@@ -177,8 +212,8 @@ class ContinuousQuery:
 
     def _evaluate_incremental(
         self, now: Optional[XSDateTime], tuple_source: Optional[Callable]
-    ) -> Optional[list]:
-        """The incremental answer, or ``None`` to force a full run."""
+    ) -> Optional[tuple[list, list]]:
+        """What this run adds — ``(items, identities)`` — or ``None`` to force a full run."""
         plan, store = self._plan_and_store()
         if store is None:
             return None
@@ -192,7 +227,7 @@ class ContinuousQuery:
             return None
         # One Context per wake, built on first use: the prefix scan (when
         # this wake is the one that runs it) and the residual share it, and
-        # a wake left with no tuples builds none.
+        # a wake left with nothing to evaluate builds none.
         made: list = []
 
         def context():
@@ -201,27 +236,21 @@ class ContinuousQuery:
             return made[0]
 
         if tuple_source is not None:
-            tuples = tuple_source(seq, context)
+            delta = tuple_source(seq, context)
         else:
             window = DeltaWindow(store, plan, seq)
             if not window.applicable:
-                tuples = None
+                delta = None
             elif window.fresh:
-                tuples = window.scan(self.engine, context())
+                delta = window.residual(
+                    plan, window.scan(self.engine, context()), context
+                )
             else:
-                tuples = []
-        if tuples is None:
+                delta = [], []
+        if delta is None:
             self._watermark = None
             return None
-        # No tuple for this query (no arrivals, none bound, or the group's
-        # predicate index pruned them all): the residual's driving ``for``
-        # over nothing yields nothing.
-        self._delta_items = (
-            self.engine.execute_residual(plan, tuples, context=context())
-            if tuples
-            else []
-        )
-        self._retained.extend(self._delta_items)
+        self._retained.extend(delta[0])
         if tuple_source is not None:
             self.shared_runs += 1
             self.last_mode = "shared"
@@ -229,7 +258,7 @@ class ContinuousQuery:
             self.delta_runs += 1
             self.last_mode = "delta"
         self._watermark = store.watermark
-        return list(self._retained)
+        return delta
 
     def _remember(self, result: list) -> None:
         """After a full run, reset the retained state and watermark."""
@@ -265,6 +294,7 @@ class ContinuousQuery:
 
     def reset(self) -> None:
         """Forget emission history (delta mode starts over)."""
+        self._last_result = self.last_result  # still the last answer
         self._seen.clear()
         self.emitted_total = 0
         self.seen_evictions = 0
@@ -306,15 +336,19 @@ class DeltaWindow:
     ``fresh`` is the arrival-ordered filler list, ``applicable`` the
     :func:`delta_applicable` verdict over it, ``tuples`` the binding
     tuples once somebody has produced them (:meth:`scan`, or a scheduler
-    answering from event captures) and ``partition`` a scheduler's
-    per-member split of them.  A function of the store and the plan's
-    source alone, so a scheduler builds one per group and watermark, not
-    one per member.
+    answering from event captures), ``partition`` a scheduler's
+    per-member split of them and ``results`` what the bodies run so far
+    built from them (:meth:`residual`).  A function of the store and the
+    plan's source alone, so a scheduler builds one per group and
+    watermark, not one per member.  ``tally`` counts the residual's work
+    (``guards_skipped`` / ``guards_run`` / ``body_runs`` /
+    ``body_reuses``) into a dict the caller owns.
     """
 
-    __slots__ = ("store", "plan", "seq", "fresh", "applicable", "tuples", "partition")
+    __slots__ = ("store", "plan", "seq", "fresh", "applicable", "tuples",
+                 "partition", "results", "tally")
 
-    def __init__(self, store, plan, seq: int) -> None:
+    def __init__(self, store, plan, seq: int, tally: Optional[dict] = None) -> None:
         self.store = store
         self.plan = plan
         self.seq = seq
@@ -324,6 +358,63 @@ class DeltaWindow:
         self.applicable = delta_applicable(store, plan.binds_versions, self.fresh)
         self.tuples: Optional[list] = None
         self.partition: Optional[dict] = None  # id(member) -> its sub-list
+        # (body_key, id(tuple)) -> (items, their identity strings)
+        self.results: dict[tuple, tuple[list, list]] = {}
+        self.tally = tally
+
+    def residual(self, plan, tuples: list, context: Callable,
+                 undecided: Optional[set] = None) -> tuple[list, list]:
+        """One member's residual over ``tuples``: ``(items, identities)``.
+
+        *guard ∘ body*, tuple by tuple, in the order the member's own
+        FLWOR would have run them — so whichever raises first still does.
+        ``undecided`` is what a group's predicate index said about these
+        tuples: ``None`` = nothing (every guard runs), otherwise the
+        ``id`` s of the tuples it passed through without a verdict — the
+        guard runs for those and is skipped for the rest, which the index
+        accepted exactly.  A body runs once per tuple for every member
+        that spells it (``plan.body_key``): the first gets the items it
+        built, each further one a copy of the constructed elements (bound
+        nodes of the tuple's own tree and atomic values are shared, as
+        they always were) with the identity strings already worked out.
+        Items a copy cannot stand for — an attribute, a node inside a
+        constructed tree, an element a subscriber has since adopted —
+        make that member run the body itself.
+        """
+        guard, body, body_key = plan.guard, plan.body, plan.body_key
+        results = self.results
+        items: list = []
+        keys: list = []
+        skipped = guards = built = reused = 0
+        for item in tuples:
+            if guard is not None:
+                if undecided is None or id(item) in undecided:
+                    guards += 1
+                    if not guard(context(), item):
+                        continue
+                else:
+                    skipped += 1
+            memo = (body_key, id(item))
+            known = results.get(memo)
+            produced = _copies(known[0], item) if known is not None else None
+            if produced is None:
+                built += 1
+                produced = body(context(), (item,))
+                produced_keys = [_identity(node) for node in produced]
+                if known is None:
+                    results[memo] = (produced, produced_keys)
+            else:
+                reused += 1
+                produced_keys = known[1]
+            items.extend(produced)
+            keys.extend(produced_keys)
+        tally = self.tally
+        if tally is not None:
+            tally["guards_skipped"] += skipped
+            tally["guards_run"] += guards
+            tally["body_runs"] += built
+            tally["body_reuses"] += reused
+        return items, keys
 
     def scan(self, engine: XCQLEngine, context) -> list:
         """Bind the window's tuples: the plan's prefix over wrapper DOMs.
@@ -364,6 +455,26 @@ def delta_applicable(store, binds_versions: bool, fresh: list) -> bool:
         if store.tag_type_of(filler.tsid) is not TagType.EVENT:
             return False
     return True
+
+
+def _copies(items: list, bound: object) -> Optional[list]:
+    """Another member's copy of what a body built from ``bound``, if it can have one.
+
+    Atomic values and nodes of the tuple's own tree are handed on as they
+    are; a detached element — what a constructor returns — is copied.
+    Anything else has no faithful copy: ``None``.
+    """
+    root = bound.root() if isinstance(bound, Node) else None
+    out: list = []
+    for item in items:
+        if isinstance(item, Node):
+            top = item.root()
+            if top is not root:
+                if top is not item or not isinstance(item, Element):
+                    return None
+                item = item.copy()
+        out.append(item)
+    return out
 
 
 def _identity(item: object) -> str:

@@ -44,6 +44,7 @@ from repro.xquery.errors import XQueryTypeError
 from repro.xquery.xdm import to_number
 
 __all__ = [
+    "Partition",
     "TupleIndex",
     "batch_supersedes",
     "compare",
@@ -499,6 +500,23 @@ class _Shape:
         return members
 
 
+class Partition(dict):
+    """``id(member)`` → the order-preserving sub-list it can accept.
+
+    ``undecided`` maps ``id(member)`` to the ``id`` s of the tuples its
+    shape had no verdict for and passed through (one set per shape,
+    shared by its members; absent = none).  Every other tuple of a
+    member's sub-list is there because its own comparison holds —
+    exactly, not conservatively.
+    """
+
+    __slots__ = ("undecided",)
+
+    def __init__(self, members) -> None:
+        super().__init__((key, []) for key in members)
+        self.undecided: dict[int, set] = {}
+
+
 class TupleIndex:
     """Hands each member of a shared group the tuples it can accept.
 
@@ -508,9 +526,12 @@ class TupleIndex:
     :meth:`partition` then extracts each shape's operand once per tuple
     and appends the tuple to the sub-list of every member whose literal
     accepts it — O(T·log Q + matches) instead of Q residual evaluations
-    per tuple.  A member's sub-list is a superset of what its residual
-    accepts, in the original tuple order; members the index cannot serve
-    (:func:`index_shape` is ``None``) are simply absent from the
+    per tuple.  A member's sub-list is, in the original tuple order,
+    exactly the tuples its predicate accepts plus those the kernel could
+    not decide (non-numeric text under a numeric comparison, ``NaN``, a
+    value comparison over two items), which the partition names so that
+    only they still need the member's guard; members the index cannot
+    serve (:func:`index_shape` is ``None``) are simply absent from the
     partition and take every tuple.
     """
 
@@ -549,11 +570,12 @@ class TupleIndex:
         if not shape.size:
             del self._shapes[key]
 
-    def partition(self, tuples: list) -> dict[int, list]:
-        """``id(member)`` → the order-preserving sub-list it can accept."""
-        lists: dict[int, list] = {key: [] for key in self._filed}
+    def partition(self, tuples: list) -> Partition:
+        """Split ``tuples`` among the filed members; see :class:`Partition`."""
+        lists = Partition(self._filed)
         for shape in self._shapes.values():
             pred = shape.pred
+            passed: set = set()
             for item in tuples:
                 values = operand_values(pred, item)
                 if values is not None and pred.numeric:
@@ -563,6 +585,10 @@ class TupleIndex:
                             break
                 if values is None:
                     accepting = shape.everyone()
+                    if not passed:
+                        for member in accepting:
+                            lists.undecided[id(member)] = passed
+                    passed.add(id(item))
                 elif values:
                     accepting = shape.accepting(values)
                 else:

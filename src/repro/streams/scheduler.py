@@ -38,9 +38,15 @@ regime of paper §2/§7):
   whose predicates differ only in the literal are filed sorted by it at
   registration (:class:`repro.streams.routing.TupleIndex`); a tick
   extracts the operand once per tuple and hands each member the
-  order-preserving sub-list its literal accepts.  The member's residual
-  runs unchanged over the survivors, so the index only has to be
-  exact-or-wider, and a member left with nothing skips its residual.
+  order-preserving sub-list its literal accepts, and a member left with
+  nothing runs nothing.
+- **Shared residual.**  A residual is *guard ∘ body* (see
+  :func:`repro.core.optimizer.analyze_delta`): the guard is that same
+  conjunct, so a tuple the index accepted with a verdict — not one it
+  merely passed through undecided — skips it; and the body is run once
+  per tuple for all the members that spell it, the others receiving
+  copies of the constructed items and their identity strings
+  (:meth:`repro.streams.continuous.DeltaWindow.residual`).
 
 Re-evaluations run each query's cached :class:`CompiledQuery` — with the
 default ``"compiled"`` backend that is a closure plan (see
@@ -66,6 +72,7 @@ from repro.xquery import xast
 __all__ = ["QueryDependencies", "dependencies_of", "wake_route", "QueryScheduler"]
 
 ALL_TSIDS = "*"
+_ALL_DECIDED: frozenset = frozenset()  # the index had a verdict for every tuple
 
 
 @dataclass(frozen=True)
@@ -225,9 +232,15 @@ class QueryScheduler:
         # predicates; maintained by add/remove, only read inside a poll.
         self._indexes: dict[tuple, TupleIndex] = {}
         # Per-tick cache of delta windows (fresh fillers, applicability,
-        # binding tuples, per-member partition), keyed
+        # binding tuples, per-member partition, body results), keyed
         # (group key, member watermark, store seq, store epoch).
         self._tick_windows: dict[tuple, DeltaWindow] = {}
+        # (id(engine), automaton) -> [engine, the entries answering wakes
+        # from it]: whose watermarks bound what its host may forget.
+        self._automaton_members: dict[tuple, list] = {}
+        self._shared_residual = {
+            "guards_skipped": 0, "guards_run": 0, "body_runs": 0, "body_reuses": 0,
+        }
         self._notifications = 0
         self._tuple_probes = 0
         self._tuples_pruned = 0
@@ -264,6 +277,9 @@ class QueryScheduler:
                 # engine's capture host before the prefix scan.
                 entry.automaton = automaton
                 query.engine.automaton_host.register(automaton)
+                self._automaton_members.setdefault(
+                    (id(query.engine), automaton), [query.engine, []]
+                )[1].append(entry)
             if self.routing and plan.routing is not None:
                 entry.routing = plan.routing
                 index = self._indexes.get(entry.group_key) or TupleIndex()
@@ -286,6 +302,11 @@ class QueryScheduler:
                 self._entries.remove(entry)
                 if entry.automaton is not None:
                     query.engine.automaton_host.unregister(entry.automaton)
+                    key = (id(query.engine), entry.automaton)
+                    watching = self._automaton_members[key][1]
+                    watching.remove(entry)
+                    if not watching:
+                        del self._automaton_members[key]
                 if entry.group_key is not None:
                     members = self._groups.get(entry.group_key, [])
                     if entry in members:
@@ -450,17 +471,9 @@ class QueryScheduler:
 
     def _prune_automata(self) -> None:
         """Drop automaton captures every watching query has consumed."""
-        floors: dict[tuple, tuple] = {}
-        for entry in self._entries:
-            if entry.automaton is None:
-                continue
-            seq = entry.query.watermark_seq or 0
-            key = (id(entry.query.engine), entry.automaton)
-            current = floors.get(key)
-            if current is None or seq < current[1]:
-                floors[key] = (entry.query.engine, seq, entry.automaton)
-        for engine, seq, automaton in floors.values():
-            engine.automaton_host.prune(automaton, seq)
+        for (_, automaton), (engine, watching) in self._automaton_members.items():
+            floor = min(entry.query.watermark_seq or 0 for entry in watching)
+            engine.automaton_host.prune(automaton, floor)
 
     def _should_run(self, entry: _Entry, now: XSDateTime) -> bool:
         if entry.last_now is None:
@@ -480,9 +493,10 @@ class QueryScheduler:
     def _tuple_source_for(self, entry: _Entry) -> Optional[Callable]:
         """The entry's delta-window hook for this tick, or ``None``.
 
-        The hook answers the binding tuples past the member's watermark
-        (see :meth:`ContinuousQuery.evaluate`).  Two tuple producers hide
-        behind it, tried in order:
+        The hook answers what the fillers past the member's watermark add
+        to its answer (see :meth:`ContinuousQuery.evaluate`): the binding
+        tuples, then the member's residual over them.  Two tuple
+        producers hide behind it, tried in order:
 
         1. the engine's automaton host — event captures recorded at
            ``feed_raw`` ingest answer the wake with zero DOM work;
@@ -492,14 +506,16 @@ class QueryScheduler:
         Windows are keyed by the group and the member's watermark, so
         members at equal watermarks — the steady state under a scheduler —
         share one fresh-filler scan, one applicability verdict, one tuple
-        materialization and one pass of the group's predicate index per
-        tick, regardless of which producer made the tuples; a member that
-        was skipped for a while simply pays one catch-up run for its
-        older watermark.  The member receives the sub-list of tuples its
-        leading predicate can accept (all of them when it has none, or
-        ``routing`` is off).  With ``share_groups`` off every member keys
-        its own windows and takes all their tuples.  The watermark and
-        epoch guards run in
+        materialization, one pass of the group's predicate index and one
+        run of each distinct residual body per tuple per tick, regardless
+        of which producer made the tuples; a member that was skipped for
+        a while simply pays one catch-up run for its older watermark.
+        The member's residual sees the sub-list of tuples its leading
+        predicate can accept (all of them when it has none, or
+        ``routing`` is off) and skips its guard for those the index
+        accepted with a verdict.  With ``share_groups`` off every member
+        keys its own windows, takes all their tuples and runs every guard
+        and body itself.  The watermark and epoch guards run in
         :class:`~repro.streams.continuous.ContinuousQuery`, so neither
         producer can change what gets evaluated.
         """
@@ -514,17 +530,17 @@ class QueryScheduler:
         group = entry.group_key if self.share_groups else id(entry)
         index = self._indexes.get(entry.group_key) if self.share_groups else None
 
-        def source(watermark_seq: int, context: Callable) -> Optional[list]:
+        def source(watermark_seq: int, context: Callable) -> Optional[tuple]:
             key = (group, watermark_seq, store.seq, store.mutation_epoch)
             window = self._tick_windows.get(key)
             if window is None:
                 window = self._tick_windows[key] = DeltaWindow(
-                    store, plan, watermark_seq
+                    store, plan, watermark_seq, self._shared_residual
                 )
             if not window.applicable:
                 return None
             if not window.fresh:
-                return []
+                return [], []
             if window.tuples is not None:
                 self._prefix_reuses += 1
             else:
@@ -545,12 +561,14 @@ class QueryScheduler:
                     window.partition = index.partition(window.tuples)
                     self._tuple_probes += index.shapes * len(window.tuples)
             tuples = window.tuples
+            undecided = None  # nobody looked at this member's tuples
             if window.partition is not None:
                 accepted = window.partition.get(id(entry))
                 if accepted is not None:
                     self._tuples_pruned += len(tuples) - len(accepted)
-                    return accepted
-            return tuples
+                    tuples = accepted
+                    undecided = window.partition.undecided.get(id(entry), _ALL_DECIDED)
+            return window.residual(plan, tuples, context, undecided)
 
         return source
 
@@ -601,7 +619,11 @@ class QueryScheduler:
         per binding tuple per predicate shape) and ``tuples_pruned``
         (tuple × member pairs no residual had to look at); ``shared_prefix``
         reports group-scan economy (each reuse is one avoided delta scan);
-        ``groups`` maps each shared group to its member count.
+        ``shared_residual`` what the residuals' two halves cost — guards
+        the index's verdict made unnecessary vs. guards run, bodies
+        evaluated vs. answered from a co-member's run of the same body
+        over the same tuple; ``groups`` maps each shared group to its
+        member count.
         """
         return {
             "evaluations": self.total_evaluations,
@@ -622,6 +644,7 @@ class QueryScheduler:
                 "runs": self._prefix_runs,
                 "reuses": self._prefix_reuses,
             },
+            "shared_residual": dict(self._shared_residual),
             "automata": {
                 "registered": sum(
                     1 for entry in self._entries if entry.automaton is not None

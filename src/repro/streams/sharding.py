@@ -115,7 +115,7 @@ from repro.fragments.persist import Journal
 from repro.fragments.tagstructure import TagStructure, TagType
 from repro.streams import netproto as proto
 from repro.streams.compression import TagCodec
-from repro.streams.continuous import ContinuousQuery, item_identity
+from repro.streams.continuous import ContinuousQuery
 from repro.streams.routing import route_match
 from repro.streams.scheduler import QueryScheduler, dependencies_of, wake_route
 from repro.streams.transport import (
@@ -271,9 +271,10 @@ class _ShardServer:
             emitted = self.scheduler.poll(XSDateTime.parse(now_text))
             out: dict[int, list[str]] = {}
             for qid, query in self.queries.items():
-                items = emitted.get(query, [])
-                if items:
-                    out[qid] = [item_identity(item) for item in items]
+                # The strings the poll just deduplicated the emission on,
+                # not a second serialization of it.
+                if emitted.get(query):
+                    out[qid] = query.last_emitted_identities
             return {
                 "emitted": out,
                 "watermarks": {

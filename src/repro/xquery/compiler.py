@@ -85,6 +85,7 @@ __all__ = [
     "compile_module",
     "compile_expr",
     "compile_delta_plan",
+    "compile_guard",
 ]
 
 Plan = Callable[[Context], list]
@@ -189,6 +190,32 @@ def compile_delta_plan(module: xast.Module, var: str) -> Callable:
             ctx.variables.pop(var, None)
 
     return run
+
+
+def compile_guard(expr: xast.Expr, var: str) -> Callable:
+    """Compile a residual's guard into ``accepts(ctx, item) -> bool``.
+
+    The verdict is the one ``where expr`` gives with ``item`` bound to
+    ``$var`` — the ``where`` driver itself runs, so the effective boolean
+    value and every error are the unsplit residual's.
+    """
+    drive = _stream_where(xast.WhereClause(expr), _ModuleScope(), _accept)
+
+    def accepts(ctx: Context, item: object) -> bool:
+        variables = ctx.variables
+        variables[var] = [item]
+        out: list = []
+        try:
+            drive(ctx, out)
+        finally:
+            variables.pop(var, None)
+        return bool(out)
+
+    return accepts
+
+
+def _accept(ctx: Context, out: list) -> None:
+    out.append(True)
 
 
 def _uncompiled(ctx: Context) -> list:  # placeholder body, never survives

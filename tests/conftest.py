@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro import Fragmenter, FragmentStore, TagStructure, XCQLEngine
 from repro.dom import parse_document
 from repro.temporal import XSDateTime
 from repro.xmark import AUCTION_STREAM, auction_tag_structure, generate_auction_document
+
+# Properties that leave ``max_examples`` to the profile (the guard-skip's
+# exactness claim in test_shared_residual.py) are fuzzed harder in CI than
+# on a laptop: the workflow runs them with ``--hypothesis-profile=ci``.
+settings.register_profile("ci", max_examples=2000, deadline=None)
 
 CREDIT_TAG_STRUCTURE_XML = """
 <stream:structure>

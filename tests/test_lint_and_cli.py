@@ -159,6 +159,9 @@ class TestCLIs:
         assert report["query"]["evaluations"] >= 1
         assert "routing" in report["scheduler"]
         assert "shared_prefix" in report["scheduler"]
+        assert set(report["scheduler"]["shared_residual"]) == {
+            "guards_skipped", "guards_run", "body_runs", "body_reuses",
+        }
         assert "automata" in report["scheduler"]
         assert "plan_cache" in report["engine"]
 

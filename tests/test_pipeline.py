@@ -464,6 +464,26 @@ class TestSourceLint:
             path.write_text(make)
             assert lint_sources([str(path)]) == []
 
+    def test_emission_identity_has_one_home(self, tmp_path):
+        package = tmp_path / "streams"
+        package.mkdir()
+        again = (
+            "from repro.dom.serializer import serialize\n"
+            "def ship(items):\n    return [serialize(item) for item in items]\n"
+            "def item_identity(item):\n    return str(item)\n"
+            "def announce(structure):\n    return serialize(structure.to_xml())\n"
+        )
+        (package / "sharding.py").write_text(again)
+        findings = lint_sources([str(package)])
+        assert [f.code for f in findings] == ["emission-identity"] * 2
+        assert sorted(f.message.split(":")[1] for f in findings) == ["3", "4"]
+        assert any("last_emitted_identities" in f.message for f in findings)
+        (package / "continuous.py").write_text(again)
+        assert lint_sources([str(package / "continuous.py")]) == []
+        elsewhere = tmp_path / "cli.py"
+        elsewhere.write_text(again)  # printing an answer is not the streams layer
+        assert lint_sources([str(elsewhere)]) == []
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")
