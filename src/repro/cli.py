@@ -128,7 +128,7 @@ def xcql_main(argv: list[str] | None = None) -> int:
         "through a fresh engine in arrival batches of N with the query "
         "standing under a scheduler, then print engine + scheduler "
         "statistics (incremental vs full runs, automaton vs fallback runs, "
-        "routing probe/skip counts, shared_residual guards skipped/run and "
+        "tuple-index probes and pruned tuples, shared_residual guards skipped/run and "
         "bodies run/reused) as JSON — the quick perf-triage view",
     )
     parser.add_argument(
@@ -484,8 +484,8 @@ def _replay(args, store, source: str, strategy, now) -> int:
     ``args.replay``, with ``source`` as a standing continuous query; each
     batch is followed by a poll.  Prints the emitted results, then the
     engine and scheduler statistics as one JSON document — plan cache,
-    delta-memo, incremental (``shared_runs``) vs full runs, routing
-    probe/skip counts and the ``shared_residual`` guard/body economy
+    delta-memo, incremental (``shared_runs``) vs full runs, the tuple
+    index's probe/prune counts and the ``shared_residual`` guard/body economy
     (perf triage for the shared evaluation layer).
     """
     import json
@@ -544,7 +544,7 @@ def _replay_sharded(args, store, source: str, strategy, now) -> int:
 
     Same arrival cadence as :func:`_replay` — batches of ``args.replay``,
     a tick after each — but partitioned across ``args.shards`` worker
-    processes, with the coordinator's front-door dispatch deciding which
+    processes, with the coordinator's dependency gate deciding which
     shards each tick polls.  Prints the merged emission count plus the
     full :meth:`ShardedEngine.stats` report (coordinator counters and
     per-shard engine/scheduler statistics).

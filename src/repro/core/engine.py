@@ -176,8 +176,7 @@ class XCQLEngine:
         # for cached plans surviving tag-structure changes).
         self._schema_epoch = 0
         self._extra_functions: dict = {}
-        # (listener, wants_batch) pairs; see add_arrival_listener.
-        self._arrival_listeners: list[tuple[Callable, bool]] = []
+        self._arrival_listeners: list[Callable] = []  # see add_arrival_listener
         self._plan_cache: OrderedDict[tuple, CompiledQuery] = OrderedDict()
         self._plan_cache_size = max(0, int(plan_cache_size))
         self._plan_cache_hits = 0
@@ -233,18 +232,18 @@ class XCQLEngine:
         Accepted fillers are announced to registered arrival listeners
         *coalesced*: one ``(stream, tsid)`` notification per distinct tsid
         in the batch, never one per filler — an ``extend()`` of N same-tsid
-        fillers fires one wake.  Listeners that accept a third argument
-        additionally receive the accepted :class:`Filler` batch for that
-        tsid, which the scheduler's predicate routing index probes to wake
-        only the queries whose predicate can match.
+        fillers fires one wake, and a duplicate the store dropped fires
+        none.
         """
         store = self._store(name)
         before = store.seq
         if isinstance(fillers, Filler):
             fillers = [fillers]
         added = store.extend(fillers)
-        if added:
-            self._notify_arrivals(name, before, store)
+        if added and self._arrival_listeners:
+            self._notify_arrivals(
+                name, {filler.tsid for filler in store.fillers_since(before)}
+            )
         return added
 
     def feed_raw(
@@ -266,26 +265,24 @@ class XCQLEngine:
         subtrees its standing queries will bind — the scheduler then
         answers wakes from those captures instead of wrapper DOMs.
 
-        Arrival listeners receive the usual coalesced per-tsid wake, but
-        in the two-argument (batch-free) form: probing a batch would force
-        the lazy DOM build this path exists to avoid, and a batch-free wake
-        is always conservative.
+        Arrival listeners receive the usual coalesced per-tsid wake.
         """
         store = self._store(name)
-        before = store.seq
         if isinstance(payloads, str):
             payloads = [payloads]
         added = 0
+        tsids: set[int] = set()
         for raw in payloads:
             filler, matchers = self._scan_envelope(name, raw, chunk_size)
             if store.append(filler):
                 added += 1
+                tsids.add(filler.tsid)
                 for automaton, matcher in matchers:
                     self.automaton_host.note(
                         automaton, filler, store.seq, matcher, store
                     )
         if added:
-            self._notify_arrivals(name, before, store, probe=False)
+            self._notify_arrivals(name, tsids)
         return added
 
     def deliver(self, message) -> int:
@@ -414,43 +411,24 @@ class XCQLEngine:
             return []
         return self.automaton_host.matchers_for(name, tsid)
 
-    def _notify_arrivals(
-        self, name: str, before: int, store: FragmentStore, probe: bool = True
-    ) -> None:
-        """Fire coalesced per-tsid arrival wakes for fillers past ``before``.
-
-        ``probe=False`` (the raw-feed path) withholds the filler batch from
-        batch-aware listeners so the routing index cannot force a lazy DOM
-        build; the two-argument wake is conservative, never unsound.
-        """
-        if not self._arrival_listeners:
-            return
-        batches: dict[int, list[Filler]] = {}
-        for filler in store.fillers_since(before):
-            batches.setdefault(filler.tsid, []).append(filler)
-        for listener, wants_batch in list(self._arrival_listeners):
-            for tsid in sorted(batches):
-                if wants_batch and probe:
-                    listener(name, tsid, batches[tsid])
-                else:
-                    listener(name, tsid)
+    def _notify_arrivals(self, name: str, tsids: set) -> None:
+        """Fire one arrival wake per distinct tsid just accepted on ``name``."""
+        for listener in list(self._arrival_listeners):
+            for tsid in sorted(tsids):
+                listener(name, tsid)
 
     def add_arrival_listener(self, listener: Callable) -> None:
-        """Call ``listener(stream, tsid[, fillers])`` on every accepted feed.
+        """Call ``listener(stream, tsid)`` on every accepted feed.
 
-        Two-argument listeners keep the PR-3 protocol; listeners whose
-        signature accepts a third positional argument also get the
-        accepted filler batch (see :meth:`feed`).  Registering the same
-        listener twice is a no-op.
+        Registering the same listener twice is a no-op.
         """
-        if any(existing == listener for existing, _ in self._arrival_listeners):
-            return
-        self._arrival_listeners.append((listener, _accepts_batch(listener)))
+        if listener not in self._arrival_listeners:
+            self._arrival_listeners.append(listener)
 
     def remove_arrival_listener(self, listener: Callable) -> None:
         """Detach a listener registered with :meth:`add_arrival_listener`."""
         self._arrival_listeners = [
-            entry for entry in self._arrival_listeners if entry[0] != listener
+            existing for existing in self._arrival_listeners if existing != listener
         ]
 
     def _store(self, name: str) -> FragmentStore:
@@ -1048,7 +1026,7 @@ class AutomatonHost:
 
     def __init__(self) -> None:
         self._groups: dict[StreamAutomaton, _AutomatonGroup] = {}
-        self._routes: dict[tuple[str, int], list[StreamAutomaton]] = {}
+        self._by_source: dict[tuple[str, int], list[StreamAutomaton]] = {}
 
     # -- registration -------------------------------------------------------------
 
@@ -1058,7 +1036,7 @@ class AutomatonHost:
         if group is None:
             group = _AutomatonGroup(automaton)
             self._groups[automaton] = group
-            self._routes.setdefault(
+            self._by_source.setdefault(
                 (automaton.stream, automaton.tsid), []
             ).append(automaton)
         group.refcount += 1
@@ -1071,15 +1049,15 @@ class AutomatonHost:
         group.refcount -= 1
         if group.refcount <= 0:
             del self._groups[automaton]
-            route = self._routes.get((automaton.stream, automaton.tsid), [])
+            route = self._by_source.get((automaton.stream, automaton.tsid), [])
             if automaton in route:
                 route.remove(automaton)
             if not route:
-                self._routes.pop((automaton.stream, automaton.tsid), None)
+                self._by_source.pop((automaton.stream, automaton.tsid), None)
 
     def matchers_for(self, stream: str, tsid: int) -> list:
         """Fresh ``(automaton, matcher)`` pairs for one arriving envelope."""
-        automata = self._routes.get((stream, int(tsid)))
+        automata = self._by_source.get((stream, int(tsid)))
         if not automata:
             return []
         return [(automaton, AutomatonMatcher(automaton)) for automaton in automata]
@@ -1305,30 +1283,6 @@ class _AnyArity:
 
     min_arity = 0
     max_arity = 99
-
-
-def _accepts_batch(listener: Callable) -> bool:
-    """Whether an arrival listener takes a third (filler batch) argument.
-
-    Falls back to the two-argument protocol when the signature can't be
-    introspected (builtins, exotic callables).
-    """
-    import inspect
-
-    try:
-        signature = inspect.signature(listener)
-    except (TypeError, ValueError):
-        return False
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-        elif parameter.kind is inspect.Parameter.VAR_POSITIONAL:
-            return True
-    return positional >= 3
 
 
 def _text(seq: list) -> str:

@@ -22,7 +22,8 @@ The linter never raises; it returns :class:`Diagnostic` records.
 entry points anywhere but the pass pipeline, so every future compilation
 path stays traceable through :mod:`repro.core.pipeline`, and holds a few
 layering rules (DOM-free modules, the tree-builder primitive, the one
-home of the emission identity).
+home of the emission identity, the two places a routing predicate is
+decided).
 """
 
 from __future__ import annotations
@@ -208,6 +209,19 @@ _DEFERRED_COPY_MODULES = ("dom/nodes.py", "xquery/temporal_functions.py")
 #: streams layer takes the strings ``ContinuousQuery`` hands over.
 _IDENTITY_HOME = "streams/continuous.py"
 _IDENTITY_NAMES = ("item_identity", "_identity")
+#: A routing predicate is decided at run time in two places: over wire
+#: text at the network door and over binding tuples in the scheduler's
+#: groups.  Each kernel entry point names its one importer under
+#: ``src/repro/``; ``None`` = the DOM reference the tests hold the event
+#: kernel to, imported by nothing.
+_PREDICATE_HOME = "streams/routing.py"
+_PREDICATE_TIER = {
+    "envelope_match": "streams/net.py",
+    "envelope_values": "streams/net.py",
+    "TupleIndex": "streams/scheduler.py",
+    "route_match": None,
+    "filler_values": None,
+}
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -244,8 +258,14 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     ``to_xml()``/``encode()`` result is something else) or defines its own
     ``item_identity``: an item's identity is computed once, by the query
     that emits it, and the shard merge relies on there being one
-    definition.  Unparseable files yield ``syntax-error`` diagnostics; the
-    linter never raises.
+    definition.  A ``predicate-tier`` diagnostic is reported when a module
+    under ``src/repro/`` names a routing-kernel entry point it is not the
+    one importer of (``_PREDICATE_TIER``): ``envelope_match`` /
+    ``envelope_values`` belong to ``streams/net.py``, ``TupleIndex`` to
+    ``streams/scheduler.py``, and the per-filler DOM probe
+    (``route_match`` / ``filler_values``) to nobody — so a third place to
+    decide a predicate cannot come back unnoticed.  Unparseable files
+    yield ``syntax-error`` diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
     for path in _python_files(paths):
@@ -264,6 +284,8 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
         _check_builder_primitive(path, normalized, tree, diagnostics)
         if "/streams/" in "/" + normalized and not normalized.endswith(_IDENTITY_HOME):
             _check_emission_identity(path, tree, diagnostics)
+        if "/src/repro/" in "/" + normalized and not normalized.endswith(_PREDICATE_HOME):
+            _check_predicate_tier(path, normalized, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
         for node in _pyast.walk(tree):
@@ -357,6 +379,38 @@ def _check_emission_identity(path: str, tree: _pyast.AST, out: list[Diagnostic])
         else:
             continue
         out.append(Diagnostic("emission-identity", f"{path}:{node.lineno}: {why}"))
+
+
+def _check_predicate_tier(
+    path: str, normalized: str, tree: _pyast.AST, out: list[Diagnostic]
+) -> None:
+    """Flag a routing-kernel entry point named outside its one importer."""
+    for node in _pyast.walk(tree):
+        if isinstance(node, _pyast.ImportFrom) and (node.module or "").endswith("routing"):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, _pyast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        for name in names:
+            home = _PREDICATE_TIER.get(name)
+            if name == "*":
+                why = "import the routing kernel's entry points by name"
+            elif name not in _PREDICATE_TIER or (home and normalized.endswith(home)):
+                continue
+            elif home is None:
+                why = (
+                    f"{name} probes a materialized filler — the tier between "
+                    "the network door (wire text) and the group's tuple index "
+                    "(binding tuples) is gone; it stays in routing.py as the "
+                    "reference tests hold envelope_values to"
+                )
+            else:
+                why = (
+                    f"{name} is {home}'s: a routing predicate is decided at "
+                    "the network door and in the scheduler's groups, nowhere else"
+                )
+            out.append(Diagnostic("predicate-tier", f"{path}:{node.lineno}: {why}"))
 
 
 def _imported_modules(tree: _pyast.AST) -> list[tuple[str, int]]:

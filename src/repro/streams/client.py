@@ -11,9 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.engine import XCQLEngine
-from repro.fragments.model import parse_filler
 from repro.fragments.store import FragmentStore
-from repro.fragments.tagstructure import TagStructure
 from repro.streams.clock import Clock, SimulatedClock
 from repro.streams.continuous import ContinuousQuery
 from repro.streams.transport import FILLER, TAG_STRUCTURE, Channel, Message
@@ -40,8 +38,8 @@ class StreamClient:
         self.received_bytes = 0
         self._pending = 0
         if scheduler is not None:
-            # Arrivals fed straight into the engine (bypassing the channel,
-            # e.g. replayed snapshots) notify the scheduler too.
+            # The engine announces every accepted arrival — delivered by a
+            # channel or fed straight in (e.g. replayed snapshots).
             scheduler.watch_engine(self.engine)
 
     # -- tuning in -----------------------------------------------------------------
@@ -55,24 +53,21 @@ class StreamClient:
         channel.unsubscribe(self._on_message)
 
     def _on_message(self, message: Message) -> None:
+        """Hand a channel message to :meth:`XCQLEngine.deliver`.
+
+        Two guards sit in front of it: a filler heard before its stream's
+        Tag Structure is dropped (nothing can place it yet), and a
+        repeated Tag Structure announcement does not re-register.
+        """
+        known = message.stream in self.engine.stores
         if message.kind == TAG_STRUCTURE:
-            structure = TagStructure.from_xml(message.payload)
-            if message.stream not in self.engine.stores:
-                self.engine.register_stream(message.stream, structure)
-            return
-        if message.kind == FILLER:
-            store = self.engine.stores.get(message.stream)
-            if store is None:
-                return  # fillers before the tag structure announcement
-            filler = parse_filler(message.payload)
-            if store.append(filler):
-                self.received_fillers += 1
-                self.received_bytes += message.wire_size
-                self._pending += 1
-                if self.scheduler is not None:
-                    self.scheduler.notify_arrival(
-                        message.stream, filler.tsid, [filler]
-                    )
+            if not known:
+                self.engine.deliver(message)
+        elif message.kind == FILLER and known:
+            added = self.engine.deliver(message)
+            self.received_fillers += added
+            self.received_bytes += added * message.wire_size
+            self._pending += added
 
     # -- continuous queries -----------------------------------------------------------
 

@@ -270,28 +270,6 @@ class ContinuousQuery:
         self._retained = list(result)
         self._watermark = store.watermark
 
-    def advance_watermark(self, cleared_seq: int) -> None:
-        """Advance past arrivals proven unable to change the answer.
-
-        Called by the scheduler's predicate routing index when every
-        filler up to store sequence ``cleared_seq`` was probed and cannot
-        satisfy this query's leading predicate: the delta over them is
-        empty, the retained result stays valid, and the next wake only
-        processes genuinely new fillers instead of catching up.  No-op
-        when the watermark is unset, the plan is not delta-safe, or the
-        store's history was rewritten since (epoch moved — the next
-        evaluation falls back to a full run regardless).
-        """
-        if self._watermark is None:
-            return
-        _, store = self._plan_and_store()
-        if store is None:
-            return
-        seq, epoch = self._watermark
-        if store.mutation_epoch != epoch or cleared_seq <= seq:
-            return
-        self._watermark = (cleared_seq, epoch)
-
     def reset(self) -> None:
         """Forget emission history (delta mode starts over)."""
         self._last_result = self.last_result  # still the last answer

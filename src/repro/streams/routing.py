@@ -1,31 +1,38 @@
-"""Routing predicates at run time: one probe kernel, three granularities.
+"""Routing predicates at run time: one probe kernel, two places it decides.
 
 A :class:`~repro.core.optimizer.RoutingPredicate` is the leading
 literal comparison of a standing query's residual (``$t/amount > 50``).
 This module owns what every consumer of one needs — extracting the
 operand's values from a payload with exactly the residual's coercion,
-and comparing them with the literal — and the three decisions built on
+and comparing them with the literal — and the two decisions built on
 it:
 
-- **per envelope, over parser events** (:func:`envelope_match`): the
-  per-filler question below, asked of wire text nobody has parsed.  The
-  network server's subscription door tokenizes the envelope once and
-  walks the events; no DOM is built for a frame that is only relayed.
-- **per filler** (:func:`route_match`): can *any* binding tuple of an
-  arriving filler satisfy the predicate?  The scheduler's wake probe and
-  the sharded coordinator's front route, which hold materialized
-  fillers, ask this and skip the filler on ``False``.
+- **per envelope, over parser events** (:func:`envelope_match`): can
+  *any* binding tuple of this envelope satisfy the predicate?  Asked of
+  wire text nobody has parsed: the network server's subscription door
+  (:mod:`repro.streams.net`, its only importer) tokenizes the envelope
+  once and walks the events; no DOM is built for a frame that is only
+  relayed, and a frame not sent is a frame not paid for.
 - **per binding tuple** (:class:`TupleIndex`): which members of a shared
   group can accept *this* tuple?  Members whose predicates differ only
   in the literal are kept sorted by it, the operand is extracted once
   per tuple, and a bisect finds the accepting members — a condition
   shared by many standing queries is decided once per event, not once
   per query (Koch et al., schema-based scheduling of event processors).
+  :mod:`repro.streams.scheduler` is its only importer.
 
-All are conservative in the same direction: whatever the kernel cannot
+Between the two — once an envelope is a materialized
+:class:`~repro.fragments.model.Filler` but before its tuples are bound —
+nothing decides a predicate: arrivals wake by ``(stream, tsid)``
+dependency alone.  :func:`route_match` / :func:`filler_values` answer the
+per-envelope question over a DOM and are kept as the **reference** the
+event kernel is held to (``tests/test_envelope_probe.py``); no module
+under ``src/`` imports them (``repro-lint`` rule ``predicate-tier``).
+
+Both are conservative in the same direction: whatever the kernel cannot
 decide (an operand that is not a number where one is compared, a
 multi-valued operand under a value comparison, ``NaN``, an annotation
-attribute that depends on other versions) wakes the query, or passes the
+attribute that depends on other versions) sends the frame, or passes the
 tuple through, and the query's own residual gives the verdict —
 including the error it would have raised.
 """
@@ -46,7 +53,6 @@ from repro.xquery.xdm import to_number
 __all__ = [
     "Partition",
     "TupleIndex",
-    "batch_supersedes",
     "compare",
     "descendants_with_tag",
     "envelope_match",
@@ -182,22 +188,7 @@ def compare(value, pred: RoutingPredicate) -> bool:
     return True  # unknown operator — wake
 
 
-# -- per filler: the wake probe --------------------------------------------------------
-
-
-def batch_supersedes(store, fillers: list[Filler]) -> bool:
-    """Did some arriving fragment id already have versions in the store?
-
-    Mirrors :func:`repro.streams.continuous.delta_applicable`: the batch
-    is already ingested when the probe runs, so an id with more store
-    versions than batch arrivals had history before this batch.
-    """
-    counts: dict[int, int] = {}
-    for filler in fillers:
-        counts[filler.filler_id] = counts.get(filler.filler_id, 0) + 1
-    return any(
-        store.version_count(filler_id) > count for filler_id, count in counts.items()
-    )
+# -- per filler: the DOM reference of the envelope probe (tests only) -------------------
 
 
 def route_match(pred: RoutingPredicate, filler: Filler,
@@ -539,8 +530,8 @@ class TupleIndex:
         self._shapes: dict[tuple, _Shape] = {}
         self._filed: dict[int, RoutingPredicate] = {}  # id(member) -> filed under
 
-    def __bool__(self) -> bool:
-        return bool(self._filed)
+    def __len__(self) -> int:
+        return len(self._filed)
 
     @property
     def shapes(self) -> int:

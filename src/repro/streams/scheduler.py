@@ -13,7 +13,15 @@ core of that idea at query granularity:
 - queries that mention ``now`` (sliding windows) are *time-sensitive* and
   also re-evaluate when the clock has advanced, even without arrivals.
 
-Two multi-query optimizations sit on top (the many-standing-queries
+Arrivals wake by dependency only: every entry is filed under each
+``(stream, tsid | *)`` it depends on when it is added, ``notify_arrival``
+is a set-add, and a poll unions the watchers of the keys that arrived.
+What an arriving fragment *contains* is never looked at here — a routing
+predicate is decided on wire text at the network door
+(:func:`repro.streams.routing.envelope_match`) and on binding tuples in
+the group (below), nowhere in between.
+
+Three multi-query optimizations sit on top (the many-standing-queries
 regime of paper §2/§7):
 
 - **Shared group evaluation.**  Incremental queries (the pipeline's
@@ -24,22 +32,14 @@ regime of paper §2/§7):
   member's residual closure, so N same-source queries cost one delta scan
   plus N cheap residuals instead of N scans.  A query with nobody to
   share with is a group of one: same window, same driver.
-- **Predicate routing.**  A query whose residual leads with a
-  literal-comparable conjunct (``$t/amount > 50``) registers in a
-  per-(stream, tsid) dispatch table.  An arriving filler batch is probed
-  against each registered predicate and wakes only the queries whose
-  predicate can match — ``notify_arrival`` becomes an index probe instead
-  of a broadcast.  Probes are conservative (uncertainty wakes), and a
-  skipped query's watermark does not advance, so skipped fillers are
-  simply folded in at its next wake — semantics identical to the
-  dependency-based skips.
-- **Group predicate index.**  The same conjunct also decides, per
-  binding tuple, which members of a group have to look at it.  Members
-  whose predicates differ only in the literal are filed sorted by it at
-  registration (:class:`repro.streams.routing.TupleIndex`); a tick
-  extracts the operand once per tuple and hands each member the
-  order-preserving sub-list its literal accepts, and a member left with
-  nothing runs nothing.
+- **Group predicate index.**  A query whose residual leads with a
+  literal-comparable conjunct (``$t/amount > 50``) is filed under it in
+  its group's :class:`repro.streams.routing.TupleIndex` at registration,
+  sorted by the literal among the members whose predicates differ only
+  there.  A tick extracts the operand once per tuple and hands each
+  member the order-preserving sub-list its literal accepts; a member
+  left with nothing folds in an empty delta — its watermark moves, no
+  context is built and nothing of its residual runs.
 - **Shared residual.**  A residual is *guard ∘ body* (see
   :func:`repro.core.optimizer.analyze_delta`): the guard is that same
   conjunct, so a tuple the index accepted with a verdict — not one it
@@ -61,15 +61,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from repro.core.engine import CompiledQuery, IncrementalPlan
-from repro.core.optimizer import RoutingPredicate
-from repro.fragments.model import Filler
-from repro.fragments.tagstructure import TagType
 from repro.streams.continuous import ContinuousQuery, DeltaWindow
-from repro.streams.routing import TupleIndex, batch_supersedes, route_match
+from repro.streams.routing import TupleIndex
 from repro.temporal.chrono import XSDateTime
 from repro.xquery import xast
 
-__all__ = ["QueryDependencies", "dependencies_of", "wake_route", "QueryScheduler"]
+__all__ = ["QueryDependencies", "dependencies_of", "QueryScheduler"]
 
 ALL_TSIDS = "*"
 _ALL_DECIDED: frozenset = frozenset()  # the index had a verdict for every tuple
@@ -148,51 +145,19 @@ def _literal(node: object):
     return None
 
 
-def wake_route(
-    plan: Optional[IncrementalPlan], dependencies: QueryDependencies
-) -> Optional[tuple[str, int]]:
-    """The ``(stream, tsid)`` a query's wake probe may be keyed on, if any.
-
-    Probing arrivals against the plan's routing predicate decides the
-    wake only when the routed ``(stream, tsid)`` is everything the query
-    can observe: broader dependencies (or the clock) keep the broadcast
-    wake — routing a query that can also see other arrivals would be
-    unsound.  The in-process index and the sharded front door both ask
-    here.
-    """
-    if (
-        plan is not None
-        and plan.routing is not None
-        and plan.tsid is not None
-        and dependencies.streams == frozenset({(plan.stream, plan.tsid)})
-        and not dependencies.time_sensitive
-    ):
-        return plan.stream, plan.tsid
-    return None
-
-
 @dataclass(eq=False)
 class _Entry:
     query: ContinuousQuery
     dependencies: QueryDependencies
     plan: Optional[IncrementalPlan] = None
     group_key: Optional[tuple] = None  # (id(engine), *IncrementalPlan.group_key)
-    route_key: Optional[tuple] = None  # (stream, tsid) when wake-routed
-    routing: Optional[RoutingPredicate] = None  # set whenever routing is on
     automaton: Optional[object] = None  # compile-stream-automaton verdict
-    dirty: bool = False  # routed entries: a probed arrival matched
-    # Store seq through which every probed filler missed: a skip may then
-    # advance the query's watermark past the cleared arrivals (the delta
-    # over them is provably empty), so later wakes don't re-scan them.
-    cleared_seq: Optional[int] = None
     last_now: Optional[XSDateTime] = None
     evaluations: int = 0
     skips: int = 0
     full_runs: int = 0    # evaluations that re-scanned the whole store
     delta_runs: int = 0   # incremental evaluations over the query's own scan
     shared_runs: int = 0  # incremental evaluations fed from a group window
-    routing_wakes: int = 0
-    routing_skips: int = 0
     automaton_runs: int = 0       # wakes answered from event captures
     automaton_fallbacks: int = 0  # declines that took the DOM prefix scan
 
@@ -209,7 +174,8 @@ class QueryScheduler:
 
     ``share_groups`` lets same-prefix queries share one window per tick
     (off: every query is a group of one and scans for itself);
-    ``routing`` enables the predicate routing index;
+    ``routing`` files members in their group's predicate index (off:
+    every member takes every tuple and runs its own guard);
     ``stream_automata`` lets automaton-compiled plans answer wakes from
     the engine's :class:`~repro.core.engine.AutomatonHost` event captures
     (recorded by ``feed_raw``) before touching any wrapper DOM — a decline
@@ -221,13 +187,15 @@ class QueryScheduler:
     def __init__(self, engine=None, share_groups: bool = True,
                  routing: bool = True, stream_automata: bool = True) -> None:
         self._entries: list[_Entry] = []
-        self._arrivals: dict[str, set[int]] = {}
+        # (stream, tsid | ALL_TSIDS) -> the entries depending on it, filed
+        # by add/remove; a poll unions the watchers of what arrived.
+        self._watchers: dict[tuple, set[_Entry]] = {}
+        self._arrivals: set[tuple[str, int]] = set()
         self._watched: list = []
         self.share_groups = share_groups
         self.routing = routing
         self.stream_automata = stream_automata
         self._groups: dict[tuple, list[_Entry]] = {}
-        self._routes: dict[tuple[str, int], list[_Entry]] = {}
         # Per-group tuple dispatch index over the members' leading
         # predicates; maintained by add/remove, only read inside a poll.
         self._indexes: dict[tuple, TupleIndex] = {}
@@ -244,9 +212,6 @@ class QueryScheduler:
         self._notifications = 0
         self._tuple_probes = 0
         self._tuples_pruned = 0
-        self._routing_probes = 0
-        self._routing_wakes = 0
-        self._routing_skips = 0
         self._prefix_runs = 0
         self._prefix_reuses = 0
         self._automaton_runs = 0
@@ -259,13 +224,15 @@ class QueryScheduler:
     def add(self, query: ContinuousQuery) -> QueryDependencies:
         """Track a continuous query; returns its derived dependencies.
 
-        Incremental queries join their prefix group; those whose residual
-        carries a routable predicate are filed in the group's tuple
-        dispatch index, and those :func:`wake_route` admits also register
-        for the wake probe.
+        The entry is filed under every ``(stream, tsid)`` it depends on.
+        Incremental queries join their prefix group, and those whose
+        residual carries a routable predicate are filed in the group's
+        tuple dispatch index.
         """
         dependencies = dependencies_of(query.compiled)
         entry = _Entry(query, dependencies)
+        for key in dependencies.streams:
+            self._watchers.setdefault(key, set()).add(entry)
         plan = query.engine.prepare_incremental(query.compiled)
         if plan is not None:
             entry.plan = plan
@@ -281,25 +248,26 @@ class QueryScheduler:
                     (id(query.engine), automaton), [query.engine, []]
                 )[1].append(entry)
             if self.routing and plan.routing is not None:
-                entry.routing = plan.routing
                 index = self._indexes.get(entry.group_key) or TupleIndex()
                 if index.add(entry, plan.routing):
                     self._indexes[entry.group_key] = index
-                entry.route_key = wake_route(plan, dependencies)
-                if entry.route_key is not None:
-                    self._routes.setdefault(entry.route_key, []).append(entry)
         self._entries.append(entry)
         return dependencies
 
     def remove(self, query: ContinuousQuery) -> bool:
         """Stop tracking a query; returns whether it was tracked.
 
-        Group co-members simply shrink their group; the wake probe and the
-        group's tuple index forget the query's predicate.
+        Group co-members simply shrink their group; the group's tuple
+        index forgets the query's predicate.
         """
         for entry in self._entries:
             if entry.query is query:
                 self._entries.remove(entry)
+                for key in entry.dependencies.streams:
+                    watching = self._watchers[key]
+                    watching.discard(entry)
+                    if not watching:
+                        del self._watchers[key]
                 if entry.automaton is not None:
                     query.engine.automaton_host.unregister(entry.automaton)
                     key = (id(query.engine), entry.automaton)
@@ -318,84 +286,19 @@ class QueryScheduler:
                         index.remove(entry)
                         if not index:
                             del self._indexes[entry.group_key]
-                if entry.route_key is not None:
-                    routed = self._routes.get(entry.route_key, [])
-                    if entry in routed:
-                        routed.remove(entry)
-                    if not routed:
-                        self._routes.pop(entry.route_key, None)
                 return True
         return False
 
     # -- arrival tracking ---------------------------------------------------------
 
-    def notify_arrival(self, stream: str, tsid: int,
-                       fillers: Optional[list[Filler]] = None) -> None:
+    def notify_arrival(self, stream: str, tsid: int) -> None:
         """Record that filler(s) with ``tsid`` arrived on ``stream``.
 
         Idempotent per poll window (a set-add), so automatic engine
-        notifications and manual calls may overlap harmlessly.  The
-        engine's coalesced ``feed`` wakes pass the accepted ``fillers``
-        batch, which the routing index probes: a routed query is marked
-        dirty only when some filler can satisfy its predicate.  Calls
-        without a batch (the manual two-argument protocol) wake routed
-        queries unconditionally — conservative, never unsound.
+        notifications and manual calls may overlap harmlessly.
         """
         self._notifications += 1
-        self._arrivals.setdefault(stream, set()).add(int(tsid))
-        routed = self._routes.get((stream, int(tsid)))
-        if not routed:
-            return
-        # Entries on one route key often share a predicate *shape* (same
-        # path, different literal — 64 threshold alerts over one tag);
-        # extracted probe values are cached per (filler, shape) so the
-        # content walk happens once per filler, not once per query.
-        value_cache: dict[tuple, Optional[list]] = {}
-        supersede_cache: dict[int, bool] = {}
-        for entry in routed:
-            if entry.dirty:
-                continue
-            if fillers is None:
-                entry.dirty = True
-                continue
-            self._routing_probes += 1
-            store = entry.query.engine.stores.get(stream)
-            tag_type = store.tag_type_of(int(tsid)) if store is not None else None
-            if (
-                store is not None
-                and tag_type is not TagType.EVENT
-                and supersede_cache.setdefault(
-                    id(store), batch_supersedes(store, fillers)
-                )
-            ):
-                # A non-event fragment got another version: the new
-                # version closes (temporal) or retracts (snapshot) the
-                # previous one, so retained annotations move even when no
-                # arriving filler satisfies the predicate.  The probe
-                # cannot clear this batch — wake unconditionally.
-                entry.dirty = True
-                entry.routing_wakes += 1
-                self._routing_wakes += 1
-                continue
-            if any(route_match(entry.routing, filler, tag_type, value_cache)
-                   for filler in fillers):
-                entry.dirty = True
-                entry.routing_wakes += 1
-                self._routing_wakes += 1
-            else:
-                entry.routing_skips += 1
-                self._routing_skips += 1
-                # The probe covered every filler of this (stream, tsid) in
-                # the feed, so the store's current seq is cleared — but
-                # only when the notification provably came from the
-                # entry's own engine (a second watched engine could feed
-                # an identically-named stream whose fillers we never saw).
-                if (
-                    store is not None
-                    and len(self._watched) == 1
-                    and self._watched[0] is entry.query.engine
-                ):
-                    entry.cleared_seq = store.seq
+        self._arrivals.add((stream, int(tsid)))
 
     def watch_engine(self, engine) -> None:
         """Subscribe to an engine's ingest: ``feed`` implies ``notify_arrival``."""
@@ -415,8 +318,9 @@ class QueryScheduler:
         """Re-evaluate exactly the queries whose answer can have changed."""
         emitted: dict[ContinuousQuery, list] = {}
         self._tick_windows.clear()
+        woken = self._woken()
         for entry in self._ordered_entries():
-            if self._should_run(entry, now):
+            if self._should_run(entry, now, woken):
                 tuple_source = self._tuple_source_for(entry)
                 emitted[entry.query] = entry.query.evaluate(
                     now, tuple_source=tuple_source
@@ -432,11 +336,7 @@ class QueryScheduler:
                 entry.skips += 1
                 entry.query.skips += 1
                 emitted[entry.query] = []
-                if entry.cleared_seq is not None and not entry.dirty:
-                    entry.query.advance_watermark(entry.cleared_seq)
             entry.last_now = now
-            entry.dirty = False
-            entry.cleared_seq = None
         self._arrivals.clear()
         self._tick_windows.clear()
         if self.stream_automata:
@@ -475,20 +375,22 @@ class QueryScheduler:
             floor = min(entry.query.watermark_seq or 0 for entry in watching)
             engine.automaton_host.prune(automaton, floor)
 
-    def _should_run(self, entry: _Entry, now: XSDateTime) -> bool:
+    def _woken(self) -> set:
+        """The entries some arrival since the last poll can have changed."""
+        woken: set[_Entry] = set()
+        watchers = self._watchers
+        for stream, tsid in self._arrivals:
+            woken.update(watchers.get((stream, tsid), ()))
+            woken.update(watchers.get((stream, ALL_TSIDS), ()))
+        return woken
+
+    @staticmethod
+    def _should_run(entry: _Entry, now: XSDateTime, woken: set) -> bool:
         if entry.last_now is None:
             return True  # first poll establishes a baseline
-        if entry.route_key is not None:
-            # Routed queries are woken by the index probe alone; their
-            # dependencies are exactly the routed (stream, tsid) and they
-            # are clock-insensitive, so nothing else can change the answer.
-            return entry.dirty
-        for stream, tsids in self._arrivals.items():
-            if tsids and entry.dependencies.touches(stream, tsids):
-                return True
-        if entry.dependencies.time_sensitive and now != entry.last_now:
+        if entry in woken:
             return True
-        return False
+        return entry.dependencies.time_sensitive and now != entry.last_now
 
     def _tuple_source_for(self, entry: _Entry) -> Optional[Callable]:
         """The entry's delta-window hook for this tick, or ``None``.
@@ -508,14 +410,15 @@ class QueryScheduler:
         share one fresh-filler scan, one applicability verdict, one tuple
         materialization, one pass of the group's predicate index and one
         run of each distinct residual body per tuple per tick, regardless
-        of which producer made the tuples; a member that was skipped for
-        a while simply pays one catch-up run for its older watermark.
-        The member's residual sees the sub-list of tuples its leading
-        predicate can accept (all of them when it has none, or
-        ``routing`` is off) and skips its guard for those the index
-        accepted with a verdict.  With ``share_groups`` off every member
-        keys its own windows, takes all their tuples and runs every guard
-        and body itself.  The watermark and epoch guards run in
+        of which producer made the tuples; a member at an older watermark
+        (it joined late, or was re-baselined) simply pays one catch-up
+        run from there.  The member's residual sees the sub-list of
+        tuples its leading predicate can accept (all of them when it has
+        none, or ``routing`` is off) and skips its guard for those the
+        index accepted with a verdict; left with none, it folds in an
+        empty delta without building anything.  With ``share_groups`` off
+        every member keys its own windows, takes all their tuples and
+        runs every guard and body itself.  The watermark and epoch guards run in
         :class:`~repro.streams.continuous.ContinuousQuery`, so neither
         producer can change what gets evaluated.
         """
@@ -561,13 +464,18 @@ class QueryScheduler:
                     window.partition = index.partition(window.tuples)
                     self._tuple_probes += index.shapes * len(window.tuples)
             tuples = window.tuples
-            undecided = None  # nobody looked at this member's tuples
-            if window.partition is not None:
-                accepted = window.partition.get(id(entry))
-                if accepted is not None:
-                    self._tuples_pruned += len(tuples) - len(accepted)
-                    tuples = accepted
-                    undecided = window.partition.undecided.get(id(entry), _ALL_DECIDED)
+            partition = window.partition
+            accepted = partition.get(id(entry)) if partition is not None else None
+            if accepted is not None:
+                self._tuples_pruned += len(tuples) - len(accepted)
+                tuples = accepted
+            if not tuples:
+                return [], []  # nothing to fold in: no context, no residual
+            undecided = (
+                None  # nobody looked at this member's tuples
+                if accepted is None
+                else partition.undecided.get(id(entry), _ALL_DECIDED)
+            )
             return window.residual(plan, tuples, context, undecided)
 
         return source
@@ -613,11 +521,11 @@ class QueryScheduler:
         A3b denominator, now attributable per standing query — and how the
         runs split between shared (``shared_runs``), solo incremental
         (``delta_runs``) and full-scan (``full_runs``) evaluations
-        (ablations A10/A11).  ``routing`` reports the dispatch index:
-        probes performed, wakes granted, wakes skipped, and for the
-        per-group tuple index ``tuple_probes`` (operand extractions: one
-        per binding tuple per predicate shape) and ``tuples_pruned``
-        (tuple × member pairs no residual had to look at); ``shared_prefix``
+        (ablations A10/A11).  ``routing`` reports the per-group tuple
+        index: ``registered`` members filed in one, ``tuple_probes``
+        (operand extractions: one per binding tuple per predicate shape)
+        and ``tuples_pruned`` (tuple × member pairs no residual had to
+        look at); ``shared_prefix``
         reports group-scan economy (each reuse is one avoided delta scan);
         ``shared_residual`` what the residuals' two halves cost — guards
         the index's verdict made unnecessary vs. guards run, bodies
@@ -633,10 +541,7 @@ class QueryScheduler:
             "shared_runs": self.total_shared_runs,
             "notifications": self._notifications,
             "routing": {
-                "registered": sum(len(v) for v in self._routes.values()),
-                "probes": self._routing_probes,
-                "wakes": self._routing_wakes,
-                "skips": self._routing_skips,
+                "registered": sum(len(index) for index in self._indexes.values()),
                 "tuple_probes": self._tuple_probes,
                 "tuples_pruned": self._tuples_pruned,
             },

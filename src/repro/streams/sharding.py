@@ -37,17 +37,16 @@ never crossed the coordinator (or arrived child-first from a
 non-conforming server) is counted in ``dispatch_conflicts`` instead of
 silently splitting a fragment tree.
 
-Front-door dispatch
+The dependency gate
 -------------------
 
-The coordinator reuses the PR 4 predicate routing index as the
-cross-shard dispatcher.  Each admitted query's routable predicate (the
-same compile-time annotation the per-worker schedulers use) is probed
-once at the front door against every per-shard sub-batch; a shard whose
-resident queries provably cannot match is forwarded the fillers (its
-partition must stay complete) but is *not* polled on the next tick.
-Probes are conservative exactly like the in-process index: uncertainty,
-non-event supersedes, and non-routable queries all wake the shard.
+The coordinator keeps one wake gate for ``feed`` and ``feed_raw`` alike:
+does any resident query depend on a tsid of this per-shard sub-batch, or
+on the clock?  A shard whose sub-batch touches nothing a query can
+observe is forwarded the fillers (its partition must stay complete) but
+is *not* polled on the next tick.  What the fillers *contain* is not
+looked at here — routing predicates are decided per binding tuple
+inside each worker's scheduler, which is where they are cheapest.
 
 One link interface, three transports
 ------------------------------------
@@ -112,12 +111,15 @@ from repro.core.translator import Strategy
 from repro.dom.serializer import serialize
 from repro.fragments.model import Filler, parse_filler
 from repro.fragments.persist import Journal
-from repro.fragments.tagstructure import TagStructure, TagType
+from repro.fragments.tagstructure import TagStructure
 from repro.streams import netproto as proto
 from repro.streams.compression import TagCodec
 from repro.streams.continuous import ContinuousQuery
-from repro.streams.routing import route_match
-from repro.streams.scheduler import QueryScheduler, dependencies_of, wake_route
+from repro.streams.scheduler import (
+    QueryDependencies,
+    QueryScheduler,
+    dependencies_of,
+)
 from repro.streams.transport import (
     FILLER,
     TAG_STRUCTURE,
@@ -193,18 +195,6 @@ class ShardedQuery:
             f"<ShardedQuery {self.qid} {self.strategy.value} emit={self.emit}"
             f" emitted={self.emitted_total}>"
         )
-
-
-class _FrontRoute:
-    """One query's front-door dispatch state (mirrors scheduler._Entry)."""
-
-    __slots__ = ("stream", "dependencies", "route_key", "predicate")
-
-    def __init__(self, stream, dependencies, route_key, predicate):
-        self.stream = stream
-        self.dependencies = dependencies
-        self.route_key = route_key  # (stream, tsid) when routable
-        self.predicate = predicate  # probed only under a route_key
 
 
 # -- the worker side ---------------------------------------------------------------
@@ -929,14 +919,11 @@ class ShardedEngine:
             self._new_link(index) for index in range(self.shard_count)
         ]
         self._queries: dict[int, ShardedQuery] = {}
-        self._fronts: dict[int, _FrontRoute] = {}
+        self._dependencies: dict[int, QueryDependencies] = {}  # by qid
         self._next_qid = 1
         # (stream, filler_id) -> shard pin; children are pinned to their
         # parent's shard when the parent's holes pass through dispatch.
         self._homes: dict[tuple[str, int], int] = {}
-        # (stream, filler_id) -> forwarded version count, for the
-        # conservative front-door supersede wake.
-        self._version_counts: dict[tuple[str, int], int] = {}
         self._dirty: set[int] = set()
         self._closed = False
         # Coordinator counters (see stats()).
@@ -1110,15 +1097,11 @@ class ShardedEngine:
                 "union and cannot be sharded: "
                 f"{compiled.info.incremental_reason}"
             )
-        dependencies = dependencies_of(compiled)
-        route_key = wake_route(plan, dependencies)
         qid = self._next_qid
         self._next_qid += 1
         query = ShardedQuery(qid, source, strategy, emit, plan.stream)
         self._queries[qid] = query
-        self._fronts[qid] = _FrontRoute(
-            plan.stream, dependencies, route_key, plan.routing
-        )
+        self._dependencies[qid] = dependencies_of(compiled)
         for index in range(self.shard_count):
             self._post(index, ("add_query", qid, source, strategy.value, emit))
             # A new query needs its baseline evaluation everywhere.
@@ -1132,7 +1115,7 @@ class ShardedEngine:
         if query.qid not in self._queries:
             return False
         del self._queries[query.qid]
-        del self._fronts[query.qid]
+        del self._dependencies[query.qid]
         for index in range(self.shard_count):
             self._post(index, ("remove_query", query.qid))
         self._sync_all()
@@ -1144,9 +1127,9 @@ class ShardedEngine:
         """Partition a filler batch across the shards; returns the count.
 
         Per shard: the sub-batch is journaled, forwarded (tag-compressed
-        past ``compress_threshold``), and probed against the front-door
-        routing index — a shard none of whose resident queries can match
-        stays un-dirty and is skipped by the next :meth:`tick`.
+        past ``compress_threshold``), and put to the dependency gate — a
+        shard whose sub-batch touches no resident query's tsids stays
+        un-dirty and is skipped by the next :meth:`tick`.
         """
         self._check_open()
         if name not in self._structures:
@@ -1156,20 +1139,11 @@ class ShardedEngine:
         fillers = list(fillers)
         if not fillers:
             return 0
-        # Supersede flags must reflect the state *before* this batch.
-        supersedes = {
-            id(filler): self._version_counts.get(
-                (name, int(filler.filler_id)), 0
-            ) > 0
-            for filler in fillers
-        }
         buckets: dict[int, list[Filler]] = {}
         for filler in fillers:
             target = self._home(name, int(filler.filler_id))
             self._pin_holes(name, target, filler.hole_ids())
             buckets.setdefault(target, []).append(filler)
-            self._count_version(name, int(filler.filler_id), int(filler.tsid))
-        value_cache: dict = {}
         for target, batch in sorted(buckets.items()):
             envelopes = [filler.to_xml() for filler in batch]
             self._journals[target].record_many(
@@ -1186,7 +1160,7 @@ class ShardedEngine:
                     encoded = True
                     self._compressed_batches += 1
             self._post(target, ("feed", name, encoded, envelopes))
-            if self._wakes(name, batch, supersedes, value_cache):
+            if self._wakes(name, {int(filler.tsid) for filler in batch}):
                 self._dirty.add(target)
         self._fed += len(fillers)
         return len(fillers)
@@ -1197,10 +1171,8 @@ class ShardedEngine:
         Payloads are forwarded verbatim (never re-serialized or
         compressed) so each worker's streaming-automaton ingest sees the
         exact wire text; the shard key and hole pins are read off the
-        envelope with a regex peek.  Like the in-process raw path, wakes
-        are batch-free and therefore conservative: every shard whose
-        resident queries depend on the arriving ``(stream, tsid)``s is
-        polled.
+        envelope with a regex peek.  The same dependency gate as
+        :meth:`feed` decides which shards the next tick polls.
         """
         self._check_open()
         if name not in self._structures:
@@ -1216,7 +1188,6 @@ class ShardedEngine:
             filler_id, tsid, holes = peek_filler(payload)
             target = self._home(name, filler_id)
             self._pin_holes(name, target, holes)
-            self._count_version(name, filler_id, tsid)
             buckets.setdefault(target, []).append(payload)
             tsids.setdefault(target, set()).add(tsid)
         for target, batch in sorted(buckets.items()):
@@ -1224,24 +1195,10 @@ class ShardedEngine:
                 Message(FILLER, name, payload) for payload in batch
             )
             self._post(target, ("feed_raw", name, batch))
-            if self._wakes_raw(name, tsids[target]):
+            if self._wakes(name, tsids[target]):
                 self._dirty.add(target)
         self._fed += len(payloads)
         return len(payloads)
-
-    def _count_version(self, stream: str, filler_id: int, tsid: int) -> None:
-        """Count one forwarded version of a fragment for the supersede wake.
-
-        :meth:`_wakes` consults the count only for non-event tags, and each
-        live event is a fragment of its own: counting a tsid the Tag
-        Structure types as an event would grow the table by an entry per
-        envelope for ever.  An unknown tsid reads as temporal and is
-        counted.
-        """
-        if self._local.stores[stream].tag_type_of(tsid) is TagType.EVENT:
-            return
-        key = (stream, filler_id)
-        self._version_counts[key] = self._version_counts.get(key, 0) + 1
 
     def _home(self, stream: str, filler_id: int) -> int:
         pinned = self._homes.get((stream, filler_id))
@@ -1269,64 +1226,22 @@ class ShardedEngine:
             elif existing != target:
                 self._dispatch_conflicts += 1
 
-    # -- front-door dispatch ------------------------------------------------------
+    # -- the dependency gate ------------------------------------------------------
 
-    def _wakes(self, name: str, batch: list, supersedes: dict,
-               value_cache: dict) -> bool:
+    def _wakes(self, name: str, tsids: set) -> bool:
         """Can this sub-batch change any resident query's answer?
 
-        The same probe the in-process routing index runs, applied once at
-        the coordinator: routed queries are probed filler by filler
-        (with the scheduler's conservative supersede rule for non-event
-        tags), non-routable queries fall back to the dependency test.
-        ``False`` means every resident query provably keeps its answer,
-        so the receiving shard need not be polled.
+        ``False`` means no resident query depends on an arriving tsid (or
+        on the clock), so the receiving shard need not be polled.  The
+        one gate for ``feed`` and ``feed_raw``; every sub-batch it sees is
+        one ``dispatch_probes``, tallied as a wake or a skip.
         """
-        tsids = {int(filler.tsid) for filler in batch}
-        store = self._local.stores.get(name)
-        for route in self._fronts.values():
-            if route.route_key is None or route.predicate is None:
-                if route.dependencies.touches(name, tsids) or (
-                    route.dependencies.time_sensitive
-                ):
-                    return True
-                continue
-            route_stream, route_tsid = route.route_key
-            if route_stream != name or route_tsid not in tsids:
-                continue
-            relevant = [
-                filler for filler in batch if int(filler.tsid) == route_tsid
-            ]
-            tag_type = (
-                store.tag_type_of(route_tsid) if store is not None else None
-            )
-            self._dispatch_probes += 1
-            if tag_type is not TagType.EVENT and any(
-                supersedes[id(filler)] for filler in relevant
-            ):
-                # A non-event fragment got another version: annotations of
-                # the previous version move regardless of the predicate.
+        self._dispatch_probes += 1
+        for dependencies in self._dependencies.values():
+            if dependencies.touches(name, tsids) or dependencies.time_sensitive:
                 self._dispatch_wakes += 1
                 return True
-            if any(
-                route_match(route.predicate, filler, tag_type, value_cache)
-                for filler in relevant
-            ):
-                self._dispatch_wakes += 1
-                return True
-            self._dispatch_skips += 1
-        return False
-
-    def _wakes_raw(self, name: str, tsids: set) -> bool:
-        """The batch-free (conservative) wake test for raw sub-batches."""
-        for route in self._fronts.values():
-            if route.route_key is not None:
-                if route.route_key[0] == name and route.route_key[1] in tsids:
-                    return True
-            elif route.dependencies.touches(name, tsids):
-                return True
-            elif route.dependencies.time_sensitive:
-                return True
+        self._dispatch_skips += 1
         return False
 
     # -- evaluation -------------------------------------------------------------
@@ -1345,7 +1260,8 @@ class ShardedEngine:
         now_text = str(now)
         started = time.perf_counter()
         if any(
-            route.dependencies.time_sensitive for route in self._fronts.values()
+            dependencies.time_sensitive
+            for dependencies in self._dependencies.values()
         ):
             self._dirty.update(range(self.shard_count))
         polled = set(self._dirty)
@@ -1487,7 +1403,8 @@ class ShardedEngine:
         The shape is deployment-independent — every shard entry carries
         its link ``kind`` and transport counters next to the worker's
         engine/scheduler/query payloads, the coordinator block reports
-        the dispatch probe/wake/skip tallies plus the last tick's
+        the dependency gate's tallies (``dispatch_probes`` sub-batches
+        gated = ``dispatch_wakes`` + ``dispatch_skips``) plus the last tick's
         wall/CPU timings, and attached channels surface their
         drop/duplication counters here rather than only per-object.
         ``repro-xcql serve --shards`` dumps exactly this dict as JSON.

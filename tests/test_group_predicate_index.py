@@ -133,12 +133,15 @@ class TestProbeKernel:
     def test_one_kernel_serves_every_door(self):
         from repro.streams import net, scheduler, sharding
 
-        # The network door asks the same kernel at its wire-text granularity.
+        # The network door asks the kernel at its wire-text granularity, the
+        # scheduler per binding tuple; nobody probes a materialized filler.
         assert net.envelope_match is routing.envelope_match
-        assert not hasattr(net, "route_match")
-        assert sharding.route_match is routing.route_match
-        assert scheduler.route_match is routing.route_match
-        assert not hasattr(scheduler, "_route_match")
+        assert scheduler.TupleIndex is routing.TupleIndex
+        for module in (net, scheduler, sharding):
+            for probe in ("route_match", "filler_values", "_route_match"):
+                assert not hasattr(module, probe), (module.__name__, probe)
+        for probe in ("envelope_match", "envelope_values", "TupleIndex"):
+            assert not hasattr(sharding, probe), probe
 
     def test_inexact_integer_literal_is_not_routable(self):
         engine = make_engine()
@@ -313,8 +316,8 @@ class _Arm:
         self.engine = make_engine()
         self.scheduler = QueryScheduler(self.engine, **knobs)
         if extra_engine:
-            # A second watched engine stops skipped members' watermarks from
-            # being advanced, so after a skip the group sits at two watermarks.
+            # A second watched engine feeding nothing: its presence must not
+            # change which members run or from which watermark.
             self.scheduler.watch_engine(make_engine())
         self.queries: dict[str, ContinuousQuery] = {}
         self.emitted: dict[str, list[str]] = {}
@@ -409,28 +412,42 @@ class TestDifferential:
 
     @pytest.mark.parametrize("raw", [False, True])
     def test_skipped_member_catches_up_from_its_own_watermark(self, raw):
+        """A member that sat out a tick (withdrawn, then re-admitted) folds in
+        what it missed from its own watermark while its co-member only sees
+        the new batch: one group, two windows, the same answers."""
         arms = [_Arm(extra_engine=True), _Arm(extra_engine=True, routing=False)]
         low, high = whole("$s/price > 10"), whole("$s/price > 60")
         script = [
-            [(101, 1, sale_xml(1, ["20"])), (102, 2, sale_xml(2, ["30"]))],
+            [(101, 1, sale_xml(1, ["20"])), (102, 2, sale_xml(2, ["80"]))],
             [(103, 3, sale_xml(3, ["70"])), (104, 4, sale_xml(4, ["5"]))],
         ]
+
+        def bound(stats) -> int:  # windows whose tuples somebody produced
+            return stats["shared_prefix"]["runs"] + stats["automata"]["runs"]
+
+        ticks = []
         for arm in arms:
             arm.add(low)
             arm.add(high)
             arm.tick()
-        for batch in script:
-            ticks = []
-            for arm in arms:
-                arm.feed(batch, raw)
-                ticks.append(arm.tick())
-            assert ticks[0] == ticks[1]
-        if not raw:
-            # The wake probe skipped `high` on the first batch, so its second
-            # wake spanned both batches while `low` only saw the second.
-            indexed = arms[0].scheduler.stats()
-            assert indexed["routing"]["skips"] >= 1
-        assert len(arms[0].emitted[high]) == 1
+            lagging = arm.queries[high]
+            assert arm.scheduler.remove(lagging)
+            arm.feed(script[0], raw)
+            missed = arm.scheduler.poll(NOW)
+            assert list(missed) == [arm.queries[low]]
+            arm.emitted[low].extend(item_identity(item) for item in missed[arm.queries[low]])
+            arm.scheduler.add(lagging)
+            before = arm.scheduler.stats()
+            arm.feed(script[1], raw)
+            ticks.append(arm.tick())
+            after = arm.scheduler.stats()
+            # `high` spanned both batches, `low` only the second: two windows,
+            # each bound once, and the catch-up was incremental.
+            assert bound(after) - bound(before) == 2
+            assert lagging.last_mode == "shared" and lagging.full_runs == 1
+        assert ticks[0] == ticks[1]
+        assert len(ticks[0][high]) == 2 and len(ticks[0][low]) == 1
+        assert len(arms[0].emitted[high]) == 2
         assert len(arms[0].emitted[low]) == 3
 
     def test_value_comparisons_over_single_valued_operands(self):
@@ -578,10 +595,17 @@ class TestSurface:
         assert scheduler._indexes == {}
 
     def test_stats_keep_the_existing_routing_keys(self):
-        scheduler = QueryScheduler(make_engine())
-        assert list(scheduler.stats()["routing"]) == [
-            "registered", "probes", "wakes", "skips", "tuple_probes", "tuples_pruned",
-        ]
+        engine = make_engine()
+        scheduler = QueryScheduler(engine)
+        assert scheduler.stats()["routing"] == {
+            "registered": 0, "tuple_probes": 0, "tuples_pruned": 0,
+        }
+        # `registered` counts the members filed in a tuple index: a member
+        # with no routable predicate is in the group but not in its index.
+        for source in (whole("$s/price > 40"), whole("$s/price > 70"),
+                       whole("count($s/price) > 1")):
+            scheduler.add(ContinuousQuery(engine, source, strategy=Strategy.QAC_PLUS))
+        assert scheduler.stats()["routing"]["registered"] == 2
 
     def test_explain_names_the_index_shape(self):
         engine = make_engine()

@@ -484,6 +484,34 @@ class TestSourceLint:
         elsewhere.write_text(again)  # printing an answer is not the streams layer
         assert lint_sources([str(elsewhere)]) == []
 
+    def test_a_predicate_is_decided_in_two_places(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "streams"
+        package.mkdir(parents=True)
+        door = "from repro.streams.routing import envelope_match, envelope_values\n"
+        index = "from repro.streams.routing import TupleIndex, index_shape\n"
+        (package / "net.py").write_text(door)
+        (package / "scheduler.py").write_text(index)
+        assert lint_sources([str(tmp_path)]) == []
+        # Each kernel entry point has one importer; the per-filler probe none.
+        (package / "sharding.py").write_text(
+            door + index
+            + "from repro.streams.routing import route_match\n"
+            + "from repro.streams import routing\n"
+            + "def probe(pred, filler):\n"
+            + "    return routing.filler_values(pred, filler, None, None)\n"
+        )
+        findings = lint_sources([str(tmp_path)])
+        assert [f.code for f in findings] == ["predicate-tier"] * 5
+        assert sorted(f.message.split(":")[1] for f in findings) == ["1", "1", "2", "3", "6"]
+        assert any("materialized filler" in f.message for f in findings)
+        # The kernel's own module defines them; tests import the reference.
+        (package / "routing.py").write_text("def route_match(*args):\n    return True\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_probe.py").write_text(
+            "from repro.streams.routing import route_match, envelope_values\n"
+        )
+        assert len(lint_sources([str(tmp_path)])) == 5
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")

@@ -406,6 +406,99 @@ class TestListenerLifecycle:
 
 
 class TestWatermarkEpochs:
+    """An idle member's watermark across arrivals and store history rewrites.
+
+    A member whose leading predicate accepts none of a tick's tuples
+    still *runs*: the group's tuple index hands it an empty sub-list, it
+    folds in an empty delta and its watermark moves to the store head.
+    ``prune_before``/``clear`` bump the store's mutation epoch; the
+    watermark is then stale and the next run must be a full one —
+    silently folding a delta in would replay or lose retained
+    annotations.
+    """
+
+    @staticmethod
+    def _txn(filler_id: int, hour: int, amount: int) -> Filler:
+        content = parse_document(
+            f'<transaction id="t{filler_id}"><amount>{amount}</amount>'
+            "</transaction>"
+        ).document_element
+        return Filler(
+            filler_id, 5, XSDateTime.parse(f"2003-10-01T{hour:02d}:00:00"), content
+        )
+
+    def test_watch_twice_registers_once(self):
+        engine = make_engine()
+        scheduler = QueryScheduler(engine)
+        scheduler.watch_engine(engine)  # idempotent
+        assert len(engine._arrival_listeners) == 1
+        engine.feed("credit", [self._txn(10, 1, 5)])
+        assert scheduler.stats()["notifications"] == 1
+
+    def test_unwatch_stops_notifications_and_releases_listener(self):
+        engine = make_engine()
+        scheduler = QueryScheduler(engine)
+        scheduler.unwatch_engine(engine)
+        assert engine._arrival_listeners == []
+        engine.feed("credit", [self._txn(11, 1, 5)])
+        assert scheduler.stats()["notifications"] == 0
+
+    def test_dropped_then_rewatched_fires_exactly_once(self):
+        engine = make_engine()
+        scheduler = QueryScheduler(engine)
+        scheduler.unwatch_engine(engine)
+        scheduler.watch_engine(engine)
+        assert len(engine._arrival_listeners) == 1
+        engine.feed("credit", [self._txn(12, 1, 5)])
+        assert scheduler.stats()["notifications"] == 1
+
+    def test_two_schedulers_fire_independently(self):
+        engine = make_engine()
+        first = QueryScheduler(engine)
+        second = QueryScheduler(engine)
+        engine.feed("credit", [self._txn(13, 1, 5)])
+        assert first.stats()["notifications"] == 1
+        assert second.stats()["notifications"] == 1
+        first.unwatch_engine(engine)
+        engine.feed("credit", [self._txn(14, 2, 5)])
+        assert first.stats()["notifications"] == 1
+        assert second.stats()["notifications"] == 2
+
+    def test_same_tsid_batch_coalesces_to_one_notification(self):
+        engine = make_engine()
+        scheduler = QueryScheduler(engine)
+        engine.feed("credit", [self._txn(20 + i, 1 + i, 5) for i in range(6)])
+        assert scheduler.stats()["notifications"] == 1
+
+    def test_mixed_tsids_fire_one_notification_each(self):
+        engine = make_engine()
+        scheduler = QueryScheduler(engine)
+        limit_content = parse_document("<creditLimit>75</creditLimit>").document_element
+        fillers = [self._txn(30 + i, 1 + i, 5) for i in range(3)]
+        fillers.append(
+            Filler(40, 4, XSDateTime.parse("2003-10-01T05:00:00"), limit_content)
+        )
+        engine.feed("credit", fillers)
+        assert scheduler.stats()["notifications"] == 2
+
+    def test_unwatched_scheduler_skips_without_arrival_signal(self):
+        engine = make_engine()
+        scheduler = QueryScheduler(engine)
+        query = ContinuousQuery(
+            engine, 'count(stream("credit")//transaction)', Strategy.QAC_PLUS
+        )
+        scheduler.add(query)
+        now = XSDateTime.parse("2003-10-01T00:00:00")
+        scheduler.poll(now)
+        scheduler.unwatch_engine(engine)
+        engine.feed("credit", [self._txn(50, 1, 5)])
+        scheduler.poll(now)
+        # The arrival was never seen, so the poll must skip (stale answer
+        # is the documented contract for manual notification wiring).
+        assert query.skips == 1
+
+
+class TestWatermarkEpochs:
     """Routing-index watermark advancement across store history rewrites.
 
     The routed-skip optimization records ``cleared_seq`` and advances a
@@ -444,36 +537,43 @@ class TestWatermarkEpochs:
         store = engine.stores["credit"]
         engine.feed("credit", [self._txn(100 + i, 1 + i, 10) for i in range(3)])
         assert scheduler.poll(self.NOW)[query] == []
-        # The probe covered every arrival: the watermark moved to the
-        # store head without an evaluation.
-        assert query.stats()["evaluations"] == 1
+        # The member ran over nothing: the index pruned all three tuples,
+        # no guard or body ran, and the watermark moved to the store head.
+        stats = scheduler.stats()
+        assert query.stats()["evaluations"] == 2
+        assert query.stats()["shared_runs"] == 1
         assert query._watermark == store.watermark
-        assert scheduler.stats()["routing"]["skips"] == 1
+        assert stats["routing"]["tuples_pruned"] == 3
+        assert stats["shared_residual"]["guards_run"] == 0
+        assert stats["shared_residual"]["body_runs"] == 0
         # The advanced watermark is still live: a matching arrival runs
         # an ordinary delta over only the new filler.
         engine.feed("credit", [self._txn(200, 9, 900)])
         emitted = scheduler.poll(self.NOW)[query]
         assert [item.string_value() for item in emitted] == ["900"]
-        assert query.stats()["shared_runs"] >= 1
+        assert query.stats()["shared_runs"] == 2
+        assert scheduler.stats()["routing"]["tuple_probes"] == 4
 
-    def test_prune_before_invalidates_cleared_seq(self):
+    def test_prune_before_forces_full_run_of_idle_member(self):
         engine, scheduler, query = self._rig()
         store = engine.stores["credit"]
         engine.feed("credit", [self._txn(100, 1, 10)])
         baseline_watermark = query._watermark
         epoch_before = store.mutation_epoch
-        # History rewrite between the probe and the next poll.
+        # History rewrite between the arrival and the next poll.
         store.prune_before(XSDateTime.parse("2003-10-01T02:00:00"))
         assert store.mutation_epoch == epoch_before + 1
-        scheduler.poll(self.NOW)
-        # advance_watermark saw the epoch move and refused: the probe's
-        # cleared_seq belongs to the old history, so the watermark must
-        # not advance into the new one.
-        assert query._watermark == baseline_watermark
-        # The query still answers correctly from a full re-run.
+        full_before = query.stats()["full_runs"]
+        assert scheduler.poll(self.NOW)[query] == []
+        # The epoch moved under the old watermark: nothing was folded in,
+        # the member re-ran in full and re-armed on the new history.
+        assert query.stats()["full_runs"] == full_before + 1
+        assert query._watermark == store.watermark != baseline_watermark
+        # The query still answers correctly, incrementally again.
         engine.feed("credit", [self._txn(300, 10, 777)])
         emitted = scheduler.poll(self.NOW)[query]
         assert [item.string_value() for item in emitted] == ["777"]
+        assert query.last_mode == "shared"
 
     def test_clear_epoch_bump_forces_full_run(self):
         engine, scheduler, query = self._rig()
@@ -490,22 +590,33 @@ class TestWatermarkEpochs:
         assert query.stats()["full_runs"] == full_before + 1
 
     def test_advance_watermark_noop_on_epoch_mismatch(self):
-        engine, _scheduler, query = self._rig()
+        """An idle run never carries a watermark across an epoch bump."""
+        engine, scheduler, query = self._rig()
         store = engine.stores["credit"]
         engine.feed("credit", [self._txn(500, 1, 900)])
-        query.evaluate(self.NOW)
-        seq, epoch = query._watermark
+        scheduler.poll(self.NOW)
         store.prune_before(XSDateTime.parse("2003-10-01T02:00:00"))
-        query.advance_watermark(seq + 50)
-        assert query._watermark == (seq, epoch)
+        engine.feed("credit", [self._txn(501, 3, 10)])  # the index prunes it
+        full_before = query.stats()["full_runs"]
+        assert scheduler.poll(self.NOW)[query] == []
+        assert query.stats()["full_runs"] == full_before + 1
+        assert query._watermark == store.watermark
 
     def test_advance_watermark_never_rewinds(self):
-        engine, _scheduler, query = self._rig()
-        engine.feed("credit", [self._txn(600, 1, 900)])
-        query.evaluate(self.NOW)
-        seq, epoch = query._watermark
-        query.advance_watermark(seq - 1)
-        assert query._watermark == (seq, epoch)
+        """Idle runs move the watermark forward only, one store head at a time."""
+        engine, scheduler, query = self._rig()
+        store = engine.stores["credit"]
+        marks = [query._watermark]
+        for i in range(4):
+            engine.feed("credit", [self._txn(600 + i, 1 + i, 10)])
+            assert scheduler.poll(self.NOW)[query] == []
+            marks.append(query._watermark)
+        assert marks == sorted(marks) and len(set(marks)) == len(marks)
+        assert marks[-1] == store.watermark
+        # A poll with no arrival is a dependency skip and leaves it alone.
+        scheduler.poll(self.NOW)
+        assert query._watermark == marks[-1]
+        assert query.stats()["skips"] == 1
 
 
 class TestDeterministicDispatchOrder:

@@ -267,20 +267,44 @@ class TestDifferential:
         assert stats["coordinator"]["compressed_batches"] > 0
 
     def test_front_door_skips_quiet_shards(self):
+        """A shard whose sub-batch touches no resident query's tsids is not
+        polled — on either ingest call; what a dependent filler *contains*
+        is the worker's business, not the gate's."""
         engine = ShardedEngine(2, in_process=True)
         try:
-            engine.register_stream(
-                "ledger", TagStructure.from_xml(LEDGER_STRUCTURE_XML)
+            engine.register_stream("log", TagStructure.from_xml(MIXED_STRUCTURE_XML))
+            query = engine.add_query(
+                'for $t in stream("log")//txn where $t/amount > 75 '
+                "return <vip>{$t/amount/text()}</vip>",
+                strategy=Strategy.QAC_PLUS,
             )
-            query = engine.add_query(QUERIES[1], strategy=Strategy.QAC_PLUS)
             engine.tick(NOW)
-            polls_before = engine.stats()["coordinator"]["shard_polls"]
-            engine.feed("ledger", [txn_filler(i, 10) for i in range(8)])
+            before = engine.stats()["coordinator"]
+            engine.feed("log", [limit_filler(7 + i, 1, 90) for i in range(4)])
+            engine.feed_raw(
+                "log", [limit_filler(20 + i, 2, 90).to_xml() for i in range(4)]
+            )
             assert engine.tick(NOW)[query] == []
             stats = engine.stats()["coordinator"]
-            # Nothing can match 'amount > 75': no shard was polled.
-            assert stats["shard_polls"] == polls_before
-            assert stats["dispatch_skips"] > 0
+            # No txn arrived: both calls were gated, no shard was polled.
+            assert stats["shard_polls"] == before["shard_polls"]
+            assert stats["shard_poll_skips"] == before["shard_poll_skips"] + 2
+            gated = stats["dispatch_probes"] - before["dispatch_probes"]
+            assert gated == stats["dispatch_skips"] - before["dispatch_skips"] >= 2
+            assert stats["dispatch_wakes"] == before["dispatch_wakes"]
+            # A txn that cannot match 'amount > 75' still wakes its shard:
+            # the worker's tuple index prunes it, the answer stays empty.
+            engine.feed("log", [txn_filler(1, 10)])
+            assert engine.tick(NOW)[query] == []
+            stats = engine.stats()
+            assert stats["coordinator"]["dispatch_wakes"] == before["dispatch_wakes"] + 1
+            assert stats["coordinator"]["shard_polls"] == before["shard_polls"] + 1
+            assert sum(
+                shard["scheduler"]["routing"]["tuples_pruned"]
+                for shard in stats["shards"]
+            ) == 1
+            engine.feed_raw("log", [txn_filler(2, 90).to_xml()])
+            assert engine.tick(NOW)[query] == ["<vip>90</vip>"]
         finally:
             engine.close()
 
@@ -660,7 +684,7 @@ def limit_filler(filler_id: int, hour: int, value: int) -> Filler:
 
 
 class TestCoordinatorState:
-    """The front door's supersede table holds what `_wakes` can consult."""
+    """What the coordinator keeps per envelope, and what a re-version costs it."""
 
     def _engine(self):
         engine = ShardedEngine(2, in_process=True)
@@ -675,34 +699,57 @@ class TestCoordinatorState:
                 "return <hit>{$t/amount/text()}</hit>"
             )
             engine.tick(NOW)
+
+            def sizes() -> dict:
+                return {
+                    name: len(value)
+                    for name, value in vars(engine).items()
+                    if isinstance(value, (dict, set, list))
+                }
+
+            before = sizes()
             engine.feed("log", [txn_filler(i, 60) for i in range(40)])
             engine.feed_raw(
                 "log", [txn_filler(i, 60).to_xml() for i in range(40, 80)]
             )
-            assert engine._version_counts == {}
-            # A tsid the Tag Structure does not know may yet be non-event.
-            unknown = txn_filler(500, 60).to_xml().replace('tsid="2"', 'tsid="99"')
-            engine.feed_raw("log", [unknown])
-            assert engine._version_counts == {("log", 1500): 1}
+            engine.feed("log", [limit_filler(7, hour, 80) for hour in (1, 2, 3)])
+            engine.tick(NOW)
+            after = sizes()
+            # The shard pins are the one table that grows with the fragments
+            # seen; there is no per-fragment version ledger beside them.
+            assert not hasattr(engine, "_version_counts")
+            assert {name for name in after if after[name] > before[name]} == {"_homes"}
+            assert after["_homes"] == before["_homes"] + 81
         finally:
             engine.close()
 
     def test_temporal_reversion_still_forces_the_supersede_wake(self):
         source = 'for $l in stream("log")//limit where $l > 50 return $l'
+        solo = XCQLEngine()
+        solo.register_stream("log", TagStructure.from_xml(MIXED_STRUCTURE_XML))
         engine = self._engine()
         try:
             query = engine.add_query(source)
             engine.tick(NOW)
-            engine.feed("log", [limit_filler(7, 1, 80)])
-            assert any('vtTo="now"' in item for item in engine.tick(NOW)[query])
-            # 10 fails "> 50", but it closes version 80's open vtTo.
-            engine.feed("log", [limit_filler(7, 2, 10)])
-            assert engine._version_counts == {("log", 7): 2}
-            emitted = engine.tick(NOW)[query]
-            assert any('vtTo="2003-01-01T02:00:00"' in item for item in emitted)
-            # A predicate miss on a fresh temporal id still skips the poll.
-            before = engine.stats()["coordinator"]["dispatch_skips"]
-            engine.feed("log", [limit_filler(8, 3, 5)])
-            assert engine.stats()["coordinator"]["dispatch_skips"] == before + 1
+            merged: list = []
+            query.subscribe(merged.extend)
+            for filler in (limit_filler(7, 1, 80), limit_filler(7, 2, 10)):
+                # 10 fails "> 50", but it closes version 80's open vtTo: the
+                # shard holding fragment 7 is polled and re-runs in full.
+                polls = engine.stats()["coordinator"]["shard_polls"]
+                engine.feed("log", [filler])
+                solo.feed("log", [filler])
+                engine.tick(NOW)
+                assert engine.stats()["coordinator"]["shard_polls"] == polls + 1
+            assert any('vtTo="now"' in item for item in merged)
+            assert any('vtTo="2003-01-01T02:00:00"' in item for item in merged)
+            assert merged[-1:] == [
+                item_identity(item)
+                for item in solo.execute(source, Strategy.QAC_PLUS, now=NOW)
+            ]
+            full_runs = sum(
+                shard["scheduler"]["full_runs"] for shard in engine.stats()["shards"]
+            )
+            assert full_runs == 2 + 1  # one baseline per shard, one re-version
         finally:
             engine.close()

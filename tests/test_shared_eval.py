@@ -342,7 +342,9 @@ class TestSharedDifferential:
                 rig.assert_identical()
             stats = rig.shared_sched.stats()
             assert stats["shared_runs"] > 0, "grouping never engaged"
-            assert stats["routing"]["skips"] > 0, "routing never skipped"
+            assert stats["routing"]["tuples_pruned"] > 0, "the index never pruned"
+            assert stats["shared_residual"]["guards_run"] == 0
+            assert stats["shared_residual"]["body_reuses"] > 0
             assert stats["shared_prefix"]["reuses"] > 0
 
     def test_membership_churn(self):
@@ -399,26 +401,34 @@ class TestSharedDifferential:
         assert rig.shared_sched.stats()["full_runs"] > len(rig.shared_queries)
 
     def test_routing_skip_preserves_catchup(self):
-        """A routed skip leaves the watermark put; the next wake folds in
-        both the skipped and the new fillers."""
+        """A tick whose tuples the index prunes away is folded in as an
+        empty delta; the next matching arrival is a delta over itself."""
         engine = make_engine()
         sched = QueryScheduler(engine)
         query = ContinuousQuery(engine, EVENT_QUERY, Strategy.QAC_PLUS)
         sched.add(query)
         sched.poll(stamp(0))
         engine.feed("s", [txn(100, 1, 10)])  # amount 10: cannot match > 50
-        sched.poll(stamp(1))
-        assert query.skips == 1
-        assert sched.stats()["routing"]["skips"] == 1
-        engine.feed("s", [txn(101, 2, 90)])  # matches — wakes the query
-        sched.poll(stamp(2))
+        assert sched.poll(stamp(1))[query] == []
+        stats = sched.stats()
+        assert query.skips == 0 and query.last_mode == "shared"
+        assert stats["routing"]["tuples_pruned"] == 1
+        assert stats["shared_residual"]["body_runs"] == 0
+        engine.feed("s", [txn(101, 2, 90)])  # matches
+        emitted = sched.poll(stamp(2))[query]
+        assert [serialize(item) for item in emitted] == ["<hit>90</hit>"]
+        stats = sched.stats()
+        assert stats["routing"]["tuples_pruned"] == 1  # nothing to catch up on
+        assert stats["shared_residual"] == {
+            "guards_skipped": 1, "guards_run": 0, "body_runs": 1, "body_reuses": 0,
+        }
         assert normalized(query.last_result) == normalized(
             engine.execute(EVENT_QUERY, Strategy.QAC_PLUS)
         )
 
     def test_temporal_supersede_wakes_despite_predicate_miss(self):
-        """A new version of a temporal fragment must wake its routed
-        queries even when its value cannot match: the arrival closes the
+        """A new version of a temporal fragment must re-run its queries
+        in full even when its value cannot match: the arrival closes the
         previous version's open ``vtTo``, so retained annotations move."""
         source = 'for $l in stream("s")//limit where $l > 50 return $l'
         engine = make_engine()
@@ -430,16 +440,20 @@ class TestSharedDifferential:
         sched.poll(stamp(1))
         assert 'vtTo="now"' in serialize(query.last_result[0])
         # Value 10 fails "> 50" — but it supersedes version 80.
+        full_before = query.full_runs
         engine.feed("s", [limit(7, 2, 10)])
         sched.poll(stamp(2))
+        assert query.full_runs == full_before + 1
         assert normalized(query.last_result) == normalized(
             engine.execute(source, Strategy.QAC_PLUS)
         )
         assert f'vtTo="{stamp(2)}"' in serialize(query.last_result[0])
-        # A predicate miss on a *fresh* temporal id still skips.
+        # A predicate miss on a *fresh* temporal id is pruned by the index.
+        pruned_before = sched.stats()["routing"]["tuples_pruned"]
         engine.feed("s", [limit(8, 3, 5)])
-        sched.poll(stamp(3))
-        assert sched.stats()["routing"]["skips"] == 1
+        assert sched.poll(stamp(3))[query] == []
+        assert query.last_mode == "shared"
+        assert sched.stats()["routing"]["tuples_pruned"] == pruned_before + 1
 
 
 def _gated(threshold: int, tag: str) -> str:
@@ -567,7 +581,8 @@ class TestGroupsOfOneDifferential:
 
 
 class TestPushRuntimeRouting:
-    """The channel ingest path hands each filler to the routing index."""
+    """The channel ingest path is ``engine.deliver``: lazy fillers, event
+    captures, and the group's tuple index deciding each event once."""
 
     def _rig(self):
         from repro.streams.client import StreamClient
@@ -607,8 +622,13 @@ class TestPushRuntimeRouting:
         ]
         stats = client.scheduler.stats()
         assert stats["routing"]["registered"] == 1
-        assert stats["routing"]["skips"] == 3  # amounts 10, 20, 30
-        assert stats["routing"]["wakes"] == 2  # amounts 60, 90
+        assert stats["routing"]["tuple_probes"] == 5
+        assert stats["routing"]["tuples_pruned"] == 3  # amounts 10, 20, 30
+        assert stats["shared_residual"] == {  # amounts 60, 90
+            "guards_skipped": 2, "guards_run": 0, "body_runs": 2, "body_reuses": 0,
+        }
+        assert stats["automata"]["runs"] == 5  # delivered as wire text
+        assert client.engine.stats()["streams"]["s"]["materialized_fillers"] == 0
         assert normalized(query.last_result) == normalized(
             client.engine.execute(EVENT_QUERY, Strategy.QAC_PLUS)
         )
