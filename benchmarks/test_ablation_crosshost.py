@@ -242,7 +242,7 @@ def test_catchup_narrowing_ratio(workload, tmp_path):
 
     async def scenario() -> dict:
         journal = Journal(os.path.join(str(tmp_path), "crosshost.journal"))
-        server = StreamServer(journal=journal, max_delay_ms=2.0)
+        server = StreamServer(journal=journal)
         await server.start()
         await server.publish(
             Message(TAG_STRUCTURE, "ledger", _STRUCTURE_XML.strip())

@@ -4,8 +4,8 @@ The in-process channels deliver one Python callback per envelope; a real
 deployment delivers over sockets, where the naive shape — one wire frame
 per envelope per subscriber — pays the frame encode, queue hop, write,
 and drain once *per message per connection*.  The network transport
-amortizes all of that: envelopes coalesce into size/latency-bounded
-BATCH frames per connection, and batches past a threshold travel
+amortizes all of that: each publisher burst coalesces into one
+size-bounded BATCH frame per connection, and batches past a threshold travel
 tag-compressed.
 
 This ablation stands up a real asyncio :class:`~repro.streams.net.StreamServer`
@@ -14,8 +14,8 @@ filler envelopes through two configurations of the *same* code path:
 
 - ``naive`` — ``max_batch_bytes=1`` (every envelope flushes its own
   frame) and compression off: the one-message-per-envelope baseline;
-- ``batched`` — the shipped defaults: 64 KiB / few-ms adaptive batches
-  (compression stays armed at its default threshold);
+- ``batched`` — the shipped defaults: one batch per burst, capped at
+  64 KiB (compression stays armed at its default threshold);
 - ``compressed`` — batching plus a low compression threshold, so every
   batch travels tag-compressed: reported for the bytes-on-wire
   reduction and its CPU cost, which in this one-process harness is paid
@@ -98,9 +98,7 @@ class NetworkWorkload:
         ]
 
     ARMS = {
-        "naive": dict(
-            max_batch_bytes=1, max_delay_ms=0.0, compress_threshold=None
-        ),
+        "naive": dict(max_batch_bytes=1, compress_threshold=None),
         "batched": dict(),  # the shipped defaults
         "compressed": dict(compress_threshold=4 * 1024),
     }
@@ -212,7 +210,6 @@ def test_slow_consumer_memory_is_bounded(workload):
             slow_policy=DROP,
             queue_frames=8,
             max_batch_bytes=1024,
-            max_delay_ms=1.0,
         )
         await server.start()
         from repro.streams import netproto as proto
@@ -254,7 +251,7 @@ def test_catchup_byte_identity(workload, tmp_path):
 
     async def scenario() -> dict:
         journal = Journal(os.path.join(tmp_path, "a14.journal"))
-        server = StreamServer(journal=journal, max_delay_ms=2.0)
+        server = StreamServer(journal=journal)
         await server.start()
         steady_got, flaky_got = [], []
         steady = StreamClient(

@@ -179,13 +179,8 @@ def xcql_main(argv: list[str] | None = None) -> int:
         "--batch-bytes",
         type=int,
         default=64 * 1024,
-        help="with 'serve': flush a wire batch at this many payload bytes",
-    )
-    network.add_argument(
-        "--delay-ms",
-        type=float,
-        default=5.0,
-        help="with 'serve': flush a wire batch after this many milliseconds",
+        help="with 'serve': cap one wire batch at this many payload bytes "
+        "(a subscriber that keeps up is sent each burst as it ends)",
     )
     network.add_argument(
         "--compress-threshold",
@@ -361,7 +356,6 @@ def _serve(args, parser) -> int:
             engine=engine,
             worker=args.worker,
             max_batch_bytes=args.batch_bytes,
-            max_delay_ms=args.delay_ms,
             compress_threshold=threshold,
             queue_frames=args.queue_frames,
             slow_policy=args.slow_policy,

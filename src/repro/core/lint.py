@@ -23,7 +23,7 @@ entry points anywhere but the pass pipeline, so every future compilation
 path stays traceable through :mod:`repro.core.pipeline`, and holds a few
 layering rules (DOM-free modules, the tree-builder primitive, the one
 home of the emission identity, the two places a routing predicate is
-decided).
+decided, no timer on the delivery path).
 """
 
 from __future__ import annotations
@@ -222,6 +222,10 @@ _PREDICATE_TIER = {
     "route_match": None,
     "filler_values": None,
 }
+#: The delivery path batches by backpressure: a frame is held only while
+#: the connection's writer is behind, never for a clock.
+_DELIVERY_MODULES = ("streams/net.py", "streams/netproto.py", "streams/transport.py")
+_TIMER_CALLS = ("call_later", "call_at")
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -264,8 +268,13 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     ``envelope_values`` belong to ``streams/net.py``, ``TupleIndex`` to
     ``streams/scheduler.py``, and the per-filler DOM probe
     (``route_match`` / ``filler_values``) to nobody — so a third place to
-    decide a predicate cannot come back unnoticed.  Unparseable files
-    yield ``syntax-error`` diagnostics; the linter never raises.
+    decide a predicate cannot come back unnoticed.  A ``delivery-timer``
+    diagnostic is reported for a ``call_later`` / ``call_at`` or an
+    ``asyncio.sleep`` with anything but a literal ``0`` in
+    ``_DELIVERY_MODULES``: a linger on the delivery path delays every
+    envelope of a connection that is keeping up and cannot help one
+    that is not (its batches grow behind the writer anyway).  Unparseable
+    files yield ``syntax-error`` diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
     for path in _python_files(paths):
@@ -281,6 +290,8 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
                 _check_dom_free(path, tree, code, why, diagnostics)
         if normalized.endswith("streams/netproto.py"):
             _check_repro_free(path, tree, diagnostics)
+        if normalized.endswith(_DELIVERY_MODULES):
+            _check_delivery_timer(path, tree, diagnostics)
         _check_builder_primitive(path, normalized, tree, diagnostics)
         if "/streams/" in "/" + normalized and not normalized.endswith(_IDENTITY_HOME):
             _check_emission_identity(path, tree, diagnostics)
@@ -327,6 +338,28 @@ def _check_repro_free(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> Non
                     "repro internals — mirror constants locally instead",
                 )
             )
+
+
+def _check_delivery_timer(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> None:
+    """Flag a timer, or a sleep that is not a bare yield, on the delivery path."""
+    for node in _pyast.walk(tree):
+        if not isinstance(node, _pyast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "sleep":
+            delay = node.args[0] if node.args else None
+            if isinstance(delay, _pyast.Constant) and delay.value == 0:
+                continue  # a yield to the loop, not a wait
+        elif name not in _TIMER_CALLS:
+            continue
+        out.append(
+            Diagnostic(
+                "delivery-timer",
+                f"{path}:{node.lineno}: {name} holds a frame back for a clock — "
+                "the outbox flushes at the end of the publisher's turn and "
+                "batches only behind a writer that has not caught up",
+            )
+        )
 
 
 def _check_builder_primitive(

@@ -7,11 +7,13 @@ real sockets:
 
 - :class:`StreamServer` accepts producer and subscriber connections,
   stamps every published envelope with its journal sequence number,
-  coalesces deliveries into size/latency-bounded wire batches
-  (:mod:`repro.streams.netproto` frames), tag-compresses batches past a
-  threshold, and applies *bounded* per-connection backpressure — a slow
-  consumer can block the producer, shed frames with a counter, or be
-  disconnected, but never grows an unbounded queue;
+  coalesces each publisher burst into one wire batch per connection
+  (:mod:`repro.streams.netproto` frames; no timer — a batch outgrows
+  its burst only while the connection's writer is behind),
+  tag-compresses batches past a threshold, and applies *bounded*
+  per-connection backpressure — a slow consumer can block the producer,
+  shed frames with a counter, or be disconnected, but never grows an
+  unbounded queue;
 - :class:`StreamClient` negotiates a protocol version, subscribes with
   optional per-``tsid`` routing predicates, catches up from the server's
   :class:`~repro.fragments.persist.Journal` replay (CATCHUP), and feeds
@@ -223,12 +225,26 @@ class _FanoutCache:
 class _Outbox:
     """A connection's batcher plus its bounded send queue.
 
-    Envelopes accumulate until ``max_batch_bytes`` of payload or the
-    ``max_delay_ms`` deadline — whichever comes first — then travel as
-    one BATCH frame.  A stream or kind change flushes immediately, so
+    Batches are sized by backpressure, never by a clock.  The first
+    entry of a batch schedules one flush for the end of the current
+    event-loop turn, so everything a publisher produces before it next
+    waits on its socket — a FEED frame's entries, every frame of one
+    read chunk, a ``publish`` loop — rides one BATCH frame.  A
+    connection that is keeping up (nothing queued, no write in flight)
+    is flushed then and there: holding its batch any longer could only
+    add latency, because nothing it is waiting for would make the frame
+    cheaper.  A connection whose writer is *behind* keeps the batch
+    pending instead; the writer loop cuts it the moment it frees, and
+    ``max_batch_bytes`` of payload forces a frame into the queue
+    meanwhile — batches grow exactly when the consumer is slower than
+    the producer.  A stream or kind change flushes immediately, so
     frames never interleave messages and publish order is preserved.
-    The queue holds *encoded frames* and is bounded; overflow behavior
-    is the slow-consumer policy.
+
+    Entries leave ``_pending`` only at the instant their frame is
+    queued, so order needs no lock: whoever cuts next cuts the oldest
+    entries.  The queue holds *encoded frames* and is bounded
+    (``queue_frames`` frames of up to ``max_batch_bytes`` each);
+    overflow behavior is the slow-consumer policy.
     """
 
     def __init__(
@@ -236,7 +252,6 @@ class _Outbox:
         writer: asyncio.StreamWriter,
         *,
         max_batch_bytes: int,
-        max_delay_ms: float,
         compress_threshold: Optional[int],
         queue_frames: int,
         policy: str,
@@ -247,19 +262,19 @@ class _Outbox:
         self._writer = writer
         self._cache = cache
         self.max_batch_bytes = int(max_batch_bytes)
-        self.max_delay_ms = float(max_delay_ms)
         self.compress_threshold = compress_threshold
         self.policy = policy
         self._codec_of = codec_of
         self._on_overflow = on_overflow
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=int(queue_frames))
-        self._lock = asyncio.Lock()
+        self._room = asyncio.Event()  # BLOCK: the writer took a frame
         self._pending: list = []  # (seq, payload) entries
         self._pending_bytes = 0
         self._stream: Optional[str] = None
         self._kind: Optional[str] = None
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._timer_task: Optional[asyncio.Task] = None
+        self._armed = False  # a turn-end flush is scheduled
+        self._writing = False  # a frame is between the queue and the socket
+        self._task: Optional[asyncio.Task] = None  # the writer loop
         self.frames_sent = 0
         self.bytes_sent = 0
         self.batches = 0
@@ -268,70 +283,77 @@ class _Outbox:
         self.dropped_entries = 0
         self.closed = False
 
-    # enqueue_nowait return codes: the caller owes no await, a flush()
-    # await, or the full (awaited) enqueue path.
+    # append return codes: the caller owes no await, a flush() await, or
+    # the full (awaited) enqueue path.
     APPENDED = 0
     FLUSH_DUE = 1
     BOUNDARY = 2
 
-    def enqueue_nowait(self, seq: int, message: Message) -> int:
+    def append(self, entry: tuple, size: int, stream: str, kind: str) -> int:
         """Batcher append without coroutine overhead (the fan-out hot path).
 
-        Mutating ``_pending`` without the lock is safe because nothing
-        here can yield; the lock only serializes the flushes themselves.
-        Returns ``APPENDED`` (done), ``FLUSH_DUE`` (appended, batch full
-        — the caller must ``await flush()``), or ``BOUNDARY`` (NOT
-        appended: a stream/kind change must flush the previous batch
-        first — the caller must ``await enqueue(...)``).
+        The one place a batch grows and the one place a flush is
+        scheduled.  Returns ``APPENDED`` (done), ``FLUSH_DUE`` (appended,
+        batch full — the caller must ``await flush()``), or ``BOUNDARY``
+        (NOT appended: a stream/kind change must flush the previous
+        batch first — the caller must ``await enqueue(...)``).
         """
-        if self._pending and (
-            message.stream != self._stream or message.kind != self._kind
-        ):
+        if self._pending and (stream != self._stream or kind != self._kind):
             return self.BOUNDARY
-        self._stream = message.stream
-        self._kind = message.kind
-        self._pending.append((seq, message.payload))
-        self._pending_bytes += message.wire_size
+        self._stream = stream
+        self._kind = kind
+        self._pending.append(entry)
+        self._pending_bytes += size
         if self._pending_bytes >= self.max_batch_bytes:
             return self.FLUSH_DUE
-        if self._timer is None:
-            loop = asyncio.get_running_loop()
-            self._timer = loop.call_later(
-                self.max_delay_ms / 1000.0, self._deadline
-            )
+        if not self._armed:
+            self._armed = True
+            asyncio.get_running_loop().call_soon(self._turn_end)
         return self.APPENDED
 
     async def enqueue(self, seq: int, message: Message) -> None:
+        """Append one message, awaiting whatever flush the append owes."""
         while True:
-            state = self.enqueue_nowait(seq, message)
-            if state == self.APPENDED:
-                return
-            if state == self.FLUSH_DUE:
+            state = self.append(
+                (seq, message.payload), message.wire_size, message.stream, message.kind
+            )
+            if state != self.APPENDED:
                 await self.flush()
-                return
-            await self.flush()  # boundary: drain, then re-try the append
+            if state != self.BOUNDARY:
+                return  # else: the old batch is drained, re-try the append
 
-    def _deadline(self) -> None:
-        self._timer = None
-        self._timer_task = asyncio.get_running_loop().create_task(self.flush())
+    def _turn_end(self) -> None:
+        """The publisher's burst is over: send, unless the writer is behind."""
+        self._armed = False
+        if self._pending and not self._writing and self._queue.empty():
+            self._cut()
 
     async def flush(self) -> None:
-        async with self._lock:
-            await self._flush_locked()
+        """Queue what is batched now; only a full ``BLOCK`` queue suspends."""
+        await self._wait_room()
+        self._cut()
 
-    async def _flush_locked(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending or self.closed:
-            self._pending = []
-            self._pending_bytes = 0
-            return
+    async def put_control(self, frame: bytes) -> None:
+        """Send a control frame, flushing batched entries first (ordering)."""
+        await self.flush()
+        await self._wait_room()
+        self._put(frame, 0)
+
+    async def _wait_room(self) -> None:
+        """``BLOCK`` is the one policy that waits for a queue slot."""
+        while self.policy == BLOCK and self._queue.full() and not self.closed:
+            self._room.clear()
+            await self._room.wait()
+
+    def _cut(self) -> None:
+        """Encode the pending batch as one frame and queue it."""
         entries = self._pending
-        stream, kind = self._stream, self._kind
         size = self._pending_bytes
         self._pending = []
         self._pending_bytes = 0
+        if not entries or self.closed:
+            return
+        stream, kind = self._stream, self._kind
         compress = (
             self.compress_threshold is not None
             and kind == FILLER
@@ -366,19 +388,10 @@ class _Outbox:
             if key is not None:
                 self._cache.store_frame(key, frame)
         self.batches += 1
-        await self._put(frame, entry_count)
+        self._put(frame, entry_count)
 
-    async def put_control(self, frame: bytes) -> None:
-        """Send a control frame, flushing batched entries first (ordering)."""
-        async with self._lock:
-            await self._flush_locked()
-            await self._put(frame, 0)
-
-    async def _put(self, frame: bytes, entry_count: int) -> None:
+    def _put(self, frame: bytes, entry_count: int) -> None:
         if self.closed:
-            return
-        if self.policy == BLOCK:
-            await self._queue.put(frame)
             return
         try:
             self._queue.put_nowait(frame)
@@ -386,19 +399,28 @@ class _Outbox:
             if self.policy == DROP:
                 self.dropped_frames += 1
                 self.dropped_entries += entry_count
-            else:  # DISCONNECT
+            elif self.policy == DISCONNECT:
                 self.closed = True
                 self._on_overflow()
+            else:  # BLOCK waits for room before it cuts
+                raise
+
+    def start(self) -> None:
+        self._task = asyncio.get_running_loop().create_task(self.run())
 
     async def run(self) -> None:
         """The connection's writer loop (one task per connection)."""
+        queue = self._queue
         try:
             while True:
-                frame = await self._queue.get()
-                if frame is None:
-                    break
+                if self._pending and queue.empty():
+                    self._cut()  # freed: what batched up behind the last write
+                frame = await queue.get()
+                self._room.set()
+                self._writing = True
                 self._writer.write(frame)
                 await self._writer.drain()
+                self._writing = False
                 self.frames_sent += 1
                 self.bytes_sent += len(frame)
         except (ConnectionError, asyncio.CancelledError):
@@ -406,19 +428,12 @@ class _Outbox:
 
     def stop(self) -> None:
         self.closed = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        # Unblock the writer loop; drop anything still queued.
+        self._room.set()  # a BLOCKed publisher moves on
+        # Drop anything still queued, even behind a write that never ends.
         while not self._queue.empty():
-            try:
-                self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-        try:
-            self._queue.put_nowait(None)
-        except asyncio.QueueFull:
-            pass
+            self._queue.get_nowait()
+        if self._task is not None:
+            self._task.cancel()
 
 
 class _Connection:
@@ -434,7 +449,6 @@ class _Connection:
         self.hold: deque = deque()  # (seq, Message) held during catch-up
         self.acked = 0
         self.shard: Optional[ShardWorkerHost] = None  # v2 WORKER role state
-        self.writer_task: Optional[asyncio.Task] = None
         self.transport_writer: Optional[asyncio.StreamWriter] = None
 
     def subscribes_stream(self, stream: str) -> bool:
@@ -466,7 +480,6 @@ class StreamServer:
         engine=None,
         worker: bool = False,
         max_batch_bytes: int = 64 * 1024,
-        max_delay_ms: float = 5.0,
         compress_threshold: Optional[int] = 64 * 1024,
         queue_frames: int = 64,
         slow_policy: str = BLOCK,
@@ -480,7 +493,6 @@ class StreamServer:
         self.engine = engine
         self.worker = bool(worker)
         self.max_batch_bytes = int(max_batch_bytes)
-        self.max_delay_ms = float(max_delay_ms)
         self.compress_threshold = compress_threshold
         self.queue_frames = int(queue_frames)
         self.slow_policy = slow_policy
@@ -588,8 +600,12 @@ class StreamServer:
         """Journal, stamp, and fan one message out; returns its seq.
 
         The hot path: one journal append, one cheap envelope peek, then
-        a routed enqueue per *matching* live connection — subscribers
-        whose subscriptions provably cannot match never see a frame.
+        a routed batcher append per *matching* live connection —
+        subscribers whose subscriptions provably cannot match never see
+        a frame.  Nothing is sent from here: each connection's outbox
+        flushes at the end of the loop turn, so a caller that publishes
+        in a loop without awaiting anything else gets one BATCH per
+        connection, and only a full ``BLOCK`` queue suspends it.
         """
         if self.journal is not None:
             self.journal.record(message)
@@ -606,11 +622,9 @@ class StreamServer:
         if self.engine is not None:
             self.engine.deliver(message)
         probe_cache: dict = {}
-        # Fan-out hot loop: one entry append per matching connection.
-        # The batcher fields are touched inline (same-module access) —
-        # per-conn method calls measurably dominate broadcast fan-out at
-        # thousands of subscribers.  Safe for the same reason
-        # enqueue_nowait is: the fast path cannot yield.
+        # Fan-out hot loop: one batcher append per matching connection;
+        # the fast path cannot yield, so a burst of publishes lands in
+        # every outbox before any of them is flushed.
         entry = (seq, message.payload)
         size = message.wire_size
         stream, kind = message.stream, message.kind
@@ -626,22 +640,11 @@ class StreamServer:
                 conn.hold.append((seq, message))
                 continue
             outbox = conn.outbox
-            if outbox._pending and (
-                outbox._stream != stream or outbox._kind != kind
-            ):
-                await outbox.enqueue(seq, message)
-                continue
-            outbox._stream = stream
-            outbox._kind = kind
-            outbox._pending.append(entry)
-            outbox._pending_bytes += size
-            if outbox._pending_bytes >= outbox.max_batch_bytes:
+            state = outbox.append(entry, size, stream, kind)
+            if state == outbox.FLUSH_DUE:
                 await outbox.flush()
-            elif outbox._timer is None:
-                loop = asyncio.get_running_loop()
-                outbox._timer = loop.call_later(
-                    outbox.max_delay_ms / 1000.0, outbox._deadline
-                )
+            elif state == outbox.BOUNDARY:
+                await outbox.enqueue(seq, message)
         self.fanned_out += fanned
         return seq
 
@@ -723,7 +726,6 @@ class StreamServer:
         outbox = _Outbox(
             writer,
             max_batch_bytes=self.max_batch_bytes,
-            max_delay_ms=self.max_delay_ms,
             compress_threshold=self.compress_threshold,
             queue_frames=self.queue_frames,
             policy=self.slow_policy,
@@ -736,7 +738,7 @@ class StreamServer:
         conn.decoder = FrameDecoder(self.max_frame_bytes)
         outbox._on_overflow = lambda: self._overflow(conn)
         self._conns.append(conn)
-        conn.writer_task = asyncio.get_running_loop().create_task(outbox.run())
+        outbox.start()
         try:
             while True:
                 data = await reader.read(_READ_CHUNK)

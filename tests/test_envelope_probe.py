@@ -386,7 +386,7 @@ class TestDoorDecisions:
         ]
 
         async def scenario():
-            server = StreamServer(journal=Journal(path), max_delay_ms=2.0)
+            server = StreamServer(journal=Journal(path))
             await server.start()
             live: list = []
             live_client = await _subscriber(server, live)
@@ -408,7 +408,7 @@ class TestDoorDecisions:
                 await client.close()
             await server.close()
 
-            reborn = StreamServer(journal=Journal(path), max_delay_ms=2.0)
+            reborn = StreamServer(journal=Journal(path))
             await reborn.start()
             assert reborn._version_counts == server._version_counts
             again: list = []

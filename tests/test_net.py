@@ -79,7 +79,6 @@ async def wait_until(cond, timeout: float = 5.0) -> None:
 
 async def start_server(tmp_path, **kw):
     kw.setdefault("journal", Journal(os.path.join(tmp_path, "net.journal")))
-    kw.setdefault("max_delay_ms", 2.0)
     server = StreamServer(**kw)
     await server.start()
     return server
@@ -375,9 +374,7 @@ class TestEndToEnd:
 
     def test_batching_coalesces_frames(self, tmp_path):
         async def scenario():
-            server = await start_server(
-                tmp_path, max_batch_bytes=1 << 20, max_delay_ms=50.0
-            )
+            server = await start_server(tmp_path, max_batch_bytes=1 << 20)
             got = []
             client = StreamClient("127.0.0.1", server.port, on_message=got.append)
             await client.connect()
@@ -396,10 +393,8 @@ class TestEndToEnd:
     def test_flush_on_size_bound(self, tmp_path):
         async def scenario():
             # A tiny byte bound forces a flush per envelope even though
-            # the delay window would have coalesced them.
-            server = await start_server(
-                tmp_path, max_batch_bytes=10, max_delay_ms=1000.0
-            )
+            # the burst would have coalesced them.
+            server = await start_server(tmp_path, max_batch_bytes=10)
             got = []
             client = StreamClient("127.0.0.1", server.port, on_message=got.append)
             await client.connect()
@@ -419,7 +414,6 @@ class TestEndToEnd:
                 tmp_path,
                 compress_threshold=64,  # force compression
                 max_batch_bytes=1 << 20,
-                max_delay_ms=20.0,
             )
             engine = XCQLEngine()
             got = []
@@ -448,7 +442,6 @@ class TestEndToEnd:
                 slow_policy=DROP,
                 queue_frames=4,
                 max_batch_bytes=1024,
-                max_delay_ms=1.0,
             )
             # A deliberately slow consumer: handshakes, subscribes, then
             # never reads another byte off the socket.
@@ -493,7 +486,6 @@ class TestEndToEnd:
                 slow_policy=DISCONNECT,
                 queue_frames=2,
                 max_batch_bytes=1024,
-                max_delay_ms=1.0,
             )
             reader, writer = await asyncio.open_connection(
                 "127.0.0.1", server.port
@@ -536,7 +528,6 @@ class TestEndToEnd:
                 slow_policy=BLOCK,
                 queue_frames=2,
                 max_batch_bytes=256,
-                max_delay_ms=1.0,
             )
             got = []
             client = StreamClient("127.0.0.1", server.port, on_message=got.append)
@@ -780,7 +771,7 @@ class TestServerBootstrap:
 
             # A restarted server re-derives schemas (and codecs) from the
             # journal and keeps numbering where it left off.
-            reborn = StreamServer(journal=journal, max_delay_ms=2.0)
+            reborn = StreamServer(journal=journal)
             await reborn.start()
             assert reborn.seq == 2
             assert "credit" in reborn._structures
@@ -1103,7 +1094,7 @@ class TestPredicateCatchup:
             await self._publish_history(server)
             await server.close()
 
-            reborn = StreamServer(journal=journal, max_delay_ms=2.0)
+            reborn = StreamServer(journal=journal)
             await reborn.start()
             got = []
             client = StreamClient(
@@ -1153,3 +1144,372 @@ class TestServerStatsAggregation:
             await server.close()
 
         run(scenario())
+
+
+# -- the smart batcher ---------------------------------------------------------------
+
+
+class _FakeWriter:
+    """A StreamWriter stand-in; ``stall()`` is a transport paused for writing."""
+
+    def __init__(self):
+        self.frames = []
+        self._open = asyncio.Event()
+        self._open.set()
+
+    def stall(self):
+        self._open.clear()
+
+    def resume(self):
+        self._open.set()
+
+    def write(self, frame):
+        self.frames.extend(FrameDecoder().feed(frame))
+
+    async def drain(self):
+        await self._open.wait()
+
+
+_ENTRY = 12  # wire bytes of one _entry() payload
+
+
+def _entry(i: int) -> Message:
+    return Message(FILLER, "s", f"<e>{i:05d}</e>")
+
+
+async def _turns(count: int = 3) -> None:
+    for _ in range(count):
+        await asyncio.sleep(0)
+
+
+async def _spin_until(cond, turns: int = 20000) -> None:
+    """``wait_until`` without a timer: yield whole loop turns only."""
+    for _ in range(turns):
+        if cond():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("condition not met")
+
+
+class _Rig:
+    """One ``_Outbox`` over a fake writer, its writer loop running."""
+
+    def __init__(self, policy=BLOCK, queue_frames=4, max_batch_bytes=10 * _ENTRY):
+        from repro.streams.net import _Outbox
+
+        self.overflows = 0
+        self.writer = _FakeWriter()
+        self.outbox = _Outbox(
+            self.writer,
+            max_batch_bytes=max_batch_bytes,
+            compress_threshold=None,
+            queue_frames=queue_frames,
+            policy=policy,
+            codec_of=lambda stream: None,
+            on_overflow=self._overflow,
+        )
+        self.outbox.start()
+
+    def _overflow(self):
+        self.overflows += 1
+
+    def sent(self):
+        """Payloads written to the socket, in order, one list per frame."""
+        return [[p for _seq, p in f.entries] for f in self.writer.frames]
+
+    async def close(self):
+        self.outbox.stop()
+        await _turns(1)
+        assert self.outbox._task.done()
+
+
+class TestSmartBatching:
+    def test_idle_subscriber_needs_no_timer(self, tmp_path):
+        """(a) delivery to a live, idle subscriber arms no timer at all."""
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            got = []
+            client = StreamClient("127.0.0.1", server.port, on_message=got.append)
+            await client.connect()
+            await asyncio.wait_for(client.subscribe([Subscription("s")]), 5)
+            loop = asyncio.get_running_loop()
+
+            def no_timers(*_args, **_kw):
+                raise AssertionError("a timer on the delivery path")
+
+            loop.call_later = no_timers
+            try:
+                await server.publish(Message(FILLER, "s", filler_xml(1)))
+                await _spin_until(lambda: got)
+            finally:
+                del loop.call_later
+            assert [m.payload for m in got] == [filler_xml(1)]
+            await client.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_one_turn_is_one_batch(self):
+        """(b) whatever is published before the publisher yields rides
+        one frame; one publish a turn to a writer that keeps up is one
+        frame each, written before the next is published."""
+
+        async def scenario():
+            rig = _Rig()
+            for i in range(5):
+                await rig.outbox.enqueue(i + 1, _entry(i))
+            assert rig.sent() == []  # the burst has not ended yet
+            await _turns()
+            assert rig.sent() == [[_entry(i).payload for i in range(5)]]
+            for i in range(5, 10):
+                await rig.outbox.enqueue(i + 1, _entry(i))
+                await _turns()
+                assert rig.sent()[-1] == [_entry(i).payload]
+            assert len(rig.sent()) == 6
+            assert rig.outbox.batches == 6
+            await rig.close()
+
+        run(scenario())
+
+    def test_one_publish_a_turn_end_to_end(self, tmp_path):
+        """(b) over a real socket: N publishes, a turn apart, N BATCH frames."""
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            got = []
+            client = StreamClient("127.0.0.1", server.port, on_message=got.append)
+            await client.connect()
+            await asyncio.wait_for(client.subscribe([Subscription("s")]), 5)
+            for i in range(20):
+                await server.publish(Message(FILLER, "s", filler_xml(i)))
+                await _turns()
+            await _spin_until(lambda: len(got) == 20)
+            assert client.batches == 20
+            assert server.stats()["outboxes"]["batches"] == 20
+            await client.close()
+            await server.close()
+
+        run(scenario())
+
+    async def _stall_then_publish(self, rig, count):
+        """Stall the writer behind one in-flight frame, then one entry a turn."""
+        await rig.outbox.enqueue(1, _entry(0))
+        await _turns()
+        assert rig.sent() == [[_entry(0).payload]]
+        rig.writer.stall()
+        await rig.outbox.enqueue(2, _entry(1))
+        await _turns()  # taken by the writer, stuck in drain()
+        assert rig.outbox._writing
+        for i in range(2, 2 + count):
+            await rig.outbox.enqueue(i + 1, _entry(i))
+            await _turns(1)
+
+    def test_stalled_writer_coalesces_to_the_byte_bound(self):
+        """(c) behind a stalled writer entries published a turn apart
+        pile into max_batch_bytes frames, and DROP sheds nothing until
+        queue_frames of them — the parent's byte volume — are queued."""
+
+        async def scenario():
+            rig = _Rig(policy=DROP, queue_frames=4)
+            await self._stall_then_publish(rig, 40)
+            # 4 queued frames x 10 entries absorbed, a turn apart each.
+            assert rig.outbox._queue.qsize() == 4
+            assert rig.outbox.dropped_frames == 0
+            for i in range(42, 52):
+                await rig.outbox.enqueue(i + 1, _entry(i))
+                await _turns(1)
+            assert rig.outbox.dropped_frames == 1
+            assert rig.outbox.dropped_entries == 10
+            assert rig.outbox._queue.qsize() == 4
+            rig.writer.resume()
+            await _turns(8)
+            frames = rig.sent()[2:]
+            assert [len(frame) for frame in frames] == [10, 10, 10, 10]
+            assert [p for frame in frames for p in frame] == [
+                _entry(i).payload for i in range(2, 42)
+            ]
+            await rig.close()
+
+        run(scenario())
+
+    def test_stalled_writer_disconnect_waits_for_the_byte_bound(self):
+        async def scenario():
+            rig = _Rig(policy=DISCONNECT, queue_frames=2)
+            await self._stall_then_publish(rig, 20)
+            assert rig.overflows == 0 and not rig.outbox.closed
+            for i in range(22, 32):
+                await rig.outbox.enqueue(i + 1, _entry(i))
+            assert rig.overflows == 1 and rig.outbox.closed
+            await rig.close()
+
+        run(scenario())
+
+    def test_stalled_writer_block_suspends_at_the_byte_bound(self):
+        async def scenario():
+            rig = _Rig(policy=BLOCK, queue_frames=2)
+            await self._stall_then_publish(rig, 20)  # never suspended so far
+            assert rig.outbox._queue.qsize() == 2
+
+            async def more():
+                for i in range(22, 40):
+                    await rig.outbox.enqueue(i + 1, _entry(i))
+
+            publisher = asyncio.get_running_loop().create_task(more())
+            await _turns(10)
+            assert not publisher.done()  # a third full batch has no slot
+            assert rig.outbox._queue.qsize() == 2
+            rig.writer.resume()
+            await asyncio.wait_for(publisher, 5)
+            await _turns(8)
+            assert [p for frame in rig.sent() for p in frame] == [
+                _entry(i).payload for i in range(40)
+            ]
+            assert rig.outbox.dropped_frames == 0
+            await rig.close()
+
+        run(scenario())
+
+    def test_boundaries_and_control_frames_keep_order(self):
+        """(d) a stream/kind change cuts the old batch first; a control
+        frame goes behind everything batched before it."""
+
+        async def scenario():
+            rig = _Rig()
+            outbox = rig.outbox
+            await outbox.enqueue(1, Message(TAG_STRUCTURE, "s", TS_XML))
+            await outbox.enqueue(2, _entry(0))
+            await outbox.enqueue(3, _entry(1))
+            await outbox.enqueue(4, Message(FILLER, "other", "<e>x</e>"))
+            await outbox.put_control(proto.encode_control(proto.ACK, seq=4))
+            await outbox.enqueue(5, _entry(2))
+            await _turns()
+            shape = [
+                (f.name, f.stream, f.kind, [s for s, _ in f.entries])
+                if f.type == proto.BATCH
+                else (f.name,)
+                for f in rig.writer.frames
+            ]
+            assert shape == [
+                ("BATCH", "s", TAG_STRUCTURE, [1]),
+                ("BATCH", "s", FILLER, [2, 3]),
+                ("BATCH", "other", FILLER, [4]),
+                ("ACK",),
+                ("BATCH", "s", FILLER, [5]),
+            ]
+            await rig.close()
+
+        run(scenario())
+
+    def test_catchup_hold_drains_before_live(self, tmp_path):
+        """(d) replay, then what was held during it, then live — in seq
+        order, the catch-up ACK behind the replay it announces."""
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            await server.publish(Message(TAG_STRUCTURE, "s", TS_XML))
+            for i in range(3):
+                await server.publish(Message(FILLER, "s", filler_xml(i)))
+            seqs = []
+            client = StreamClient("127.0.0.1", server.port)
+            client.on_message = lambda _m: seqs.append(client.last_seen)
+            await client.connect()
+            await asyncio.wait_for(client.subscribe([Subscription("s")], catchup=True), 5)
+            for i in range(3, 5):  # held: the client is not live yet
+                await server.publish(Message(FILLER, "s", filler_xml(i)))
+            await _turns()
+            assert seqs == []
+            ack = await asyncio.wait_for(client.catchup(after=0), 5)
+            assert seqs[: ack["replayed"]] == list(range(1, ack["replayed"] + 1))
+            await server.publish(Message(FILLER, "s", filler_xml(5)))
+            await wait_until(lambda: len(seqs) == 7)
+            assert seqs == [1, 2, 3, 4, 5, 6, 7]
+            assert client.duplicates == 0
+            await client.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_fanout_in_one_turn_encodes_once(self, tmp_path):
+        """(e) 50 connections flushed at the same turn's end share one frame."""
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            counts = [0] * 50
+            clients = []
+            for index in range(50):
+                def count(_m, index=index):
+                    counts[index] += 1
+                clients.append(StreamClient("127.0.0.1", server.port, on_message=count))
+            await asyncio.gather(*(c.connect() for c in clients))
+            await asyncio.gather(*(c.subscribe([Subscription("s")]) for c in clients))
+            cache = server._fanout_cache
+            lookups = {"hit": 0, "miss": 0}
+            lookup = cache.frame
+
+            def counting(key):
+                frame = lookup(key)
+                lookups["hit" if frame is not None else "miss"] += 1
+                return frame
+
+            cache.frame = counting
+            for i in range(8):
+                await server.publish(Message(FILLER, "s", filler_xml(i)))
+            await wait_until(lambda: counts == [8] * 50)
+            assert lookups == {"hit": 49, "miss": 1}
+            assert all(c.batches == 1 for c in clients)
+            for client in clients:
+                await client.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_close_leaves_no_outbox_task(self, tmp_path):
+        """(f) not with a batch armed, and not with a writer stuck
+        behind a subscriber that stopped reading."""
+
+        async def scenario():
+            server = await start_server(tmp_path, slow_policy=DROP)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(proto.encode_control(proto.HELLO, versions=[1]))
+            writer.write(
+                proto.encode_control(
+                    proto.SUBSCRIBE, subscriptions=[{"stream": "s"}], catchup=False
+                )
+            )
+            await writer.drain()
+            await wait_until(lambda: server._conns and server._conns[0].subscriptions)
+            idle = StreamClient("127.0.0.1", server.port)
+            await idle.connect()
+            await asyncio.wait_for(idle.subscribe([Subscription("s")]), 5)
+            big = "<customer>" + "x" * 65536 + "</customer>"
+            stalled = server._conns[0].outbox
+            for i in range(400):
+                await server.publish(
+                    Message(
+                        FILLER,
+                        "s",
+                        f'<filler id="{i}" tsid="2" validTime="2004-01-01">{big}</filler>',
+                    )
+                )
+                await _turns(1)
+                if stalled._writing:
+                    break
+            assert stalled._writing  # the kernel buffers are full
+            await idle.close()
+            await server.publish(Message(FILLER, "s", filler_xml(1)))  # arms a flush
+            assert stalled._writing and stalled._armed
+            writer.close()  # (3.12's wait_closed() waits for every peer)
+            await server.close()
+            left = [
+                task
+                for task in asyncio.all_tasks()
+                if "_Outbox" in getattr(task.get_coro(), "__qualname__", "")
+            ]
+            assert left == []
+
+        run(scenario())
+
+    def test_max_delay_ms_is_gone(self):
+        with pytest.raises(TypeError):
+            StreamServer(max_delay_ms=5.0)

@@ -512,6 +512,25 @@ class TestSourceLint:
         )
         assert len(lint_sources([str(tmp_path)])) == 5
 
+    def test_no_timer_on_the_delivery_path(self, tmp_path):
+        package = tmp_path / "streams"
+        package.mkdir()
+        linger = (
+            "import asyncio\n"
+            "def arm(loop, flush):\n    return loop.call_later(0.005, flush)\n"
+            "async def wait(delay):\n"
+            "    await asyncio.sleep(0)\n"
+            "    await asyncio.sleep(delay)\n"
+            "    await asyncio.sleep(0.001)\n"
+        )
+        for name in ("net.py", "netproto.py", "transport.py"):
+            (package / name).write_text(linger)
+            findings = lint_sources([str(package / name)])
+            assert [f.code for f in findings] == ["delivery-timer"] * 3
+            assert sorted(f.message.split(":")[1] for f in findings) == ["3", "6", "7"]
+        (package / "sharding.py").write_text(linger)  # a tick may pace itself
+        assert lint_sources([str(package / "sharding.py")]) == []
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")
