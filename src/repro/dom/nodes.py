@@ -24,9 +24,16 @@ __all__ = [
     "Attr",
     "document_order_key",
     "sort_document_order",
+    "new_tree_id",
 ]
 
 _tree_ids = itertools.count(1)
+
+
+def new_tree_id() -> int:
+    """A tree id no tree holds yet: document order ranks trees by these."""
+    return next(_tree_ids)
+
 
 # Shared empty result for named-child lookups; never mutated.
 _NO_ELEMENTS: list = []
@@ -314,20 +321,40 @@ class Element(_Container):
 
 
 class SharedElement(Element):
-    """An element whose subtree is shared and read-only by contract.
+    """An element whose subtree is shared and read-only for its readers.
 
-    The fragment store caches its ``<filler>`` wrappers as these: it
-    never patches one (a write drops the wrapper and the next read
-    builds another), so a reader may keep per-child facts in ``memo``
-    for the life of the tree and a :class:`DeferredElement` may stand on
-    a child.  Weakly referenceable, so a test can watch one die.
+    The fragment store caches its ``<filler>`` wrappers as these.  Only
+    the store changes one, and only at the top: it appends versions and
+    restamps a version's own lifespan attributes, it never patches what
+    lies below a version.  So a reader may keep per-child facts about
+    those subtrees in ``memo`` for the life of the tree, and a
+    :class:`DeferredElement` may stand on a child.  ``tree_id`` places
+    the tree in document order (the store reserves one per filler id);
+    :meth:`disown` moves a tree its owner stopped serving out of that
+    place.  Weakly referenceable, so a test can watch one die.
     """
 
     __slots__ = ("memo", "__weakref__")
 
-    def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None):
+    def __init__(
+        self,
+        tag: str,
+        attrs: Optional[dict[str, str]] = None,
+        tree_id: Optional[int] = None,
+    ):
         super().__init__(tag, attrs)
+        if tree_id is not None:
+            self._tree_id = tree_id
         self.memo: dict = {}
+
+    def disown(self) -> None:
+        """Rank this tree after every tree so far in document order.
+
+        Called by the owner when it drops the tree: whoever still holds
+        it keeps a consistent order, and it can never tie with the tree
+        built in its place under the same reserved id.
+        """
+        self._tree_id = next(_tree_ids)
 
 
 class DeferredElement(Element):
@@ -335,7 +362,9 @@ class DeferredElement(Element):
 
     ``source`` is an element of a :class:`SharedElement` tree holding
     nothing but elements and text below it; the caller vouches for both.
-    The copy has its own tag and attributes from the start.  Its
+    The copy has its own tag and attributes from the start, so a later
+    restamp of the source's lifespan never reaches it; what it reads
+    from the source — the subtree below — is never patched.  Its
     ``_children`` slot stays unset until something reads it — then
     ``__getattr__`` fills it with copies one level deep (deferred again
     where they have children of their own), parented here, and drops the

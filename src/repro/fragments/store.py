@@ -20,10 +20,21 @@ One DOM per stored version: with caching on, the annotated version
 elements *are* the children of the cached ``<filler>`` wrapper —
 ``versions_of`` and ``get_fillers`` read the same cache, and the store
 owns those trees (a lazily stored filler stays wire text; an eager
-filler's ``content`` stays the caller's).  They are shared and read-only.
-A write never patches a cached tree: it drops the id's wrapper and the
-next read builds a new one, so a result retained from before the write
-remains the snapshot it was.
+filler's ``content`` stays the caller's).  They are shared and read-only
+for callers, and they are the store's *live* view: a write that lands
+after an id's last version keeps the wrapper, and the next read of the
+id parses only the new versions, closes the previous last version's
+``vtTo`` and appends them.  A wrapper or version a caller kept from
+before the write sees that.  The subtree *below* a version is never
+patched, and anything a query built from the store — projections,
+constructed elements, ``temporalize``'s view, identity strings — is
+its own snapshot.  A history rewrite (an insert before a stored version,
+a re-published snapshot, ``set_tag_structure``, ``prune_before``,
+``clear``) drops the wrapper instead and the next read builds a new one.
+
+Document order ranks the cached wrappers by their filler id's first
+arrival: the store reserves a tree id per filler id at first ingest
+and gives it to every wrapper it caches for that id.
 
 Index and memoization behaviour are switchable for the ablation benches:
 ``use_index=False`` degrades lookups to linear scans (paper §8 envisions
@@ -37,7 +48,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
 from typing import Iterable, Optional
 
-from repro.dom.nodes import Document, Element, SharedElement
+from repro.dom.nodes import Document, Element, SharedElement, new_tree_id
 from repro.fragments.model import Filler
 from repro.fragments.tagstructure import TagStructure, TagType
 from repro.temporal.chrono import XSDateTime
@@ -71,8 +82,15 @@ class FragmentStore:
         self._by_tsid: dict[int, dict[int, None]] = {}
         self._seen: set[tuple[int, str]] = set()
         # filler id -> its <filler> wrapper, whose children are the
-        # annotated versions: the store's only retained DOM.
-        self._wrapper_cache: dict[int, Element] = {}
+        # annotated versions of the id's first len(children) fillers:
+        # the store's only retained DOM.
+        self._wrapper_cache: dict[int, SharedElement] = {}
+        # filler id -> the tree id reserved at its first arrival, which
+        # every cached wrapper of the id carries (its document order).
+        self._tree_ids: dict[int, int] = {}
+        # Ids whose cached wrapper a write has got ahead of: the next read
+        # appends the missing versions (a set test keeps the hit cheap).
+        self._behind: set[int] = set()
         # Per-bucket epoch keys, kept aligned with _by_id: append() inserts
         # with bisect instead of re-sorting the whole bucket per ingest.
         self._sort_keys: dict[int, list[float]] = {}
@@ -117,13 +135,18 @@ class FragmentStore:
         timestamp (shared event holes, bursty sources) are all kept.
         Payloads are only compared on an (id, validTime) collision.
         """
-        if not self._ingest(filler):
+        position = self._ingest(filler)
+        if position is None:
             return False
-        self._invalidate(filler.filler_id)
+        self._written(filler.filler_id, position)
         return True
 
-    def _ingest(self, filler: Filler) -> bool:
-        """Index one filler without touching the derived caches."""
+    def _ingest(self, filler: Filler) -> Optional[int]:
+        """Index one filler without touching the derived caches.
+
+        Returns its position in its id's validTime order, ``None`` for a
+        duplicate transmission.
+        """
         time_key = str(filler.valid_time)
         key = (filler.filler_id, time_key)
         if key in self._seen:
@@ -136,16 +159,19 @@ class FragmentStore:
                 if str(existing.valid_time) != time_key:
                     continue
                 if text is not None and existing.wire_text == text:
-                    return False
+                    return None
                 if signature is None:
                     signature = filler.to_xml()
                 if existing.to_xml() == signature:
-                    return False
+                    return None
         else:
             self._seen.add(key)
         self._fillers.append(filler)
         filler_id = filler.filler_id
-        bucket = self._by_id.setdefault(filler_id, [])
+        bucket = self._by_id.get(filler_id)
+        if bucket is None:
+            bucket = self._by_id[filler_id] = []
+            self._tree_ids[filler_id] = new_tree_id()
         keys = self._sort_keys.setdefault(filler_id, [])
         # O(log n) insertion on a memoized epoch key instead of a full
         # O(n log n) re-sort per ingest.  bisect_right keeps arrival order
@@ -159,29 +185,71 @@ class FragmentStore:
         self._seq += 1
         self._arrival_log.append(filler)
         self._tsid_watermark[filler.tsid] = self._seq
-        return True
+        return index
 
-    def _invalidate(self, filler_id: int) -> None:
-        """Drop every derived structure of one filler id (one event)."""
-        self._wrapper_cache.pop(filler_id, None)
+    def _written(self, filler_id: int, position: int) -> None:
+        """A write: the id's versions from ``position`` on are new.
+
+        The endpoint index of the id is dropped (rebuilding it parses
+        nothing).  The cached wrapper is kept when it holds at least one
+        version, all of them before ``position``, and the id is not
+        snapshot-typed: the next read appends the new versions to it
+        (:meth:`_catch_up`), so ingest stays parse-free.  Anything else —
+        an insert before a held version, the first version of an id read
+        while unknown, a re-published snapshot, which replaces the one
+        version it shows — is a history rewrite.
+        """
+        wrapper = self._wrapper_cache.get(filler_id)
+        if wrapper is not None:
+            if (
+                not 0 < len(wrapper.children) <= position
+                or self._type_of(self._by_id[filler_id][0].tsid) is TagType.SNAPSHOT
+            ):
+                self._rewritten(filler_id)
+                return
+            self._behind.add(filler_id)
         self._endpoint_cache.pop(filler_id, None)
         self.invalidations += 1
+
+    def _rewritten(self, filler_id: int) -> None:
+        """A history rewrite of one id: drop every derived structure.
+
+        The next read builds a new wrapper under the id's reserved tree
+        id; the dropped one, which a caller may still hold, stays as it
+        was and is moved out of that place in document order.
+        """
+        wrapper = self._wrapper_cache.pop(filler_id, None)
+        if wrapper is not None:
+            wrapper.disown()
+        self._behind.discard(filler_id)
+        self._endpoint_cache.pop(filler_id, None)
+        self.invalidations += 1
+
+    def _rewritten_all(self) -> None:
+        """A history rewrite of every id (schema swap, ``clear``)."""
+        for wrapper in self._wrapper_cache.values():
+            wrapper.disown()
+        self._wrapper_cache.clear()
+        self._behind.clear()
+        self._endpoint_cache.clear()
 
     def extend(self, fillers: Iterable[Filler]) -> int:
         """Ingest many fillers; returns how many were new.
 
-        Cache invalidation is batched: one event per *distinct* filler id
-        per call, not one per filler — a burst of N versions of the same
-        fragment rebuilds its annotations once, not N times.
+        Cache bookkeeping is batched: one event per *distinct* filler id
+        per call, not one per filler, at the lowest position the call
+        wrote for that id.
         """
-        touched: set[int] = set()
+        lowest: dict[int, int] = {}
         added = 0
         for filler in fillers:
-            if self._ingest(filler):
-                touched.add(filler.filler_id)
+            position = self._ingest(filler)
+            if position is not None:
+                filler_id = filler.filler_id
+                lowest[filler_id] = min(position, lowest.get(filler_id, position))
                 added += 1
-        for filler_id in touched:
-            self._invalidate(filler_id)
+        for filler_id, position in lowest.items():
+            self._written(filler_id, position)
         return added
 
     def clear(self) -> None:
@@ -190,9 +258,9 @@ class FragmentStore:
         self._by_id.clear()
         self._by_tsid.clear()
         self._seen.clear()
-        self._wrapper_cache.clear()
+        self._rewritten_all()
+        self._tree_ids.clear()
         self._sort_keys.clear()
-        self._endpoint_cache.clear()
         self._tsid_endpoints.clear()
         self._arrival_log.clear()
         self._arrival_base = self._seq
@@ -210,8 +278,7 @@ class FragmentStore:
         if tag_structure is self.tag_structure:
             return
         self.tag_structure = tag_structure
-        self._wrapper_cache.clear()
-        self._endpoint_cache.clear()
+        self._rewritten_all()
         self._delta_memo.clear()
         self.invalidations += 1
         # Annotations derived under the old schema differ from the new
@@ -253,8 +320,9 @@ class FragmentStore:
 
         This is what replaces a hole in the temporal view: the sequence of
         all versions, each carrying its derived ``vtFrom``/``vtTo``.  With
-        caching on these are the children of the :meth:`get_fillers`
-        wrapper — shared, read-only, and parented by it.
+        caching on this is the child list of the :meth:`get_fillers`
+        wrapper itself — a live, read-only list, parented by the wrapper,
+        that a later read of the id may extend (see the module docstring).
         """
         if self.use_cache:
             return self.get_fillers(filler_id).children
@@ -270,17 +338,24 @@ class FragmentStore:
         a standing query re-evaluated every tick then skips parsing and
         annotating every version again.  (Sharing one wrapper across calls
         matches the sharing the optimizer's ``let``-hoisted plans already
-        exhibit.)  If a caller adopted the cached wrapper into a
-        constructed tree, a fresh one is built from the fillers instead.
+        exhibit.)  It is the store's live view, read-only for callers:
+        versions written after its last one are added to it here, on
+        read.  If a caller adopted the cached wrapper into a constructed
+        tree, a fresh one is built from the fillers instead.
         """
         filler_id = int(filler_id)
-        if self.use_cache:
-            cached = self._wrapper_cache.get(filler_id)
-            if cached is not None and cached.parent is None:
+        if not self.use_cache:
+            return self._wrap(filler_id, self.fillers_of(filler_id))
+        cached = self._wrapper_cache.get(filler_id)
+        if cached is not None:
+            if cached.parent is None:
+                if filler_id in self._behind:
+                    self._catch_up(cached, self._by_id[filler_id])
+                    self._behind.discard(filler_id)
                 return cached
-        wrapper = self._wrap(filler_id, self.fillers_of(filler_id), self.use_cache)
-        if self.use_cache:
-            self._wrapper_cache[filler_id] = wrapper
+            self._rewritten(filler_id)  # a caller adopted it
+        wrapper = self._wrap(filler_id, self.fillers_of(filler_id), shared=True)
+        self._wrapper_cache[filler_id] = wrapper
         return wrapper
 
     def get_fillers_list(self, filler_ids: Iterable[int]) -> list[Element]:
@@ -310,18 +385,38 @@ class FragmentStore:
     def _wrap(self, filler_id: int, fillers: list[Filler], shared: bool = False) -> Element:
         """A new ``<filler>`` wrapper over freshly built annotated versions.
 
-        ``shared`` marks the one the cache keeps: nobody writes to it, so
-        a projection may stand on its versions instead of copying them.
+        ``shared`` marks the one the cache keeps: callers only read it, and
+        the store only appends versions and restamps their lifespans, so a
+        projection may stand on its versions instead of copying them.  It
+        carries the id's reserved tree id.
         """
-        wrapper = (SharedElement if shared else Element)("filler", {"id": str(filler_id)})
+        attrs = {"id": str(filler_id)}
+        if shared:
+            wrapper = SharedElement("filler", attrs, self._tree_ids.get(filler_id))
+        else:
+            wrapper = Element("filler", attrs)
         for version in self._annotate(fillers):
             wrapper.append(version)
         return wrapper
 
+    def _catch_up(self, wrapper: SharedElement, fillers: list[Filler]) -> None:
+        """Bring a cached wrapper up to its id's fillers, parsing only the new.
+
+        The wrapper holds the versions of ``fillers[:held]``, at least one:
+        :meth:`_written` drops every other kind.  The previous last
+        version's lifespan is restamped — a temporal one closes its
+        ``vtTo`` at its successor — and the rest are parsed, stamped and
+        appended.
+        """
+        held = len(wrapper.children)
+        self._stamp(wrapper.children[-1], fillers, held - 1)
+        for position in range(held, len(fillers)):
+            version = fillers[position].detached_content()
+            self._stamp(version, fillers, position)
+            wrapper.append(version)
+
     def _annotate(self, fillers: list[Filler]) -> list[Element]:
         """Lifespan-stamped payload trees, built anew and owned by the caller."""
-        versions: list[Element] = []
-        count = len(fillers)
         if fillers and self._type_of(fillers[0].tsid) is TagType.SNAPSHOT:
             # Snapshot fragments (notably the root container) are static in
             # the temporal view: a re-published snapshot *replaces* its
@@ -329,21 +424,32 @@ class FragmentStore:
             # removing a hole makes the children inaccessible).  Only the
             # latest version is visible.
             return [fillers[-1].detached_content()]
+        versions: list[Element] = []
         for position, filler in enumerate(fillers):
             version = filler.detached_content()
-            tag_type = self._type_of(filler.tsid)
-            if tag_type is TagType.SNAPSHOT:
-                versions.append(version)
-                continue
-            version.set("vtFrom", str(filler.valid_time))
-            if tag_type is TagType.EVENT:
-                version.set("vtTo", str(filler.valid_time))
-            elif position + 1 < count:
-                version.set("vtTo", str(fillers[position + 1].valid_time))
-            else:
-                version.set("vtTo", "now")
+            self._stamp(version, fillers, position)
             versions.append(version)
         return versions
+
+    def _stamp(self, version: Element, fillers: list[Filler], position: int) -> None:
+        """Stamp the lifespan of the version of ``fillers[position]``.
+
+        The one copy of the rule: a snapshot version gets none, an event
+        is an instant (``vtTo = vtFrom``), a temporal version lasts until
+        the next version's validTime, or ``"now"`` when it is the last.
+        """
+        filler = fillers[position]
+        tag_type = self._type_of(filler.tsid)
+        if tag_type is TagType.SNAPSHOT:
+            return
+        valid_time = str(filler.valid_time)
+        version.set("vtFrom", valid_time)
+        if tag_type is TagType.EVENT:
+            version.set("vtTo", valid_time)
+        elif position + 1 < len(fillers):
+            version.set("vtTo", str(fillers[position + 1].valid_time))
+        else:
+            version.set("vtTo", "now")
 
     def _type_of(self, tsid: int) -> TagType:
         if self.tag_structure is None:
@@ -417,9 +523,10 @@ class FragmentStore:
     ) -> Optional[tuple[int, int]]:
         """`versions_in_window` for a cached ``<filler>`` wrapper element.
 
-        Serves only wrappers this store memoized itself (identity check):
-        their children align 1:1 with the endpoint index.  Copied or
-        hand-built wrappers get ``None`` and fall back to the scan path.
+        Serves only wrappers this store memoized itself (identity check)
+        whose children align 1:1 with the endpoint index — not one a
+        write has got ahead of since it was read.  Copied or hand-built
+        wrappers get ``None`` and fall back to the scan path.
         """
         try:
             filler_id = int(element.attrs["id"])
@@ -655,9 +762,10 @@ class FragmentStore:
                 ]
             else:
                 del self._by_id[filler_id]
+                del self._tree_ids[filler_id]
                 self._sort_keys.pop(filler_id, None)
             kept.extend(surviving)
-            self._invalidate(filler_id)
+            self._rewritten(filler_id)
         self._fillers = kept
         self._by_tsid.clear()
         self._tsid_endpoints.clear()

@@ -330,8 +330,10 @@ def _copies_on_touch(node: Element) -> bool:
 
     True for a version in a store-owned wrapper with only elements and
     text below it, none a hole and none with a lifespan of its own: no
-    interval prunes or clips anything down there, and the tree cannot
-    change under the copy.  Decided once per stored version.
+    interval prunes or clips anything down there, and the subtree cannot
+    change under the copy (the store may restamp the version's own
+    lifespan, which the copy took at query time, never what is below).
+    Decided once per stored version.
     """
     wrapper = node.parent
     if type(wrapper) is not SharedElement:

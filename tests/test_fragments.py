@@ -412,19 +412,25 @@ class TestOneDomPerVersion:
         assert all(c is not v for c in wrapper.children for v in first + second)
         assert store.cached_versions == 0
 
-    def test_wrapper_from_before_a_write_stays_a_snapshot(self, credit_structure):
+    def test_wrapper_from_before_a_write_is_the_live_view(self, credit_structure):
         store = _limit_store(credit_structure)
         before = store.get_fillers(4)
+        held = list(before.children)
+        below = [version.children[0] for version in held]
         text = serialize(before)
         store.append(Filler(4, 4, XSDateTime(2003, 3, 1), _limit("300")))
-        assert serialize(before) == text
+        assert serialize(before) == text  # a write parses and patches nothing
         assert before.children[-1].attrs["vtTo"] == "now"
         after = store.get_fillers(4)
-        assert after is not before
+        assert after is before  # the read re-versions the wrapper in place
         assert [c.attrs["vtTo"] for c in after.children] == [
             "2003-02-01T00:00:00", "2003-03-01T00:00:00", "now"
         ]
-        assert all(a is not b for a, b in zip(after.children, before.children))
+        assert after.children[:2] == held
+        assert [version.children[0] for version in held] == below  # never patched
+        reference = _limit_store(credit_structure, use_cache=False)
+        reference.append(Filler(4, 4, XSDateTime(2003, 3, 1), _limit("300")))
+        assert serialize(after) == serialize(reference.get_fillers(4))
 
     def test_schema_swap_prune_and_clear_drop_the_cache(self, credit_structure):
         store = _limit_store(credit_structure)
