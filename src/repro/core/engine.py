@@ -558,8 +558,9 @@ class XCQLEngine:
         calls the pipeline folded, the incremental verdict (with the
         reason a plan is full-only, or the group an incremental one
         evaluates in, its routing predicate, the tuple-index shape that
-        predicate files under, and the residual's guard / body split), and
-        the full per-pass trace
+        predicate files under, and the residual's guard / body split), the
+        event automaton with what its captures keep, and the full per-pass
+        trace
         (``"passes"``) with the pipeline fingerprint that participates in
         the plan-cache key.
         """
@@ -602,6 +603,14 @@ class XCQLEngine:
             "residual_body_key": analysis.body_key if analysis is not None else None,
             "automaton": info.automaton.describe() if info.automaton else None,
             "automaton_reason": info.automaton_reason,
+            # What the automaton's captures keep for this query: the child
+            # names its residual reads below each match, or why it needs
+            # the whole subtree.
+            "automaton_projection": (
+                None if info.automaton is None
+                else sorted(info.projection) if info.projection is not None
+                else f"whole: {info.projection_reason}"
+            ),
             "automaton_schema_reachable": self._automaton_reachability(compiled),
             "passes": info.trace_dicts(),
             "fingerprint": info.fingerprint,
@@ -954,14 +963,15 @@ class XCQLEngine:
 class _CaptureRecord:
     """One ingested envelope's automaton captures, pinned to its filler."""
 
-    __slots__ = ("seq", "filler", "buffers", "matches", "root_matched")
+    __slots__ = ("seq", "filler", "buffers", "matches", "root_matched", "keep")
 
-    def __init__(self, seq, filler, buffers, matches, root_matched):
+    def __init__(self, seq, filler, buffers, matches, root_matched, keep):
         self.seq = seq
         self.filler = filler
         self.buffers = buffers  # None once superseded (buffers dropped)
         self.matches = matches
         self.root_matched = root_matched
+        self.keep = keep  # the projection the buffers were captured under
 
 
 class _AutomatonGroup:
@@ -969,13 +979,15 @@ class _AutomatonGroup:
 
     __slots__ = (
         "automaton",
-        "refcount",
+        "projections",
+        "keep",
         "epoch",
         "records",
         "by_id",
         "winners",
         "envelopes",
         "captures",
+        "captured_events",
         "answers",
         "declines",
         "superseded",
@@ -984,7 +996,10 @@ class _AutomatonGroup:
 
     def __init__(self, automaton: StreamAutomaton):
         self.automaton = automaton
-        self.refcount = 0
+        # The registered members' projections, as a multiset (projection
+        # -> count), and their union: what each capture keeps.
+        self.projections: dict[Optional[frozenset], int] = {}
+        self.keep: Optional[frozenset] = None
         self.epoch: Optional[int] = None
         self.records: list[_CaptureRecord] = []
         self.by_id: dict[int, _CaptureRecord] = {}
@@ -995,6 +1010,7 @@ class _AutomatonGroup:
         self.winners: dict[int, _CaptureRecord] = {}
         self.envelopes = 0
         self.captures = 0  # matched subtrees filed across all envelopes
+        self.captured_events = 0  # events appended to their buffers
         self.answers = 0
         self.declines = 0
         self.superseded = 0
@@ -1022,45 +1038,72 @@ class AutomatonHost:
     back to the DOM delta driver for that wake.  Declines are counted
     (``explain``'s fallback reason plus these counters tell the whole
     story).
+
+    A capture keeps only what the registered queries can read: each
+    registers with its plan's projection (``PlanInfo.projection``), the
+    group captures their union — whole if any member needs the whole
+    subtree — and each record remembers the projection it was captured
+    under.  A scheduler widens the union at ``add``, before the new
+    member's first (full, baseline) run, so no window that member reads
+    was captured narrower; the same identity-style check declines, should
+    a record not cover the group's current union.  Narrowing at
+    ``unregister`` leaves only supersets behind.
     """
 
     def __init__(self) -> None:
         self._groups: dict[StreamAutomaton, _AutomatonGroup] = {}
-        self._by_source: dict[tuple[str, int], list[StreamAutomaton]] = {}
+        self._by_source: dict[tuple[str, int], list[_AutomatonGroup]] = {}
 
     # -- registration -------------------------------------------------------------
 
-    def register(self, automaton: StreamAutomaton) -> None:
-        """Start capturing for an automaton (refcounted per standing query)."""
+    def register(
+        self, automaton: StreamAutomaton, projection: Optional[frozenset]
+    ) -> None:
+        """Start capturing for one standing query reading ``projection``.
+
+        ``projection`` is the child names the query's residual reads below
+        a match, ``None`` for the whole subtree; envelopes from now on are
+        captured under the union over every registration.
+        """
         group = self._groups.get(automaton)
         if group is None:
             group = _AutomatonGroup(automaton)
             self._groups[automaton] = group
             self._by_source.setdefault(
                 (automaton.stream, automaton.tsid), []
-            ).append(automaton)
-        group.refcount += 1
+            ).append(group)
+        group.projections[projection] = group.projections.get(projection, 0) + 1
+        group.keep = _union(group.projections)
 
-    def unregister(self, automaton: StreamAutomaton) -> None:
+    def unregister(
+        self, automaton: StreamAutomaton, projection: Optional[frozenset]
+    ) -> None:
         """Drop one registration; the last one frees the captures."""
         group = self._groups.get(automaton)
         if group is None:
             return
-        group.refcount -= 1
-        if group.refcount <= 0:
+        count = group.projections.pop(projection, 0)
+        if count > 1:
+            group.projections[projection] = count - 1
+        if group.projections:
+            group.keep = _union(group.projections)
+        else:
             del self._groups[automaton]
             route = self._by_source.get((automaton.stream, automaton.tsid), [])
-            if automaton in route:
-                route.remove(automaton)
+            if group in route:
+                route.remove(group)
             if not route:
                 self._by_source.pop((automaton.stream, automaton.tsid), None)
 
     def matchers_for(self, stream: str, tsid: int) -> list:
         """Fresh ``(automaton, matcher)`` pairs for one arriving envelope."""
-        automata = self._by_source.get((stream, int(tsid)))
-        if not automata:
+        groups = self._by_source.get((stream, int(tsid)))
+        if not groups:
             return []
-        return [(automaton, AutomatonMatcher(automaton)) for automaton in automata]
+        return [
+            (group.automaton, AutomatonMatcher(group.automaton, group.keep))
+            for group in groups
+        ]
 
     # -- ingest-side recording ------------------------------------------------------
 
@@ -1072,12 +1115,14 @@ class AutomatonHost:
         if group.epoch != store.mutation_epoch:
             self._reset(group, store)
         record = _CaptureRecord(
-            seq, filler, matcher.buffers, matcher.matches, matcher.root_matched
+            seq, filler, matcher.buffers, matcher.matches, matcher.root_matched,
+            matcher.keep,
         )
         group.records.append(record)
         group.by_id[id(filler)] = record
         group.envelopes += 1
         group.captures += len(matcher.matches)
+        group.captured_events += sum(map(len, matcher.buffers))
         if store.tag_type_of(filler.tsid) is TagType.SNAPSHOT:
             # A snapshot version is only ever visible when it is the
             # latest of its fragment id in the evaluation window (the
@@ -1127,10 +1172,15 @@ class AutomatonHost:
             return None
         if group.epoch != store.mutation_epoch:
             self._reset(group, store)
+        keep = group.keep
         bunches: dict[int, list[_CaptureRecord]] = {}
         for filler in fresh:
             record = group.by_id.get(id(filler))
-            if record is None or record.filler is not filler:
+            if (
+                record is None
+                or record.filler is not filler
+                or not _covers(record.keep, keep)
+            ):
                 group.declines += 1
                 return None
             bunches.setdefault(filler.filler_id, []).append(record)
@@ -1183,18 +1233,37 @@ class AutomatonHost:
         }
 
     def stats(self) -> dict:
-        """Host-level counters: per-group capture economy and outcomes."""
+        """Host-level counters: per-group capture economy and outcomes.
+
+        ``captured_events`` counts the parser events appended to capture
+        buffers — what projection saves, as a count.
+        """
         return {
             "groups": len(self._groups),
-            "registered": sum(g.refcount for g in self._groups.values()),
+            "registered": sum(
+                sum(g.projections.values()) for g in self._groups.values()
+            ),
             "buffered": sum(len(g.records) for g in self._groups.values()),
             "envelopes": sum(g.envelopes for g in self._groups.values()),
             "captures": sum(g.captures for g in self._groups.values()),
+            "captured_events": sum(g.captured_events for g in self._groups.values()),
             "answers": sum(g.answers for g in self._groups.values()),
             "declines": sum(g.declines for g in self._groups.values()),
             "superseded": sum(g.superseded for g in self._groups.values()),
             "epoch_resets": sum(g.epoch_resets for g in self._groups.values()),
         }
+
+
+def _union(projections) -> Optional[frozenset]:
+    """What captures keep for these members: ``None`` (whole) if any needs it."""
+    if None in projections:
+        return None
+    return frozenset().union(*projections)
+
+
+def _covers(held: Optional[frozenset], needed: Optional[frozenset]) -> bool:
+    """Whether a capture kept under ``held`` has everything ``needed`` reads."""
+    return held is needed or held is None or (needed is not None and needed <= held)
 
 
 def _materialize_record(

@@ -200,8 +200,9 @@ _BUILDER_MODULES = (
     "dom/nodes.py", "dom/parser.py",
     "xquery/temporal_functions.py", "fragments/assemble.py",
 )
-#: A ``DeferredElement`` stands on a source its maker vouches for (shared,
-#: never written, elements and text only); only the projections can.
+#: A ``DeferredElement`` stands on a source its maker vouches for (never
+#: written again, elements and text only); only the projections and
+#: ``dom.nodes.copier`` can.
 _DEFERRED_COPY = "DeferredElement"
 _DEFERRED_COPY_MODULES = ("dom/nodes.py", "xquery/temporal_functions.py")
 #: The emission-dedup identity of a result item is its serialized form,

@@ -54,7 +54,7 @@ from repro.core.optimizer import (
 )
 from repro.core.translator import Strategy, Translator
 from repro.xquery import xast
-from repro.xquery.automata import StreamAutomaton, compile_automaton
+from repro.xquery.automata import StreamAutomaton, capture_projection, compile_automaton
 
 __all__ = [
     "PassTrace",
@@ -124,6 +124,11 @@ class PlanInfo:
     incremental_reason: Optional[str] = None
     automaton: Optional[StreamAutomaton] = None
     automaton_reason: Optional[str] = None
+    # What the automaton's captures must keep for this plan: the child
+    # names its residual reads below each match, or None (whole subtree,
+    # with projection_reason saying why).
+    projection: Optional[frozenset] = None
+    projection_reason: Optional[str] = None
     trace: list = field(default_factory=list)
 
     def record(self, trace: PassTrace) -> None:
@@ -320,7 +325,10 @@ class CompileStreamAutomatonPass(Pass):
     lets the scheduler answer wakes from event-buffer captures recorded
     at ingest (:meth:`repro.core.engine.XCQLEngine.feed_raw`) instead of
     building wrapper DOMs per tick; any decline reason recorded here is
-    also the runtime's fallback explanation in ``explain``.
+    also the runtime's fallback explanation in ``explain``.  A compiled
+    automaton also gets the plan's capture projection
+    (:func:`repro.xquery.automata.capture_projection`), which the
+    scheduler registers with the host beside the automaton.
     """
 
     name = "compile-stream-automaton"
@@ -337,6 +345,9 @@ class CompileStreamAutomatonPass(Pass):
             info.record(PassTrace(self.name, False, detail=reason))
             return module
         info.automaton = automaton
+        info.projection, info.projection_reason = capture_projection(
+            info.incremental, automaton
+        )
         info.record(PassTrace(self.name, True, detail=automaton.describe()))
         return module
 

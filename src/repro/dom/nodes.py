@@ -10,7 +10,7 @@ after structural mutation.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 __all__ = [
     "Node",
@@ -25,6 +25,7 @@ __all__ = [
     "document_order_key",
     "sort_document_order",
     "new_tree_id",
+    "copier",
 ]
 
 _tree_ids = itertools.count(1)
@@ -360,11 +361,13 @@ class SharedElement(Element):
 class DeferredElement(Element):
     """A copy of ``source`` whose child list is built on first access.
 
-    ``source`` is an element of a :class:`SharedElement` tree holding
-    nothing but elements and text below it; the caller vouches for both.
-    The copy has its own tag and attributes from the start, so a later
-    restamp of the source's lifespan never reaches it; what it reads
-    from the source — the subtree below — is never patched.  Its
+    ``source`` is an element with nothing but elements and text below it,
+    from a source nobody changes again — a version of a
+    :class:`SharedElement` tree, or a tree only :func:`copier` holds; the
+    caller vouches for both.  The copy has its own tag and attributes from
+    the start, so a later restamp of the source's lifespan never reaches
+    it; what it reads from the source — the subtree below — is never
+    patched.  Its
     ``_children`` slot stays unset until something reads it — then
     ``__getattr__`` fills it with copies one level deep (deferred again
     where they have children of their own), parented here, and drops the
@@ -419,6 +422,22 @@ class DeferredElement(Element):
         if self._source is not None:
             return f"<Element {self.tag!r} attrs={self.attrs} children=deferred>"
         return super().__repr__()
+
+
+def copier(element: Element) -> Callable[[], Element]:
+    """Copies of ``element`` on demand, for a tree nobody changes again.
+
+    With nothing but elements and text below ``element``, each call
+    returns a :class:`DeferredElement` standing on it: built one level
+    per touch, serialised straight through while untouched.  Otherwise
+    each call is an eager :meth:`Element.copy`.  The check runs once,
+    here, not once per copy; the caller must keep ``element`` from
+    everyone who could change it.
+    """
+    if all(isinstance(node, (Element, Text)) for node in element.iter()):
+        tag, attrs = element.tag, element.attrs
+        return lambda: DeferredElement(tag, attrs, element)
+    return element.copy
 
 
 class Text(Node):

@@ -80,7 +80,7 @@ class TagCodec:
         return self._rename(element, self._decode)
 
     def _rename(self, element: Element, table: dict[str, str]) -> Element:
-        copy = Element(table.get(element.tag, element.tag), dict(element.attrs))
+        copy = Element(table.get(element.tag, element.tag), element.attrs)
         for child in element.children:
             if isinstance(child, Element):
                 copy.append(self._rename(child, table))

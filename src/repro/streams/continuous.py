@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 from repro.core.engine import CompiledQuery, XCQLEngine
 from repro.core.translator import Strategy
-from repro.dom.nodes import Element, Node
+from repro.dom.nodes import Element, Node, copier
 from repro.dom.serializer import serialize
 from repro.fragments.tagstructure import TagType
 from repro.temporal.chrono import XSDateTime
@@ -320,7 +320,8 @@ class DeltaWindow:
     plan's source alone, so a scheduler builds one per group and
     watermark, not one per member.  ``tally`` counts the residual's work
     (``guards_skipped`` / ``guards_run`` / ``body_runs`` /
-    ``body_reuses``) into a dict the caller owns.
+    ``body_reuses``) into a dict the caller owns.  What a body built
+    stays private to the window: members get copies of it.
     """
 
     __slots__ = ("store", "plan", "seq", "fresh", "applicable", "tuples",
@@ -336,8 +337,9 @@ class DeltaWindow:
         self.applicable = delta_applicable(store, plan.binds_versions, self.fresh)
         self.tuples: Optional[list] = None
         self.partition: Optional[dict] = None  # id(member) -> its sub-list
-        # (body_key, id(tuple)) -> (items, their identity strings)
-        self.results: dict[tuple, tuple[list, list]] = {}
+        # (body_key, id(tuple)) -> (items, how to hand each on, their
+        # identity strings); see _hand_on
+        self.results: dict[tuple, tuple] = {}
         self.tally = tally
 
     def residual(self, plan, tuples: list, context: Callable,
@@ -351,13 +353,15 @@ class DeltaWindow:
         ``id`` s of the tuples it passed through without a verdict — the
         guard runs for those and is skipped for the rest, which the index
         accepted exactly.  A body runs once per tuple for every member
-        that spells it (``plan.body_key``): the first gets the items it
-        built, each further one a copy of the constructed elements (bound
-        nodes of the tuple's own tree and atomic values are shared, as
-        they always were) with the identity strings already worked out.
-        Items a copy cannot stand for — an attribute, a node inside a
-        constructed tree, an element a subscriber has since adopted —
-        make that member run the body itself.
+        that spells it (``plan.body_key``), and what it built stays with
+        the window: every member, the first included, gets copies of the
+        constructed elements — copy-on-touch where only elements and text
+        lie below, eager otherwise — with the identity strings already
+        worked out, so no consumer holds the source the others' untouched
+        copies read through.  Bound nodes of the tuple's own tree and
+        atomic values are shared, as they always were.  Items a copy
+        cannot stand for — an attribute, a node inside a constructed tree
+        — make every member run the body itself.
         """
         guard, body, body_key = plan.guard, plan.body, plan.body_key
         results = self.results
@@ -374,16 +378,18 @@ class DeltaWindow:
                     skipped += 1
             memo = (body_key, id(item))
             known = results.get(memo)
-            produced = _copies(known[0], item) if known is not None else None
-            if produced is None:
-                built += 1
-                produced = body(context(), (item,))
-                produced_keys = [_identity(node) for node in produced]
-                if known is None:
-                    results[memo] = (produced, produced_keys)
-            else:
+            if known is not None and known[1] is not None:
                 reused += 1
-                produced_keys = known[1]
+                source, makers, produced_keys = known
+            else:
+                built += 1
+                source = body(context(), (item,))
+                produced_keys = [_identity(node) for node in source]
+                makers = None
+                if known is None:
+                    makers = _hand_on(source, item)
+                    results[memo] = (source, makers, produced_keys)
+            produced = source if makers is None else _copy(source, makers)
             items.extend(produced)
             keys.extend(produced_keys)
         tally = self.tally
@@ -435,24 +441,32 @@ def delta_applicable(store, binds_versions: bool, fresh: list) -> bool:
     return True
 
 
-def _copies(items: list, bound: object) -> Optional[list]:
-    """Another member's copy of what a body built from ``bound``, if it can have one.
+def _hand_on(items: list, bound: object) -> Optional[list]:
+    """How each member gets its own copy of what a body built from ``bound``.
 
-    Atomic values and nodes of the tuple's own tree are handed on as they
-    are; a detached element — what a constructor returns — is copied.
-    Anything else has no faithful copy: ``None``.
+    Per item: ``None`` to hand it on as it is — an atomic value or a node
+    of the tuple's own tree — or the :func:`~repro.dom.nodes.copier` of a
+    detached element, what a constructor returns, which no member ever
+    receives itself.  ``None`` overall when some item has no faithful
+    copy (an attribute, a node inside a constructed tree): every member
+    then runs the body itself.
     """
     root = bound.root() if isinstance(bound, Node) else None
-    out: list = []
+    makers: list = []
     for item in items:
+        maker = None
         if isinstance(item, Node):
             top = item.root()
             if top is not root:
                 if top is not item or not isinstance(item, Element):
                     return None
-                item = item.copy()
-        out.append(item)
-    return out
+                maker = copier(item)
+        makers.append(maker)
+    return makers
+
+
+def _copy(items: list, makers: list) -> list:
+    return [item if make is None else make() for item, make in zip(items, makers)]
 
 
 def _identity(item: object) -> str:

@@ -23,12 +23,14 @@ real sockets:
   streaming transcoder rewrites tag names in place
   (:meth:`~repro.streams.compression.TagCodec.compress_iter`).
 
-The server's front door reuses the predicate routing index: a BATCH is
+The server's front door decides subscription predicates: a BATCH is
 fanned out only to connections whose subscriptions can match the
-arriving envelope — same ``(stream, tsid)`` dependency test, same
-conservative supersede rule for non-event tags, and the probe kernel of
-the in-process scheduler and the sharded coordinator, at its wire-text
-granularity (:func:`~repro.streams.routing.envelope_match`: no DOM).
+arriving envelope — the ``(stream, tsid)`` dependency test, a
+conservative supersede rule for non-event tags, and the routing
+predicate decided over the envelope's wire text
+(:func:`~repro.streams.routing.envelope_match`: parser events, no DOM).
+It is one of the two places a predicate is decided at run time; the
+other is the binding-tuple index of a scheduler's group.
 
 Catch-up sequence (the no-retransmission model's only recovery path)::
 

@@ -243,7 +243,11 @@ class QueryScheduler:
                 # The compile-stream-automaton verdict: wakes try the
                 # engine's capture host before the prefix scan.
                 entry.automaton = automaton
-                query.engine.automaton_host.register(automaton)
+                # Before the member's first run, which is a full baseline:
+                # every capture it will read keeps what it reads.
+                query.engine.automaton_host.register(
+                    automaton, query.compiled.info.projection
+                )
                 self._automaton_members.setdefault(
                     (id(query.engine), automaton), [query.engine, []]
                 )[1].append(entry)
@@ -269,7 +273,9 @@ class QueryScheduler:
                     if not watching:
                         del self._watchers[key]
                 if entry.automaton is not None:
-                    query.engine.automaton_host.unregister(entry.automaton)
+                    query.engine.automaton_host.unregister(
+                        entry.automaton, query.compiled.info.projection
+                    )
                     key = (id(query.engine), entry.automaton)
                     watching = self._automaton_members[key][1]
                     watching.remove(entry)

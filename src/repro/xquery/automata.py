@@ -14,14 +14,21 @@ engine-side automaton host materializes them through the parser's
 event-replay builder only when a standing query actually wakes
 (``repro-lint`` enforces the layering).
 
-Buffer minimization is Tag-Structure guided at the host: only matched
-subtrees are buffered at all, the tsid's tag *type* decides which captures
-must be retained (a snapshot fragment's superseded versions are dropped on
-arrival — only the newest version is ever visible) and which lifespan
-annotations the host synthesizes at answer time.  :func:`schema_reachable`
-additionally reports, from the Tag Structure alone, whether the automaton
-can match under a given tsid — advisory (data may disagree with the
-schema), surfaced in diagnostics.
+Buffer minimization works at three grains.  Only matched subtrees are
+buffered at all.  Within a match, only what the residuals can read is
+kept: :func:`capture_projection` derives, per plan, the child names its
+residual reaches from the binding (XML projection, Marian & Siméon), the
+host unions them over the automaton's registered queries, and the matcher
+keeps the match's own start and end events plus the whole subtree of
+each kept child — every other child subtree and the match's own text are
+dropped as they stream by.  Across matches the Tag Structure decides:
+the tsid's tag *type* says which captures must be retained (a snapshot
+fragment's superseded versions are dropped on arrival — only the newest
+version is ever visible) and which lifespan annotations the host
+synthesizes at answer time.  :func:`schema_reachable` additionally
+reports, from the Tag Structure alone, whether the automaton can match
+under a given tsid — advisory (data may disagree with the schema),
+surfaced in diagnostics.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ __all__ = [
     "StreamAutomaton",
     "AutomatonMatcher",
     "compile_automaton",
+    "capture_projection",
     "schema_reachable",
 ]
 
@@ -121,6 +129,78 @@ def _navigates_upward(node: object) -> bool:
     return any(_navigates_upward(child) for child in xast.children(node))
 
 
+def capture_projection(
+    analysis, automaton: StreamAutomaton
+) -> tuple[Optional[frozenset], str]:
+    """The child names below each match that one plan's residual can read.
+
+    Returns ``(names, "")`` when every use of the residual's driving
+    variable — guard, body and predicates nested in either — is the base
+    of a path whose first step is ``child::NAME`` or ``attribute::*``: a
+    capture then needs the match's attributes and the whole subtree of
+    each named child, nothing else.  Returns ``(None, reason)`` when some
+    use may read more (a bare ``$v``, a wildcard or kind test, ``//``, a
+    function argument, a rebinding of the name), or when the automaton
+    has a non-``child`` step, so matches may nest inside one capture.
+    """
+    if any(step.axis != "child" for step in automaton.steps):
+        return None, "automaton has a descendant step: matches may nest"
+    residual = analysis.residual_module.body
+    var = residual.clauses[0].var
+    names: set[str] = set()
+    for node in residual.clauses[1:] + [residual.return_expr]:
+        reason = _reads_beyond_children(node, var, names)
+        if reason:
+            return None, reason
+    return frozenset(names), ""
+
+
+def _reads_beyond_children(node: object, var: str, names: set) -> str:
+    """Collect into ``names`` the children ``node``'s uses of ``$var`` read.
+
+    Returns why some use may read more than attributes and named child
+    subtrees, or ``""`` when none does.
+    """
+    if (
+        isinstance(node, xast.PathExpr)
+        and isinstance(node.base, xast.VarRef)
+        and node.base.name == var
+        and node.steps
+    ):
+        first = node.steps[0]
+        if first.axis == "child" and "*" not in first.test and "(" not in first.test:
+            names.add(first.test)
+        elif first.axis != "attribute":
+            return f"${var}/{first.axis}::{first.test} reads past named children"
+        below = [part for step in node.steps for part in xast.children(step)]
+    elif isinstance(node, xast.VarRef):
+        return f"${var} is read whole" if node.name == var else ""
+    elif isinstance(node, xast.FunctionCall) and any(
+        isinstance(arg, xast.VarRef) and arg.name == var for arg in node.args
+    ):
+        return f"${var} is an argument of {node.name}()"
+    elif var in _bound_names(node):
+        return f"${var} is rebound"
+    else:
+        below = xast.children(node)
+    for child in below:
+        reason = _reads_beyond_children(child, var, names)
+        if reason:
+            return reason
+    return ""
+
+
+def _bound_names(node: object) -> tuple:
+    """The variable names a clause or quantifier binds."""
+    if isinstance(node, xast.ForClause):
+        return (node.var, node.position_var)
+    if isinstance(node, xast.LetClause):
+        return (node.var,)
+    if isinstance(node, xast.Quantified):
+        return tuple(name for name, _ in node.bindings)
+    return ()
+
+
 def schema_reachable(automaton: StreamAutomaton, tag_node) -> bool:
     """Whether the Tag Structure proves the automaton can ever match.
 
@@ -181,6 +261,13 @@ class AutomatonMatcher:
     positions stay armed down the subtree; a worklist closes chained
     descendant-or-self steps matching at the same element.  Events outside
     a capture are discarded as they stream by.
+
+    ``keep`` projects each capture (``None`` keeps it whole): the match's
+    start event, attributes included, its end event and the whole subtree
+    of each child named in ``keep`` are buffered; any other child subtree
+    and the match's own text, comments and PIs are dropped.  Only for
+    automata whose steps are all ``child`` — their matches never nest, so
+    no match can sit inside a dropped subtree.
     """
 
     __slots__ = (
@@ -189,12 +276,14 @@ class AutomatonMatcher:
         "_depth",
         "_capture",
         "_capture_depth",
+        "_skip",
+        "keep",
         "buffers",
         "matches",
         "root_matched",
     )
 
-    def __init__(self, automaton: StreamAutomaton):
+    def __init__(self, automaton: StreamAutomaton, keep: Optional[frozenset] = None):
         self._transitions = _transitions_for(automaton.steps)
         # Bottom frame is the (never-materialized) wrapper: selected by
         # zero steps, nothing armed above it — state id 0 by construction.
@@ -202,42 +291,16 @@ class AutomatonMatcher:
         self._depth = 0
         self._capture: Optional[list] = None
         self._capture_depth = 0
+        self._skip = 0  # depth of the dropped child being streamed past, 0 = none
+        self.keep = keep
         self.buffers: list[list[tuple]] = []
         self.matches: list[tuple[int, int]] = []
         self.root_matched = False
 
     def feed(self, event: tuple) -> None:
-        kind = event[0]
-        if kind == "start":
-            frames = self._frames
-            state, matched = self._transitions.step(frames[-1], event[1])
-            frames.append(state)
-            self._depth += 1
-            if matched:
-                capture = self._capture
-                if capture is None:
-                    buffer: list = []
-                    self.buffers.append(buffer)
-                    self._capture = buffer
-                    self._capture_depth = self._depth
-                    self.matches.append((len(self.buffers) - 1, 0))
-                else:
-                    self.matches.append((len(self.buffers) - 1, len(capture)))
-                if self._depth == 1:
-                    self.root_matched = True
-            if self._capture is not None:
-                self._capture.append(event)
-        elif kind == "end":
-            if self._capture is not None:
-                self._capture.append(event)
-                if self._depth == self._capture_depth:
-                    self._capture = None
-            self._depth -= 1
-            self._frames.pop()
-        elif self._capture is not None:
-            self._capture.append(event)
+        self.feed_many((event,))
 
-    def feed_many(self, events: list) -> None:
+    def feed_many(self, events) -> None:
         """Feed a run of consecutive payload events.
 
         Equivalent to ``feed`` called per event; the batch form keeps the
@@ -249,10 +312,24 @@ class AutomatonMatcher:
         depth = self._depth
         capture = self._capture
         capture_depth = self._capture_depth
+        skip = self._skip
+        keep = self.keep
         buffers = self.buffers
         matches = self.matches
         for event in events:
             kind = event[0]
+            if skip:
+                # Inside a dropped child subtree, where no match can start
+                # (projected automata have only child steps): the child's
+                # own frame is popped at its end, its descendants push none.
+                if kind == "start":
+                    depth += 1
+                elif kind == "end":
+                    if depth == skip:
+                        skip = 0
+                        frames.pop()
+                    depth -= 1
+                continue
             if kind == "start":
                 state, matched = step(frames[-1], event[1])
                 frames.append(state)
@@ -268,7 +345,14 @@ class AutomatonMatcher:
                     if depth == 1:
                         self.root_matched = True
                 if capture is not None:
-                    capture.append(event)
+                    if (
+                        keep is not None
+                        and depth == capture_depth + 1
+                        and event[1] not in keep
+                    ):
+                        skip = depth
+                    else:
+                        capture.append(event)
             elif kind == "end":
                 if capture is not None:
                     capture.append(event)
@@ -276,11 +360,12 @@ class AutomatonMatcher:
                         capture = None
                 depth -= 1
                 frames.pop()
-            elif capture is not None:
+            elif capture is not None and (keep is None or depth != capture_depth):
                 capture.append(event)
         self._depth = depth
         self._capture = capture
         self._capture_depth = capture_depth
+        self._skip = skip
 
 
 class _Transitions:

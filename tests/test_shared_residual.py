@@ -459,7 +459,9 @@ class TestOwnership:
         counters = arm.scheduler.stats()["shared_residual"]
         assert counters["body_runs"] == 3 and counters["body_reuses"] == 1
 
-    def test_an_adopted_item_is_rebuilt_not_copied_from(self):
+    def test_adoption_cannot_reach_the_built_source(self):
+        # The first member gets a copy too, so adopting (and editing) it
+        # leaves the item the other members' copies read through alone.
         sources = [hit(f"$s/price > {k}") for k in (1, 2)]
         arm = _Arm(sources)
         holder = parse_document("<out/>").document_element
@@ -470,7 +472,11 @@ class TestOwnership:
         first, second = (out[arm.queries[source]] for source in sources)
         assert first[0].parent is holder and second[0].parent is None
         assert serialize(first[0]) == serialize(second[0])
-        assert arm.scheduler.stats()["shared_residual"]["body_runs"] == 2
+        assert arm.scheduler.stats()["shared_residual"]["body_runs"] == 1
+        before = serialize(second[0])
+        first[0].children[0].text = "edited"
+        first[0].append(parse_document("<more/>").document_element)
+        assert serialize(second[0]) == before
 
 
 def _tree(node):
