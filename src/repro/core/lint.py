@@ -23,7 +23,7 @@ entry points anywhere but the pass pipeline, so every future compilation
 path stays traceable through :mod:`repro.core.pipeline`, and holds a few
 layering rules (DOM-free modules, the tree-builder primitive, the one
 home of the emission identity, the two places a routing predicate is
-decided, no timer on the delivery path).
+decided, no timer on the delivery path, one shard worker codec).
 """
 
 from __future__ import annotations
@@ -227,6 +227,13 @@ _PREDICATE_TIER = {
 #: the connection's writer is behind, never for a clock.
 _DELIVERY_MODULES = ("streams/net.py", "streams/netproto.py", "streams/transport.py")
 _TIMER_CALLS = ("call_later", "call_at")
+#: Every shard link carries WORKER frames as bytes, and a worker command
+#: is parsed in one place, whichever medium delivered it.
+_CODEC_HOME = "ShardWorkerHost"
+_WORKER_COMMANDS = frozenset(
+    {"configure", "register_stream", "feed_raw", "add_query", "remove_query", "stats"}
+)
+_PICKLE_MODULES = ("pickle", "_pickle", "cPickle")
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -274,7 +281,13 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     ``asyncio.sleep`` with anything but a literal ``0`` in
     ``_DELIVERY_MODULES``: a linger on the delivery path delays every
     envelope of a connection that is keeping up and cannot help one
-    that is not (its batches grow behind the writer anyway).  Unparseable
+    that is not (its batches grow behind the writer anyway).  A
+    ``worker-codec`` diagnostic is reported for a ``pickle`` import or an
+    object-pickling ``Connection.send(...)`` / ``.recv()`` call under
+    ``streams/`` — every shard link moves WORKER frames as bytes — and
+    for a comparison against a worker command name (``"add_query"``, …)
+    anywhere under ``src/repro/`` outside ``ShardWorkerHost``, the one
+    place a command is parsed.  Unparseable
     files yield ``syntax-error`` diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
@@ -298,6 +311,7 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
             _check_emission_identity(path, tree, diagnostics)
         if "/src/repro/" in "/" + normalized and not normalized.endswith(_PREDICATE_HOME):
             _check_predicate_tier(path, normalized, tree, diagnostics)
+        _check_worker_codec(path, normalized, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
         for node in _pyast.walk(tree):
@@ -445,6 +459,66 @@ def _check_predicate_tier(
                     "the network door and in the scheduler's groups, nowhere else"
                 )
             out.append(Diagnostic("predicate-tier", f"{path}:{node.lineno}: {why}"))
+
+
+def _check_worker_codec(
+    path: str, normalized: str, tree: _pyast.AST, out: list[Diagnostic]
+) -> None:
+    """Flag a second shard codec: pickled objects in streams/, or a command parsed twice."""
+    if "/streams/" in "/" + normalized:
+        for module, lineno in _imported_modules(tree):
+            if module.split(".")[0] in _PICKLE_MODULES:
+                out.append(
+                    Diagnostic(
+                        "worker-codec",
+                        f"{path}:{lineno}: the streams layer pickles nothing — "
+                        "shard links carry netproto WORKER frames as bytes",
+                    )
+                )
+        for node in _pyast.walk(tree):
+            if not (isinstance(node, _pyast.Call) and isinstance(node.func, _pyast.Attribute)):
+                continue
+            # Connection.send(obj) / Connection.recv() pickle; a socket's
+            # recv takes a size and its writers are sendall / write.
+            if node.func.attr == "send" or (node.func.attr == "recv" and not node.args):
+                out.append(
+                    Diagnostic(
+                        "worker-codec",
+                        f"{path}:{node.lineno}: .{node.func.attr}() pickles an "
+                        "object — move encoded frames with send_bytes / recv_bytes",
+                    )
+                )
+    if "/src/repro/" not in "/" + normalized:
+        return
+    hosted = {
+        id(inner)
+        for node in _pyast.walk(tree)
+        if isinstance(node, _pyast.ClassDef) and node.name == _CODEC_HOME
+        for inner in _pyast.walk(node)
+    }
+    for node in _pyast.walk(tree):
+        if not isinstance(node, _pyast.Compare) or id(node) in hosted:
+            continue
+        operands = [node.left, *node.comparators]
+        for operand in list(operands):
+            if isinstance(operand, (_pyast.Tuple, _pyast.List, _pyast.Set)):
+                operands.extend(operand.elts)
+        names = sorted(
+            {
+                operand.value
+                for operand in operands
+                if isinstance(operand, _pyast.Constant) and operand.value in _WORKER_COMMANDS
+            }
+        )
+        if names:
+            out.append(
+                Diagnostic(
+                    "worker-codec",
+                    f"{path}:{node.lineno}: worker command {names[0]!r} is parsed "
+                    f"by {_CODEC_HOME}.serve alone — post the command tuple and "
+                    "let the link encode it",
+                )
+            )
 
 
 def _imported_modules(tree: _pyast.AST) -> list[tuple[str, int]]:

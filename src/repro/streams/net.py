@@ -65,9 +65,11 @@ The WORKER role (protocol v2)
 
 A server started with ``worker=True`` additionally hosts remote shards
 for :class:`~repro.streams.sharding.ShardedEngine` coordinators: a v2
-connection's DISPATCH/POLL/RESPAWN frames are mapped by a per-connection
-:class:`~repro.streams.sharding.ShardWorkerHost` onto the same shard
-server the multiprocessing workers run.  Shard state is
+connection's DISPATCH/POLL/RESPAWN frames go to a per-connection
+:class:`~repro.streams.sharding.ShardWorkerHost` through
+:meth:`~repro.streams.sharding.ShardWorkerHost.serve` — the entry point
+a pipe worker process and the in-process loopback call with the same
+frames, since every shard link speaks this protocol.  Shard state is
 connection-scoped (a reconnecting coordinator re-bootstraps from its
 journal, exactly like respawning a dead pipe worker).  The role is pure
 addition: subscribe/tail/feed traffic — including from v1-only peers,
@@ -823,22 +825,7 @@ class StreamServer:
             return False
         if conn.shard is None:
             conn.shard = ShardWorkerHost()
-        if frame.type == proto.DISPATCH:
-            reply = conn.shard.dispatch(frame.header)
-            await conn.outbox.put_control(proto.encode_control(proto.ACK, **reply))
-            return True
-        if frame.type == proto.POLL:
-            reply = conn.shard.poll(frame.header)
-            await conn.outbox.put_control(
-                proto.encode_control(proto.POLL_REPLY, **reply)
-            )
-            return True
-        conn.shard.reset()  # RESPAWN
-        await conn.outbox.put_control(
-            proto.encode_control(
-                proto.ACK, id=frame.header.get("id"), ok=True, result=True
-            )
-        )
+        await conn.outbox.put_control(conn.shard.serve(frame))
         return True
 
     async def _on_subscribe(self, conn: _Connection, frame: proto.Frame) -> bool:

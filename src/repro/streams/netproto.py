@@ -55,9 +55,9 @@ frames on a connection negotiated at v1 — which is exactly how a
 v1-only peer keeps working: it never learns the new types exist and is
 served the v1 subset (subscribe/tail/feed) unchanged.
 
-- DISPATCH ``{"id", "cmd", "args"}`` — one shard command (register a
-  stream, feed a batch, add/remove a query, fetch stats, stop); the
-  worker answers ACK ``{"id", "ok", "result"|"error"}``.
+- DISPATCH ``{"id", "cmd", "args"}`` — one shard command (configure,
+  register a stream, feed raw envelopes, add/remove a query, fetch
+  stats); the worker answers ACK ``{"id", "ok", "result"|"error"}``.
 - POLL ``{"id", "now"}`` — run one scheduler pass; answered by
   POLL_REPLY ``{"id", "emitted", "watermarks", "elapsed", "cpu"}``.
 - RESPAWN ``{"id"}`` — discard the connection's shard state so the

@@ -48,26 +48,27 @@ is *not* polled on the next tick.  What the fillers *contain* is not
 looked at here — routing predicates are decided per binding tuple
 inside each worker's scheduler, which is where they are cheapest.
 
-One link interface, three transports
-------------------------------------
+One protocol, three media
+-------------------------
 
-The coordinator speaks one interface —
-:class:`repro.streams.transport.ShardLink` — and never a medium.  Three
-implementations are interchangeable per shard:
+The coordinator speaks one link — :class:`repro.streams.transport.ShardLink`
+— and one protocol over it: the netproto v2 WORKER frames
+(DISPATCH/POLL/POLL_REPLY/RESPAWN) that ``serve``/``tail``'s framed
+socket protocol defines.  Three media carry the frame bytes and are
+interchangeable per shard:
 
-- :class:`InProcessLink` serves the shard inside the coordinator
-  process (deterministic differential testing, failover target);
-- :class:`PipeLink` spawns a ``multiprocessing`` worker and pipelines
-  pickled command tuples over a pipe;
-- :class:`NetLink` drives a remote worker host over the netproto v2
-  WORKER frames (DISPATCH/POLL/POLL_REPLY/RESPAWN) — the same framed
-  socket protocol ``serve``/``tail`` already speak, so a shard can live
-  on another host behind an ordinary ``repro-xcql serve`` front door.
+- :class:`InProcessLink` is the loopback: it hands each frame to a
+  :class:`ShardWorkerHost` inside the coordinator process
+  (deterministic differential testing, failover target);
+- :class:`PipeLink` spawns a ``multiprocessing`` worker that runs the
+  same host, and moves the frames with ``send_bytes`` / ``recv_bytes``;
+- :class:`NetLink` is a socket to a remote worker host, after a HELLO
+  handshake — so a shard can live on another host behind an ordinary
+  ``repro-xcql serve`` front door.
 
 Dispatch, poll-merge, journaling, failover, and respawn are written
-once against the interface; :class:`ShardWorkerHost` is the server-side
-adapter that maps WORKER frame headers onto the exact same
-:class:`_ShardServer` the pipe workers run.
+once against the link; :meth:`ShardWorkerHost.serve` is the one place a
+worker command is parsed and run, whichever medium delivered it.
 
 Durability and failover
 -----------------------
@@ -87,11 +88,9 @@ transport-blind, which is what makes failover identical whether the
 dead shard was a local child process or a remote worker on another
 host.
 
-Envelope batches whose wire size crosses ``compress_threshold`` are
-tag-compressed (:class:`~repro.streams.compression.TagCodec`) before
-pickling into the pipe; raw (``feed_raw``) payloads are always forwarded
-verbatim so the worker's streaming-automaton path sees the exact wire
-text.
+Envelopes cross to a worker as their exact wire text, whichever ingest
+call brought them (``feed`` serializes its fillers first), so the
+worker's streaming-automaton path sees what the server sent.
 """
 
 from __future__ import annotations
@@ -109,11 +108,10 @@ from typing import Callable, Iterable, Optional, Union
 from repro.core.engine import XCQLEngine
 from repro.core.translator import Strategy
 from repro.dom.serializer import serialize
-from repro.fragments.model import Filler, parse_filler
+from repro.fragments.model import Filler
 from repro.fragments.persist import Journal
 from repro.fragments.tagstructure import TagStructure
 from repro.streams import netproto as proto
-from repro.streams.compression import TagCodec
 from repro.streams.continuous import ContinuousQuery
 from repro.streams.scheduler import (
     QueryDependencies,
@@ -125,6 +123,8 @@ from repro.streams.transport import (
     TAG_STRUCTURE,
     Channel,
     Message,
+    ShardCommandError,
+    ShardFailure,
     ShardLink,
     peek_filler,
 )
@@ -153,14 +153,6 @@ def shard_of(stream: str, filler_id: int, shards: int) -> int:
     """
     key = f"{stream}\x00{int(filler_id)}".encode("utf-8")
     return zlib.crc32(key) % int(shards)
-
-
-class ShardFailure(RuntimeError):
-    """A worker died or stopped answering (crash, kill, pipe timeout)."""
-
-
-class ShardCommandError(RuntimeError):
-    """A worker is alive but a command it ran raised (re-raised here)."""
 
 
 class ShardedQuery:
@@ -200,523 +192,8 @@ class ShardedQuery:
 # -- the worker side ---------------------------------------------------------------
 
 
-class _ShardServer:
-    """One worker's state: an engine + scheduler over its partition.
-
-    Runs identically inside a spawned process (:func:`_shard_worker_main`)
-    or inside the coordinator process (the in-process degraded mode), so
-    failover swaps the transport without changing any evaluation code.
-    """
-
-    def __init__(self, options: dict):
-        self.engine = XCQLEngine(
-            default_backend=options.get("default_backend", "compiled")
-        )
-        self.scheduler = QueryScheduler(
-            self.engine,
-            share_groups=options.get("share_groups", True),
-            routing=options.get("routing", True),
-            stream_automata=options.get("stream_automata", True),
-        )
-        self.queries: dict[int, ContinuousQuery] = {}
-        self.codecs: dict[str, TagCodec] = {}
-
-    def handle(self, msg: tuple):
-        command = msg[0]
-        if command == "register_stream":
-            _, name, structure_xml = msg
-            structure = TagStructure.from_xml(structure_xml)
-            self.engine.register_stream(name, structure)
-            self.codecs[name] = TagCodec(structure)
-            return True
-        if command == "feed":
-            _, name, encoded, envelopes = msg
-            if encoded:
-                codec = self.codecs[name]
-                envelopes = [codec.decode_wire(payload) for payload in envelopes]
-            return self.engine.feed(
-                name, [parse_filler(payload) for payload in envelopes]
-            )
-        if command == "feed_raw":
-            _, name, payloads = msg
-            return self.engine.feed_raw(name, payloads)
-        if command == "add_query":
-            _, qid, source, strategy_value, emit = msg
-            query = ContinuousQuery(
-                self.engine, source, strategy=Strategy(strategy_value), emit=emit
-            )
-            self.scheduler.add(query)
-            self.queries[qid] = query
-            return True
-        if command == "remove_query":
-            _, qid = msg
-            query = self.queries.pop(qid, None)
-            if query is not None:
-                self.scheduler.remove(query)
-            return query is not None
-        if command == "poll":
-            _, now_text = msg
-            started = time.perf_counter()
-            cpu_started = time.process_time()
-            emitted = self.scheduler.poll(XSDateTime.parse(now_text))
-            out: dict[int, list[str]] = {}
-            for qid, query in self.queries.items():
-                # The strings the poll just deduplicated the emission on,
-                # not a second serialization of it.
-                if emitted.get(query):
-                    out[qid] = query.last_emitted_identities
-            return {
-                "emitted": out,
-                "watermarks": {
-                    name: store.watermark
-                    for name, store in self.engine.stores.items()
-                },
-                # Wall time inside the worker, and the worker's own CPU
-                # time.  They diverge when workers outnumber cores and
-                # the scheduler time-slices them: the CPU figure is the
-                # honest per-shard compute for critical-path analysis.
-                "elapsed": time.perf_counter() - started,
-                "cpu": time.process_time() - cpu_started,
-            }
-        if command == "stats":
-            # Query ids are stringified so the reply has one shape on
-            # every link: JSON (the net link) cannot carry int keys, and
-            # a schema that differs by transport defeats unified stats.
-            return {
-                "engine": self.engine.stats(),
-                "scheduler": self.scheduler.stats(),
-                "queries": {
-                    str(qid): query.stats() for qid, query in self.queries.items()
-                },
-            }
-        if command == "stop":
-            return True
-        raise ValueError(f"unknown shard command {command!r}")
-
-
-def _shard_worker_main(conn, options: dict) -> None:
-    """A worker process: serve shard commands over the pipe until 'stop'."""
-    server = _ShardServer(options)
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            break
-        try:
-            reply = ("ok", server.handle(msg))
-        except Exception as exc:  # report, don't die: the pipe stays usable
-            reply = ("error", f"{type(exc).__name__}: {exc}")
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, KeyboardInterrupt):
-            break
-        if msg and msg[0] == "stop":
-            break
-    conn.close()
-
-
-class PipeLink(ShardLink):
-    """Coordinator-side proxy of one local worker process.
-
-    Commands are *pipelined*: :meth:`post` sends without waiting, and
-    :meth:`sync` drains the outstanding acks in order — so a feed fans
-    out to every shard before the first ack round-trip completes, and a
-    tick's polls run concurrently across workers.
-    """
-
-    kind = "pipe"
-
-    def __init__(self, context, options: dict, timeout: float):
-        self.timeout = timeout
-        self.conn, child_conn = context.Pipe()
-        self.process = context.Process(
-            target=_shard_worker_main,
-            args=(child_conn, options),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-        self.pending = 0
-        self.alive = True
-        self.posted = 0
-
-    def post(self, msg: tuple) -> None:
-        if not self.alive:
-            raise ShardFailure("worker is gone")
-        if self.pending >= 512:
-            # Drain before the ack pipe can fill: a worker blocked on a
-            # full reply pipe stops reading commands, and two full pipes
-            # between single-threaded peers is a deadlock.
-            self.sync()
-        try:
-            self.conn.send(msg)
-        except (BrokenPipeError, OSError) as exc:
-            self.alive = False
-            raise ShardFailure(f"worker pipe broke: {exc}") from exc
-        self.pending += 1
-        self.posted += 1
-
-    def sync(self) -> list:
-        """Collect every outstanding ack; raises on death or command error."""
-        replies: list = []
-        error: Optional[str] = None
-        while self.pending:
-            deadline_hit = False
-            try:
-                if not self.conn.poll(self.timeout):
-                    deadline_hit = True
-                else:
-                    status, payload = self.conn.recv()
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                self.alive = False
-                raise ShardFailure(f"worker died mid-reply: {exc}") from exc
-            if deadline_hit:
-                self.alive = False
-                raise ShardFailure(
-                    f"worker unresponsive for {self.timeout:.1f}s"
-                )
-            self.pending -= 1
-            if status == "error":
-                if error is None:
-                    error = payload
-                replies.append(None)
-            else:
-                replies.append(payload)
-        if error is not None:
-            raise ShardCommandError(error)
-        return replies
-
-    def stop(self) -> None:
-        if self.alive:
-            try:
-                self.conn.send(("stop",))
-                self.conn.poll(min(self.timeout, 2.0))
-            except (BrokenPipeError, OSError):
-                pass
-        self.alive = False
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
-
-    def link_stats(self) -> dict:
-        stats = super().link_stats()
-        stats["posted"] = self.posted
-        return stats
-
-
-class InProcessLink(ShardLink):
-    """A shard served inside the coordinator process (degraded mode).
-
-    Same post/sync/request surface as :class:`PipeLink`; commands
-    execute eagerly.  Used when ``in_process=True`` (deterministic
-    differential testing, single-core deployments) and as the failover
-    target when a worker dies.
-    """
-
-    kind = "inproc"
-
-    def __init__(self, options: dict):
-        self.server = _ShardServer(options)
-        self._replies: list = []
-        self._error: Optional[str] = None
-        self.alive = True
-        self.posted = 0
-
-    @property
-    def pending(self) -> int:
-        return len(self._replies)
-
-    def post(self, msg: tuple) -> None:
-        self.posted += 1
-        try:
-            self._replies.append(self.server.handle(msg))
-        except Exception as exc:
-            if self._error is None:
-                self._error = f"{type(exc).__name__}: {exc}"
-            self._replies.append(None)
-
-    def sync(self) -> list:
-        replies, self._replies = self._replies, []
-        error, self._error = self._error, None
-        if error is not None:
-            raise ShardCommandError(error)
-        return replies
-
-    def stop(self) -> None:
-        self.alive = False
-
-    def link_stats(self) -> dict:
-        stats = super().link_stats()
-        stats["posted"] = self.posted
-        return stats
-
-
-# -- the netproto link (coordinator side) -------------------------------------------
-
-
-class NetLink(ShardLink):
-    """A shard served by a remote worker host over netproto v2.
-
-    A plain blocking socket client — deliberately not asyncio: the
-    coordinator's pipelined post/sync discipline is synchronous, and the
-    link lives on the coordinator's thread exactly like a pipe.  Command
-    tuples become WORKER frames (``poll`` → POLL, ``respawn`` → RESPAWN,
-    everything else → DISPATCH); replies come back in command order as
-    ACK/POLL_REPLY frames and are revived to the exact dict shapes the
-    pipe link produces, so the merge code upstream cannot tell the
-    transports apart.
-
-    The HELLO handshake advertises every version this build speaks; a
-    host that negotiates below v2 cannot carry WORKER frames, so the
-    link raises :class:`ShardFailure` and the coordinator degrades
-    through its normal failover path (the host itself still serves that
-    v1 connection's subscribe/tail surface — degraded, not refused).
-    """
-
-    kind = "net"
-
-    def __init__(
-        self,
-        address: str,
-        options: dict,
-        timeout: float,
-        max_pending: int = 512,
-    ):
-        self.address = address
-        self.timeout = timeout
-        self.max_pending = max_pending
-        self.alive = False
-        self.version: Optional[int] = None
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.dispatches = 0
-        self.polls = 0
-        self._pending: deque = deque()
-        self._frames: deque = deque()
-        self._decoder = proto.FrameDecoder()
-        self._next_id = 1
-        host, _, port_text = address.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError as exc:
-            raise ValueError(f"bad worker address {address!r}: {exc}") from exc
-        try:
-            self._sock = socket.create_connection(
-                (host or "127.0.0.1", port), timeout=min(timeout, 10.0)
-            )
-        except OSError as exc:
-            raise ShardFailure(f"cannot reach worker {address}: {exc}") from exc
-        self._sock.settimeout(timeout)
-        self.alive = True
-        self._send(
-            proto.encode_control(
-                proto.HELLO,
-                versions=list(proto.PROTOCOL_VERSIONS),
-                role="shard-link",
-            )
-        )
-        frame = self._recv_frame()
-        if frame.type == proto.ERROR:
-            self._abandon()
-            raise ShardFailure(
-                f"worker {address} refused the handshake: "
-                f"{frame.header.get('error', frame.header)}"
-            )
-        if frame.type != proto.HELLO:
-            self._abandon()
-            raise ShardFailure(
-                f"worker {address} answered {frame.name}, expected HELLO"
-            )
-        self.version = int(frame.header.get("version", 1))
-        if self.version < 2:
-            # The host is alive but speaks only v1 — it has no WORKER
-            # frames to offer this link.  Say goodbye politely; the
-            # coordinator fails over instead of wedging the shard.
-            try:
-                self._send(proto.encode_control(proto.BYE))
-            except ShardFailure:
-                pass
-            self._abandon()
-            raise ShardFailure(
-                f"worker {address} negotiated protocol v{self.version}; "
-                "the WORKER role needs v2"
-            )
-        # The remote shard must evaluate with the coordinator's engine
-        # options or the differential guarantees are off.
-        self.request(("configure", dict(options)))
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
-    def post(self, msg: tuple) -> None:
-        if not self.alive:
-            raise ShardFailure("worker link is down")
-        if len(self._pending) >= self.max_pending:
-            # Same discipline as the pipe link: drain before both ends'
-            # socket buffers can fill with unread replies.
-            self.sync()
-        command = msg[0]
-        mid = self._next_id
-        self._next_id += 1
-        if command == "poll":
-            data = proto.encode_control(proto.POLL, id=mid, now=msg[1])
-            self.polls += 1
-        elif command == "respawn":
-            data = proto.encode_control(proto.RESPAWN, id=mid)
-        elif command == "configure":
-            data = proto.encode_control(
-                proto.DISPATCH, id=mid, cmd="configure", args=[msg[1]]
-            )
-            self.dispatches += 1
-        else:
-            data = proto.encode_control(
-                proto.DISPATCH, id=mid, cmd=command, args=list(msg[1:])
-            )
-            self.dispatches += 1
-        self._send(data)
-        self._pending.append((command, mid))
-
-    def sync(self) -> list:
-        replies: list = []
-        error: Optional[str] = None
-        while self._pending:
-            frame = self._recv_frame()
-            _command, mid = self._pending[0]
-            if frame.type == proto.ERROR:
-                self._abandon()
-                raise ShardFailure(
-                    f"worker error: {frame.header.get('error', frame.header)}"
-                )
-            if frame.type not in (proto.ACK, proto.POLL_REPLY):
-                self._abandon()
-                raise ShardFailure(
-                    f"unexpected {frame.name} frame on a worker link"
-                )
-            header = frame.header
-            if header.get("id") != mid:
-                self._abandon()
-                raise ShardFailure(
-                    f"reply id {header.get('id')!r} does not match "
-                    f"command id {mid} — worker link out of sync"
-                )
-            self._pending.popleft()
-            if frame.type == proto.POLL_REPLY:
-                if "error" in header:
-                    if error is None:
-                        error = str(header["error"])
-                    replies.append(None)
-                else:
-                    replies.append(_revive_poll(header))
-            elif header.get("ok"):
-                replies.append(header.get("result"))
-            else:
-                if error is None:
-                    error = str(header.get("error"))
-                replies.append(None)
-        if error is not None:
-            raise ShardCommandError(error)
-        return replies
-
-    def respawn(self) -> None:
-        """Ask the host to discard this connection's shard state."""
-        self.request(("respawn",))
-
-    def stop(self) -> None:
-        if self.alive:
-            try:
-                self._send(proto.encode_control(proto.BYE))
-            except ShardFailure:
-                pass
-        self._abandon()
-
-    def link_stats(self) -> dict:
-        stats = super().link_stats()
-        stats.update(
-            address=self.address,
-            version=self.version,
-            frames_sent=self.frames_sent,
-            frames_received=self.frames_received,
-            bytes_sent=self.bytes_sent,
-            bytes_received=self.bytes_received,
-            dispatches=self.dispatches,
-            polls=self.polls,
-        )
-        return stats
-
-    # -- socket plumbing --------------------------------------------------------
-
-    def _send(self, data: bytes) -> None:
-        try:
-            self._sock.sendall(data)
-        except OSError as exc:
-            self._abandon()
-            raise ShardFailure(f"worker socket broke: {exc}") from exc
-        self.frames_sent += 1
-        self.bytes_sent += len(data)
-
-    def _recv_frame(self) -> proto.Frame:
-        while not self._frames:
-            try:
-                chunk = self._sock.recv(1 << 16)
-            except socket.timeout:
-                self._abandon()
-                raise ShardFailure(
-                    f"worker unresponsive for {self.timeout:.1f}s"
-                ) from None
-            except OSError as exc:
-                self._abandon()
-                raise ShardFailure(f"worker socket broke: {exc}") from exc
-            if not chunk:
-                self._abandon()
-                raise ShardFailure("worker closed the connection")
-            self.bytes_received += len(chunk)
-            try:
-                frames = self._decoder.feed(chunk)
-            except proto.ProtocolError as exc:
-                self._abandon()
-                raise ShardFailure(f"bad frame from worker: {exc}") from exc
-            self._frames.extend(frames)
-            self.frames_received += len(frames)
-        return self._frames.popleft()
-
-    def _abandon(self) -> None:
-        self.alive = False
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-
-def _revive_poll(header: dict) -> dict:
-    """Rebuild a POLL_REPLY header into the pipe link's poll dict.
-
-    JSON stringifies int dict keys and turns tuples into lists; the
-    merge code (and the differential tests) must see identical shapes
-    on every link, so the damage is undone here.
-    """
-    return {
-        "emitted": {
-            int(qid): list(items)
-            for qid, items in (header.get("emitted") or {}).items()
-        },
-        "watermarks": {
-            name: tuple(mark)
-            for name, mark in (header.get("watermarks") or {}).items()
-        },
-        "elapsed": float(header.get("elapsed", 0.0)),
-        "cpu": float(header.get("cpu", 0.0)),
-    }
-
-
 def _jsonable(value):
-    """Deep-convert a worker reply into JSON-encodable primitives."""
+    """Deep-convert a command result into JSON-encodable primitives."""
     if isinstance(value, dict):
         return {str(key): _jsonable(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -729,92 +206,351 @@ def _jsonable(value):
 
 
 class ShardWorkerHost:
-    """Server-side shard state behind one v2 worker connection.
+    """One shard worker: an engine + scheduler over its partition, run by frames.
 
-    :class:`~repro.streams.net.StreamServer` creates one per connection
-    on the first WORKER frame and calls :meth:`dispatch` / :meth:`poll`
-    / :meth:`reset`; this class maps the JSON frame headers onto the
-    exact :class:`_ShardServer` command tuples the pipe workers run, and
-    scrubs the replies down to JSON-encodable primitives.  Shard state
-    is connection-scoped — a coordinator that reconnects starts from a
-    blank shard and re-bootstraps from its journal, which is the same
-    recovery contract the pipe workers have (a dead process keeps no
-    state either).
+    Every link kind ends here: the in-process loopback calls
+    :meth:`serve` directly, a pipe worker process calls it from
+    :func:`_pipe_worker_main`, and :class:`~repro.streams.net.StreamServer`
+    calls it for each WORKER frame on a v2 connection.  :meth:`serve`
+    is the one place a worker command is parsed and run, so failover
+    swaps the medium without changing any evaluation code.
+
+    Shard state is built on first use with the options of the last
+    ``configure`` and is scoped to the host — a coordinator that
+    reconnects (or a dead pipe worker's replacement) starts from a blank
+    shard and re-bootstraps from its journal.
     """
 
     def __init__(self) -> None:
         self._options: dict = {}
-        self._server: Optional[_ShardServer] = None
+        self.engine: Optional[XCQLEngine] = None
+        self.scheduler: Optional[QueryScheduler] = None
+        self.queries: dict[int, ContinuousQuery] = {}
         self.commands = 0
         self.polls = 0
         self.resets = 0
 
-    def _shard(self) -> _ShardServer:
-        if self._server is None:
-            self._server = _ShardServer(self._options)
-        return self._server
+    def serve(self, frame: proto.Frame) -> bytes:
+        """Run one WORKER frame; returns the encoded reply frame.
+
+        DISPATCH and RESPAWN are answered by ACK, POLL by POLL_REPLY.  A
+        command that raises is reported in its reply, not raised: the
+        link stays usable.
+        """
+        mid = frame.header.get("id")
+        if frame.type == proto.RESPAWN:
+            self.reset()
+            return proto.encode_control(proto.ACK, id=mid, ok=True, result=True)
+        polling = frame.type == proto.POLL
+        try:
+            if polling:
+                self.polls += 1
+                return proto.encode_control(
+                    proto.POLL_REPLY, id=mid, **self._poll(frame.header["now"])
+                )
+            self.commands += 1
+            result = self._run(frame.header.get("cmd"), frame.header.get("args") or [])
+            return proto.encode_control(proto.ACK, id=mid, ok=True, result=_jsonable(result))
+        except Exception as exc:  # report, don't die
+            error = f"{type(exc).__name__}: {exc}"
+        if polling:
+            return proto.encode_control(proto.POLL_REPLY, id=mid, error=error)
+        return proto.encode_control(proto.ACK, id=mid, ok=False, error=error)
 
     def reset(self) -> None:
         """RESPAWN: discard the shard so the peer can re-bootstrap."""
-        self._server = None
+        self.engine = None
         self.resets += 1
-
-    def dispatch(self, header: dict) -> dict:
-        """Run one DISPATCH command; returns the ACK header fields."""
-        self.commands += 1
-        mid = header.get("id")
-        cmd = header.get("cmd")
-        args = header.get("args") or []
-        try:
-            if cmd == "configure":
-                self._options = dict(args[0]) if args else {}
-                # Options apply from the next (re)build; configure is the
-                # first command after HELLO, before any state exists.
-                self._server = None
-                result: object = True
-            elif cmd == "register_stream":
-                result = self._shard().handle(
-                    ("register_stream", args[0], args[1])
-                )
-            elif cmd == "feed":
-                result = self._shard().handle(
-                    ("feed", args[0], bool(args[1]), list(args[2]))
-                )
-            elif cmd == "feed_raw":
-                result = self._shard().handle(("feed_raw", args[0], list(args[1])))
-            elif cmd == "add_query":
-                result = self._shard().handle(
-                    ("add_query", int(args[0]), args[1], args[2], args[3])
-                )
-            elif cmd == "remove_query":
-                result = self._shard().handle(("remove_query", int(args[0])))
-            elif cmd == "stats":
-                result = self._shard().handle(("stats",))
-            elif cmd == "stop":
-                result = self._shard().handle(("stop",))
-            else:
-                raise ValueError(f"unknown worker command {cmd!r}")
-        except Exception as exc:  # report, don't die: the link stays usable
-            return {"id": mid, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
-        return {"id": mid, "ok": True, "result": _jsonable(result)}
-
-    def poll(self, header: dict) -> dict:
-        """Run one POLL pass; returns the POLL_REPLY header fields."""
-        self.polls += 1
-        mid = header.get("id")
-        try:
-            reply = self._shard().handle(("poll", header["now"]))
-        except Exception as exc:
-            return {"id": mid, "error": f"{type(exc).__name__}: {exc}"}
-        return {"id": mid, **_jsonable(reply)}
 
     def stats(self) -> dict:
         return {
             "commands": self.commands,
             "polls": self.polls,
             "resets": self.resets,
-            "active": self._server is not None,
+            "active": self.engine is not None,
         }
+
+    def _shard(self) -> tuple[XCQLEngine, QueryScheduler]:
+        if self.engine is None:
+            options = self._options
+            self.engine = XCQLEngine(
+                default_backend=options.get("default_backend", "compiled")
+            )
+            self.scheduler = QueryScheduler(
+                self.engine,
+                share_groups=options.get("share_groups", True),
+                routing=options.get("routing", True),
+                stream_automata=options.get("stream_automata", True),
+            )
+            self.queries = {}
+        return self.engine, self.scheduler
+
+    def _run(self, cmd, args: list):
+        """One DISPATCH command; its result is the ACK's ``result``."""
+        if cmd == "configure":
+            # Options apply from the next build; configure is the first
+            # command a link posts, before any state exists.
+            self._options = dict(args[0]) if args else {}
+            self.engine = None
+            return True
+        engine, scheduler = self._shard()
+        if cmd == "register_stream":
+            name, structure_xml = args
+            engine.register_stream(name, TagStructure.from_xml(structure_xml))
+            return True
+        if cmd == "feed_raw":
+            name, payloads = args
+            return engine.feed_raw(name, payloads)
+        if cmd == "add_query":
+            qid, source, strategy_value, emit = args
+            query = ContinuousQuery(
+                engine, source, strategy=Strategy(strategy_value), emit=emit
+            )
+            scheduler.add(query)
+            self.queries[int(qid)] = query
+            return True
+        if cmd == "remove_query":
+            query = self.queries.pop(int(args[0]), None)
+            if query is not None:
+                scheduler.remove(query)
+            return query is not None
+        if cmd == "stats":
+            # Query ids are stringified here as JSON would: one shape
+            # whatever reads the reply.
+            return {
+                "engine": engine.stats(),
+                "scheduler": scheduler.stats(),
+                "queries": {
+                    str(qid): query.stats() for qid, query in self.queries.items()
+                },
+            }
+        raise ValueError(f"unknown worker command {cmd!r}")
+
+    def _poll(self, now_text: str) -> dict:
+        engine, scheduler = self._shard()
+        started = time.perf_counter()
+        cpu_started = time.process_time()
+        emitted = scheduler.poll(XSDateTime.parse(now_text))
+        return {
+            # The strings the poll just deduplicated the emission on, not
+            # a second serialization of it.  JSON turns the qid keys and
+            # the watermark tuples into strings and lists; the link
+            # revives them.
+            "emitted": {
+                qid: query.last_emitted_identities
+                for qid, query in self.queries.items()
+                if emitted.get(query)
+            },
+            "watermarks": {
+                name: store.watermark for name, store in engine.stores.items()
+            },
+            # Wall time inside the worker, and the worker's own CPU
+            # time.  They diverge when workers outnumber cores and the
+            # scheduler time-slices them: the CPU figure is the honest
+            # per-shard compute for critical-path analysis.
+            "elapsed": time.perf_counter() - started,
+            "cpu": time.process_time() - cpu_started,
+        }
+
+
+def _pipe_worker_main(conn) -> None:
+    """A worker process: serve WORKER frames from the pipe until BYE."""
+    host = ShardWorkerHost()
+    decoder = proto.FrameDecoder()
+    try:
+        while True:
+            for frame in decoder.feed(conn.recv_bytes()):
+                if frame.type == proto.BYE:
+                    return
+                conn.send_bytes(host.serve(frame))
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
+    finally:
+        conn.close()
+
+
+# -- the media (coordinator side) -----------------------------------------------
+
+
+class InProcessLink(ShardLink):
+    """The loopback medium: a :class:`ShardWorkerHost` in this process.
+
+    Each frame is handed straight to the host and its reply queued for
+    :meth:`_read`, so commands execute eagerly.  Used when
+    ``in_process=True`` (deterministic differential testing,
+    single-core deployments) and as the failover target when a worker
+    dies.
+    """
+
+    kind = "inproc"
+
+    def __init__(self, options: dict):
+        super().__init__()
+        self.host = ShardWorkerHost()
+        self._wire = proto.FrameDecoder()
+        self._inbox: deque = deque()
+        self.post(("configure", dict(options)))
+
+    def _write(self, data: bytes) -> None:
+        self._inbox.extend(self.host.serve(frame) for frame in self._wire.feed(data))
+
+    def _read(self) -> bytes:
+        return self._inbox.popleft()
+
+    def stop(self) -> None:
+        self.alive = False
+
+
+class PipeLink(ShardLink):
+    """A local worker process behind a ``multiprocessing`` pipe.
+
+    The worker runs :func:`_pipe_worker_main`; each frame travels as one
+    ``send_bytes`` message.  The start method is ``fork`` where the
+    platform has it (cheap, and the worker inherits the loaded code),
+    ``spawn`` elsewhere.
+    """
+
+    kind = "pipe"
+
+    def __init__(self, options: dict, timeout: float):
+        super().__init__()
+        self.timeout = timeout
+        methods = multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        self.conn, child_conn = context.Pipe()
+        self.process = context.Process(
+            target=_pipe_worker_main, args=(child_conn,), daemon=True
+        )
+        self.process.start()
+        child_conn.close()
+        self.post(("configure", dict(options)))
+
+    def _write(self, data: bytes) -> None:
+        try:
+            self.conn.send_bytes(data)
+        except OSError as exc:
+            raise ShardFailure(f"worker pipe broke: {exc}") from exc
+
+    def _read(self) -> bytes:
+        try:
+            if not self.conn.poll(self.timeout):
+                raise ShardFailure(f"worker unresponsive for {self.timeout:.1f}s")
+            return self.conn.recv_bytes()
+        except (EOFError, OSError) as exc:
+            raise ShardFailure(f"worker died mid-reply: {exc}") from exc
+
+    def stop(self) -> None:
+        if self.alive:
+            try:
+                self._send(proto.encode_control(proto.BYE))
+            except ShardFailure:
+                pass
+            self.process.join(timeout=min(self.timeout, 2.0))
+        self.alive = False
+        try:
+            self.conn.close()
+        except OSError:
+            pass
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join(timeout=5.0)
+
+
+class NetLink(ShardLink):
+    """A socket to a remote worker host (``repro-xcql serve --worker``).
+
+    A plain blocking socket client — deliberately not asyncio: the
+    coordinator's pipelined post/sync discipline is synchronous, and the
+    link lives on the coordinator's thread exactly like a pipe.
+
+    The HELLO handshake advertises every version this build speaks; a
+    host that negotiates below v2 cannot carry WORKER frames, so the
+    link raises :class:`ShardFailure` and the coordinator degrades
+    through its normal failover path (the host itself still serves that
+    v1 connection's subscribe/tail surface — degraded, not refused).
+    """
+
+    kind = "net"
+
+    def __init__(self, address: str, options: dict, timeout: float):
+        super().__init__()
+        self.address = address
+        self.timeout = timeout
+        host, _, port_text = address.rpartition(":")
+        try:
+            port = int(port_text)
+        except ValueError as exc:
+            raise ValueError(f"bad worker address {address!r}: {exc}") from exc
+        try:
+            self._sock = socket.create_connection(
+                (host or "127.0.0.1", port), timeout=min(timeout, 10.0)
+            )
+        except OSError as exc:
+            raise ShardFailure(f"cannot reach worker {address}: {exc}") from exc
+        self._sock.settimeout(timeout)
+        try:
+            self._handshake()
+        except ShardFailure:
+            self._sock.close()
+            raise
+        self.post(("configure", dict(options)))
+
+    def _handshake(self) -> None:
+        self._send(
+            proto.encode_control(
+                proto.HELLO, versions=list(proto.PROTOCOL_VERSIONS), role="shard-link"
+            )
+        )
+        frame = self._recv_frame()
+        if frame.type == proto.ERROR:
+            self._fail(
+                f"worker {self.address} refused the handshake: "
+                f"{frame.header.get('error', frame.header)}"
+            )
+        if frame.type != proto.HELLO:
+            self._fail(f"worker {self.address} answered {frame.name}, expected HELLO")
+        self.version = int(frame.header.get("version", 1))
+        if self.version < 2:
+            # The host is alive but speaks only v1 — it has no WORKER
+            # frames to offer this link.  Say goodbye politely; the
+            # coordinator fails over instead of wedging the shard.
+            try:
+                self._send(proto.encode_control(proto.BYE))
+            except ShardFailure:
+                pass
+            self._fail(
+                f"worker {self.address} negotiated protocol v{self.version}; "
+                "the WORKER role needs v2"
+            )
+
+    def _write(self, data: bytes) -> None:
+        try:
+            self._sock.sendall(data)
+        except OSError as exc:
+            raise ShardFailure(f"worker socket broke: {exc}") from exc
+
+    def _read(self) -> bytes:
+        try:
+            chunk = self._sock.recv(1 << 16)
+        except socket.timeout:
+            raise ShardFailure(f"worker unresponsive for {self.timeout:.1f}s") from None
+        except OSError as exc:
+            raise ShardFailure(f"worker socket broke: {exc}") from exc
+        if not chunk:
+            raise ShardFailure("worker closed the connection")
+        return chunk
+
+    def stop(self) -> None:
+        if self.alive:
+            try:
+                self._send(proto.encode_control(proto.BYE))
+            except ShardFailure:
+                pass
+        self.alive = False
+        try:
+            self._sock.close()
+        except OSError:
+            pass
 
 
 # -- the coordinator ---------------------------------------------------------------
@@ -844,11 +580,6 @@ class ShardedEngine:
         Where the per-shard journals live.  Defaults to a private
         temporary directory removed by :meth:`close`; pass a path to
         keep journals across coordinator restarts.
-    compress_threshold:
-        Per-shard ``feed`` batches whose total wire size exceeds this
-        many bytes are tag-compressed before pickling into the pipe
-        (``None`` disables).  Raw batches are never compressed — the
-        automaton path needs the exact wire text.
     timeout:
         Seconds a worker may stay silent before it is declared dead and
         failed over.
@@ -861,9 +592,7 @@ class ShardedEngine:
         in_process: bool = False,
         workers: Optional[Iterable[str]] = None,
         journal_dir: Optional[Union[str, os.PathLike]] = None,
-        compress_threshold: Optional[int] = 65536,
         timeout: float = 30.0,
-        start_method: Optional[str] = None,
         share_groups: bool = True,
         routing: bool = True,
         stream_automata: bool = True,
@@ -886,7 +615,6 @@ class ShardedEngine:
             else (default_kind, None)
             for index in range(self.shard_count)
         ]
-        self.compress_threshold = compress_threshold
         self.timeout = timeout
         self._options = {
             "share_groups": share_groups,
@@ -894,16 +622,11 @@ class ShardedEngine:
             "stream_automata": stream_automata,
             "default_backend": default_backend,
         }
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._context = multiprocessing.get_context(start_method)
         # The local engine holds schemas only (never fillers): queries are
         # compiled and validated here once, with the same pipeline the
         # workers run, before anything crosses a process boundary.
         self._local = XCQLEngine(default_backend=default_backend)
         self._structures: dict[str, TagStructure] = {}
-        self._codecs: dict[str, TagCodec] = {}
         if journal_dir is None:
             self._journal_dir = tempfile.mkdtemp(prefix="repro-shards-")
             self._own_journal_dir = True
@@ -935,7 +658,6 @@ class ShardedEngine:
         self._dispatch_conflicts = 0
         self._shard_polls = 0
         self._shard_poll_skips = 0
-        self._compressed_batches = 0
         self._failovers = 0
         self._respawns = 0
         self._delivered = {TAG_STRUCTURE: 0, FILLER: 0}
@@ -951,7 +673,7 @@ class ShardedEngine:
         if kind == "net":
             return NetLink(address, self._options, self.timeout)
         if kind == "pipe":
-            return PipeLink(self._context, self._options, self.timeout)
+            return PipeLink(self._options, self.timeout)
         return InProcessLink(self._options)
 
     def _bootstrap(self, index: int, handle) -> None:
@@ -971,7 +693,7 @@ class ShardedEngine:
         def flush() -> None:
             nonlocal batch, batch_stream
             if batch:
-                handle.post(("feed", batch_stream, False, batch))
+                handle.post(("feed_raw", batch_stream, batch))
                 batch, batch_stream = [], None
 
         for message in self._journals[index].read():
@@ -1040,7 +762,7 @@ class ShardedEngine:
             and self._specs[index] == ("net", old.address)
         ):
             try:
-                old.respawn()
+                old.request(("respawn",))
                 old.request(("configure", dict(self._options)))
                 self._bootstrap(index, old)
                 self._respawns += 1
@@ -1067,7 +789,6 @@ class ShardedEngine:
             tag_structure = TagStructure.from_xml(tag_structure)
         self._local.register_stream(name, tag_structure)
         self._structures[name] = tag_structure
-        self._codecs[name] = TagCodec(tag_structure)
         # Single-line wire form: journal records are one line per message.
         payload = serialize(tag_structure.to_xml())
         for index in range(self.shard_count):
@@ -1126,53 +847,23 @@ class ShardedEngine:
     def feed(self, name: str, fillers: Union[Filler, Iterable[Filler]]) -> int:
         """Partition a filler batch across the shards; returns the count.
 
-        Per shard: the sub-batch is journaled, forwarded (tag-compressed
-        past ``compress_threshold``), and put to the dependency gate — a
-        shard whose sub-batch touches no resident query's tsids stays
-        un-dirty and is skipped by the next :meth:`tick`.
+        The fillers are serialized and take :meth:`feed_raw`'s path —
+        journal, forward, dependency gate — so a worker has one ingest
+        command whichever call brought the envelopes.
         """
-        self._check_open()
-        if name not in self._structures:
-            raise KeyError(f"unknown stream {name!r}")
         if isinstance(fillers, Filler):
             fillers = [fillers]
-        fillers = list(fillers)
-        if not fillers:
-            return 0
-        buckets: dict[int, list[Filler]] = {}
-        for filler in fillers:
-            target = self._home(name, int(filler.filler_id))
-            self._pin_holes(name, target, filler.hole_ids())
-            buckets.setdefault(target, []).append(filler)
-        for target, batch in sorted(buckets.items()):
-            envelopes = [filler.to_xml() for filler in batch]
-            self._journals[target].record_many(
-                Message(FILLER, name, payload) for payload in envelopes
-            )
-            encoded = False
-            if self.compress_threshold is not None:
-                wire = sum(len(payload) for payload in envelopes)
-                if wire > self.compress_threshold:
-                    codec = self._codecs[name]
-                    envelopes = [
-                        codec.encode_wire(payload) for payload in envelopes
-                    ]
-                    encoded = True
-                    self._compressed_batches += 1
-            self._post(target, ("feed", name, encoded, envelopes))
-            if self._wakes(name, {int(filler.tsid) for filler in batch}):
-                self._dirty.add(target)
-        self._fed += len(fillers)
-        return len(fillers)
+        return self.feed_raw(name, [filler.to_xml() for filler in fillers])
 
     def feed_raw(self, name: str, payloads: Union[str, Iterable[str]]) -> int:
         """Partition raw envelope text across the shards; returns the count.
 
-        Payloads are forwarded verbatim (never re-serialized or
-        compressed) so each worker's streaming-automaton ingest sees the
-        exact wire text; the shard key and hole pins are read off the
-        envelope with a regex peek.  The same dependency gate as
-        :meth:`feed` decides which shards the next tick polls.
+        Per shard: the sub-batch is journaled, forwarded verbatim (never
+        re-serialized) so the worker's streaming-automaton ingest sees
+        the exact wire text, and put to the dependency gate — a shard
+        whose sub-batch touches no resident query's tsids stays un-dirty
+        and is skipped by the next :meth:`tick`.  The shard key and hole
+        pins are read off the envelope with a regex peek.
         """
         self._check_open()
         if name not in self._structures:
@@ -1443,7 +1134,6 @@ class ShardedEngine:
                 "dispatch_conflicts": self._dispatch_conflicts,
                 "shard_polls": self._shard_polls,
                 "shard_poll_skips": self._shard_poll_skips,
-                "compressed_batches": self._compressed_batches,
                 "failovers": self._failovers,
                 "respawns": self._respawns,
                 "timings": {

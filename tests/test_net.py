@@ -890,8 +890,8 @@ class TestWorkerRole:
             (ack,) = await _exchange(
                 reader, writer, decoder,
                 proto.encode_control(
-                    proto.DISPATCH, id=5, cmd="feed",
-                    args=["credit", False, [filler_xml(1)]],
+                    proto.DISPATCH, id=5, cmd="feed_raw",
+                    args=["credit", [filler_xml(1)]],
                 ),
             )
             assert ack.header["ok"] is False

@@ -531,6 +531,40 @@ class TestSourceLint:
         (package / "sharding.py").write_text(linger)  # a tick may pace itself
         assert lint_sources([str(package / "sharding.py")]) == []
 
+    def test_one_worker_codec(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "streams"
+        package.mkdir(parents=True)
+        (package / "sharding.py").write_text(
+            "import pickle\n"
+            "from multiprocessing import Pipe\n"
+            "class PipeLink:\n"
+            "    def post(self, msg):\n"
+            "        self.conn.send(msg)\n"
+            "        return self.conn.recv()\n"
+            "    def frames(self, data):\n"
+            "        self.conn.send_bytes(data)\n"
+            "        return self.sock.recv(65536), self.conn.recv_bytes()\n"
+            "def remap(cmd, args):\n"
+            "    if cmd == 'add_query':\n"
+            "        return args\n"
+            "    return cmd in ('stats', 'poll')\n"
+            "class ShardWorkerHost:\n"
+            "    def _run(self, cmd):\n"
+            "        return cmd == 'register_stream'\n"
+        )
+        findings = lint_sources([str(tmp_path)])
+        assert [f.code for f in findings] == ["worker-codec"] * 5
+        assert sorted(int(f.message.split(":")[1]) for f in findings) == [1, 5, 6, 11, 13]
+        assert any("send_bytes" in f.message for f in findings)
+        assert any("'stats'" in f.message for f in findings)
+        # Comparing a command name is the streams' business only in src/;
+        # a test scripting its own ops may name them.
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_ops.py").write_text(
+            "def run(kind):\n    return kind == 'feed_raw'\n"
+        )
+        assert len(lint_sources([str(tmp_path)])) == 5
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")

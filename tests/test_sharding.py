@@ -17,6 +17,8 @@ import multiprocessing
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Fragmenter, Strategy, TagStructure, XCQLEngine
 from repro.dom import Element, Text, parse_document
@@ -25,6 +27,7 @@ from repro.streams.continuous import ContinuousQuery, item_identity
 from repro.streams.scheduler import QueryScheduler
 from repro.streams.sharding import (
     NetLink,
+    ShardCommandError,
     ShardedEngine,
     ShardFailure,
     shard_of,
@@ -160,6 +163,13 @@ def link_kwargs(link, shards, worker_address=None):
     }
 
 
+LINK_STATS_KEYS = frozenset({
+    "kind", "alive", "pending", "address", "version",
+    "frames_sent", "bytes_sent", "frames_received", "bytes_received",
+    "dispatches", "polls",
+})
+
+
 def run_sharded(batches, shards, queries=QUERIES, raw_every=None, **kw):
     """Per-tick sorted emission lists from a ShardedEngine."""
     engine = ShardedEngine(shards, in_process=kw.pop("in_process", True), **kw)
@@ -249,6 +259,8 @@ class TestDifferential:
         assert sharded == solo
         assert [shard["kind"] for shard in stats["shards"]] == [link] * 2
         assert stats["coordinator"]["links"] == [link] * 2
+        # Every link speaks the same frames, so every link counts them.
+        assert {frozenset(shard["link"]) for shard in stats["shards"]} == {LINK_STATS_KEYS}
 
     @pytest.mark.parametrize("link", LINKS)
     def test_identical_with_mixed_feed_and_feed_raw(self, link, worker_address):
@@ -258,13 +270,6 @@ class TestDifferential:
             batches, 2, raw_every=2, **link_kwargs(link, 2, worker_address)
         )
         assert sharded == solo
-
-    def test_identical_with_compression_forced(self):
-        batches = ledger_batches()
-        solo = run_solo(batches)
-        sharded, stats = run_sharded(batches, 2, compress_threshold=1)
-        assert sharded == solo
-        assert stats["coordinator"]["compressed_batches"] > 0
 
     def test_front_door_skips_quiet_shards(self):
         """A shard whose sub-batch touches no resident query's tsids is not
@@ -753,3 +758,120 @@ class TestCoordinatorState:
             assert full_runs == 2 + 1  # one baseline per shard, one re-version
         finally:
             engine.close()
+
+
+class TestLinkContract:
+    @pytest.mark.parametrize("link", LINKS)
+    def test_auto_drain_keeps_replies_and_holds_errors(self, link, worker_address):
+        """``post`` reads replies early past 512 pending commands; ``sync``
+        still returns one reply per posted command, and a command error in
+        that early-read prefix is raised by ``sync``, not by a later post."""
+        engine = ShardedEngine(1, **link_kwargs(link, 1, worker_address))
+        try:
+            shard = engine._shards[0]
+            shard.sync()
+            for qid in range(600):
+                shard.post(("remove_query", qid))
+            assert shard.sync() == [False] * 600
+            shard.post(("feed_raw", "nope", [txn_filler(1, 1).to_xml()]))
+            for qid in range(600):
+                shard.post(("remove_query", qid))
+            with pytest.raises(ShardCommandError, match="nope"):
+                shard.sync()
+            assert shard.request(("remove_query", 1)) is False  # still usable
+        finally:
+            engine.close()
+
+
+_AMOUNTS = st.lists(st.integers(0, 99), min_size=1, max_size=5)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["feed", "feed_raw"]), _AMOUNTS),
+        st.tuples(st.just("add"), st.integers(0, len(QUERIES) - 1)),
+        st.tuples(st.just("remove"), st.integers(0, 7)),
+        st.tuples(st.just("tick"), st.none()),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestSchedulesAgreeAcrossLinks:
+    """Whatever the schedule, every link kind merges what one process emits."""
+
+    @given(
+        first=st.integers(0, len(QUERIES) - 1),
+        steps=_STEPS,
+        kill_at=st.integers(0, 10),
+        respawn_after=st.integers(0, 10),
+        victim=st.integers(0, 1),
+    )
+    @settings(deadline=None, max_examples=max(1, settings.default.max_examples // 4))
+    def test_per_tick_emissions_identical(
+        self, worker_address, first, steps, kill_at, respawn_after, victim
+    ):
+        steps = [("add", first), *steps, ("tick", None)]
+        # The kill always lands inside the schedule; the respawn may not.
+        kill_at %= len(steps)
+        solo = XCQLEngine()
+        solo.register_stream("ledger", TagStructure.from_xml(LEDGER_STRUCTURE_XML))
+        scheduler = QueryScheduler(solo)
+        arms = [
+            ShardedEngine(2, **link_kwargs(link, 2, worker_address)) for link in LINKS
+        ]
+        try:
+            for arm in arms:
+                arm.register_stream("ledger", TagStructure.from_xml(LEDGER_STRUCTURE_XML))
+            standing: list = []  # (solo query, one handle per arm)
+            fed = 0
+            for number, (kind, value) in enumerate(steps):
+                if number == kill_at:
+                    # SIGKILL a pipe worker mid-schedule: the next command
+                    # to reach it fails over to a journal-replayed shard.
+                    arms[1]._shards[victim].process.kill()
+                    arms[1]._shards[victim].process.join(5)
+                if number == kill_at + respawn_after:
+                    for arm in arms:
+                        arm.respawn_shard(victim)
+                if kind in ("feed", "feed_raw"):
+                    batch = [txn_filler(fed + i, amount) for i, amount in enumerate(value)]
+                    fed += len(batch)
+                    if kind == "feed":
+                        solo.feed("ledger", batch)
+                        for arm in arms:
+                            arm.feed("ledger", batch)
+                    else:
+                        wire = [filler.to_xml() for filler in batch]
+                        solo.feed_raw("ledger", wire)
+                        for arm in arms:
+                            arm.feed_raw("ledger", wire)
+                elif kind == "add":
+                    query = ContinuousQuery(
+                        solo, QUERIES[value], strategy=Strategy.QAC_PLUS
+                    )
+                    scheduler.add(query)
+                    standing.append(
+                        (query, [arm.add_query(QUERIES[value]) for arm in arms])
+                    )
+                elif kind == "remove" and standing:
+                    query, handles = standing.pop(value % len(standing))
+                    scheduler.remove(query)
+                    for arm, handle in zip(arms, handles):
+                        assert arm.remove_query(handle)
+                elif kind == "tick":
+                    emitted = scheduler.poll(NOW)
+                    merged = [arm.tick(NOW) for arm in arms]
+                    for query, handles in standing:
+                        expected = sorted(
+                            item_identity(item) for item in emitted.get(query, [])
+                        )
+                        per_link = [out[h] for out, h in zip(merged, handles)]
+                        assert per_link[1] == per_link[0]
+                        assert per_link[2] == per_link[0]
+                        assert sorted(per_link[0]) == expected
+            respawned = kill_at + respawn_after < len(steps)
+            links = [arm.stats()["coordinator"]["links"][victim] for arm in arms]
+            assert links == (LINKS if respawned else ["inproc", "inproc", "net"])
+        finally:
+            for arm in arms:
+                arm.close()
