@@ -23,7 +23,7 @@ from weakref import WeakValueDictionary
 from typing import Callable, Iterable, Optional, Union
 
 from repro.dom.nodes import Document, Element
-from repro.dom.parser import EventParser, build_fragment_indexed
+from repro.dom.parser import EventParser, ShapeMemo, build_fragment_indexed
 from repro.fragments.assemble import temporalize
 from repro.fragments.model import Filler, LazyFiller, envelope_header
 from repro.fragments.store import FragmentStore
@@ -186,6 +186,9 @@ class XCQLEngine:
         # Event-automaton captures recorded by feed_raw and answered to the
         # scheduler's wake path; see AutomatonHost below.
         self.automaton_host = AutomatonHost()
+        # feed_raw's single-chunk envelopes: a repeated markup shape is
+        # replayed from one compiled match instead of re-tokenized.
+        self._shapes = ShapeMemo()
         # Lowered residual bodies by IncrementalPlan.body_key: queries that
         # differ only in their guard share one closure.  Held weakly — a
         # body lives as long as some plan names it.
@@ -254,9 +257,12 @@ class XCQLEngine:
     ) -> int:
         """Ingest raw ``<filler>`` envelope text; returns how many were new.
 
-        The streaming-evaluation hot path: each envelope is tokenized once
-        (in ``chunk_size`` slices, so peak memory stays bounded by the
-        largest single construct, not the fragment), validated with the
+        The streaming-evaluation hot path: each envelope is read once —
+        through the engine's shape memo when it fits one ``chunk_size``
+        (a repeated markup shape is rebuilt from one compiled match, any
+        other is tokenized), otherwise tokenized in ``chunk_size`` slices
+        so peak memory stays bounded by the largest single construct, not
+        the fragment — validated with the
         same rules and error messages as :func:`repro.fragments.model.parse_filler`,
         and ingested as a :class:`~repro.fragments.model.LazyFiller` whose
         payload DOM is never built unless something actually asks for it.
@@ -266,7 +272,10 @@ class XCQLEngine:
         answers wakes from those captures instead of wrapper DOMs.
 
         Arrival listeners receive the usual coalesced per-tsid wake.
+        ``chunk_size`` must be at least 1 (``ValueError`` otherwise).
         """
+        if chunk_size < 1:
+            raise ValueError(f"feed_raw chunk_size must be at least 1, got {chunk_size}")
         store = self._store(name)
         if isinstance(payloads, str):
             payloads = [payloads]
@@ -321,7 +330,6 @@ class XCQLEngine:
         payload subtree's events to a fresh matcher per registered
         automaton.  Returns the (lazy) filler and the fed matchers.
         """
-        parser = EventParser(fragment=True)
         depth = 0
         top_elements = 0
         envelope_tag: Optional[str] = None
@@ -386,13 +394,12 @@ class XCQLEngine:
                 index += 1
 
         if len(raw) <= chunk_size:
-            # Single-chunk envelope: feed the wire text itself instead of
-            # slicing a full-length copy of it.
-            consume(parser.feed(raw))
+            consume(self._shapes.events(raw))
         else:
+            parser = EventParser(fragment=True)
             for start in range(0, len(raw), chunk_size):
                 consume(parser.feed(raw[start : start + chunk_size]))
-        consume(parser.close())
+            consume(parser.close())
         filler_id, tsid, valid_time = envelope_header(
             top_elements, envelope_tag, envelope_attrs, payload_elements
         )
@@ -658,6 +665,7 @@ class XCQLEngine:
             "automata": self.automaton_host.stats(),
             "incremental": {"bodies_lowered": self.bodies_lowered},
             "delivered": dict(self.delivered),
+            "shapes": self._shapes.stats(),
             "streams": streams,
         }
 

@@ -234,6 +234,9 @@ _WORKER_COMMANDS = frozenset(
     {"configure", "register_stream", "feed_raw", "add_query", "remove_query", "stats"}
 )
 _PICKLE_MODULES = ("pickle", "_pickle", "cPickle")
+#: The streams layer reads envelope events through a shape memo
+#: (``routing.ShapeMemo``), which owns the one tokenizer behind it.
+_TOKENIZER = "EventParser"
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -287,7 +290,11 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     ``streams/`` — every shard link moves WORKER frames as bytes — and
     for a comparison against a worker command name (``"add_query"``, …)
     anywhere under ``src/repro/`` outside ``ShardWorkerHost``, the one
-    place a command is parsed.  Unparseable
+    place a command is parsed.  A ``one-tokenizer`` diagnostic is
+    reported for an ``EventParser(...)`` construction under
+    ``src/repro/streams/``: the door reads envelope events through its
+    shape memo, which replays a repeated markup shape and hands the
+    rest to the tokenizer.  Unparseable
     files yield ``syntax-error`` diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
@@ -312,6 +319,8 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
         if "/src/repro/" in "/" + normalized and not normalized.endswith(_PREDICATE_HOME):
             _check_predicate_tier(path, normalized, tree, diagnostics)
         _check_worker_codec(path, normalized, tree, diagnostics)
+        if "/src/repro/streams/" in "/" + normalized:
+            _check_one_tokenizer(path, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
         for node in _pyast.walk(tree):
@@ -517,6 +526,24 @@ def _check_worker_codec(
                     f"{path}:{node.lineno}: worker command {names[0]!r} is parsed "
                     f"by {_CODEC_HOME}.serve alone — post the command tuple and "
                     "let the link encode it",
+                )
+            )
+
+
+def _check_one_tokenizer(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> None:
+    """Flag a tokenizer built in the streams layer, beside the shape memo."""
+    for node in _pyast.walk(tree):
+        if not isinstance(node, _pyast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, _pyast.Attribute) else getattr(func, "id", None)
+        if name == _TOKENIZER:
+            out.append(
+                Diagnostic(
+                    "one-tokenizer",
+                    f"{path}:{node.lineno}: read envelope events through a "
+                    "ShapeMemo (.events(text)), not a tokenizer of its own — "
+                    "a repeated markup shape is replayed, the rest tokenized",
                 )
             )
 

@@ -576,6 +576,19 @@ class TestRawFedStore:
         assert engine.feed_raw("credit", [first, second, first, second]) == 2
         assert engine.stores["credit"].version_count(9) == 2
 
+    @pytest.mark.parametrize("chunk_size", [0, -8])
+    def test_non_positive_chunk_size_is_refused_up_front(self, credit_structure, chunk_size):
+        engine = XCQLEngine()
+        engine.register_stream("credit", credit_structure)
+        valid = (
+            '<filler id="9" tsid="5" validTime="2003-03-03T03:03:03">'
+            "<transaction><amount>1</amount></transaction></filler>"
+        )
+        with pytest.raises(ValueError, match="chunk_size must be at least 1"):
+            engine.feed_raw("credit", [valid], chunk_size=chunk_size)
+        assert engine.stores["credit"].filler_count == 0
+        assert engine.feed_raw("credit", [valid], chunk_size=1) == 1
+
 
 class TestReconstruction:
     def test_round_trip_equals_view(self, credit_structure, credit_view, credit_store):

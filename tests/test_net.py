@@ -18,8 +18,10 @@ import pytest
 from repro.core import XCQLEngine
 from repro.core.optimizer import RoutingPredicate
 from repro.core.translator import TranslationError
+from repro.dom.parser import SHAPE_AFTER
+from repro.fragments.model import parse_filler
 from repro.fragments.persist import Journal
-from repro.fragments.tagstructure import TagStructure
+from repro.fragments.tagstructure import TagStructure, TagType
 from repro.streams import netproto as proto
 from repro.streams.compression import TagCodec
 from repro.streams.net import (
@@ -31,6 +33,7 @@ from repro.streams.net import (
     Subscription,
 )
 from repro.streams.netproto import FrameDecoder, ProtocolError
+from repro.streams.routing import route_match
 from repro.streams.transport import (
     FILLER,
     TAG_STRUCTURE,
@@ -714,6 +717,58 @@ class TestRoutingFrontDoor:
             assert peek_filler(got[1].payload)[0] == 2
             assert server.routing_probes >= 2
             assert server.routing_skips == 1
+            await client.close()
+            await server.close()
+
+        run(scenario())
+
+    def test_predicate_probe_exact_past_a_compiled_shape(self, tmp_path):
+        """Siblings of a replayed shape are routed exactly like the DOM probe."""
+        predicate = RoutingPredicate("customer", ("balance",), None, False, ">", 500.0, True)
+        same_shape = [filler_xml(i, balance=100 + 800 * (i % 2)) for i in range(SHAPE_AFTER + 8)]
+        n = len(same_shape)
+        siblings = [
+            # An entity in the operand: 100 once decoded, no number before.
+            filler_xml(n, balance="1&#48;0"),
+            # The attributes in another order, and the envelope passes.
+            filler_xml(n + 1, balance=900).replace(
+                f'<filler id="{n + 1}" tsid="2"', f'<filler tsid="2" id="{n + 1}"'
+            ),
+            # Malformed (an unknown entity): unreadable, so sent.
+            filler_xml(n + 2, balance="&bogus;"),
+        ]
+
+        def sent(text: str) -> bool:
+            try:
+                return route_match(predicate, parse_filler(text), TagType.TEMPORAL)
+            except ValueError:
+                return True
+
+        expected = [text for text in same_shape + siblings if sent(text)]
+        assert [sent(text) for text in siblings] == [False, True, True]
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            got = []
+            client = StreamClient("127.0.0.1", server.port, on_message=got.append)
+            await client.connect()
+            await asyncio.wait_for(
+                client.subscribe([Subscription("credit", tsid=2, predicate=predicate)]), 5
+            )
+            await server.publish(Message(TAG_STRUCTURE, "credit", TS_XML))
+            for text in same_shape:
+                await server.publish(Message(FILLER, "credit", text))
+            shapes = server.stats()["shapes"]
+            assert shapes["compiled"] == shapes["held"] == 1
+            assert shapes["hits"] == n - SHAPE_AFTER
+            for text in siblings:
+                await server.publish(Message(FILLER, "credit", text))
+            # Each sibling has the learned key and none matches the shape.
+            assert server.stats()["shapes"] == {**shapes, "misses": shapes["misses"] + 3}
+            await wait_until(lambda: len(got) == 1 + len(expected))
+            await asyncio.sleep(0.05)
+            assert [m.payload for m in got[1:]] == expected
+            assert server.routing_skips == n + len(siblings) - len(expected)
             await client.close()
             await server.close()
 

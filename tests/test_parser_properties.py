@@ -5,12 +5,20 @@ render must be identical (render∘parse is a projection).  Random evaluable
 expressions additionally round-trip through evaluation with equal results.
 Random XML fed to the incremental :class:`EventParser` at arbitrary chunk
 boundaries must produce the same events, the same DOM, and the same errors
-as a whole-string parse.
+as a whole-string parse, and siblings of a shape a ``ShapeMemo`` compiled
+must read through the memo exactly as the tokenizer reads them.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.dom.parser import EventParser, XMLParseError, build_fragment, parse_fragment
+from repro.dom.parser import (
+    SHAPE_AFTER,
+    EventParser,
+    ShapeMemo,
+    XMLParseError,
+    build_fragment,
+    parse_fragment,
+)
 from repro.dom.serializer import serialize
 from repro.xquery import evaluate, parse, to_source
 from repro.xquery import xast
@@ -235,3 +243,140 @@ class TestEventParserChunking:
         assert _parse_outcome(chunks, keep_whitespace) == _parse_outcome(
             [source], keep_whitespace
         )
+
+
+# ---------------------------------------------------------------------------
+# ShapeMemo: a replayed shape reads exactly like the tokenizer
+
+_MEMO_NAMES = ["filler", "a", "b", "ns:t", "x-1"]
+_memo_names = st.sampled_from(_MEMO_NAMES)
+_memo_texts = st.sampled_from(["", "5", "y z", "12.50", "é"])
+_memo_values = st.sampled_from(["1", "a b", "", "2004-01-01"])
+
+# Changes a compiled shape must replay (the tokenizer reads them as plain
+# text and values) and changes only the tokenizer may read.
+_REPLAYED_TEXTS = ["  \n\t", "\xa0", ">", "]]>", "a > b"]
+_TOKENIZED_TEXTS = [
+    "&amp;", "&#65;", "&#x41;", "&nope;", "<!-- c -->", "<![CDATA[ x ]]>", "<?pi x?>",
+]
+_REPLAYED_VALUES = [">", "x'y", 'x"y']
+_TOKENIZED_VALUES = ["a<b", "&amp;", "&#65;", "&nope;"]
+_REPLAYED_LEADS = ["  ", "\xa0", "\n lead "]
+_TOKENIZED_LEADS = ['<?xml version="1.0"?>', "<!-- c -->", "<?pi x?>", "&amp;"]
+_REPLAYED_TRAILS = [" ", "tail", "\xa0"]
+_TOKENIZED_TRAILS = ["<!-- c -->", "&amp;", "</zz>", "<![CDATA[]]>"]
+
+
+@st.composite
+def shape_trees(draw, depth=0):
+    """``(name, attrs, children)``: plain text, no references or markup but tags."""
+    name = draw(_memo_names)
+    keys = draw(st.permutations(_MEMO_NAMES))[: draw(st.integers(0, 3))]
+    attrs = [(key, draw(_memo_values)) for key in keys]
+    if depth >= 2 or draw(st.booleans()):
+        return (name, attrs, [draw(_memo_texts)])
+    children = []
+    for child in draw(st.lists(shape_trees(depth=depth + 1), min_size=1, max_size=2)):
+        children += [draw(_memo_texts), child]
+    return (name, attrs, children + [draw(_memo_texts)])
+
+
+class _Rendering:
+    """One text of a tree.  The base (``draw`` None) is the plain rendering;
+    a sibling draws a change at every point — at most ``tokenized`` of them
+    (0 or 1) one only the tokenizer may read — and stays ``replayable``
+    while each change it made is one a compiled shape must replay."""
+
+    def __init__(self, draw=None, tokenized=0):
+        self.draw = draw
+        self.tokenized = tokenized
+        self.replayable = True
+
+    def pick(self, original, replayed=(), tokenized=()):
+        if self.draw is None or not self.draw(st.booleans()):
+            return original
+        options = list(replayed) + (list(tokenized) if self.tokenized else [])
+        if not options:
+            return original
+        choice = self.draw(st.integers(0, len(options) - 1))
+        if choice >= len(replayed):
+            self.tokenized -= 1
+            self.replayable = False
+        return options[choice]
+
+    def text(self, trees) -> str:
+        lead = self.pick("", _REPLAYED_LEADS, _TOKENIZED_LEADS)
+        trail = self.pick("", _REPLAYED_TRAILS, _TOKENIZED_TRAILS)
+        text = lead + "".join(self.element(tree) for tree in trees) + trail
+        tail = self.pick("", (), ("truncated", "mismatched"))
+        if tail == "truncated":
+            text = text[: self.draw(st.integers(0, len(text) - 1))]
+        elif tail == "mismatched":
+            cut = text.rfind("</")
+            text = text[:cut] + "</zz" + text[text.index(">", cut):] if cut >= 0 else text + "</zz>"
+        return text
+
+    def element(self, node) -> str:
+        name, attrs, children = node
+        if len(attrs) > 1 and self.pick(False, (), (True,)):
+            attrs = attrs[1:] + attrs[:1]  # another order
+        out = [f"<{name}"]
+        for key, value in attrs:
+            value = self.pick(value, _REPLAYED_VALUES, _TOKENIZED_VALUES)
+            quote = "'" if '"' in value else '"'
+            if "'" not in value:
+                quote = self.pick(quote, ("'",))
+            out.append(self.pick(" ", ("\n ", " \t")) + key)
+            out.append(self.pick("=", (" = ", "\n=\t")) + quote + value + quote)
+        out.append(self.pick("", (" ", "\n")))
+        if len(children) == 1:
+            text = self.pick(children[0], _REPLAYED_TEXTS, _TOKENIZED_TEXTS)
+            if self.pick(text == "", (text != "",)):
+                return "".join(out) + "/>"
+            return "".join(out) + f">{text}</{name}{self.pick('', (' ',))}>"
+        out.append(">")
+        for child in children:
+            if isinstance(child, str):
+                out.append(self.pick(child, _REPLAYED_TEXTS, _TOKENIZED_TEXTS))
+            else:
+                out.append(self.element(child))
+        return "".join(out) + f"</{name}{self.pick('', (' ', chr(10)))}>"
+
+
+def _outcome(read, text):
+    """Events, or the error's type, message and position."""
+    try:
+        return ("ok", read(text))
+    except ValueError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+
+
+def _tokenize(text):
+    parser = EventParser(fragment=True)
+    events = parser.feed(text)
+    return events + parser.close()
+
+
+class TestShapeMemoExactness:
+    """Past ``SHAPE_AFTER`` sightings a shape is compiled; from then on every
+    sibling of it reads exactly like the tokenizer (events, or an equal
+    error), and every sibling the shape must replay is a hit."""
+
+    @given(st.data(), st.lists(shape_trees(), min_size=1, max_size=2))
+    @settings(deadline=None)
+    def test_siblings_read_like_the_tokenizer(self, data, trees):
+        base = _Rendering().text(trees)
+        memo = ShapeMemo()
+        for _ in range(SHAPE_AFTER):
+            assert memo.events(base) == _tokenize(base)
+        assert memo.stats()["compiled"] == 1
+        family = [base] + [
+            _Rendering(data.draw, data.draw(st.integers(0, 1))) for _ in range(4)
+        ]
+        for sibling in family:
+            text = sibling if isinstance(sibling, str) else sibling.text(trees)
+            hits = memo.hits
+            assert _outcome(memo.events, text) == _outcome(_tokenize, text), text
+            if isinstance(sibling, str) or sibling.replayable:
+                assert memo.hits == hits + 1, text

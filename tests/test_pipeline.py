@@ -565,6 +565,29 @@ class TestSourceLint:
         )
         assert len(lint_sources([str(tmp_path)])) == 5
 
+    def test_one_tokenizer_in_the_streams_layer(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "streams"
+        package.mkdir(parents=True)
+        (package / "routing.py").write_text(
+            "from repro.dom import parser\n"
+            "from repro.dom.parser import EventParser, ShapeMemo\n"
+            "def events(text, shapes):\n"
+            "    return shapes.events(text)\n"
+            "def tokenize(text):\n"
+            "    tokenizer = EventParser(fragment=True)\n"
+            "    return tokenizer.feed(text) + parser.EventParser().close()\n"
+        )
+        findings = lint_sources([str(tmp_path)])
+        assert [f.code for f in findings] == ["one-tokenizer"] * 2
+        assert sorted(int(f.message.split(":")[1]) for f in findings) == [6, 7]
+        assert all("ShapeMemo" in f.message for f in findings)
+        # The engine and the DOM builders tokenize; tests build reference parses.
+        for home in ("src/repro/core/engine.py", "tests/test_memo.py"):
+            path = tmp_path / home
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("from repro.dom.parser import EventParser\nEventParser()\n")
+        assert len(lint_sources([str(tmp_path)])) == 2
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")
