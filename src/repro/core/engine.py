@@ -23,7 +23,7 @@ from weakref import WeakValueDictionary
 from typing import Callable, Iterable, Optional, Union
 
 from repro.dom.nodes import Document, Element
-from repro.dom.parser import EventParser, ShapeMemo, build_fragment_indexed
+from repro.dom.parser import EventParser, build_fragment_indexed
 from repro.fragments.assemble import temporalize
 from repro.fragments.model import Filler, LazyFiller, envelope_header
 from repro.fragments.store import FragmentStore
@@ -186,9 +186,6 @@ class XCQLEngine:
         # Event-automaton captures recorded by feed_raw and answered to the
         # scheduler's wake path; see AutomatonHost below.
         self.automaton_host = AutomatonHost()
-        # feed_raw's single-chunk envelopes: a repeated markup shape is
-        # replayed from one compiled match instead of re-tokenized.
-        self._shapes = ShapeMemo()
         # Lowered residual bodies by IncrementalPlan.body_key: queries that
         # differ only in their guard share one closure.  Held weakly — a
         # body lives as long as some plan names it.
@@ -257,12 +254,9 @@ class XCQLEngine:
     ) -> int:
         """Ingest raw ``<filler>`` envelope text; returns how many were new.
 
-        The streaming-evaluation hot path: each envelope is read once —
-        through the engine's shape memo when it fits one ``chunk_size``
-        (a repeated markup shape is rebuilt from one compiled match, any
-        other is tokenized), otherwise tokenized in ``chunk_size`` slices
-        so peak memory stays bounded by the largest single construct, not
-        the fragment — validated with the
+        The streaming-evaluation hot path: each envelope is tokenized once
+        (in ``chunk_size`` slices, so peak memory stays bounded by the
+        largest single construct, not the fragment), validated with the
         same rules and error messages as :func:`repro.fragments.model.parse_filler`,
         and ingested as a :class:`~repro.fragments.model.LazyFiller` whose
         payload DOM is never built unless something actually asks for it.
@@ -393,13 +387,10 @@ class XCQLEngine:
                     depth -= 1
                 index += 1
 
-        if len(raw) <= chunk_size:
-            consume(self._shapes.events(raw))
-        else:
-            parser = EventParser(fragment=True)
-            for start in range(0, len(raw), chunk_size):
-                consume(parser.feed(raw[start : start + chunk_size]))
-            consume(parser.close())
+        parser = EventParser(fragment=True)
+        for start in range(0, len(raw), chunk_size):
+            consume(parser.feed(raw[start : start + chunk_size]))
+        consume(parser.close())
         filler_id, tsid, valid_time = envelope_header(
             top_elements, envelope_tag, envelope_attrs, payload_elements
         )
@@ -665,7 +656,6 @@ class XCQLEngine:
             "automata": self.automaton_host.stats(),
             "incremental": {"bodies_lowered": self.bodies_lowered},
             "delivered": dict(self.delivered),
-            "shapes": self._shapes.stats(),
             "streams": streams,
         }
 

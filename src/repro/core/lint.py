@@ -234,9 +234,8 @@ _WORKER_COMMANDS = frozenset(
     {"configure", "register_stream", "feed_raw", "add_query", "remove_query", "stats"}
 )
 _PICKLE_MODULES = ("pickle", "_pickle", "cPickle")
-#: The streams layer reads envelope events through a shape memo
-#: (``routing.ShapeMemo``), which owns the one tokenizer behind it.
-_TOKENIZER = "EventParser"
+#: Every XML text is read by ``EventParser``, the one expat parser.
+_TOKENIZER_HOME = "src/repro/dom/parser.py"
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -291,10 +290,10 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     for a comparison against a worker command name (``"add_query"``, …)
     anywhere under ``src/repro/`` outside ``ShardWorkerHost``, the one
     place a command is parsed.  A ``one-tokenizer`` diagnostic is
-    reported for an ``EventParser(...)`` construction under
-    ``src/repro/streams/``: the door reads envelope events through its
-    shape memo, which replays a repeated markup shape and hands the
-    rest to the tokenizer.  Unparseable
+    reported for a ``ParserCreate(...)`` call under ``src/repro/``
+    outside ``dom/parser.py``: every XML text is read through
+    ``EventParser``, so its event tuples, whitespace rule and error
+    positions hold everywhere.  Unparseable
     files yield ``syntax-error`` diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
@@ -319,7 +318,7 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
         if "/src/repro/" in "/" + normalized and not normalized.endswith(_PREDICATE_HOME):
             _check_predicate_tier(path, normalized, tree, diagnostics)
         _check_worker_codec(path, normalized, tree, diagnostics)
-        if "/src/repro/streams/" in "/" + normalized:
+        if "/src/repro/" in "/" + normalized and not normalized.endswith(_TOKENIZER_HOME):
             _check_one_tokenizer(path, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
@@ -531,19 +530,19 @@ def _check_worker_codec(
 
 
 def _check_one_tokenizer(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> None:
-    """Flag a tokenizer built in the streams layer, beside the shape memo."""
+    """Flag an expat parser created beside ``EventParser``."""
     for node in _pyast.walk(tree):
         if not isinstance(node, _pyast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, _pyast.Attribute) else getattr(func, "id", None)
-        if name == _TOKENIZER:
+        if name == "ParserCreate":
             out.append(
                 Diagnostic(
                     "one-tokenizer",
-                    f"{path}:{node.lineno}: read envelope events through a "
-                    "ShapeMemo (.events(text)), not a tokenizer of its own — "
-                    "a repeated markup shape is replayed, the rest tokenized",
+                    f"{path}:{node.lineno}: read XML through "
+                    "repro.dom.parser.EventParser, not an expat parser of "
+                    "its own",
                 )
             )
 

@@ -18,17 +18,30 @@ __all__ = ["serialize", "escape_text", "escape_attribute"]
 
 
 def escape_text(text: str) -> str:
-    """Escape character data (``&``, ``<``, ``>``)."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data (``&``, ``<``, ``>``, and ``\\r``, which a
+    conforming parser would read back as ``\\n``)."""
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
 
 
 def escape_attribute(value: str) -> str:
-    """Escape an attribute value for double-quoted output."""
+    """Escape an attribute value for double-quoted output.
+
+    Tab, newline and carriage return are written as references, which
+    read back as themselves; written literally, a conforming parser
+    would read each as a space.
+    """
     return (
         value.replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace('"', "&quot;")
+        .replace("\t", "&#9;")
         .replace("\n", "&#10;")
+        .replace("\r", "&#13;")
     )
 
 

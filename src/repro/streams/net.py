@@ -90,7 +90,7 @@ from repro.fragments.tagstructure import TagStructure, TagType
 from repro.streams.compression import TagCodec
 from repro.streams import netproto as proto
 from repro.streams.netproto import FrameDecoder, ProtocolError
-from repro.streams.routing import ShapeMemo, envelope_match
+from repro.streams.routing import envelope_match
 from repro.streams.sharding import ShardWorkerHost
 from repro.streams.transport import FILLER, TAG_STRUCTURE, Message, peek_filler
 
@@ -511,9 +511,6 @@ class StreamServer:
         # (stream, filler_id) -> published version count, for the
         # conservative supersede wake (mirrors the sharded front door).
         self._version_counts: dict[tuple[str, int], int] = {}
-        # Envelope events for the predicate probe: a repeated markup shape
-        # is replayed from one compiled match instead of re-tokenized.
-        self._shapes = ShapeMemo()
         self._seq = journal.last_seq if journal is not None else 0
         # Counters (see stats()).
         self.published = 0
@@ -694,12 +691,10 @@ class StreamServer:
 
         Mirrors the sharded coordinator's dispatch probe: tsid-narrowed
         subscriptions are dependency-tested; predicate subscriptions are
-        probed over the envelope's parser events (read once per publish,
-        kept in ``probe_cache``; no DOM) under the same conservative
-        supersede rule for non-event tags.  The events come from the
-        server's shape memo: an envelope repeating a learned markup shape
-        is rebuilt from one compiled match, any other is tokenized.
-        Uncertainty always sends.
+        probed over the envelope's parser events (one tokenizer pass per
+        publish, kept in ``probe_cache``; no DOM) under the same
+        conservative supersede rule for non-event tags.  Uncertainty
+        always sends.
         """
         if message.kind != FILLER:
             return conn.subscribes_stream(message.stream)
@@ -720,8 +715,7 @@ class StreamServer:
                 # of the previous version move regardless of the predicate.
                 return True
             try:
-                if envelope_match(sub.predicate, message.payload, tag_type,
-                                  probe_cache, self._shapes):
+                if envelope_match(sub.predicate, message.payload, tag_type, probe_cache):
                     return True
             except ValueError:
                 return True  # not a readable envelope: undecidable, send
@@ -978,7 +972,6 @@ class StreamServer:
             "fanned_out": self.fanned_out,
             "routing_probes": self.routing_probes,
             "routing_skips": self.routing_skips,
-            "shapes": self._shapes.stats(),
             "fed_entries": self.fed_entries,
             "replayed_entries": self.replayed_entries,
             "replay_skipped": self.replay_skipped,

@@ -44,7 +44,7 @@ from typing import Optional
 
 from repro.core.optimizer import RoutingPredicate
 from repro.dom.nodes import Element, Text
-from repro.dom.parser import ShapeMemo
+from repro.dom.parser import EventParser
 from repro.fragments.model import Filler, envelope_header
 from repro.fragments.tagstructure import TagType
 from repro.xquery.errors import XQueryTypeError
@@ -52,7 +52,6 @@ from repro.xquery.xdm import to_number
 
 __all__ = [
     "Partition",
-    "ShapeMemo",
     "TupleIndex",
     "compare",
     "descendants_with_tag",
@@ -260,8 +259,7 @@ def probe_values(pred: RoutingPredicate, candidate: Element, root: Element,
 
 def envelope_match(pred: RoutingPredicate, payload: str,
                    tag_type: Optional[TagType],
-                   value_cache: Optional[dict] = None,
-                   shapes: Optional[ShapeMemo] = None) -> bool:
+                   value_cache: Optional[dict] = None) -> bool:
     """:func:`route_match` for an envelope still in wire form.
 
     The same verdict ``route_match(pred, parse_filler(payload), ...)``
@@ -269,23 +267,19 @@ def envelope_match(pred: RoutingPredicate, payload: str,
     one well-formed filler envelope; the caller decides what an
     unreadable envelope means (the network door sends it).
     """
-    return _any_match(
-        pred, envelope_values(pred, payload, tag_type, value_cache, shapes)
-    )
+    return _any_match(pred, envelope_values(pred, payload, tag_type, value_cache))
 
 
 def envelope_values(pred: RoutingPredicate, payload: str,
                     tag_type: Optional[TagType],
-                    value_cache: Optional[dict] = None,
-                    shapes: Optional[ShapeMemo] = None) -> Optional[list]:
+                    value_cache: Optional[dict] = None) -> Optional[list]:
     """:func:`filler_values` over the parser events of an envelope's text.
 
     Returns exactly ``filler_values(pred, parse_filler(payload),
     tag_type, None)`` and raises ``ValueError`` exactly where
-    ``parse_filler`` does.  The text's events are read once per
-    ``value_cache`` (the list is kept under ``"events"``), through
-    ``shapes`` (the caller's memo; a fresh one when None), and walked
-    once per predicate *shape*; only the walk differs from the DOM
+    ``parse_filler`` does.  The text is tokenized once per
+    ``value_cache`` (the event list is kept under ``"events"``) and
+    walked once per predicate *shape*; only the walk differs from the DOM
     kernel — coercion, annotation rule and merge are shared.
     """
     cache = {} if value_cache is None else value_cache
@@ -294,7 +288,9 @@ def envelope_values(pred: RoutingPredicate, payload: str,
         return cache[key]
     events = cache.get("events")
     if events is None:
-        events = (ShapeMemo() if shapes is None else shapes).events(payload)
+        parser = EventParser(fragment=True)
+        events = parser.feed(payload)
+        events += parser.close()
         cache["events"] = events
     valid_time, candidates = _walk_events(pred, events)
     if pred.attribute in _ANNOTATIONS:

@@ -190,6 +190,14 @@ class TestParser:
         else:
             pytest.fail("expected XMLParseError")
 
+    @pytest.mark.parametrize(
+        "bad", ["<a>&#xZZ;</a>", "<a>&#;</a>", "<a>&#1114112;</a>", '<a x="&#xq;"/>']
+    )
+    def test_malformed_character_reference_is_positioned(self, bad):
+        with pytest.raises(XMLParseError) as caught:
+            parse_fragment(bad)
+        assert caught.value.line == 1
+
     def test_parse_fragment_multiple_siblings(self):
         nodes = parse_fragment("<a/>text<b/>")
         assert len(nodes) == 3
@@ -226,7 +234,13 @@ class TestSerializer:
 
 _tag_names = st.sampled_from(["a", "b", "c", "data", "x-y", "ns:t"])
 _texts = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="<>&\r"),
+    # Tab and line ends round-trip only as references; U+FFFE / U+FFFF are
+    # not XML characters, so no document can hold them.
+    alphabet=st.characters(
+        blacklist_categories=("Cs", "Cc"),
+        blacklist_characters="<>&\ufffe\uffff",
+        whitelist_characters="\t\n\r",
+    ),
     min_size=1,
     max_size=20,
 ).filter(lambda s: s.strip())

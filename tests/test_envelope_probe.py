@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.optimizer import RoutingPredicate
-from repro.dom.parser import SHAPE_AFTER, EventParser
+from repro.dom.parser import EventParser
 from repro.fragments.model import parse_filler
 from repro.fragments.persist import Journal
 from repro.fragments.tagstructure import TagType
@@ -282,29 +282,35 @@ class TestProbeCache:
         '<t k="9"><a>5</a></t></filler>'
     )
 
-    def test_one_tokenizer_pass_however_many_shapes(self):
-        # Counted through the memo: a first sighting is one tokenizer pass
-        # (a miss), a sighting of a compiled shape is none (a hit).
-        shapes = routing.ShapeMemo()
+    def test_one_tokenizer_pass_however_many_shapes(self, monkeypatch):
+        # Counted at the parser: one pass per value cache, however many
+        # predicate shapes walk its events.
+        passes = []
+
+        class CountingParser(EventParser):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                passes.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(routing, "EventParser", CountingParser)
         by_path = RoutingPredicate("t", ("a",), None, False, ">", 1.0, True)
         by_attr = RoutingPredicate("t", (), "k", False, ">", 1.0, True)
         other = RoutingPredicate("t", ("a",), None, False, "<", 3.0, True)
 
         def probe(cache):
-            assert envelope_values(by_path, self.TEXT, None, cache, shapes) == [5.0]
-            assert envelope_values(by_attr, self.TEXT, None, cache, shapes) == [9.0]
+            assert envelope_values(by_path, self.TEXT, None, cache) == [5.0]
+            assert envelope_values(by_attr, self.TEXT, None, cache) == [9.0]
             # Same shape, other literal: the cached values, no walk.
-            assert envelope_values(other, self.TEXT, None, cache, shapes) == [5.0]
+            assert envelope_values(other, self.TEXT, None, cache) == [5.0]
 
         probe({})
-        assert (shapes.misses, shapes.hits) == (1, 0)
-        for _ in range(SHAPE_AFTER - 1):
-            envelope_values(by_path, self.TEXT, None, {}, shapes)
-        assert shapes.stats() == {
-            "hits": 0, "misses": SHAPE_AFTER, "compiled": 1, "held": 1,
-        }
+        assert passes == [{"fragment": True}]
+        for _ in range(99):
+            envelope_values(by_path, self.TEXT, None, {})
         probe({})
-        assert (shapes.misses, shapes.hits) == (SHAPE_AFTER, 1)
+        assert len(passes) == 101
 
     def test_unreadable_text_caches_nothing(self):
         cache: dict = {}

@@ -569,24 +569,32 @@ class TestSourceLint:
         package = tmp_path / "src" / "repro" / "streams"
         package.mkdir(parents=True)
         (package / "routing.py").write_text(
-            "from repro.dom import parser\n"
-            "from repro.dom.parser import EventParser, ShapeMemo\n"
-            "def events(text, shapes):\n"
-            "    return shapes.events(text)\n"
-            "def tokenize(text):\n"
-            "    tokenizer = EventParser(fragment=True)\n"
-            "    return tokenizer.feed(text) + parser.EventParser().close()\n"
+            "import pyexpat\n"
+            "from xml.parsers.expat import ParserCreate\n"
+            "from repro.dom.parser import EventParser\n"
+            "def events(text):\n"
+            "    parser = EventParser(fragment=True)\n"
+            "    return parser.feed(text) + parser.close()\n"
+            "def raw(text):\n"
+            "    ParserCreate().Parse(text, True)\n"
+            "    return pyexpat.ParserCreate()\n"
         )
         findings = lint_sources([str(tmp_path)])
         assert [f.code for f in findings] == ["one-tokenizer"] * 2
-        assert sorted(int(f.message.split(":")[1]) for f in findings) == [6, 7]
-        assert all("ShapeMemo" in f.message for f in findings)
-        # The engine and the DOM builders tokenize; tests build reference parses.
-        for home in ("src/repro/core/engine.py", "tests/test_memo.py"):
+        assert sorted(int(f.message.split(":")[1]) for f in findings) == [8, 9]
+        assert all("EventParser" in f.message for f in findings)
+        # The parser module is the expat parser's home; tests may build their own.
+        for home in ("src/repro/dom/parser.py", "tests/test_expat.py"):
             path = tmp_path / home
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text("from repro.dom.parser import EventParser\nEventParser()\n")
+            path.write_text("from pyexpat import ParserCreate\nParserCreate()\n")
         assert len(lint_sources([str(tmp_path)])) == 2
+        # Outside the streams layer too: every module reads XML one way.
+        (tmp_path / "src" / "repro" / "core").mkdir()
+        (tmp_path / "src" / "repro" / "core" / "engine.py").write_text(
+            "import pyexpat\npyexpat.ParserCreate()\n"
+        )
+        assert len(lint_sources([str(tmp_path)])) == 3
 
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
