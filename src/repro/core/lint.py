@@ -186,9 +186,9 @@ _DOM_FREE_MODULES = {
     "streams/net.py": (
         "net-dom-import",
         "the network server must stay DOM-free (it relays envelope text "
-        "verbatim and its front door decides routing predicates over "
-        "parser events, routing.envelope_match); a DOM build per publish "
-        "costs more than everything else a relayed frame does",
+        "verbatim and its front door decides routing predicates inside "
+        "the tokenizer's handlers, routing.DoorProbe); a DOM build per "
+        "publish costs more than everything else a relayed frame does",
     ),
 }
 
@@ -217,8 +217,7 @@ _IDENTITY_NAMES = ("item_identity", "_identity")
 #: kernel to, imported by nothing.
 _PREDICATE_HOME = "streams/routing.py"
 _PREDICATE_TIER = {
-    "envelope_match": "streams/net.py",
-    "envelope_values": "streams/net.py",
+    "DoorProbe": "streams/net.py",
     "TupleIndex": "streams/scheduler.py",
     "route_match": None,
     "filler_values": None,
@@ -274,9 +273,9 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     that emits it, and the shard merge relies on there being one
     definition.  A ``predicate-tier`` diagnostic is reported when a module
     under ``src/repro/`` names a routing-kernel entry point it is not the
-    one importer of (``_PREDICATE_TIER``): ``envelope_match`` /
-    ``envelope_values`` belong to ``streams/net.py``, ``TupleIndex`` to
-    ``streams/scheduler.py``, and the per-filler DOM probe
+    one importer of (``_PREDICATE_TIER``): ``DoorProbe`` belongs to
+    ``streams/net.py``, ``TupleIndex`` to ``streams/scheduler.py``, and
+    the per-filler DOM probe
     (``route_match`` / ``filler_values``) to nobody — so a third place to
     decide a predicate cannot come back unnoticed.  A ``delivery-timer``
     diagnostic is reported for a ``call_later`` / ``call_at`` or an
@@ -459,7 +458,7 @@ def _check_predicate_tier(
                     f"{name} probes a materialized filler — the tier between "
                     "the network door (wire text) and the group's tuple index "
                     "(binding tuples) is gone; it stays in routing.py as the "
-                    "reference tests hold envelope_values to"
+                    "reference tests hold DoorProbe to"
                 )
             else:
                 why = (

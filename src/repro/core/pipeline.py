@@ -134,12 +134,6 @@ class PlanInfo:
     def record(self, trace: PassTrace) -> None:
         self.trace.append(trace)
 
-    def trace_of(self, name: str) -> Optional[PassTrace]:
-        for entry in self.trace:
-            if entry.name == name:
-                return entry
-        return None
-
     def trace_dicts(self) -> list[dict]:
         return [entry.as_dict() for entry in self.trace]
 

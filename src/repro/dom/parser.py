@@ -102,24 +102,33 @@ class EventParser:
     )
 
     def __init__(self, fragment: bool = False, keep_whitespace: bool = False):
+        self._keep_ws = keep_whitespace
+        self._fragment = fragment
+        self.reset()
+
+    def reset(self) -> None:
+        """Start a new text: a fresh expat parser, no events, no position.
+
+        Everything else the object holds — its mode, and whatever a
+        subclass was built with — is kept, so a reader of many short
+        texts is built once.
+        """
         self._events: list[tuple] = []
         self._append = self._events.append
         self._pieces: list[str] = []  # character data since the last construct
-        self._keep_ws = keep_whitespace
-        self._fragment = fragment
         self._lead = ""  # input held until a leading declaration is decided
         self._lines = 0  # newlines skipped with the lead
         # Line-1 columns, source minus parsed.
-        self._shift = -len(_WRAPPER_OPEN) if fragment else 0
+        self._shift = -len(_WRAPPER_OPEN) if self._fragment else 0
         self._final = False
-        # The handlers are bound methods: the parser and this object hold
-        # each other until close() lets the parser go (one abandoned
-        # mid-input is left to the cycle collector).
         parser = self._parser = ParserCreate()
         parser.buffer_text = True
         parser.specified_attributes = True
-        if fragment:
+        if self._fragment:
             parser.Parse(_WRAPPER_OPEN, False)  # before the handlers: no event
+        # The handlers are bound methods: the parser and this object hold
+        # each other until close() or the next reset() lets the parser go
+        # (one abandoned mid-input is left to the cycle collector).
         parser.StartElementHandler = self._start
         parser.EndElementHandler = self._end
         parser.CharacterDataHandler = self._pieces.append
@@ -143,16 +152,20 @@ class EventParser:
         """Mark end of input, flush remaining events, and validate EOF."""
         if self._final:
             return []
+        self._finish()
+        events = self._events
+        if self._fragment:
+            events.pop()  # the wrapper's end
+        return events
+
+    def _finish(self) -> None:
+        """End the input: validate it to EOF and let the expat parser go."""
         self._final = True
         tail = _WRAPPER_CLOSE if self._fragment else ""
         if self._lead is not None:
             tail = self._past_lead(self._lead) + tail
         self._parse(tail, True)
         self._parser = None
-        events = self._events
-        if self._fragment:
-            events.pop()  # the wrapper's end
-        return events
 
     # -- handlers ------------------------------------------------------------
 

@@ -171,10 +171,11 @@ def envelope_header(
     The checks every reader of wire text owes an envelope once its scan
     is over, in one order with one set of messages — whether the scan
     built a DOM (:func:`parse_filler`), ran the stream automata
-    (``XCQLEngine.feed_raw``) or probed a routing predicate
-    (:func:`repro.streams.routing.envelope_values`).  ``top_elements``
-    counts the top-level elements, ``tag`` and ``attrs`` describe the
-    first, ``payload_elements`` counts its child elements.
+    (``XCQLEngine.feed_raw``) or left a routing predicate that skips
+    the envelope (:class:`repro.streams.routing.DoorProbe`).
+    ``top_elements`` counts the top-level elements, ``tag`` and
+    ``attrs`` describe the first, ``payload_elements`` counts its child
+    elements.
     """
     if top_elements != 1:
         raise ValueError("expected a single <filler> element")

@@ -27,10 +27,12 @@ The server's front door decides subscription predicates: a BATCH is
 fanned out only to connections whose subscriptions can match the
 arriving envelope — the ``(stream, tsid)`` dependency test, a
 conservative supersede rule for non-event tags, and the routing
-predicate decided over the envelope's wire text
-(:func:`~repro.streams.routing.envelope_match`: parser events, no DOM).
-It is one of the two places a predicate is decided at run time; the
-other is the binding-tuple index of a scheduler's group.
+predicates decided while the envelope's wire text is tokenized
+(:class:`~repro.streams.routing.DoorProbe`, one per ``(stream, tsid)``:
+one pass per envelope, no DOM, and the pass stops reading once every
+predicate sends).  It is one of the two places a predicate is decided
+at run time; the other is the binding-tuple index of a scheduler's
+group.
 
 Catch-up sequence (the no-retransmission model's only recovery path)::
 
@@ -90,7 +92,7 @@ from repro.fragments.tagstructure import TagStructure, TagType
 from repro.streams.compression import TagCodec
 from repro.streams import netproto as proto
 from repro.streams.netproto import FrameDecoder, ProtocolError
-from repro.streams.routing import envelope_match
+from repro.streams.routing import DoorProbe
 from repro.streams.sharding import ShardWorkerHost
 from repro.streams.transport import FILLER, TAG_STRUCTURE, Message, peek_filler
 
@@ -114,6 +116,7 @@ _POLICIES = frozenset({BLOCK, DROP, DISCONNECT})
 
 _READ_CHUNK = 65536
 _COMPRESS_SLICE = 4096
+_NO_SKIPS: frozenset = frozenset()  # the door's verdict: every predicate sends
 
 
 def _slices(text: str, size: int = _COMPRESS_SLICE):
@@ -508,6 +511,8 @@ class StreamServer:
         self._codecs: dict[str, TagCodec] = {}
         self._structure_records: dict[str, tuple[int, Message]] = {}
         self._tag_types: dict[tuple[str, int], Optional[TagType]] = {}
+        # (stream, tsid) -> the door probe of its predicate subscriptions.
+        self._probes: dict[tuple[str, int], DoorProbe] = {}
         # (stream, filler_id) -> published version count, for the
         # conservative supersede wake (mirrors the sharded front door).
         self._version_counts: dict[tuple[str, int], int] = {}
@@ -517,6 +522,7 @@ class StreamServer:
         self.fanned_out = 0
         self.routing_probes = 0
         self.routing_skips = 0
+        self.door_passes = 0
         self.fed_entries = 0
         self.replayed_entries = 0
         self.replay_skipped = 0
@@ -585,6 +591,7 @@ class StreamServer:
     def _close_conn(self, conn: _Connection) -> None:
         if conn in self._conns:
             self._conns.remove(conn)
+            self._rebuild_probes()
             for key in self._retired_outboxes:
                 self._retired_outboxes[key] += getattr(conn.outbox, key)
             if conn.shard is not None:
@@ -616,16 +623,16 @@ class StreamServer:
         self._seq += 1
         seq = self._seq
         self.published += 1
-        supersede = False
-        peeked = None
+        tsid = None
+        skips = _NO_SKIPS
         if message.kind == TAG_STRUCTURE:
             self._register_structure(seq, message)
         elif message.kind == FILLER:
-            peeked = peek_filler(message.payload)
-            supersede = self._note_version(message.stream, peeked[0], peeked[1])
+            filler_id, tsid, _holes = peek_filler(message.payload)
+            supersede = self._note_version(message.stream, filler_id, tsid)
+            skips = self._door_skips(message, tsid, supersede)
         if self.engine is not None:
             self.engine.deliver(message)
-        probe_cache: dict = {}
         # Fan-out hot loop: one batcher append per matching connection;
         # the fast path cannot yield, so a burst of publishes lands in
         # every outbox before any of them is flushed.
@@ -636,7 +643,7 @@ class StreamServer:
         for conn in list(self._conns):
             if conn.version is None or not conn.subscriptions:
                 continue
-            if not self._should_send(conn, message, peeked, supersede, probe_cache):
+            if not self._should_send(conn, message, tsid, skips):
                 self.routing_skips += 1
                 continue
             fanned += 1
@@ -651,10 +658,6 @@ class StreamServer:
                 await outbox.enqueue(seq, message)
         self.fanned_out += fanned
         return seq
-
-    def publish_threadsafe(self, message: Message, loop: asyncio.AbstractEventLoop):
-        """Sync-callable publish for :meth:`Channel.pipe_to` bridging."""
-        return asyncio.run_coroutine_threadsafe(self.publish(message), loop)
 
     def _note_version(self, stream: str, filler_id: int, tsid: int) -> bool:
         """Count one published version; had the fragment one already?
@@ -679,26 +682,47 @@ class StreamServer:
         for tag in structure.all_tags():
             self._tag_types[(message.stream, tag.tsid)] = tag.type
 
+    def _door_skips(self, message: Message, tsid: int, supersede: bool) -> frozenset:
+        """The predicates of ``(stream, tsid)`` that skip this envelope.
+
+        One :class:`~repro.streams.routing.DoorProbe` pass per envelope,
+        however many connections and predicates ask (an empty set when
+        none does).  A non-event fragment that got another version is
+        sent to every predicate unread: the annotations of its previous
+        version move regardless of the predicate.
+        """
+        probe = self._probes.get((message.stream, tsid))
+        if probe is None:
+            return _NO_SKIPS
+        tag_type = self._tag_types.get((message.stream, tsid))
+        if tag_type is not TagType.EVENT and supersede:
+            return _NO_SKIPS
+        self.door_passes += 1
+        return probe.decide(message.payload, tag_type)
+
+    def _rebuild_probes(self) -> None:
+        """One door probe per ``(stream, tsid)`` some live subscription narrows
+        with a predicate — after a SUBSCRIBE and after a connection leaves."""
+        wanted: dict = {}
+        for conn in self._conns:
+            for sub in conn.subscriptions:
+                if sub.predicate is not None and sub.tsid is not None:
+                    wanted.setdefault((sub.stream, sub.tsid), []).append(sub.predicate)
+        self._probes = {key: DoorProbe(preds) for key, preds in wanted.items()}
+
     def _should_send(
-        self,
-        conn: _Connection,
-        message: Message,
-        peeked,
-        supersede: bool,
-        probe_cache: dict,
+        self, conn: _Connection, message: Message, tsid: Optional[int], skips: frozenset
     ) -> bool:
         """The front door: can this envelope matter to this connection?
 
         Mirrors the sharded coordinator's dispatch probe: tsid-narrowed
-        subscriptions are dependency-tested; predicate subscriptions are
-        probed over the envelope's parser events (one tokenizer pass per
-        publish, kept in ``probe_cache``; no DOM) under the same
-        conservative supersede rule for non-event tags.  Uncertainty
-        always sends.
+        subscriptions are dependency-tested; a predicate subscription is
+        sent the envelope unless its predicate is among ``skips``, the
+        door probe's verdict (:meth:`_door_skips`).  Uncertainty always
+        sends.
         """
         if message.kind != FILLER:
             return conn.subscribes_stream(message.stream)
-        filler_id, tsid, _holes = peeked
         for sub in conn.subscriptions:
             if sub.stream != message.stream:
                 continue
@@ -709,16 +733,8 @@ class StreamServer:
             if sub.predicate is None:
                 return True
             self.routing_probes += 1
-            tag_type = self._tag_types.get((message.stream, tsid))
-            if tag_type is not TagType.EVENT and supersede:
-                # A non-event fragment got another version: annotations
-                # of the previous version move regardless of the predicate.
+            if not skips or sub.predicate not in skips:
                 return True
-            try:
-                if envelope_match(sub.predicate, message.payload, tag_type, probe_cache):
-                    return True
-            except ValueError:
-                return True  # not a readable envelope: undecidable, send
         return False
 
     # -- connection handling ------------------------------------------------------
@@ -833,6 +849,7 @@ class StreamServer:
         if not isinstance(entries, list):
             raise ProtocolError("SUBSCRIBE without a subscriptions list")
         conn.subscriptions = [Subscription.from_header(e) for e in entries]
+        self._rebuild_probes()
         wants_catchup = bool(frame.header.get("catchup"))
         conn.live = False
         if not wants_catchup:
@@ -909,15 +926,16 @@ class StreamServer:
         if message.kind != FILLER:
             return conn.subscribes_stream(message.stream)
         try:
-            peeked = peek_filler(message.payload)
+            filler_id, tsid, _holes = peek_filler(message.payload)
         except ValueError:
             return True  # undecidable — conservative replay
-        supersede = False
+        skips = _NO_SKIPS  # no predicate of this connection asks
         if counts is not None:
-            key = (message.stream, peeked[0])
+            key = (message.stream, filler_id)
             supersede = counts.get(key, 0) > 0
             counts[key] = counts.get(key, 0) + 1
-        return self._should_send(conn, message, peeked, supersede, {})
+            skips = self._door_skips(message, tsid, supersede)
+        return self._should_send(conn, message, tsid, skips)
 
     async def _on_feed(self, conn: _Connection, frame: proto.Frame) -> bool:
         """Ingest a producer's envelope batch and rebroadcast it."""
@@ -972,6 +990,7 @@ class StreamServer:
             "fanned_out": self.fanned_out,
             "routing_probes": self.routing_probes,
             "routing_skips": self.routing_skips,
+            "door_passes": self.door_passes,
             "fed_entries": self.fed_entries,
             "replayed_entries": self.replayed_entries,
             "replay_skipped": self.replay_skipped,

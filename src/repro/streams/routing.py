@@ -7,12 +7,14 @@ operand's values from a payload with exactly the residual's coercion,
 and comparing them with the literal — and the two decisions built on
 it:
 
-- **per envelope, over parser events** (:func:`envelope_match`): can
-  *any* binding tuple of this envelope satisfy the predicate?  Asked of
-  wire text nobody has parsed: the network server's subscription door
-  (:mod:`repro.streams.net`, its only importer) tokenizes the envelope
-  once and walks the events; no DOM is built for a frame that is only
-  relayed, and a frame not sent is a frame not paid for.
+- **per envelope, in flight** (:class:`DoorProbe`): which of a set of
+  predicates can *any* binding tuple of this envelope satisfy?  Asked
+  of wire text nobody has parsed: the network server's subscription
+  door (:mod:`repro.streams.net`, its only importer) tokenizes the
+  envelope once and the probe's handlers decide each predicate as its
+  operand values complete, stopping once every one sends; no DOM and no
+  event list is built for a frame that is only relayed, and a frame not
+  sent is a frame not paid for.
 - **per binding tuple** (:class:`TupleIndex`): which members of a shared
   group can accept *this* tuple?  Members whose predicates differ only
   in the literal are kept sorted by it, the operand is extracted once
@@ -51,12 +53,11 @@ from repro.xquery.errors import XQueryTypeError
 from repro.xquery.xdm import to_number
 
 __all__ = [
+    "DoorProbe",
     "Partition",
     "TupleIndex",
     "compare",
     "descendants_with_tag",
-    "envelope_match",
-    "envelope_values",
     "filler_values",
     "index_shape",
     "operand_values",
@@ -123,9 +124,8 @@ def operand_values(pred: RoutingPredicate, element: Element) -> Optional[list]:
 def _coerced(pred: RoutingPredicate, values: list) -> Optional[list]:
     """One bound element's operand strings as the residual compares them.
 
-    The half of the extraction that is not the walk: the DOM kernel
-    (:func:`operand_values`) and the event kernel
-    (:func:`envelope_values`) both end here.
+    The half of the extraction that is not the walk.  The door's event
+    kernel (:class:`DoorProbe`) applies it a value at a time.
     """
     if pred.single and len(values) > 1:
         return None  # a value comparison over a sequence raises
@@ -254,125 +254,243 @@ def probe_values(pred: RoutingPredicate, candidate: Element, root: Element,
     return operand_values(pred, candidate)
 
 
-# -- per envelope: the wire-text probe ---------------------------------------------------
+# -- per envelope: the door's wire-text probe --------------------------------------------
+
+_NO_SKIPS: frozenset = frozenset()
 
 
-def envelope_match(pred: RoutingPredicate, payload: str,
-                   tag_type: Optional[TagType],
-                   value_cache: Optional[dict] = None) -> bool:
-    """:func:`route_match` for an envelope still in wire form.
+class _DoorShape:
+    """The door's predicates of one shape, and what the envelope read so far decided.
 
-    The same verdict ``route_match(pred, parse_filler(payload), ...)``
-    gives, without the DOM.  Raises ``ValueError`` for text that is not
-    one well-formed filler envelope; the caller decides what an
-    unreadable envelope means (the network door sends it).
+    The path NFA of :func:`operand_values` run over parser events: every
+    element named ``tuple_tag`` is a candidate, and an element is a
+    target of the candidate ``steps`` levels above it when the tags
+    between them spell ``path`` — child steps only, so an element is the
+    target of at most one candidate and open targets nest.  An annotation
+    operand is read off the envelope's header, so its shape has no target.
     """
-    return _any_match(pred, envelope_values(pred, payload, tag_type, value_cache))
 
-
-def envelope_values(pred: RoutingPredicate, payload: str,
-                    tag_type: Optional[TagType],
-                    value_cache: Optional[dict] = None) -> Optional[list]:
-    """:func:`filler_values` over the parser events of an envelope's text.
-
-    Returns exactly ``filler_values(pred, parse_filler(payload),
-    tag_type, None)`` and raises ``ValueError`` exactly where
-    ``parse_filler`` does.  The text is tokenized once per
-    ``value_cache`` (the event list is kept under ``"events"``) and
-    walked once per predicate *shape*; only the walk differs from the DOM
-    kernel — coercion, annotation rule and merge are shared.
-    """
-    cache = {} if value_cache is None else value_cache
-    key = _shape(pred)
-    if key in cache:
-        return cache[key]
-    events = cache.get("events")
-    if events is None:
-        parser = EventParser(fragment=True)
-        events = parser.feed(payload)
-        events += parser.close()
-        cache["events"] = events
-    valid_time, candidates = _walk_events(pred, events)
-    if pred.attribute in _ANNOTATIONS:
-        merged = _merged(
-            _annotation_values(pred, is_root, valid_time, tag_type)
-            for is_root, _values in candidates
-        )
-    else:
-        merged = _merged(_coerced(pred, values) for _is_root, values in candidates)
-    cache[key] = merged
-    return merged
-
-
-def _walk_events(pred: RoutingPredicate, events: list) -> tuple:
-    """``(valid_time, candidates)`` of one envelope's event list.
-
-    A path NFA over the payload subtree whose whole state is the stack
-    of open tags: every element named ``pred.tuple_tag`` is a candidate,
-    and an element is a target of the candidate ``len(pred.path)``
-    levels above it when the tags between them spell ``pred.path`` —
-    child steps only, so an element is the target of at most one
-    candidate and open targets nest.  A target contributes its
-    attribute, its direct text children, or its string value.
-    ``candidates`` lists ``(is_payload_root, operand strings)`` in
-    document order, the strings being what :func:`operand_values`
-    collects below that element.  Everything below the envelope is
-    walked as if it were the one payload: when it is not,
-    :func:`envelope_header` raises and the walk's result is dropped.
-    """
-    tuple_tag, attribute, text_only = pred.tuple_tag, pred.attribute, pred.text_only
-    path = list(pred.path)
-    steps = len(path)
-    last_tag = path[-1] if path else tuple_tag
-    depth = top_elements = payload_elements = 0
-    envelope_tag = None
-    envelope_attrs: dict = {}
-    tags: list = []  # open elements below the envelope; the payload root is depth 2
-    candidates: list = []
-    values_at: dict = {}  # depth -> the values of the candidate opened there last
-    targets: list = []  # open targets, innermost last: (depth, values, text parts)
-    for event in events:
-        kind = event[0]
-        if kind == "start":
-            depth += 1
-            if depth == 1:
-                top_elements += 1
-                envelope_tag, envelope_attrs = event[1], event[2]
-                continue
-            if depth == 2:
-                payload_elements += 1
-            tag = event[1]
-            tags.append(tag)
-            if tag == tuple_tag:
-                values_at[depth] = values = []
-                candidates.append((depth == 2, values))
-            origin = depth - steps
-            if (tag == last_tag and origin >= 2 and tags[origin - 2] == tuple_tag
-                    and tags[origin - 1:] == path):
-                values = values_at[origin]
-                if attribute is not None:
-                    if attribute in event[2]:
-                        values.append(event[2][attribute])
-                else:
-                    targets.append((depth, values, None if text_only else []))
-        elif kind == "end":
-            if depth > 1:
-                tags.pop()
-                if targets and targets[-1][0] == depth:
-                    _, values, parts = targets.pop()
-                    if parts is not None:
-                        values.append("".join(parts))
-            depth -= 1
-        elif kind == "text" or kind == "cdata":
-            for target_depth, values, parts in targets:
-                if parts is not None:
-                    parts.append(event[1])
-                elif depth == target_depth:
-                    values.append(event[1])
-    _, _, valid_time = envelope_header(
-        top_elements, envelope_tag, envelope_attrs, payload_elements
+    __slots__ = (
+        "tuple_tag", "path", "steps", "last_tag", "attribute", "text_only",
+        "numeric", "single", "annotation", "preds", "pending", "counts", "at_root",
     )
-    return valid_time, candidates
+
+    def __init__(self, preds: list) -> None:
+        pred = preds[0]
+        self.tuple_tag = pred.tuple_tag
+        self.path = list(pred.path)
+        self.steps = len(pred.path)
+        self.attribute = pred.attribute
+        self.text_only = pred.text_only
+        self.numeric = pred.numeric
+        self.single = pred.single
+        self.annotation = pred.attribute in _ANNOTATIONS
+        if self.annotation:
+            self.last_tag = None
+        else:
+            self.last_tag = pred.path[-1] if pred.path else pred.tuple_tag
+        self.preds = tuple(preds)
+        self.pending = self.preds  # undecided on this envelope: each sends or skips
+        self.counts: dict = {}  # depth -> [value count] of the candidate open there (single only)
+        self.at_root = False  # an annotation shape met the payload root as a candidate
+
+
+class DoorProbe(EventParser):
+    """The network door's routing verdicts for one ``(stream, tsid)``.
+
+    Holds the distinct predicates of that pair's live subscriptions and
+    decides them while expat reads an envelope, in its handlers: each
+    operand value is compared with its shape's undecided predicates the
+    moment it completes — an attribute at its start tag, a ``text()`` run
+    when the next construct flushes it, a string value at its target's
+    end tag.  A value that accepts, one the residual could not coerce,
+    or a second value under a value comparison decides "send" for a
+    predicate, and nothing later in the text can change that; once every
+    predicate sends, the handlers detach and expat finishes the text in
+    C.  Only an envelope some predicate would *skip* is read to the end
+    and checked by :func:`envelope_header`; a ``ValueError`` there, or a
+    malformed text anywhere, sends.  So
+    :meth:`decide` gives, per predicate, exactly
+    ``route_match(pred, parse_filler(text), tag_type)``, and sends
+    wherever ``parse_filler`` raises.
+
+    Built once per subscription set (``StreamServer`` rebuilds it on
+    SUBSCRIBE and on a closed connection); each envelope gets a fresh
+    expat parser from :meth:`EventParser.reset`.  Not reentrant: call
+    :meth:`decide` synchronously, never across an ``await``.
+    """
+
+    __slots__ = (
+        "_shapes", "_live", "_tag_type", "_depth", "_tags", "_open",
+        "_tops", "_envelope", "_payloads",
+    )
+
+    def __init__(self, predicates) -> None:
+        by_shape: dict = {}
+        for pred in predicates:
+            by_shape.setdefault(_shape(pred), {}).setdefault(pred, None)
+        self._shapes = [_DoorShape(list(preds)) for preds in by_shape.values()]
+        self._tags: list = []  # open elements below the envelope; the payload root is depth 2
+        self._open: list = []  # open text targets, innermost last: (shape, depth, count, parts)
+        self._tag_type: Optional[TagType] = None
+        super().__init__(fragment=True)
+
+    @property
+    def predicates(self) -> list:
+        """The distinct predicates this probe decides."""
+        return [pred for shape in self._shapes for pred in shape.preds]
+
+    def reset(self) -> None:
+        super().reset()
+        self._depth = self._tops = self._payloads = 0
+        self._envelope = (None, {})
+        self._tags.clear()
+        self._open.clear()
+        for shape in self._shapes:
+            shape.pending = shape.preds
+            shape.counts.clear()
+            shape.at_root = False
+        self._live = self._shapes
+
+    def decide(self, text, tag_type: Optional[TagType]) -> frozenset:
+        """The predicates that skip this envelope; every other one sends it.
+
+        ``text`` is the envelope, whole or as an iterable of chunks.
+        """
+        self.reset()
+        self._tag_type = tag_type
+        try:
+            for chunk in (text,) if isinstance(text, str) else text:
+                if not self._live:
+                    break
+                self.feed(chunk)
+            if not self._live:
+                return _NO_SKIPS
+            self._finish()
+            tag, attrs = self._envelope
+            _, _, valid_time = envelope_header(self._tops, tag, attrs, self._payloads)
+        except ValueError:
+            return _NO_SKIPS  # not one readable envelope: send
+        finally:
+            self._parser = None
+        skips: list = []
+        for shape in self._live:
+            pending = shape.pending
+            if shape.at_root:
+                value = valid_time.to_epoch_seconds()
+                pending = [pred for pred in pending if not compare(value, pred)]
+            skips.extend(pending)
+        return frozenset(skips)
+
+    # -- the verdicts ------------------------------------------------------------------
+
+    def _sends(self, shape: _DoorShape) -> None:
+        """Every undecided predicate of ``shape`` sends this envelope."""
+        shape.pending = ()
+        live = self._live = [other for other in self._live if other.pending]
+        if not live:
+            parser = self._parser
+            parser.StartElementHandler = parser.EndElementHandler = None
+            parser.CharacterDataHandler = parser.DefaultHandler = None
+
+    def _value(self, shape: _DoorShape, count, text: str) -> None:
+        """One operand value of a candidate (``count``: its tally, single only)."""
+        pending = shape.pending
+        if not pending:
+            return
+        if count is not None:
+            count[0] += 1
+            if count[0] > 1:
+                return self._sends(shape)  # a value comparison over a sequence raises
+        if shape.numeric:
+            try:
+                text = probe_number(text)
+            except XQueryTypeError:
+                return self._sends(shape)
+        kept = [pred for pred in pending if not compare(text, pred)]
+        if not kept:
+            self._sends(shape)
+        elif len(kept) < len(pending):
+            shape.pending = kept
+
+    def _deliver(self, text: str) -> None:
+        """A text node: a ``text()`` value of its parent, part of every open string value."""
+        depth = self._depth
+        for shape, at, count, parts in self._open:
+            if parts is not None:
+                parts.append(text)
+            elif at == depth:
+                self._value(shape, count, text)
+
+    # -- handlers ----------------------------------------------------------------------
+
+    def _text(self) -> None:
+        pieces = self._pieces
+        if self._open:
+            text = "".join(pieces)
+            if not text.isspace():
+                self._deliver(text)
+        pieces.clear()
+
+    def _start(self, tag, attrs):
+        if self._pieces:
+            self._text()
+        depth = self._depth = self._depth + 1
+        if depth < 3:
+            if depth == 1:
+                self._tops += 1
+                self._envelope = (tag, attrs)
+                return
+            self._payloads += 1
+        tags = self._tags
+        tags.append(tag)
+        for shape in self._live:
+            if tag == shape.tuple_tag:
+                if shape.annotation:
+                    if (shape.steps or depth != 2 or (
+                            shape.attribute == "vtTo" and self._tag_type is not TagType.EVENT)):
+                        self._sends(shape)  # the value depends on other versions
+                    else:
+                        shape.at_root = True
+                    continue
+                if shape.single:
+                    shape.counts[depth] = [0]
+            if tag == shape.last_tag:
+                origin = depth - shape.steps
+                if (origin < 2 or tags[origin - 2] != shape.tuple_tag
+                        or tags[origin - 1:] != shape.path):
+                    continue
+                count = shape.counts[origin] if shape.single else None
+                attribute = shape.attribute
+                if attribute is None:
+                    self._open.append((shape, depth, count, None if shape.text_only else []))
+                elif attribute in attrs:
+                    self._value(shape, count, attrs[attribute])
+
+    def _end(self, tag):
+        if self._pieces:
+            self._text()
+        depth = self._depth
+        self._depth = depth - 1
+        if depth > 1:
+            self._tags.pop()
+            opened = self._open
+            while opened and opened[-1][1] == depth:
+                shape, _, count, parts = opened.pop()
+                if parts is not None:
+                    self._value(shape, count, "".join(parts))
+
+    def _markup(self, data):
+        if data == "]]>":  # a CDATA section is a text node, whitespace and all
+            pieces = self._pieces
+            if self._open:
+                self._deliver("".join(pieces))
+            pieces.clear()
+            return
+        if self._pieces:
+            self._text()
+        if data.startswith("&"):
+            super()._markup(data)  # an unexpanded entity: rejected as everywhere
 
 
 def _shape(pred: RoutingPredicate) -> tuple:

@@ -18,7 +18,7 @@ Arrivals wake by dependency only: every entry is filed under each
 is a set-add, and a poll unions the watchers of the keys that arrived.
 What an arriving fragment *contains* is never looked at here — a routing
 predicate is decided on wire text at the network door
-(:func:`repro.streams.routing.envelope_match`) and on binding tuples in
+(:class:`repro.streams.routing.DoorProbe`) and on binding tuples in
 the group (below), nowhere in between.
 
 Three multi-query optimizations sit on top (the many-standing-queries

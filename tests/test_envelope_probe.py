@@ -1,18 +1,20 @@
-"""The wire-text routing probe against the DOM probe it replaces.
+"""The network door's in-flight routing probe against the DOM reference.
 
-``routing.envelope_values`` decides a routing predicate from one
-tokenizer pass over an envelope's text; ``routing.filler_values`` over
-``parse_filler`` of the same text is the reference.  The two must agree
-on every value (type and all), on ``None`` (undecidable), and on raising
-``ValueError`` — for every predicate shape, every tag type, and however
-the text was chunked into the tokenizer.  The server-level test then
-checks the door built on it: live fan-out, catch-up replay and a
-restarted server send exactly the same envelopes.
+``routing.DoorProbe`` decides a set of routing predicates while expat
+reads an envelope's text, stopping once every predicate is decided.
+Each verdict must be exactly ``route_match(pred, parse_filler(text),
+tag_type)``, and "send" wherever ``parse_filler`` raises — for every
+predicate shape, every tag type, sets of predicates decided together,
+however the text was chunked, and whatever the probe read before.  The
+server-level tests then check the door built on it: live fan-out,
+catch-up replay and a restarted server send exactly the same envelopes,
+with one probe pass per envelope.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 from xml.sax.saxutils import escape, quoteattr
 
@@ -20,18 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.optimizer import RoutingPredicate
-from repro.dom.parser import EventParser
 from repro.fragments.model import parse_filler
 from repro.fragments.persist import Journal
 from repro.fragments.tagstructure import TagType
-from repro.streams import routing
 from repro.streams.net import StreamClient, StreamServer, Subscription
-from repro.streams.routing import (
-    envelope_match,
-    envelope_values,
-    filler_values,
-    route_match,
-)
+from repro.streams.routing import DoorProbe, route_match
 from repro.streams.transport import FILLER, TAG_STRUCTURE, Message
 from tests.test_net import run, wait_until
 from tests.test_streaming_automata import BAD_ENVELOPES
@@ -117,34 +112,34 @@ def predicates(draw) -> RoutingPredicate:
 # -- the comparison ----------------------------------------------------------------------
 
 
-def _typed(values):
-    """Values with their types, NaN-safe (``[nan] != [nan]`` otherwise)."""
-    return None if values is None else [(type(v).__name__, repr(v)) for v in values]
-
-
-def _outcome(thunk):
+def _expected(pred, text, tag_type) -> bool:
+    """The DOM reference's verdict; an unreadable envelope is sent."""
     try:
-        return ("ok", thunk())
-    except ValueError as exc:
-        return ("error", type(exc).__name__, str(exc))
+        filler = parse_filler(text)
+    except ValueError:
+        return True
+    return route_match(pred, filler, tag_type)
 
 
-def _reference(pred, text, tag_type):
-    return _outcome(lambda: _typed(filler_values(pred, parse_filler(text), tag_type, None)))
+def _verdicts(probe, preds, text, tag_type) -> list:
+    skips = probe.decide(text, tag_type)
+    assert skips <= set(probe.predicates)
+    return [pred not in skips for pred in preds]
 
 
-def _probe(pred, text, tag_type, cache=None):
-    return _outcome(lambda: _typed(envelope_values(pred, text, tag_type, cache)))
+def _assert_exact(preds, text, tag_type, probe=None):
+    probe = probe or DoorProbe(preds)
+    expected = [_expected(pred, text, tag_type) for pred in preds]
+    assert _verdicts(probe, preds, text, tag_type) == expected, (text, preds, tag_type)
+    return expected
 
 
-def _chunked_events(text: str, cuts: list) -> list:
-    parser = EventParser(fragment=True)
-    events, previous = [], 0
+def _cut(text: str, cuts: list) -> list:
+    chunks, previous = [], 0
     for cut in sorted(cut % (len(text) + 1) for cut in cuts):
-        events += parser.feed(text[previous:cut])
+        chunks.append(text[previous:cut])
         previous = cut
-    events += parser.feed(text[previous:])
-    return events + parser.close()
+    return chunks + [text[previous:]]
 
 
 #: Hand-written payloads for the shapes the generator reaches rarely,
@@ -186,67 +181,71 @@ SHAPES = [
     for numeric in (True, False)
     for single in (True, False)
 ]
+OPERATORS = ["=", "!=", "<", "<=", ">", ">="]
+
+predicate_sets = st.lists(predicates(), min_size=1, max_size=4)
+
+
+def _envelope(payload: str) -> str:
+    return f'<filler id="3" tsid="2" validTime="2004-01-05T00:00:00">{payload}</filler>'
 
 
 class TestDifferential:
     def test_every_shape_on_the_corpus(self):
-        hits = 0
+        every = [
+            dataclasses.replace(shape, op=op) for shape in SHAPES for op in OPERATORS
+        ]
+        together = DoorProbe(every)  # one probe, every shape decided at once
+        sent = skipped = 0
         for payload in CORPUS:
-            text = f'<filler id="3" tsid="2" validTime="2004-01-05T00:00:00">{payload}</filler>'
-            filler = parse_filler(text)
+            text = _envelope(payload)
             for tag_type in TAG_TYPES:
-                cache: dict = {}
-                for pred in SHAPES:
-                    expected = _typed(filler_values(pred, filler, tag_type, None))
-                    assert _typed(envelope_values(pred, text, tag_type, cache)) == expected, (
-                        payload, pred, tag_type,
-                    )
-                    hits += expected != []
-        assert hits > 4000  # values or undecidable: not a grid of empty operands
+                expected = _assert_exact(every, text, tag_type, together)
+                for at in range(0, len(every), len(OPERATORS)):
+                    _assert_exact(every[at:at + len(OPERATORS)], text, tag_type)
+                sent += sum(expected)
+                skipped += expected.count(False)
+        assert sent > 20_000 and skipped > 20_000  # both verdicts, not a grid of one
 
-    @settings(max_examples=400, deadline=None)
-    @given(envelopes(), predicates(), st.sampled_from(TAG_TYPES))
-    def test_values_equal_the_dom_kernel(self, text, pred, tag_type):
-        reference = _reference(pred, text, tag_type)
-        assert reference[0] == "ok"
-        assert _probe(pred, text, tag_type) == reference
-        assert envelope_match(pred, text, tag_type) == route_match(
-            pred, parse_filler(text), tag_type
-        )
+    @settings(deadline=None)
+    @given(envelopes(), predicate_sets, st.sampled_from(TAG_TYPES))
+    def test_verdicts_equal_the_dom_reference(self, text, preds, tag_type):
+        parse_filler(text)  # the generator writes readable envelopes
+        _assert_exact(preds, text, tag_type)
 
     @settings(max_examples=150, deadline=None)
     @given(
         envelopes(),
-        predicates(),
+        predicate_sets,
         st.sampled_from(TAG_TYPES),
         st.lists(st.integers(0, 10_000), max_size=6),
     )
-    def test_independent_of_tokenizer_chunking(self, text, pred, tag_type, cuts):
-        cache = {"events": _chunked_events(text, cuts)}
-        assert _probe(pred, text, tag_type, cache) == _reference(pred, text, tag_type)
+    def test_independent_of_tokenizer_chunking(self, text, preds, tag_type, cuts):
+        expected = _assert_exact(preds, text, tag_type)
+        assert _verdicts(DoorProbe(preds), preds, _cut(text, cuts), tag_type) == expected
 
-    @settings(max_examples=300, deadline=None)
+    @settings(deadline=None)
     @given(
         envelopes(),
-        predicates(),
+        predicate_sets,
         st.sampled_from(TAG_TYPES),
         st.integers(0, 10_000),
         st.integers(1, 12),
     )
     def test_damaged_text_raises_exactly_where_the_dom_path_does(
-        self, text, pred, tag_type, at, width
+        self, text, preds, tag_type, at, width
     ):
+        """The probe raises nothing: it sends wherever the DOM path raises."""
         at %= len(text)
-        damaged = text[:at] + text[at + width:]
-        assert _probe(pred, damaged, tag_type) == _reference(pred, damaged, tag_type)
+        _assert_exact(preds, text[:at] + text[at + width:], tag_type)
 
     @pytest.mark.parametrize("raw", BAD_ENVELOPES)
     @pytest.mark.parametrize("attribute", [None, "vtFrom"])
     def test_malformed_corpus(self, raw, attribute):
         pred = RoutingPredicate("a", (), attribute, False, ">", 1.0, True)
-        reference = _reference(pred, raw, TagType.EVENT)
-        assert reference[0] == "error"
-        assert _probe(pred, raw, TagType.EVENT) == reference
+        with pytest.raises(ValueError):
+            parse_filler(raw)
+        assert DoorProbe([pred]).decide(raw, TagType.EVENT) == frozenset()
 
     @pytest.mark.parametrize(
         "raw",
@@ -262,62 +261,126 @@ class TestDifferential:
         ],
     )
     def test_envelope_edges(self, raw):
-        pred = RoutingPredicate("t", (), None, False, ">", 1.0, True)
-        assert _probe(pred, raw, None) == _reference(pred, raw, None)
+        preds = [
+            RoutingPredicate("t", (), None, False, op, literal, True)
+            for op in OPERATORS
+            for literal in (1.0, 5.0, 9.0)
+        ]
+        _assert_exact(preds, raw, None)
 
     def test_document_order_across_nested_candidates(self):
-        """An outer candidate's values all precede a nested one's."""
-        text = (
-            '<filler id="1" tsid="2" validTime="2004-01-01">'
-            "<t><a>1</a><t><a>2</a></t><a>3</a></t></filler>"
-        )
-        pred = RoutingPredicate("t", ("a",), None, False, ">", 0.0, True)
-        assert envelope_values(pred, text, None) == [1.0, 3.0, 2.0]
-        assert filler_values(pred, parse_filler(text), None, None) == [1.0, 3.0, 2.0]
+        """A nested candidate's values fall between its outer one's, and
+        each candidate tallies its own under a value comparison."""
+        pred = RoutingPredicate("t", ("a",), None, False, ">", 5.0, True, single=True)
+        inner_only = _envelope("<t><a>1</a><t><a>2</a></t></t>")
+        both = _envelope("<t><a>1</a><t><a>2</a></t><a>3</a></t>")
+        assert _assert_exact([pred], inner_only, None) == [False]  # one value each
+        assert _assert_exact([pred], both, None) == [True]  # the outer one has two
 
 
 class TestProbeCache:
-    TEXT = (
-        '<filler id="1" tsid="2" validTime="2004-01-01">'
-        '<t k="9"><a>5</a></t></filler>'
-    )
+    """The server keeps one probe per ``(stream, tsid)``; a probe reads
+    one envelope after another."""
 
-    def test_one_tokenizer_pass_however_many_shapes(self, monkeypatch):
-        # Counted at the parser: one pass per value cache, however many
-        # predicate shapes walk its events.
-        passes = []
+    TEXT = '<filler id="1" tsid="2" validTime="2004-01-01"><t k="9"><a>5</a></t></filler>'
 
-        class CountingParser(EventParser):
-            __slots__ = ()
+    def test_one_tokenizer_pass_however_many_shapes(self):
+        # Counted at the server: one pass per envelope, whoever asks.
+        by_path = RoutingPredicate("alert", ("level",), None, False, ">", 5.0, True)
+        by_text = RoutingPredicate("alert", ("level",), None, True, "<", 3.0, True)
+        same_shape = RoutingPredicate("alert", ("level",), None, False, ">", 8.0, True)
+        levels = [1, 9, 2, 7, "x", 6, 4, 10]
+        wanted = {
+            pred: [alert(20 + i, level) for i, level in enumerate(levels)
+                   if _expected(pred, alert(20 + i, level), TagType.EVENT)]
+            for pred in (by_path, by_text, same_shape)
+        }
 
-            def __init__(self, *args, **kwargs):
-                passes.append(kwargs)
-                super().__init__(*args, **kwargs)
+        async def scenario():
+            server = StreamServer()
+            await server.start()
+            await server.publish(Message(TAG_STRUCTURE, "credit", STRUCTURE))
+            got = []
+            clients = []
+            for pred in (by_path, by_text, same_shape, by_path):
+                received: list = []
+                client = StreamClient(
+                    "127.0.0.1", server.port,
+                    on_message=lambda m, into=received: m.kind == FILLER
+                    and into.append(m.payload),
+                )
+                await client.connect()
+                await asyncio.wait_for(
+                    client.subscribe([Subscription("credit", tsid=5, predicate=pred)]), 5
+                )
+                clients.append(client)
+                got.append((pred, received))
+            assert len(server._probes[("credit", 5)].predicates) == 3
+            for i, level in enumerate(levels):
+                await server.publish(Message(FILLER, "credit", alert(20 + i, level)))
+            stats = server.stats()
+            assert stats["door_passes"] == len(levels)
+            assert stats["routing_probes"] == 4 * len(levels)
+            for pred, received in got:
+                await wait_until(lambda: len(received) == len(wanted[pred]))
+            await asyncio.sleep(0.05)
+            assert [received for _pred, received in got] == [
+                wanted[pred] for pred, _received in got
+            ]
+            for client in clients:
+                await client.close()
+            await wait_until(lambda: not server._probes)
+            await server.close()
 
-        monkeypatch.setattr(routing, "EventParser", CountingParser)
-        by_path = RoutingPredicate("t", ("a",), None, False, ">", 1.0, True)
-        by_attr = RoutingPredicate("t", (), "k", False, ">", 1.0, True)
-        other = RoutingPredicate("t", ("a",), None, False, "<", 3.0, True)
-
-        def probe(cache):
-            assert envelope_values(by_path, self.TEXT, None, cache) == [5.0]
-            assert envelope_values(by_attr, self.TEXT, None, cache) == [9.0]
-            # Same shape, other literal: the cached values, no walk.
-            assert envelope_values(other, self.TEXT, None, cache) == [5.0]
-
-        probe({})
-        assert passes == [{"fragment": True}]
-        for _ in range(99):
-            envelope_values(by_path, self.TEXT, None, {})
-        probe({})
-        assert len(passes) == 101
+        run(scenario())
 
     def test_unreadable_text_caches_nothing(self):
-        cache: dict = {}
-        pred = RoutingPredicate("t", (), None, False, ">", 1.0, True)
-        with pytest.raises(ValueError):
-            envelope_values(pred, "<filler", None, cache)
-        assert cache == {}
+        """Decided early, then malformed, then skipped: nothing an envelope
+        leaves behind changes the next one's verdicts."""
+        preds = [
+            RoutingPredicate("t", ("a",), None, False, ">", 1.0, True, single=True),
+            RoutingPredicate("t", (), "k", False, "<", 5.0, True),
+            RoutingPredicate("t", (), "vtFrom", False, ">", 0.0, True),
+        ]
+        probe = DoorProbe(preds)
+        texts = [
+            self.TEXT,  # every predicate sends at the first values
+            '<filler id="1" tsid="2" validTime="2004-01-01"><t k="9"><a>5</a><a>',
+            self.TEXT.replace(">5<", ">0<").replace('k="9"', 'k="8"'),
+            "<filler",
+            self.TEXT.replace("2004-01-01", "1969-12-31").replace(">5<", ">1<"),
+            self.TEXT,
+        ]
+        verdicts = [_assert_exact(preds, text, TagType.EVENT, probe) for text in texts]
+        assert verdicts[2] == [False, False, True] and verdicts[4] == [False, False, False]
+
+    def test_decided_early_reads_no_further(self):
+        """A first operand that accepts sends whatever follows it, and the
+        handlers stop being called."""
+        calls = []
+
+        class Counting(DoorProbe):
+            __slots__ = ()
+
+            def _start(self, tag, attrs):
+                calls.append(tag)
+                super()._start(tag, attrs)
+
+            def _end(self, tag):
+                calls.append(tag)
+                super()._end(tag)
+
+        pred = RoutingPredicate("t", ("a",), None, False, ">", 5.0, True)
+        siblings = "<b>1</b>" * 10_000
+        head = '<filler id="1" tsid="2" validTime="2004-01-01"><t><a>9</a>'
+        for text in (head + siblings + "</t></filler>", head + "<b></t></filler>"):
+            del calls[:]
+            assert _assert_exact([pred], text, None, Counting([pred])) == [True]
+            assert len(calls) <= 5
+        del calls[:]
+        cheap = head.replace(">9<", ">1<") + siblings + "</t></filler>"
+        assert _assert_exact([pred], cheap, None, Counting([pred])) == [False]
+        assert len(calls) > 20_000  # a skip is read to the end
 
 
 # -- the door: live, replayed and restarted ------------------------------------------------

@@ -135,12 +135,12 @@ class TestProbeKernel:
 
         # The network door asks the kernel at its wire-text granularity, the
         # scheduler per binding tuple; nobody probes a materialized filler.
-        assert net.envelope_match is routing.envelope_match
+        assert net.DoorProbe is routing.DoorProbe
         assert scheduler.TupleIndex is routing.TupleIndex
         for module in (net, scheduler, sharding):
             for probe in ("route_match", "filler_values", "_route_match"):
                 assert not hasattr(module, probe), (module.__name__, probe)
-        for probe in ("envelope_match", "envelope_values", "TupleIndex"):
+        for probe in ("DoorProbe", "TupleIndex"):
             assert not hasattr(sharding, probe), probe
 
     def test_inexact_integer_literal_is_not_routable(self):

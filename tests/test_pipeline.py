@@ -422,11 +422,11 @@ class TestSourceLint:
         offender = package / "net.py"
         offender.write_text(
             "from repro.dom.parser import parse_fragment\n"
-            "from repro.streams.routing import envelope_match\n"
+            "from repro.streams.routing import DoorProbe\n"
         )
         findings = lint_sources([str(offender)])
         assert [f.code for f in findings] == ["net-dom-import"]
-        assert "envelope_match" in findings[0].message
+        assert "DoorProbe" in findings[0].message
         # ...and the wire layer next to it keeps its own code.
         (package / "netproto.py").write_text("import repro.dom\n")
         codes = {f.code for f in lint_sources([str(package)])}
@@ -487,7 +487,7 @@ class TestSourceLint:
     def test_a_predicate_is_decided_in_two_places(self, tmp_path):
         package = tmp_path / "src" / "repro" / "streams"
         package.mkdir(parents=True)
-        door = "from repro.streams.routing import envelope_match, envelope_values\n"
+        door = "from repro.streams.routing import DoorProbe\n"
         index = "from repro.streams.routing import TupleIndex, index_shape\n"
         (package / "net.py").write_text(door)
         (package / "scheduler.py").write_text(index)
@@ -501,16 +501,16 @@ class TestSourceLint:
             + "    return routing.filler_values(pred, filler, None, None)\n"
         )
         findings = lint_sources([str(tmp_path)])
-        assert [f.code for f in findings] == ["predicate-tier"] * 5
-        assert sorted(f.message.split(":")[1] for f in findings) == ["1", "1", "2", "3", "6"]
+        assert [f.code for f in findings] == ["predicate-tier"] * 4
+        assert sorted(f.message.split(":")[1] for f in findings) == ["1", "2", "3", "6"]
         assert any("materialized filler" in f.message for f in findings)
         # The kernel's own module defines them; tests import the reference.
         (package / "routing.py").write_text("def route_match(*args):\n    return True\n")
         (tmp_path / "tests").mkdir()
         (tmp_path / "tests" / "test_probe.py").write_text(
-            "from repro.streams.routing import route_match, envelope_values\n"
+            "from repro.streams.routing import route_match, DoorProbe\n"
         )
-        assert len(lint_sources([str(tmp_path)])) == 5
+        assert len(lint_sources([str(tmp_path)])) == 4
 
     def test_no_timer_on_the_delivery_path(self, tmp_path):
         package = tmp_path / "streams"
