@@ -202,7 +202,7 @@ _BUILDER_MODULES = (
 )
 #: A ``DeferredElement`` stands on a source its maker vouches for (never
 #: written again, elements and text only); only the projections and
-#: ``dom.nodes.copier`` can.
+#: ``dom.nodes.copier`` / ``dom.nodes.stand_in`` (``temporalize``) can.
 _DEFERRED_COPY = "DeferredElement"
 _DEFERRED_COPY_MODULES = ("dom/nodes.py", "xquery/temporal_functions.py")
 #: The emission-dedup identity of a result item is its serialized form,

@@ -26,6 +26,8 @@ __all__ = [
     "sort_document_order",
     "new_tree_id",
     "copier",
+    "stored_verdict",
+    "stand_in",
 ]
 
 _tree_ids = itertools.count(1)
@@ -438,6 +440,63 @@ def copier(element: Element) -> Callable[[], Element]:
         tag, attrs = element.tag, element.attrs
         return lambda: DeferredElement(tag, attrs, element)
     return element.copy
+
+
+#: What :func:`stored_verdict` answers where a reader must copy.
+_NOT_PLAIN = (False, False)
+
+
+def stored_verdict(node: Node) -> tuple[bool, bool]:
+    """``(plain, timeless)``: what a reader may stand on below ``node``.
+
+    ``plain`` when ``node`` is a version in a :class:`SharedElement`
+    wrapper with nothing but elements and text below it, none a
+    ``<hole>``; ``timeless`` when, besides, none of those elements carries
+    a lifespan attribute of its own.  Any other node gets
+    ``(False, False)``.  One walk decides both, once per version: the
+    wrapper's ``memo`` keeps the answer, and what lies below a version
+    never changes.
+    """
+    wrapper = node.parent
+    if type(wrapper) is not SharedElement:
+        return _NOT_PLAIN
+    verdict = wrapper.memo.get(node)
+    if verdict is None:
+        verdict = wrapper.memo[node] = _below(node)
+    return verdict
+
+
+def _below(node: Node) -> tuple[bool, bool]:
+    """The walk behind :func:`stored_verdict`.
+
+    Children are read in place; only an element with children of its own
+    waits on the stack.
+    """
+    timeless = True
+    stack = [node]
+    while stack:
+        for below in stack.pop()._children:
+            kind = type(below)
+            if kind is Text:
+                continue
+            if kind is not Element or below.tag == "hole":
+                return _NOT_PLAIN
+            if timeless and below.attrs and not _LIFESPAN_ATTRS.isdisjoint(below.attrs):
+                timeless = False
+            if below._children:
+                stack.append(below)
+    return (True, timeless)
+
+
+def stand_in(version: Element) -> Optional[DeferredElement]:
+    """A copy of a stored version that reads through until touched.
+
+    A :class:`DeferredElement` on ``version`` when :func:`stored_verdict`
+    finds it plain, ``None`` when the caller must copy it itself.
+    """
+    if stored_verdict(version)[0]:
+        return DeferredElement(version.tag, version.attrs, version)
+    return None
 
 
 class Text(Node):

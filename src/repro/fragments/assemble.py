@@ -4,6 +4,17 @@
 its fillers, recursively, producing the complete temporal XML document the
 client *could* materialize (the CaQ baseline does; QaC/QaC+ never do).
 
+The view is built only where it differs from what the store holds: the
+spine that carries holes (the root filler, ``site``, the containers) is
+copied eagerly, and every stored version with nothing but elements and
+text below it, none a hole, becomes a copy-on-touch ``DeferredElement``
+standing on the version (``dom.nodes.stand_in``).  Serialising the view
+reads those versions straight through; a query builds only the part of
+them it navigates.  The store owns the versions and never patches below
+one, so the view stays the snapshot of the call.  A ``use_cache=False``
+store owns no version — its reads are fresh trees — so its view is a full
+copy, the paper's materialization.
+
 ``schema_driven_temporalize`` is the §5.1 variant: recursion is unrolled by
 walking the Tag Structure instead of discovering holes dynamically.  Both
 produce identical trees; the schema-driven one exists because the paper
@@ -15,7 +26,17 @@ for cross-validation against the native implementations.
 
 from __future__ import annotations
 
-from repro.dom.nodes import Document, Element, Text
+from typing import Optional
+
+from repro.dom.nodes import (
+    Comment,
+    Document,
+    Element,
+    Node,
+    ProcessingInstruction,
+    Text,
+    stand_in,
+)
 from repro.fragments.store import FragmentStore
 from repro.fragments.tagstructure import TagNode, TagStructure
 
@@ -30,21 +51,27 @@ def temporalize(store: FragmentStore) -> Document:
     """Materialize the temporal view from the root fragment (filler 0)."""
     document = Document()
     for version in store.versions_of(0):
-        document.append(_resolve(version, store))
+        document.append(stand_in(version) or _resolve(version, store))
     return document
+
+
+def _leaf(child: Node) -> Node:
+    """A copy of a text, comment or processing instruction child."""
+    if isinstance(child, Text):
+        return Text(child.text)
+    if isinstance(child, Comment):
+        return Comment(child.text)
+    return ProcessingInstruction(child.target, child.text)
 
 
 def _resolve(element: Element, store: FragmentStore) -> Element:
     copy = Element(element.tag, element.attrs)
     for child in element.children:
-        if isinstance(child, Text):
-            copy._link_child(Text(child.text))
-            continue
         if not isinstance(child, Element):
-            continue
-        if child.tag == "hole":
+            copy._link_child(_leaf(child))
+        elif child.tag == "hole":
             for version in store.versions_of(int(child.attrs["id"])):
-                copy._link_child(_resolve(version, store))
+                copy._link_child(stand_in(version) or _resolve(version, store))
         else:
             copy._link_child(_resolve(child, store))
     return copy
@@ -58,48 +85,54 @@ def schema_driven_temporalize(store: FragmentStore, tag_structure: TagStructure)
     fragmented (resolved through their holes' ids).
     """
     document = Document()
+    root = tag_structure.root
     for version in store.versions_of(0):
-        document.append(_schema_resolve(version, tag_structure.root, store))
+        document.append(
+            stand_in(version) or _schema_resolve(version, root, tag_structure, store)
+        )
     return document
 
 
-def _schema_resolve(element: Element, tag: TagNode, store: FragmentStore) -> Element:
+def _schema_resolve(
+    element: Element, tag: TagNode, structure: TagStructure, store: FragmentStore
+) -> Element:
     copy = Element(element.tag, element.attrs)
     fragmented = {child.name for child in tag.children if child.type.is_fragmented}
     for child in element.children:
-        if isinstance(child, Text):
-            copy._link_child(Text(child.text))
-            continue
         if not isinstance(child, Element):
-            continue
-        if child.tag == "hole":
-            hole_tag = tag_structure_child_by_tsid(tag, child.attrs.get("tsid"))
+            copy._link_child(_leaf(child))
+        elif child.tag == "hole":
+            hole_tag = _hole_tag(structure, tag, child.attrs.get("tsid"))
             for version in store.versions_of(int(child.attrs["id"])):
-                if hole_tag is not None:
-                    copy._link_child(_schema_resolve(version, hole_tag, store))
-                else:
-                    copy._link_child(_resolve(version, store))
+                built = stand_in(version)
+                if built is None and hole_tag is not None:
+                    built = _schema_resolve(version, hole_tag, structure, store)
+                copy._link_child(built or _resolve(version, store))
         elif child.tag in fragmented:
             # A fragmented tag embedded inline would violate the schema.
             copy._link_child(_resolve(child, store))
         else:
             child_tag = tag.child(child.tag)
             if child_tag is not None:
-                copy._link_child(_schema_resolve(child, child_tag, store))
+                copy._link_child(_schema_resolve(child, child_tag, structure, store))
             else:
                 copy._link_child(_resolve(child, store))
     return copy
 
 
-def tag_structure_child_by_tsid(tag: TagNode, tsid) -> TagNode | None:
-    """The child tag with the given tsid, searching snapshot descendants."""
+def _hole_tag(structure: TagStructure, tag: TagNode, tsid) -> Optional[TagNode]:
+    """The tag of a hole's tsid if it is ``tag`` or lies below it, else ``None``.
+
+    One lookup by tsid and a walk up to ``tag``, not a search of the
+    subtree.
+    """
     if tsid is None:
         return None
-    target = int(tsid)
-    for node in tag.walk():
-        if node.tsid == target:
-            return node
-    return None
+    found = structure.get(tsid)
+    node = found
+    while node is not None and node is not tag:
+        node = node.parent
+    return found if node is not None else None
 
 
 def generate_reconstruction_query(tag_structure: TagStructure) -> str:

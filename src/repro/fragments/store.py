@@ -28,7 +28,9 @@ id parses only the new versions, closes the previous last version's
 before the write sees that.  The subtree *below* a version is never
 patched, and anything a query built from the store — projections,
 constructed elements, ``temporalize``'s view, identity strings — is
-its own snapshot.  A history rewrite (an insert before a stored version,
+its own snapshot.  A projection or the view may stand on a version
+copy-on-touch (``dom.nodes.DeferredElement``): it takes the version's
+own attributes when it is built and reads only what lies below.  A history rewrite (an insert before a stored version,
 a re-published snapshot, ``set_tag_structure``, ``prune_before``,
 ``clear``) drops the wrapper instead and the next read builds a new one.
 

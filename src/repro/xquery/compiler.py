@@ -1278,6 +1278,13 @@ def _c_path(expr: xast.PathExpr, scope: _ModuleScope) -> Plan:
     base = _compile(expr.base, scope) if expr.base is not None else None
     steps = tuple(_compile_step(step, scope) for step in expr.steps)
 
+    # Child steps from one node keep document order and never meet a node
+    # twice: each step's input is nodes of one depth below that node, in
+    # order, so their children come out in order too.  Such a path skips
+    # the sort, which would number the whole tree (and build every
+    # copy-on-touch node of a temporalized view).
+    child_only = all(step.axis == "child" for step in expr.steps)
+
     if steps:
         # Every axis walker emits nodes only, so after at least one step
         # the all-nodes scan the interpreter performs is a tautology.
@@ -1290,9 +1297,10 @@ def _c_path(expr: xast.PathExpr, scope: _ModuleScope) -> Plan:
                         "relative path with undefined context item"
                     )
                 seq = [ctx.item]
+            ordered = child_only and len(seq) <= 1
             for step in steps:
                 seq = step(seq, ctx)
-            if len(seq) > 1:
+            if len(seq) > 1 and not ordered:
                 seq = sort_document_order(seq)
             return seq
 

@@ -43,15 +43,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.dom.nodes import (
-    _LIFESPAN_ATTRS,
     Attr,
     Comment,
     DeferredElement,
     Element,
     Node,
     ProcessingInstruction,
-    SharedElement,
     Text,
+    stored_verdict,
 )
 from repro.temporal.chrono import ChronoError, XSDateTime
 from repro.temporal.interval import NOW, START, TimeInterval, _Symbolic, resolve_point
@@ -314,8 +313,16 @@ def _project_one(node: object, begin: XSDateTime, end: XSDateTime, ctx, index=No
 
 
 def _clone(node: Element, begin: XSDateTime, end: XSDateTime, ctx, index) -> Element:
-    """A new element for ``node`` over its children projected to ``[begin, end]``."""
-    if _copies_on_touch(node):
+    """A new element for ``node`` over its children projected to ``[begin, end]``.
+
+    A stored version with only elements and text below it, none a hole
+    and none with a lifespan of its own (``stored_verdict``'s
+    ``timeless``) projects to a plain copy that can wait: no interval
+    prunes or clips anything down there, and the subtree cannot change
+    under the copy (the store may restamp the version's own lifespan,
+    which the copy took at query time, never what is below).
+    """
+    if stored_verdict(node)[1]:
         return DeferredElement(node.tag, node.attrs, node)
     clone = Element(node.tag, node.attrs)
     for child in node.children:
@@ -323,34 +330,6 @@ def _clone(node: Element, begin: XSDateTime, end: XSDateTime, ctx, index) -> Ele
             if isinstance(projected, Node):
                 clone._link_child(projected)
     return clone
-
-
-def _copies_on_touch(node: Element) -> bool:
-    """Whether projecting below ``node`` is a plain copy that can wait.
-
-    True for a version in a store-owned wrapper with only elements and
-    text below it, none a hole and none with a lifespan of its own: no
-    interval prunes or clips anything down there, and the subtree cannot
-    change under the copy (the store may restamp the version's own
-    lifespan, which the copy took at query time, never what is below).
-    Decided once per stored version.
-    """
-    wrapper = node.parent
-    if type(wrapper) is not SharedElement:
-        return False
-    verdict = wrapper.memo.get(node)
-    if verdict is None:
-        verdict = wrapper.memo[node] = all(
-            type(below) is Text
-            or (
-                type(below) is Element
-                and below.tag != "hole"
-                and _LIFESPAN_ATTRS.isdisjoint(below.attrs)
-            )
-            for below in node.iter()
-            if below is not node
-        )
-    return verdict
 
 
 def version_project_nodes(nodes: list, begin: int, end: int, ctx, index=None) -> list:

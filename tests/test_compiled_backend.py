@@ -326,3 +326,82 @@ class TestPlanCache:
     def test_invalid_backend_rejected(self, credit_engine):
         with pytest.raises(ValueError):
             credit_engine.compile('count(stream("credit")//account)', backend="jit")
+
+
+# -- document order of child-only paths ---------------------------------------
+
+
+class TestChildPathFromOneNodeSkipsTheSort:
+    """A child-only path from one node is in document order already.
+
+    The compiled path returns it as the steps built it: the same sequence
+    the interpreter's sorted path returns, without numbering the tree.
+    Any other path — several base items, or one non-``child`` step —
+    still sorts and drops duplicates.
+    """
+
+    XML = (
+        "<r><a><b>1</b><c/><b>2<b>5</b></b></a><d/>"
+        "<a><b>3</b>t<b>4</b></a></r>"
+    )
+
+    def _both(self, monkeypatch, source: str) -> tuple[list, list, int]:
+        """(interpreted, compiled, _renumber calls of the compiled run)."""
+        from repro.dom import parse_document
+        from repro.dom.nodes import _Container
+
+        module = parse(source, xcql=True)
+        interpreted = Evaluator(
+            Context(variables={"d": [parse_document(self.XML)]})
+        ).evaluate_module(module)
+        calls = [0]
+        renumber = _Container._renumber
+
+        def counting(container):
+            calls[0] += 1
+            renumber(container)
+
+        monkeypatch.setattr(_Container, "_renumber", counting)
+        compiled = compile_module(module)(
+            Context(variables={"d": [parse_document(self.XML)]})
+        )
+        return normalized(interpreted), normalized(compiled), calls[0]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "$d/r/a/b",
+            "$d/r/a/b/text()",
+            "$d/r/a/node()",
+            "$d/r/*/b[2]",
+            "$d/r/a[b = '3']/b",
+            "$d/*/*/*",
+            "for $a in $d/r/a return $a/b",
+        ],
+    )
+    def test_same_sequence_no_numbering(self, monkeypatch, source):
+        interpreted, compiled, renumbered = self._both(monkeypatch, source)
+        assert compiled == interpreted and compiled
+        assert renumbered == 0
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            # Several base items, out of order and repeated.
+            ("($d/r/a[2], $d/r/a[1], $d/r/a[2])/b", ["<b>1</b>", "<b>2<b>5</b></b>",
+                                                    "<b>3</b>", "<b>4</b>"]),
+            # A descendant step meets b/b below b.
+            ("$d/r//b", ["<b>1</b>", "<b>2<b>5</b></b>", "<b>5</b>", "<b>3</b>",
+                         "<b>4</b>"]),
+            # A parent step meets each a twice.
+            ("$d/r/a/b/..", [
+                "<a><b>1</b><c/><b>2<b>5</b></b></a>", "<a><b>3</b>t<b>4</b></a>",
+            ]),
+            ("$d/r/a/b/.", ["<b>1</b>", "<b>2<b>5</b></b>", "<b>3</b>",
+                                  "<b>4</b>"]),
+        ],
+    )
+    def test_other_paths_still_sort_and_dedupe(self, monkeypatch, source, expected):
+        interpreted, compiled, renumbered = self._both(monkeypatch, source)
+        assert compiled == interpreted == expected
+        assert renumbered > 0

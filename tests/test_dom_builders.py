@@ -10,10 +10,11 @@ query can observe: serialisation, named-child lookups, document order and
 parent/root links; and they check that a built tree is an ordinary tree
 afterwards: mutating it through the public API invalidates what it must.
 
-A projection of a store-owned version puts the copy off until something
-touches it (``DeferredElement``).  The same reference holds it however
-far and in whatever order it has been touched, and nothing done to the
-copy — before or after — reaches the version it stands on.
+A projection of a store-owned version, and ``temporalize`` over a cached
+store, put the copy off until something touches it (``DeferredElement``).
+The same reference holds it however far and in whatever order it has
+been touched, and nothing done to the copy — before or after — reaches
+the version it stands on.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,12 @@ tree_specs = _element_specs(
 SNAPSHOT_ROOT = TagStructure.from_xml(
     '<stream:structure><tag type="snapshot" id="1" name="a"/></stream:structure>'
 )
+#: A root whose one hole is filled by a snapshot fragment: no lifespan
+#: stamp, so the filler's version serialises like its payload.
+HOLE_ROOT = TagStructure.from_xml(
+    '<stream:structure><tag type="snapshot" id="1" name="r">'
+    '<tag type="snapshot" id="2" name="a"/></tag></stream:structure>'
+)
 T0 = XSDateTime(2003, 1, 1)
 
 
@@ -65,7 +72,8 @@ def reference_tree(spec) -> Element:
 
 
 def _temporalized(reference: Element) -> Element:
-    store = FragmentStore(SNAPSHOT_ROOT)
+    """The eager view: an uncached store owns no version to stand on."""
+    store = FragmentStore(SNAPSHOT_ROOT, use_cache=False)
     store.append(Filler(0, 1, T0, reference))
     return temporalize(store).document_element
 
@@ -86,10 +94,35 @@ def _version_projected(version: Element) -> Element:
     return version_project_nodes([version], 1, 1, Context(now=T0))[0]
 
 
+def _projecting(project):
+    """A builder that stands ``project``'s copy on a stored ``reference``."""
+
+    def build(reference: Element) -> tuple[Element, Element]:
+        version = _stored(reference)
+        return project(version), version
+
+    return build
+
+
+def _temporalize_view(reference: Element) -> tuple[Element, Element]:
+    """The cached store's view, through a hole: the spine eager, the version not."""
+    store = FragmentStore(HOLE_ROOT)
+    root = Element("r")
+    root.append(Element("hole", {"id": "1", "tsid": "2"}))
+    store.append(Filler(0, 1, T0, root))
+    store.append(Filler(1, 2, T0, reference))
+    view = temporalize(store)
+    return view.document_element.children[0], store.versions_of(1)[0]
+
+
+#: Copy-on-touch builders: ``reference`` -> ``(copy, stored version under it)``.
 DEFERRED = {
-    "interval projection": _interval_projected,
-    "version projection": _version_projected,
-    "copy of an untouched copy": lambda version: _interval_projected(version).copy(),
+    "interval projection": _projecting(_interval_projected),
+    "version projection": _projecting(_version_projected),
+    "copy of an untouched copy": _projecting(
+        lambda version: _interval_projected(version).copy()
+    ),
+    "temporalize view": _temporalize_view,
 }
 
 BUILDERS = {
@@ -103,7 +136,7 @@ BUILDERS = {
     )[0],
     "temporalize": _temporalized,
     **{
-        f"deferred {name}": lambda reference, build=build: build(_stored(reference))
+        f"deferred {name}": lambda reference, build=build: build(reference)[0]
         for name, build in DEFERRED.items()
     },
 }
@@ -141,7 +174,7 @@ def test_builders_agree_with_public_append(spec, rng):
         assert built is not reference, name
         assert serialize(built) == text, name
         top = built.root()  # the Document for temporalize, else the tree itself
-        assert (top is built) == (name != "temporalize"), name
+        assert (top is built) == ("temporalize" not in name), name
         assert_consistent(top, rng)
     # The builders only read their input.
     assert serialize(reference) == text
@@ -177,6 +210,7 @@ def test_built_trees_mutate_like_any_other(spec, rng, builder):
 
 def _touch_somewhere(built: Element, reference: Element, rng) -> None:
     """Navigate ``built`` a random way down, checking it against ``reference``."""
+    top = built.root()
     frontier = [(built, reference)]
     for _ in range(rng.randint(0, 12)):
         node, want = rng.choice(frontier)
@@ -199,7 +233,7 @@ def _touch_somewhere(built: Element, reference: Element, rng) -> None:
             assert node.string_value() == want.string_value()
             continue
         for child, want_child in pairs:
-            assert child.parent is node and child.root() is built
+            assert child.parent is node and child.root() is top
             if isinstance(child, Element):
                 frontier.append((child, want_child))
 
@@ -213,13 +247,12 @@ def _touch_somewhere(built: Element, reference: Element, rng) -> None:
 def test_deferred_copy_touched_anywhere_matches_the_reference(spec, rng, how):
     reference = reference_tree(spec)
     text = serialize(reference)
-    version = _stored(reference)
-    built = DEFERRED[how](version)
-    assert isinstance(built, DeferredElement) and built.parent is None
+    built, version = DEFERRED[how](reference)
+    assert isinstance(built, DeferredElement)
     assert serialize(built) == text  # read through, nothing built yet
     _touch_somewhere(built, reference, rng)
     assert serialize(built) == text  # partly built, partly read through
-    assert_consistent(built, rng)
+    assert_consistent(built.root(), rng)
     assert serialize(built) == text
     # The version underneath was only read, and none of its nodes left it.
     assert serialize(version) == text
@@ -237,8 +270,7 @@ def test_deferred_copy_touched_anywhere_matches_the_reference(spec, rng, how):
 def test_mutating_a_deferred_copy_never_reaches_its_source(spec, rng, how, touch_first):
     reference = reference_tree(spec)
     text = serialize(reference)
-    version = _stored(reference)
-    built = DEFERRED[how](version)
+    built, version = DEFERRED[how](reference)
     if touch_first:
         _touch_somewhere(built, reference, rng)
     # Walk to a random element of both trees by child position, touching
@@ -264,6 +296,6 @@ def test_mutating_a_deferred_copy_never_reaches_its_source(spec, rng, how, touch
             elif element.children:
                 element.remove(element.children[-1])
     assert serialize(built) == serialize(reference)
-    assert_consistent(built, rng)
+    assert_consistent(built.root(), rng)
     assert serialize(version) == text
     assert_consistent(version.parent, rng)
