@@ -25,9 +25,11 @@ NATIVE_CAQ = (
     'count(for $i in stream("auction")/site/closed_auctions/closed_auction '
     "where $i/price/text() >= 40 return $i/price)"
 )
+# ref_temporalize(ref_get_fillers(0)) is the root filler's versions —
+# the ``site`` elements — so the path starts below ``site``.
 INTERPRETED_CAQ = (
     "count(for $i in ref_temporalize(ref_get_fillers(0))"
-    "/site/closed_auctions/closed_auction "
+    "/closed_auctions/closed_auction "
     "where $i/price/text() >= 40 return $i/price)"
 )
 

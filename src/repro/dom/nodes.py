@@ -28,6 +28,12 @@ __all__ = [
     "copier",
     "stored_verdict",
     "stand_in",
+    "in_tree_order",
+    "PLAIN",
+    "TIMED",
+    "MIXED",
+    "carry",
+    "vouch",
 ]
 
 _tree_ids = itertools.count(1)
@@ -185,9 +191,17 @@ class _Container(Node):
             root._dirty = True
 
     def _renumber(self) -> None:
+        # A copy nothing has navigated is a leaf here: numbering builds no
+        # node, and its first build marks the root dirty again.
         serial = itertools.count()
-        for node in _walk(self):
+        stack: list[Node] = [self]
+        while stack:
+            node = stack.pop()
             node._serial = next(serial)
+            if isinstance(node, _Container) and (
+                type(node) is not DeferredElement or node._source is None
+            ):
+                stack.extend(reversed(node._children))
         self._dirty = False
 
     # -- traversal ---------------------------------------------------------------
@@ -365,17 +379,21 @@ class DeferredElement(Element):
 
     ``source`` is an element with nothing but elements and text below it,
     from a source nobody changes again — a version of a
-    :class:`SharedElement` tree, or a tree only :func:`copier` holds; the
-    caller vouches for both.  The copy has its own tag and attributes from
-    the start, so a later restamp of the source's lifespan never reaches
-    it; what it reads from the source — the subtree below — is never
-    patched.  Its
+    :class:`SharedElement` tree, a child of an earlier stored version
+    (the store's stand-ins, :func:`carry`), or a tree only :func:`copier`
+    holds; the caller vouches for both.  The copy has its own tag and
+    attributes from the start, so a later restamp of the source's lifespan
+    never reaches it; what it reads from the source — the subtree below —
+    is never patched.  Its
     ``_children`` slot stays unset until something reads it — then
     ``__getattr__`` fills it with copies one level deep (deferred again
-    where they have children of their own), parented here, and drops the
-    source.  From that point this is an ordinary element of its own
-    tree; before it, :meth:`peek_children` and :meth:`copy` answer from
-    the source without building anything.
+    where they have children of their own), parented here, marks its root
+    for renumbering and drops the source.  A source child that is itself
+    an untouched copy is not built for that: the new copy stands on that
+    copy's own source.  From that point this is an ordinary element of
+    its own tree; before it, :meth:`peek_children` and :meth:`copy` answer
+    from the source without building anything, and document order numbers
+    it as a leaf.
     """
 
     __slots__ = ("_source",)
@@ -400,6 +418,8 @@ class DeferredElement(Element):
         for child in self._source._children:
             if not isinstance(child, Element):
                 built: Node = Text(child.text)
+            elif type(child) is DeferredElement and child._source is not None:
+                built = DeferredElement(child.tag, child.attrs, child._source)
             elif child._children:
                 built = DeferredElement(child.tag, child.attrs, child)
             else:
@@ -408,6 +428,7 @@ class DeferredElement(Element):
             children.append(built)
         self._children = children
         self._source = None
+        self._mark_dirty()
         return children
 
     def peek_children(self) -> list[Node]:
@@ -469,21 +490,22 @@ def stored_verdict(node: Node) -> tuple[bool, bool]:
 def _below(node: Node) -> tuple[bool, bool]:
     """The walk behind :func:`stored_verdict`.
 
-    Children are read in place; only an element with children of its own
-    waits on the stack.
+    Children are read in place, and an untouched copy through its source
+    (it is not built); only an element with children of its own waits on
+    the stack.
     """
     timeless = True
     stack = [node]
     while stack:
-        for below in stack.pop()._children:
+        for below in stack.pop().peek_children():
             kind = type(below)
             if kind is Text:
                 continue
-            if kind is not Element or below.tag == "hole":
+            if (kind is not Element and kind is not DeferredElement) or below.tag == "hole":
                 return _NOT_PLAIN
             if timeless and below.attrs and not _LIFESPAN_ATTRS.isdisjoint(below.attrs):
                 timeless = False
-            if below._children:
+            if below.peek_children():
                 stack.append(below)
     return (True, timeless)
 
@@ -497,6 +519,75 @@ def stand_in(version: Element) -> Optional[DeferredElement]:
     if stored_verdict(version)[0]:
         return DeferredElement(version.tag, version.attrs, version)
     return None
+
+
+def _reused(element: Element) -> DeferredElement:
+    """A copy of ``element``, from a source nobody changes, that reads through.
+
+    A :class:`DeferredElement` on ``element`` — or, while it is an
+    untouched copy itself, on its source, so that reading it never builds
+    it.  Until touched it holds no child list, not even an empty one.
+    """
+    if type(element) is DeferredElement and element._source is not None:
+        return DeferredElement(element.tag, element.attrs, element._source)
+    return DeferredElement(element.tag, element.attrs, element)
+
+
+#: What lies below a child element of a stored version, itself included,
+#: as the store's builder records it: nothing but elements and text
+#: (``PLAIN``), some of them with a lifespan attribute (``TIMED``), or a
+#: comment, a processing instruction or a ``<hole>`` (``MIXED``).
+PLAIN, TIMED, MIXED = 0, 1, 2
+
+_PLAIN_TIMELESS = (True, True)
+_PLAIN_TIMED = (True, False)
+
+
+def carry(version: Element, nodes: list[Node], kinds: list[int]) -> bool:
+    """Builder primitive: link copies of a stored version's ``nodes`` into ``version``.
+
+    ``version`` is the next version of the same id, still under
+    construction (a detached root nothing has navigated); ``nodes`` are
+    children of its predecessor that its write left unchanged, and
+    ``kinds`` says what lies below each element among them.  Text,
+    comments and processing instructions are copied; an element that is
+    not ``MIXED`` becomes a stand-in that reads the predecessor's child
+    through until touched (one node however large the child, and no child
+    list), and a ``MIXED`` one is copied eagerly.  Returns whether a comment or a
+    processing instruction was among ``nodes``.
+    """
+    link = version._link_child
+    kind_of = iter(kinds)
+    loose = False
+    for node in nodes:
+        kind = type(node)
+        if kind is Text:
+            link(Text(node.text))
+        elif isinstance(node, Element):
+            link(node.copy() if next(kind_of) == MIXED else _reused(node))
+        elif kind is Comment:
+            link(Comment(node.text))
+            loose = True
+        else:
+            link(ProcessingInstruction(node.target, node.text))
+            loose = True
+    return loose
+
+
+def vouch(version: Element, kinds: list[int], loose: bool) -> None:
+    """File what :func:`stored_verdict` would find below a stored version.
+
+    The store's builder saw everything below ``version`` as it built it:
+    ``kinds`` per child element, ``loose`` whether a comment or a
+    processing instruction is a child of its own.  ``version`` must sit
+    in its :class:`SharedElement` wrapper; no walk is needed after this.
+    """
+    worst = max(kinds, default=PLAIN)
+    if loose or worst == MIXED:
+        verdict = _NOT_PLAIN
+    else:
+        verdict = _PLAIN_TIMELESS if worst == PLAIN else _PLAIN_TIMED
+    version.parent.memo[version] = verdict
 
 
 class Text(Node):
@@ -601,3 +692,21 @@ def sort_document_order(nodes: Iterable[Node]) -> list[Node]:
             unique.append(node)
     unique.sort(key=document_order_key)
     return unique
+
+
+def in_tree_order(nodes: list) -> bool:
+    """Whether ``nodes`` are parentless trees in strictly rising tree-id order.
+
+    Such a sequence is in document order and holds no node twice, and so
+    does what child steps from it select: each tree's children come in
+    order, and every node of one tree precedes every node of the next.
+    """
+    last = 0
+    for node in nodes:
+        if not isinstance(node, _Container) or node.parent is not None:
+            return False
+        tree_id = node._tree_id
+        if tree_id <= last:
+            return False
+        last = tree_id
+    return True

@@ -20,7 +20,10 @@ The DOM build (:func:`parse_document` / :func:`parse_fragment`) is a thin
 replay of the event stream.  The replay builders (:func:`build_document` /
 :func:`build_fragment`) are also the only sanctioned way to materialize
 event buffers captured by the streaming automaton runtime
-(:mod:`repro.xquery.automata` stays DOM-free).
+(:mod:`repro.xquery.automata` stays DOM-free).  :class:`PayloadBuilder`
+builds nodes in expat's handlers instead, with no event in between: the
+fragment store reads a filler's payload through it and learns where each
+payload child begins, so that a later version parses only what changed.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from pyexpat import ErrorString, ExpatError, ParserCreate
 from typing import Iterable, Union
 
 from repro.dom.nodes import (
+    _LIFESPAN_ATTRS,
+    MIXED,
+    PLAIN,
+    TIMED,
     Comment,
     Document,
     Element,
@@ -39,6 +46,7 @@ from repro.dom.nodes import (
 __all__ = [
     "XMLParseError",
     "EventParser",
+    "PayloadBuilder",
     "iter_events",
     "build_document",
     "build_fragment",
@@ -52,6 +60,8 @@ __all__ = [
 # non-ASCII name keeps that to texts no stream writes.
 _WRAPPER_OPEN = "<ξ>"
 _WRAPPER_CLOSE = "</ξ>"
+#: expat's byte index of the first character after the wrapper's start tag.
+_WRAPPER_BYTES = len(_WRAPPER_OPEN.encode("utf-8"))
 
 
 class XMLParseError(ValueError):
@@ -260,6 +270,163 @@ class EventParser:
         if line == 1:
             offset += self._shift
         return XMLParseError(message, line + self._lines, offset + 1)
+
+
+class PayloadBuilder(EventParser):
+    """Builds a filler's payload in expat's handlers, and maps its children.
+
+    :meth:`payload` reads a whole ``<filler>`` envelope and returns its
+    payload element, detached: the tree :func:`parse_fragment` gives for
+    the same text, with no event tuple made on the way.  :meth:`extend`
+    reads a run of payload content into a version under construction.
+    Either way the builder records, per child element of the payload:
+
+    ``starts``
+        where its start tag begins: expat's byte index, less the
+        fragment wrapper's (an index into the text while it is ASCII)
+    ``slots``
+        its position among the payload's child nodes
+    ``kinds``
+        what lies below it, itself included: :data:`~repro.dom.nodes.PLAIN`,
+        :data:`~repro.dom.nodes.TIMED` or :data:`~repro.dom.nodes.MIXED`
+
+    and ``loose``: whether a comment or a processing instruction is a
+    child of the payload itself.  After :meth:`payload`, ``head`` is where
+    the payload's start tag begins and ``end`` where its end tag does;
+    ``end`` is ``-1`` when the indexes do not place the payload in the
+    text (a lead was skipped, or the payload has no child to place).
+
+    One text per builder: each expat parser is let go when its text ends.
+    """
+
+    __slots__ = (
+        "_stack", "_level", "_floor", "_payload",
+        "head", "end", "starts", "slots", "kinds", "loose",
+    )
+
+    def __init__(self) -> None:
+        self._stack: list[Element] = []
+        self._level = 2  # open elements above a payload child: envelope, payload
+        self._floor = 0  # open elements the fragment wrapper's end finds
+        self._payload = None
+        self.head = self.end = -1
+        self.starts: list[int] = []
+        self.slots: list[int] = []
+        self.kinds: list[int] = []
+        self.loose = False
+        super().__init__(fragment=True)
+
+    def payload(self, text: str) -> Element:
+        """The payload element of the envelope ``text`` (validated before)."""
+        self._read(text)
+        if text[:1] != "<" or text[1:2] in ("?", ""):
+            self.end = -1  # a lead was skipped: the indexes are the body's
+        return self._payload
+
+    def extend(self, version: Element, text: str) -> bool:
+        """Read ``text`` as payload content into ``version``, after its children.
+
+        ``version`` is a detached element under construction.  False when
+        ``text`` is not content on its own (an unclosed element or
+        comment, a stray end tag, ...): ``version`` then holds part of it
+        and must be dropped.
+        """
+        self._stack.append(version)
+        self._level = self._floor = 1
+        self._lead = None  # content: no declaration to skip
+        try:
+            self._read(text)
+        except XMLParseError:
+            return False
+        return True
+
+    def _read(self, text: str) -> None:
+        """Parse all of ``text``; the one place a builder parses."""
+        try:
+            self.feed(text)
+            self._finish()
+        finally:
+            self._parser = None  # also after an error: no parser cycle stays
+
+    # -- handlers ------------------------------------------------------------
+
+    def _text(self) -> None:
+        pieces = self._pieces
+        text = "".join(pieces)
+        pieces.clear()
+        stack = self._stack
+        if len(stack) >= self._level and not text.isspace():
+            stack[-1]._link_child(Text(text))
+
+    def _start(self, tag, attrs):
+        if self._pieces:
+            self._text()
+        stack = self._stack
+        depth = len(stack)
+        level = self._level
+        if depth > level:
+            kinds = self.kinds
+            if tag == "hole":
+                kinds[-1] = MIXED
+            elif attrs and kinds[-1] == PLAIN and not _LIFESPAN_ATTRS.isdisjoint(attrs):
+                kinds[-1] = TIMED
+        elif depth == level:
+            self.starts.append(self._parser.CurrentByteIndex - _WRAPPER_BYTES)
+            self.slots.append(len(stack[-1]._children))
+            if tag == "hole":
+                self.kinds.append(MIXED)
+            elif attrs and not _LIFESPAN_ATTRS.isdisjoint(attrs):
+                self.kinds.append(TIMED)
+            else:
+                self.kinds.append(PLAIN)
+        elif depth == 1 and self._payload is None:
+            self.head = self._parser.CurrentByteIndex - _WRAPPER_BYTES
+        stack.append(Element(tag, attrs))
+
+    def _end(self, tag):
+        if self._pieces:
+            self._text()
+        stack = self._stack
+        depth = len(stack)
+        if depth == self._floor:
+            return  # the fragment wrapper's end
+        node = stack.pop()
+        if depth > self._level:
+            stack[-1]._link_child(node)
+        elif depth == self._level and self._payload is None:
+            # The payload: left detached, as parse_filler leaves it.
+            self._payload = node
+            if node._children:  # else maybe <payload/>: no end tag to place
+                self.end = self._parser.CurrentByteIndex - _WRAPPER_BYTES
+
+    def _markup(self, data):
+        # EventParser._markup's reading, building instead of emitting.
+        if data == "]]>":
+            pieces = self._pieces
+            node = Text("".join(pieces))
+            pieces.clear()
+        else:
+            if self._pieces:
+                self._text()
+            if data.startswith("<!--"):
+                node = Comment(data[4:-3])
+            elif data.startswith("<?"):
+                target, *body = data[2:-2].split(None, 1)
+                node = ProcessingInstruction(target, body[0].rstrip() if body else "")
+            elif data.startswith("&"):
+                raise _Reject(f"unknown entity {data}", len(data))
+            else:
+                return
+        stack = self._stack
+        depth = len(stack)
+        if depth < self._level:
+            return
+        stack[-1]._link_child(node)
+        if type(node) is not Text:
+            if depth == self._level:
+                self.loose = True
+            else:
+                self.kinds[-1] = MIXED
 
 
 def iter_events(

@@ -34,6 +34,19 @@ own attributes when it is built and reads only what lies below.  A history rewri
 a re-published snapshot, ``set_tag_structure``, ``prune_before``,
 ``clear``) drops the wrapper instead and the next read builds a new one.
 
+A version stands on its predecessor.  The store reads a payload kept as
+wire text through ``dom.parser.PayloadBuilder``, which notes where each
+payload child begins.  The next version of a temporal id is built from
+the middle of its text that differs from its predecessor's; every child
+of the predecessor before or after that middle is carried over as a
+one-node stand-in on it (``dom.nodes.carry``), which builds its own
+children the first time something reads them and never changes the
+predecessor.  A child with a comment, a processing instruction or a hole
+below it is copied eagerly instead.  Every version still serialises as a
+full parse of its text would; only fewer nodes exist until a query
+touches them.  Event and snapshot versions, and ``use_cache=False``
+stores, are parsed in full.
+
 Document order ranks the cached wrappers by their filler id's first
 arrival: the store reserves a tree id per filler id at first ingest
 and gives it to every wrapper it caches for that id.
@@ -46,11 +59,13 @@ get_fillers as a join — the index is the hash-join side), and
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right, insort
 from collections import OrderedDict
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from repro.dom.nodes import Document, Element, SharedElement, new_tree_id
+from repro.dom.nodes import Document, Element, SharedElement, carry, new_tree_id, vouch
+from repro.dom.parser import PayloadBuilder
 from repro.fragments.model import Filler
 from repro.fragments.tagstructure import TagStructure, TagType
 from repro.temporal.chrono import XSDateTime
@@ -63,6 +78,125 @@ _UNBUILT = object()
 
 # Shared empty endpoint list; never mutated.
 _NO_ENDPOINTS: list[float] = []
+
+# A start tag (an attribute value may hold ``>``), and an envelope's,
+# with the whitespace that may follow it before the payload.
+_TAG = r"""<[^>"']*(?:(?:"[^"]*"|'[^']*')[^>"']*)*>"""
+_START_TAG = re.compile(_TAG)
+_ENVELOPE_HEAD = re.compile(r"<filler[ \t\r\n]" + _TAG[1:] + r"[ \t\r\n]*")
+
+
+class _Built(NamedTuple):
+    """How the store built an id's last version from its wire text.
+
+    ``text`` is the text the id's ``LazyFiller`` keeps (the same object,
+    not a copy), ASCII, so its characters are expat's bytes.  ``head``
+    is where the payload's start tag begins and ``body`` where its
+    content does; ``seams`` are, relative to ``body``, where each child
+    element of the payload begins and, last, where the payload's end tag
+    does; ``slots`` the position of each among the version's child nodes
+    (the last: their count).  ``kinds`` says what lies below each child
+    element, ``loose`` whether a comment or a processing instruction is
+    a child of the payload, and ``attrs`` are the payload's attributes
+    before the lifespan stamp.
+    """
+
+    text: str
+    head: int
+    body: int
+    seams: list[int]
+    slots: list[int]
+    kinds: list[int]
+    loose: bool
+    attrs: dict[str, str]
+
+
+def _same_head(a: str, i: int, b: str, j: int, limit: int) -> int:
+    """Length of the common prefix of ``a[i:]`` and ``b[j:]``, at most ``limit``."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if b.startswith(a[i : i + mid], j):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _same_tail(a: str, b: str, limit: int) -> int:
+    """Length of the common suffix of ``a`` and ``b``, at most ``limit``."""
+    lo, hi = 0, limit
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a.endswith(b[len(b) - mid :]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _successor(
+    text: str, previous: Element, built: _Built
+) -> tuple[Optional[Element], Optional[_Built]]:
+    """The version of ASCII envelope ``text``, built on ``previous``.
+
+    ``built`` says how ``previous`` was built from its text.  With
+    equal payload start tags, the payload contents share a head and a
+    tail.  The changed middle runs from the last seam strictly inside
+    the common head — a child element's start, or the payload's end
+    tag — to a seam at or after the common tail's start, so no text
+    run crosses either end.  Only the middle is parsed; every child of
+    ``previous`` before or after it is carried over (:func:`carry`):
+    an element as a one-node stand-in that reads ``previous``'s child
+    through, an element with a comment, a processing instruction or a
+    hole below it as an eager copy.  ``(None, None)`` when the texts do
+    not allow it — different start tags, no seam after the change, or
+    a middle that is not content on its own (it may, say, open a
+    comment that the tail's ``-->`` would close) — and the caller
+    parses the whole text.
+    """
+    old = built.text
+    head = _ENVELOPE_HEAD.match(text)
+    if head is None:
+        return None, None
+    at = head.end()
+    tag = old[built.head : built.body]
+    if not text.startswith(tag, at):
+        return None, None
+    body = at + len(tag)
+    old_size = len(old) - built.body
+    size = len(text) - body
+    limit = min(old_size, size)
+    same_head = _same_head(old, built.body, text, body, limit)
+    same_tail = _same_tail(old, text, limit)
+    grow = size - old_size
+    seams, slots, kinds = built.seams, built.slots, built.kinds
+    first = bisect_left(seams, same_head) - 1  # the last seam inside the head
+    kept = max(first, 0)  # child elements before the middle
+    x = seams[first] if first >= 0 else 0
+    last = bisect_left(seams, max(old_size - same_tail, x, x - grow), kept)
+    if last == len(seams):
+        return None, None
+    y = seams[last]
+    version = Element(previous.tag, built.attrs)
+    children = previous.children
+    lo = slots[first] if first >= 0 else 0
+    loose = carry(version, children[:lo], kinds[:kept])
+    builder = PayloadBuilder()
+    if y + grow > x and not builder.extend(version, text[body + x : body + y + grow]):
+        return None, None
+    mark = len(version.children)
+    hi = slots[last]
+    loose = carry(version, children[hi:], kinds[last:]) or builder.loose or loose
+    return version, _Built(
+        text, at, body,
+        seams[:kept] + [x + start for start in builder.starts]
+        + [seam + grow for seam in seams[last:]],
+        slots[:kept] + builder.slots + [slot - hi + mark for slot in slots[last:]],
+        kinds[:kept] + builder.kinds + kinds[last:],
+        loose,
+        built.attrs,
+    )
 
 
 class FragmentStore:
@@ -93,6 +227,9 @@ class FragmentStore:
         # Ids whose cached wrapper a write has got ahead of: the next read
         # appends the missing versions (a set test keeps the hit cheap).
         self._behind: set[int] = set()
+        # Temporal filler id -> how its cached wrapper's last version was
+        # built from wire text: its successor parses only what changed.
+        self._built: dict[int, _Built] = {}
         # Per-bucket epoch keys, kept aligned with _by_id: append() inserts
         # with bisect instead of re-sorting the whole bucket per ingest.
         self._sort_keys: dict[int, list[float]] = {}
@@ -224,6 +361,7 @@ class FragmentStore:
         if wrapper is not None:
             wrapper.disown()
         self._behind.discard(filler_id)
+        self._built.pop(filler_id, None)
         self._endpoint_cache.pop(filler_id, None)
         self.invalidations += 1
 
@@ -233,6 +371,7 @@ class FragmentStore:
             wrapper.disown()
         self._wrapper_cache.clear()
         self._behind.clear()
+        self._built.clear()
         self._endpoint_cache.clear()
 
     def extend(self, fillers: Iterable[Filler]) -> int:
@@ -325,6 +464,8 @@ class FragmentStore:
         caching on this is the child list of the :meth:`get_fillers`
         wrapper itself — a live, read-only list, parented by the wrapper,
         that a later read of the id may extend (see the module docstring).
+        A version may hold stand-ins on its predecessor's children; a
+        stand-in builds its own children the first time they are read.
         """
         if self.use_cache:
             return self.get_fillers(filler_id).children
@@ -352,7 +493,7 @@ class FragmentStore:
         if cached is not None:
             if cached.parent is None:
                 if filler_id in self._behind:
-                    self._catch_up(cached, self._by_id[filler_id])
+                    self._catch_up(filler_id, cached, self._by_id[filler_id])
                     self._behind.discard(filler_id)
                 return cached
             self._rewritten(filler_id)  # a caller adopted it
@@ -389,33 +530,86 @@ class FragmentStore:
 
         ``shared`` marks the one the cache keeps: callers only read it, and
         the store only appends versions and restamps their lifespans, so a
-        projection may stand on its versions instead of copying them.  It
-        carries the id's reserved tree id.
+        projection may stand on its versions instead of copying them, and
+        so may the id's next version (:meth:`_grow`).  It carries the id's
+        reserved tree id.
         """
         attrs = {"id": str(filler_id)}
-        if shared:
-            wrapper = SharedElement("filler", attrs, self._tree_ids.get(filler_id))
-        else:
+        if not shared:
             wrapper = Element("filler", attrs)
-        for version in self._annotate(fillers):
-            wrapper.append(version)
+            for version in self._annotate(fillers):
+                wrapper.append(version)
+            return wrapper
+        wrapper = SharedElement("filler", attrs, self._tree_ids.get(filler_id))
+        if fillers and self._type_of(fillers[0].tsid) is TagType.SNAPSHOT:
+            wrapper.append(self._annotate(fillers)[0])
+        else:
+            self._grow(filler_id, wrapper, fillers, 0)
         return wrapper
 
-    def _catch_up(self, wrapper: SharedElement, fillers: list[Filler]) -> None:
+    def _catch_up(self, filler_id: int, wrapper: SharedElement, fillers: list[Filler]) -> None:
         """Bring a cached wrapper up to its id's fillers, parsing only the new.
 
         The wrapper holds the versions of ``fillers[:held]``, at least one:
         :meth:`_written` drops every other kind.  The previous last
         version's lifespan is restamped — a temporal one closes its
-        ``vtTo`` at its successor — and the rest are parsed, stamped and
+        ``vtTo`` at its successor — and the rest are built, stamped and
         appended.
         """
         held = len(wrapper.children)
         self._stamp(wrapper.children[-1], fillers, held - 1)
-        for position in range(held, len(fillers)):
-            version = fillers[position].detached_content()
+        self._grow(filler_id, wrapper, fillers, held)
+
+    def _grow(
+        self, filler_id: int, wrapper: SharedElement, fillers: list[Filler], start: int
+    ) -> None:
+        """Build, stamp and append to ``wrapper`` the versions of ``fillers[start:]``.
+
+        A payload kept as wire text is built by a :class:`PayloadBuilder`.
+        A temporal version whose predecessor was built that way is built on
+        it (:func:`_successor`): only what the write changed is parsed.
+        """
+        built = self._built.pop(filler_id, None) if start else None
+        for position in range(start, len(fillers)):
+            version, built = self._build(fillers[position], wrapper, built)
             self._stamp(version, fillers, position)
             wrapper.append(version)
+            if built is not None:
+                vouch(version, built.kinds, built.loose)
+        if built is not None:
+            self._built[filler_id] = built
+
+    def _build(
+        self, filler: Filler, wrapper: SharedElement, built: Optional[_Built]
+    ) -> tuple[Element, Optional[_Built]]:
+        """An unstamped version of ``filler``, and how it was built if a successor may use it.
+
+        ``built`` describes the wrapper's last version.  No record is
+        kept for an event or snapshot version (nothing is built on it),
+        nor for one whose text the offsets cannot index (non-ASCII, a
+        lead before the envelope, an empty payload).
+        """
+        text = filler.wire_text
+        if text is None:
+            return filler.detached_content(), None
+        temporal = self._type_of(filler.tsid) is TagType.TEMPORAL
+        if built is not None and text.isascii():
+            version, successor = _successor(text, wrapper.children[-1], built)
+            if version is not None:
+                return version, successor if temporal else None
+        builder = PayloadBuilder()
+        version = builder.payload(text)
+        if not temporal or builder.end < 0 or not text.isascii():
+            return version, None
+        body = _START_TAG.match(text, builder.head).end()
+        seams = [start - body for start in builder.starts]
+        seams.append(builder.end - body)
+        slots = builder.slots
+        slots.append(len(version.children))
+        return version, _Built(
+            text, builder.head, body, seams, slots, builder.kinds, builder.loose,
+            dict(version.attrs),
+        )
 
     def _annotate(self, fillers: list[Filler]) -> list[Element]:
         """Lifespan-stamped payload trees, built anew and owned by the caller."""

@@ -42,6 +42,7 @@ from repro.dom.nodes import (
     Node,
     Text,
     document_order_key,
+    in_tree_order,
     sort_document_order,
 )
 from repro.temporal.chrono import ChronoError, XSDateTime, XSDuration
@@ -1280,9 +1281,10 @@ def _c_path(expr: xast.PathExpr, scope: _ModuleScope) -> Plan:
 
     # Child steps from one node keep document order and never meet a node
     # twice: each step's input is nodes of one depth below that node, in
-    # order, so their children come out in order too.  Such a path skips
-    # the sort, which would number the whole tree (and build every
-    # copy-on-touch node of a temporalized view).
+    # order, so their children come out in order too.  The same holds
+    # from parentless trees in rising tree order (the store's wrappers, as
+    # get_fillers_by_tsid returns them).  Such a path skips the sort,
+    # which would number every tree it meets.
     child_only = all(step.axis == "child" for step in expr.steps)
 
     if steps:
@@ -1297,7 +1299,7 @@ def _c_path(expr: xast.PathExpr, scope: _ModuleScope) -> Plan:
                         "relative path with undefined context item"
                     )
                 seq = [ctx.item]
-            ordered = child_only and len(seq) <= 1
+            ordered = child_only and (len(seq) <= 1 or in_tree_order(seq))
             for step in steps:
                 seq = step(seq, ctx)
             if len(seq) > 1 and not ordered:

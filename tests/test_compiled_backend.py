@@ -405,3 +405,63 @@ class TestChildPathFromOneNodeSkipsTheSort:
         interpreted, compiled, renumbered = self._both(monkeypatch, source)
         assert compiled == interpreted == expected
         assert renumbered > 0
+
+
+class TestChildPathFromRisingRootsSkipsTheSort:
+    """Child steps from parentless trees in rising tree order need no sort.
+
+    That is how the store hands out its wrappers (``get_fillers_by_tsid``):
+    the path returns what the steps built, numbering no tree.  Roots out
+    of order, a root given twice, a non-root among them, or a step that is
+    not ``child`` still sort and drop duplicates.
+    """
+
+    def _run(self, monkeypatch, source: str, base: list) -> tuple[list, list, int]:
+        """(interpreted, compiled, _renumber calls of the compiled run)."""
+        from repro.dom.nodes import _Container
+
+        module = parse(source, xcql=True)
+        interpreted = Evaluator(Context(variables={"w": base})).evaluate_module(module)
+        for node in base:
+            node.root()._dirty = True  # as a write leaves a wrapper
+        calls = [0]
+        renumber = _Container._renumber
+
+        def counting(container):
+            calls[0] += 1
+            renumber(container)
+
+        monkeypatch.setattr(_Container, "_renumber", counting)
+        compiled = compile_module(module)(Context(variables={"w": base}))
+        return normalized(interpreted), normalized(compiled), calls[0]
+
+    @staticmethod
+    def _trees() -> list:
+        from repro.dom import parse_fragment
+
+        return [
+            parse_fragment(f"<w><a><b>{i}1</b><b>{i}2<b>{i}5</b></b></a><a><b>{i}3</b></a></w>")[0]
+            for i in range(3)
+        ]
+
+    @pytest.mark.parametrize("source", ["$w/a/b", "$w/a/b[1]/text()", "$w/*", "$w/a[b]/b"])
+    def test_rising_roots_keep_order_unnumbered(self, monkeypatch, source):
+        interpreted, compiled, renumbered = self._run(monkeypatch, source, self._trees())
+        assert compiled == interpreted and compiled
+        assert renumbered == 0
+
+    @pytest.mark.parametrize(
+        "source, pick",
+        [
+            ("$w/a/b", lambda t: [t[2], t[0], t[1]]),  # out of tree order
+            ("$w/a/b", lambda t: [t[0], t[1], t[1]]),  # a root twice
+            ("$w/b", lambda t: [t[0], t[1].children[0], t[0].children[0]]),  # not roots
+            ("$w//b", lambda t: t),  # descendant step
+            ("$w/a/b/..", lambda t: t),  # parent step
+        ],
+    )
+    def test_other_bases_and_steps_still_sort_and_dedupe(self, monkeypatch, source, pick):
+        trees = self._trees()
+        interpreted, compiled, renumbered = self._run(monkeypatch, source, pick(trees))
+        assert compiled == interpreted and compiled
+        assert renumbered > 0

@@ -21,10 +21,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.fragments.model as model
 from repro import FragmentStore, Strategy, TagStructure, XCQLEngine
 from repro.dom import serialize
 from repro.dom.nodes import Element
+from repro.dom.parser import PayloadBuilder
 from repro.fragments.model import Filler
 from repro.temporal import XSDateTime
 from repro.xmark.schema import AUCTION_STREAM
@@ -163,24 +163,32 @@ class TestLiveWrapperMatchesTheScan:
 
 
 def _count_parses(monkeypatch) -> list[int]:
-    """Count payload parses from wire text (what a lazy filler's read costs)."""
-    calls = [0]
-    parse = model.parse_filler
+    """Count payload parses from wire text, and the characters they read.
 
-    def counting(source):
-        calls[0] += isinstance(source, str)
-        return parse(source)
+    The store reads every payload kept as text through a
+    ``PayloadBuilder``: a whole envelope, or only the part a write
+    changed.
+    """
+    counts = [0, 0]
+    read = PayloadBuilder._read
 
-    monkeypatch.setattr(model, "parse_filler", counting)
-    return calls
+    def counting(builder, text):
+        counts[0] += 1
+        counts[1] += len(text)
+        return read(builder, text)
+
+    monkeypatch.setattr(PayloadBuilder, "_read", counting)
+    return counts
 
 
 class TestReadParsesOnlyNewVersions:
     @pytest.mark.parametrize("tsid", [2, 3], ids=["temporal", "shared-event-id"])
     def test_n_tail_writes_then_one_read_parse_n_payloads(self, tsid, monkeypatch):
+        def payload(day: int) -> Element:
+            return Element(TAGS[tsid]).add_text(str(day))
+
         def envelope(day: int) -> str:
-            content = Element(TAGS[tsid]).add_text(str(day))
-            return Filler(7, tsid, XSDateTime(2003, 1, day), content).to_xml()
+            return Filler(7, tsid, XSDateTime(2003, 1, day), payload(day)).to_xml()
 
         engine = XCQLEngine(default_now=NOW)
         store = engine.register_stream("s", PLAIN)
@@ -188,11 +196,16 @@ class TestReadParsesOnlyNewVersions:
         wrapper = store.get_fillers(7)
         parses = _count_parses(monkeypatch)
         writes = 6
-        for day in range(11, 11 + writes):
+        days = range(11, 11 + writes)
+        for day in days:
             engine.feed_raw("s", envelope(day))
         assert parses[0] == 0  # ingest stays parse-free
         assert store.get_fillers(7) is wrapper
         assert parses[0] == writes
+        if tsid == 2:
+            # Each temporal version shares its payload's head and tail with
+            # its predecessor's: only the changed middle is read.
+            assert parses[1] < sum(len(serialize(payload(day))) for day in days)
         assert store.get_fillers(7) is wrapper and parses[0] == writes
         reference = FragmentStore(PLAIN, use_cache=False)
         reference.extend(store.fillers_of(7))
