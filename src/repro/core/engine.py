@@ -146,9 +146,9 @@ class CompiledQuery:
 class XCQLEngine:
     """Compiles and runs XCQL queries over registered fragment streams.
 
-    ``default_backend`` selects how queries execute (``"compiled"``, the
-    closure-compilation backend, or ``"interpreted"``, the AST walker) and
-    ``plan_cache_size`` bounds the LRU plan cache that makes repeated
+    Queries execute on the closure-compilation backend unless a call asks
+    for the AST walker (``backend="interpreted"``).  ``plan_cache_size``
+    bounds the LRU plan cache that makes repeated
     ``execute(source)`` calls — and every continuous-query re-evaluation —
     skip parse/translate/lower entirely.
     """
@@ -156,17 +156,13 @@ class XCQLEngine:
     def __init__(
         self,
         default_now: Optional[XSDateTime] = None,
-        default_backend: str = "compiled",
         plan_cache_size: int = 128,
         use_temporal_index: bool = True,
         merge_joins: bool = True,
     ):
-        if default_backend not in ("compiled", "interpreted"):
-            raise ValueError("default_backend must be 'compiled' or 'interpreted'")
         self.stores: dict[str, FragmentStore] = {}
         self.tag_structures: dict[str, TagStructure] = {}
         self.default_now = default_now or XSDateTime(2000, 1, 1)
-        self.default_backend = default_backend
         self.use_temporal_index = use_temporal_index
         self.merge_joins = merge_joins
         self.temporal_index = _TemporalIndexHook(self)
@@ -464,7 +460,7 @@ class XCQLEngine:
 
         ``backend`` selects the execution backend (``"compiled"`` lowers
         the translated AST into a closure plan; ``"interpreted"`` keeps
-        the tree walker); ``None`` uses the engine's ``default_backend``.
+        the tree walker); ``None`` means ``"compiled"``.
         ``merge_joins`` overrides the engine-level knob that lowers
         interval-comparison joins to sort-merge plans and correlated
         ``=`` joins to hash joins (compiled backend only).
@@ -517,7 +513,7 @@ class XCQLEngine:
 
     def _resolve_backend(self, backend: Optional[str]) -> str:
         if backend is None:
-            return self.default_backend
+            return "compiled"
         if backend not in ("compiled", "interpreted"):
             raise ValueError("backend must be 'compiled' or 'interpreted'")
         return backend

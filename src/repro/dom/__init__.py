@@ -7,8 +7,9 @@ substrate without relying on any external XML library:
 - :mod:`repro.dom.nodes` — the node model (document, element, text, comment,
   processing instruction and attribute nodes) with parent links and document
   order, as required by XQuery path semantics;
-- :mod:`repro.dom.parser` — a hand-written, validating-enough XML parser
-  (entities, CDATA, comments, PIs, DOCTYPE) with line/column diagnostics;
+- :mod:`repro.dom.parser` — an XML tokenizer and tree builder on the
+  stdlib's expat (entities, CDATA, comments, PIs, DOCTYPE) with
+  line/column diagnostics;
 - :mod:`repro.dom.serializer` — serialization with correct escaping and an
   optional pretty-printer;
 - :mod:`repro.dom.dtd` — a reader for the internal-subset DTDs the paper

@@ -16,14 +16,14 @@ expanded in content: a reference to one is an "unknown entity" error.
 tokenizer the tests keep as a reference (a literal tab in an attribute
 value reads as a space, ``]]>`` in content is an error, ...).
 
-The DOM build (:func:`parse_document` / :func:`parse_fragment`) is a thin
-replay of the event stream.  The replay builders (:func:`build_document` /
-:func:`build_fragment`) are also the only sanctioned way to materialize
-event buffers captured by the streaming automaton runtime
-(:mod:`repro.xquery.automata` stays DOM-free).  :class:`PayloadBuilder`
-builds nodes in expat's handlers instead, with no event in between: the
-fragment store reads a filler's payload through it and learns where each
-payload child begins, so that a later version parses only what changed.
+Every text becomes a tree one way: :class:`TreeBuilder` builds nodes in
+expat's handlers, with no event in between.  :func:`parse_document` and
+:func:`parse_fragment` read through it, and so does the fragment store,
+which also learns where each payload child begins, so that a later
+version parses only what changed.  Event tuples become nodes only in
+:func:`build_fragment_indexed`, which materializes the event buffers the
+streaming automaton runtime captures (:mod:`repro.xquery.automata` stays
+DOM-free).
 """
 
 from __future__ import annotations
@@ -46,10 +46,8 @@ from repro.dom.nodes import (
 __all__ = [
     "XMLParseError",
     "EventParser",
-    "PayloadBuilder",
+    "TreeBuilder",
     "iter_events",
-    "build_document",
-    "build_fragment",
     "build_fragment_indexed",
     "parse_document",
     "parse_fragment",
@@ -272,29 +270,34 @@ class EventParser:
         return XMLParseError(message, line + self._lines, offset + 1)
 
 
-class PayloadBuilder(EventParser):
-    """Builds a filler's payload in expat's handlers, and maps its children.
+class TreeBuilder(EventParser):
+    """Builds nodes in expat's handlers, and maps a container's children.
 
-    :meth:`payload` reads a whole ``<filler>`` envelope and returns its
-    payload element, detached: the tree :func:`parse_fragment` gives for
-    the same text, with no event tuple made on the way.  :meth:`extend`
-    reads a run of payload content into a version under construction.
-    Either way the builder records, per child element of the payload:
+    :meth:`into` reads a text as content of a detached root: a
+    :class:`~repro.dom.nodes.Document` in document mode, an element in
+    ``fragment`` mode (:func:`parse_document`, :func:`parse_fragment`, a
+    stored version under construction).  :meth:`payload` reads a whole
+    ``<filler>`` envelope in ``fragment`` mode and returns its payload
+    element, detached.  No event tuple is made on the way: the nodes are
+    the ones :func:`build_fragment_indexed` replays from the events
+    :class:`EventParser` reads in the same text and mode.  In ``fragment``
+    mode the builder also records, per child element of the container
+    or payload:
 
     ``starts``
         where its start tag begins: expat's byte index, less the
         fragment wrapper's (an index into the text while it is ASCII)
     ``slots``
-        its position among the payload's child nodes
+        its position among the container's child nodes
     ``kinds``
         what lies below it, itself included: :data:`~repro.dom.nodes.PLAIN`,
         :data:`~repro.dom.nodes.TIMED` or :data:`~repro.dom.nodes.MIXED`
 
     and ``loose``: whether a comment or a processing instruction is a
-    child of the payload itself.  After :meth:`payload`, ``head`` is where
-    the payload's start tag begins and ``end`` where its end tag does;
-    ``end`` is ``-1`` when the indexes do not place the payload in the
-    text (a lead was skipped, or the payload has no child to place).
+    child of the container itself.  After :meth:`payload`, ``head`` is
+    where the payload's start tag begins and ``end`` where its end tag
+    does; ``end`` is ``-1`` when the indexes do not place the payload in
+    the text (a lead was skipped, or the payload has no child to place).
 
     One text per builder: each expat parser is let go when its text ends.
     """
@@ -304,8 +307,8 @@ class PayloadBuilder(EventParser):
         "head", "end", "starts", "slots", "kinds", "loose",
     )
 
-    def __init__(self) -> None:
-        self._stack: list[Element] = []
+    def __init__(self, fragment: bool = False, keep_whitespace: bool = False):
+        self._stack: list = []
         self._level = 2  # open elements above a payload child: envelope, payload
         self._floor = 0  # open elements the fragment wrapper's end finds
         self._payload = None
@@ -314,7 +317,7 @@ class PayloadBuilder(EventParser):
         self.slots: list[int] = []
         self.kinds: list[int] = []
         self.loose = False
-        super().__init__(fragment=True)
+        super().__init__(fragment, keep_whitespace)
 
     def payload(self, text: str) -> Element:
         """The payload element of the envelope ``text`` (validated before)."""
@@ -323,19 +326,28 @@ class PayloadBuilder(EventParser):
             self.end = -1  # a lead was skipped: the indexes are the body's
         return self._payload
 
-    def extend(self, version: Element, text: str) -> bool:
-        """Read ``text`` as payload content into ``version``, after its children.
+    def into(self, container, text: str):
+        """Read ``text`` as content of ``container``, after its children.
 
-        ``version`` is a detached element under construction.  False when
-        ``text`` is not content on its own (an unclosed element or
-        comment, a stray end tag, ...): ``version`` then holds part of it
-        and must be dropped.
+        ``container`` is a detached root under construction, returned.
+        Raises :class:`XMLParseError` when ``text`` is malformed:
+        ``container`` then holds part of it and must be dropped.
         """
-        self._stack.append(version)
+        self._stack.append(container)
         self._level = self._floor = 1
+        self._read(text)
+        return container
+
+    def extend(self, version: Element, text: str) -> bool:
+        """:meth:`into` for a run of payload content: False where it raises.
+
+        False when ``text`` is not content on its own (an unclosed
+        element or comment, a stray end tag, ...): ``version`` then holds
+        part of it and must be dropped.
+        """
         self._lead = None  # content: no declaration to skip
         try:
-            self._read(text)
+            self.into(version, text)
         except XMLParseError:
             return False
         return True
@@ -355,7 +367,7 @@ class PayloadBuilder(EventParser):
         text = "".join(pieces)
         pieces.clear()
         stack = self._stack
-        if len(stack) >= self._level and not text.isspace():
+        if len(stack) >= self._level and (self._keep_ws or not text.isspace()):
             stack[-1]._link_child(Text(text))
 
     def _start(self, tag, attrs):
@@ -449,28 +461,6 @@ def iter_events(
     yield from parser.close()
 
 
-def build_document(events: Iterable[tuple]) -> Document:
-    """Replay a document-mode event stream into a :class:`Document`."""
-    document = Document()
-    stack: list = [document]
-    for event in events:
-        _apply_event(event, stack)
-    return document
-
-
-def build_fragment(events: Iterable[tuple]) -> list:
-    """Replay an event stream into a list of sibling nodes.
-
-    This is the event-replay builder used both by :func:`parse_fragment` and
-    by the streaming-automaton runtime to materialize buffered subtrees.
-    """
-    top: list = []
-    stack: list = []
-    for event in events:
-        _apply_event(event, stack, top)
-    return top
-
-
 def build_fragment_indexed(events: Iterable[tuple]) -> tuple[list, dict]:
     """Replay an event buffer and index its elements by event offset.
 
@@ -490,7 +480,7 @@ def build_fragment_indexed(events: Iterable[tuple]) -> tuple[list, dict]:
     return top, index
 
 
-def _apply_event(event: tuple, stack: list, top=None) -> None:
+def _apply_event(event: tuple, stack: list, top: list) -> None:
     kind = event[0]
     if kind == "start":
         stack.append(Element(event[1], event[2]))
@@ -504,12 +494,12 @@ def _apply_event(event: tuple, stack: list, top=None) -> None:
         _attach(ProcessingInstruction(event[1], event[2]), stack, top)
 
 
-def _attach(node, stack: list, top) -> None:
+def _attach(node, stack: list, top: list) -> None:
     if stack:
         # The open element joins its own parent only at its "end" event,
         # so it is still a detached root: the builder primitive applies.
         stack[-1]._link_child(node)
-    elif top is not None:
+    else:
         top.append(node)
 
 
@@ -519,15 +509,18 @@ def parse_document(text: str, keep_whitespace: bool = False) -> Document:
     ``keep_whitespace`` preserves whitespace-only text nodes between
     elements; by default they are dropped, matching data-oriented usage.
     """
-    return build_document(iter_events(text, keep_whitespace=keep_whitespace))
+    return TreeBuilder(keep_whitespace=keep_whitespace).into(Document(), text)
 
 
 def parse_fragment(text: str, keep_whitespace: bool = False) -> list:
     """Parse mixed content (zero or more sibling nodes) without a root.
 
     Fragment payloads on the stream are single elements, but the parser also
-    accepts text and multiple siblings for generality.
+    accepts text and multiple siblings for generality.  The nodes are read
+    into a holder and handed back with no parent.
     """
-    return build_fragment(
-        iter_events(text, fragment=True, keep_whitespace=keep_whitespace)
-    )
+    holder = TreeBuilder(True, keep_whitespace).into(Element(""), text)
+    nodes = holder._children
+    for node in nodes:
+        node.parent = None
+    return nodes

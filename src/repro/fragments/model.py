@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.dom.nodes import Element
-from repro.dom.parser import parse_fragment
+from repro.dom.parser import TreeBuilder, parse_fragment
 from repro.dom.serializer import serialize
 from repro.temporal.chrono import XSDateTime
 
@@ -91,7 +91,10 @@ class Filler:
     @property
     def wire_size(self) -> int:
         """Size of this filler on the wire, in bytes (UTF-8)."""
-        return len(self.to_xml().encode("utf-8"))
+        text = self.wire_text
+        if text is None:
+            text = self.to_xml()
+        return len(text.encode("utf-8"))
 
     def __repr__(self) -> str:
         return (
@@ -107,12 +110,14 @@ class LazyFiller(Filler):
     tokenizes the whole envelope once to validate it and drive the stream
     automata, but defers the DOM build: standing queries answered from
     automaton captures never need a tree at all.  The store's read path
-    (``versions_of`` / ``get_fillers``) parses the retained text through
-    :meth:`detached_content` into a tree *it* owns — the one DOM of the
-    stored version — and leaves the filler as text.  Only the filler's own
-    DOM-facing API — ``content``, ``holes()``, ``to_xml()``, DOM routing
-    probes — parses on demand *and retains* the result, after which the
-    instance behaves exactly like an eager :class:`Filler`.
+    (``versions_of`` / ``get_fillers``) reads the retained text with a
+    :class:`~repro.dom.parser.TreeBuilder` — in :meth:`detached_content`,
+    or in the store's own successor build — into a tree *it* owns, the one
+    DOM of the stored version, and leaves the filler as text, as
+    ``wire_size`` (the retained text's length) does.  Only the filler's
+    own DOM-facing API — ``content``, ``holes()``, ``to_xml()``,
+    DOM routing probes — parses on demand *and retains* the result, after
+    which the instance behaves exactly like an eager :class:`Filler`.
     """
 
     def __init__(
@@ -160,7 +165,7 @@ class LazyFiller(Filler):
         # The raw text was fully tokenized and validated at ingest, so
         # this re-parse cannot newly fail.  The tree is the caller's:
         # only the ``content`` getter retains one.
-        return parse_filler(self._raw).content
+        return TreeBuilder(fragment=True).payload(self._raw)
 
 
 def envelope_header(

@@ -10,8 +10,9 @@ was received matters.  Two durability tools:
   envelopes, preceded by the Tag Structure so the file is
   self-describing);
 - :class:`Journal` — an append-only log of broadcast messages (tag
-  structures and fillers, one XML document per line) that can be replayed
-  into any subscriber, e.g. to bootstrap a late-joining client.
+  structures and fillers, one record per line) that can be replayed
+  into any subscriber, e.g. to bootstrap a late-joining client.  A
+  record gives back exactly the payload text that was broadcast.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Iterator, Optional, Tuple, Union
 from typing import TYPE_CHECKING
 
 from repro.dom.nodes import Element
-from repro.dom.parser import parse_document, parse_fragment
+from repro.dom.parser import parse_document
 from repro.dom.serializer import serialize
 from repro.fragments.model import parse_filler
 from repro.fragments.store import FragmentStore
@@ -37,6 +38,11 @@ TAG_STRUCTURE = "tag_structure"
 FILLER = "filler"
 
 __all__ = ["save_store", "load_store", "Journal"]
+
+# How a journal record holding a line break stays one line (Journal._line).
+_ESCAPE = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+_UNESCAPE = re.compile(r"\\([\\nr])")
+_UNESCAPED = {"\\": "\\", "n": "\n", "r": "\r"}
 
 
 def save_store(store: FragmentStore, path: Union[str, os.PathLike]) -> int:
@@ -91,8 +97,12 @@ class Journal:
         channel.subscribe(journal.record)
 
     Each record is one line: ``<journal kind=... stream=...>payload</journal>``
-    with the payload embedded verbatim (payloads are single-line XML as
-    serialized by the servers).
+    with the payload embedded verbatim.  A payload that holds a line feed
+    or a carriage return is escaped instead, so that its record stays one
+    line: the record carries ``escaped="1"``, and a backslash, a line
+    feed and a carriage return are written ``\\\\``, ``\\n`` and ``\\r``.
+    Every reader slices the payload out of the record as text
+    (:meth:`read_indexed`), so it gets back the bytes that were sent.
     """
 
     def __init__(self, path: Union[str, os.PathLike]):
@@ -141,44 +151,24 @@ class Journal:
 
     @staticmethod
     def _line(message: "Message") -> str:
-        payload = message.payload.replace("\n", " ")
+        payload, flag = message.payload, ""
+        if "\n" in payload or "\r" in payload:
+            payload, flag = payload.translate(_ESCAPE), ' escaped="1"'
         return (
-            f'<journal kind="{message.kind}" stream="{message.stream}">'
+            f'<journal kind="{message.kind}" stream="{message.stream}"{flag}>'
             f"{payload}</journal>\n"
         )
 
     # -- reading ---------------------------------------------------------------------
 
     def read(self) -> "Iterator[Message]":
-        """Iterate the journaled messages in arrival order."""
-        if not os.path.exists(self.path):
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                nodes = [
-                    n for n in parse_fragment(line) if isinstance(n, Element)
-                ]
-                if len(nodes) != 1 or nodes[0].tag != "journal":
-                    raise ValueError(f"{self.path}:{line_number}: corrupt record")
-                envelope = nodes[0]
-                kind = envelope.attrs.get("kind", "")
-                stream = envelope.attrs.get("stream", "")
-                if kind not in (TAG_STRUCTURE, FILLER):
-                    raise ValueError(
-                        f"{self.path}:{line_number}: unknown record kind {kind!r}"
-                    )
-                payload = "".join(
-                    serialize(child) for child in envelope.child_elements()
-                )
-                from repro.streams.transport import Message
-
-                yield Message(kind, stream, payload)
+        """Iterate the journaled messages in arrival order (:meth:`read_indexed`'s)."""
+        for _seq, message in self.read_indexed():
+            yield message
 
     _RECORD_RE = re.compile(
-        r'^<journal kind="([^"]*)" stream="([^"]*)">(.*)</journal>$', re.DOTALL
+        r'^<journal kind="([^"]*)" stream="([^"]*)"( escaped="1")?>(.*)</journal>$',
+        re.DOTALL,
     )
 
     def read_indexed(self, after: int = 0) -> "Iterator[Tuple[int, Message]]":
@@ -186,16 +176,14 @@ class Journal:
 
         ``seq`` is the 1-based record index — the sequence number the
         network server stamps on wire entries and a reconnecting client
-        hands back in CATCHUP.  Two differences from :meth:`read` make
-        this the bootstrap path:
-
-        - records at or before ``after`` are skipped *before* any
-          parsing, so resuming near the tail of a long journal does not
-          pay for its history;
-        - the payload is sliced out of the record textually (``_line``
-          embeds it verbatim), not parsed and re-serialized, so a
-          caught-up client receives byte-identical wire text — which the
-          raw-event ingest path requires.
+        hands back in CATCHUP.  Records at or before ``after`` are
+        skipped *before* any parsing, so resuming near the tail of a long
+        journal does not pay for its history.  The payload is sliced out
+        of the record textually (``_line`` embeds it verbatim, or escaped
+        where the record says so), not parsed and re-serialized, so
+        catch-up, failover, cold start and :meth:`replay` hand on
+        byte-identical wire text — which the raw-event ingest path
+        requires.
         """
         if not os.path.exists(self.path):
             return
@@ -209,7 +197,9 @@ class Journal:
                 match = self._RECORD_RE.match(line)
                 if match is None:
                     raise ValueError(f"{self.path}:{seq}: corrupt record")
-                kind, stream, payload = match.groups()
+                kind, stream, escaped, payload = match.groups()
+                if escaped:
+                    payload = _UNESCAPE.sub(lambda m: _UNESCAPED[m[1]], payload)
                 if kind not in (TAG_STRUCTURE, FILLER):
                     raise ValueError(
                         f"{self.path}:{seq}: unknown record kind {kind!r}"
@@ -246,7 +236,7 @@ class Journal:
                 match = self._RECORD_RE.match(line.rstrip("\n"))
                 if match is None:
                     continue
-                kind, stream, payload = match.groups()
+                kind, stream, _escaped, payload = match.groups()
                 if kind != FILLER:
                     continue
                 filler = self._FILLER_ID_RE.search(payload)

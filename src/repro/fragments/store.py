@@ -35,7 +35,7 @@ a re-published snapshot, ``set_tag_structure``, ``prune_before``,
 ``clear``) drops the wrapper instead and the next read builds a new one.
 
 A version stands on its predecessor.  The store reads a payload kept as
-wire text through ``dom.parser.PayloadBuilder``, which notes where each
+wire text through ``dom.parser.TreeBuilder``, which notes where each
 payload child begins.  The next version of a temporal id is built from
 the middle of its text that differs from its predecessor's; every child
 of the predecessor before or after that middle is carried over as a
@@ -65,7 +65,7 @@ from collections import OrderedDict
 from typing import Iterable, NamedTuple, Optional
 
 from repro.dom.nodes import Document, Element, SharedElement, carry, new_tree_id, vouch
-from repro.dom.parser import PayloadBuilder
+from repro.dom.parser import TreeBuilder
 from repro.fragments.model import Filler
 from repro.fragments.tagstructure import TagStructure, TagType
 from repro.temporal.chrono import XSDateTime
@@ -182,7 +182,7 @@ def _successor(
     children = previous.children
     lo = slots[first] if first >= 0 else 0
     loose = carry(version, children[:lo], kinds[:kept])
-    builder = PayloadBuilder()
+    builder = TreeBuilder(fragment=True)
     if y + grow > x and not builder.extend(version, text[body + x : body + y + grow]):
         return None, None
     mark = len(version.children)
@@ -565,7 +565,7 @@ class FragmentStore:
     ) -> None:
         """Build, stamp and append to ``wrapper`` the versions of ``fillers[start:]``.
 
-        A payload kept as wire text is built by a :class:`PayloadBuilder`.
+        A payload kept as wire text is built by a :class:`TreeBuilder`.
         A temporal version whose predecessor was built that way is built on
         it (:func:`_successor`): only what the write changed is parsed.
         """
@@ -597,7 +597,7 @@ class FragmentStore:
             version, successor = _successor(text, wrapper.children[-1], built)
             if version is not None:
                 return version, successor if temporal else None
-        builder = PayloadBuilder()
+        builder = TreeBuilder(fragment=True)
         version = builder.payload(text)
         if not temporal or builder.end < 0 or not text.isascii():
             return version, None

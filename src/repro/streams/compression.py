@@ -14,6 +14,12 @@ not use it.  This module implements the scheme:
   broadcast channel, so servers and clients are unchanged; it records the
   achieved wire savings.
 
+Both product paths rewrite text (:meth:`TagCodec.compress_iter` /
+:meth:`TagCodec.decompress_iter`) and deliver the producer's exact text.
+The DOM transforms (``encode`` ... ``decode_wire``) are the **reference**
+the text codec is held to in ``tests/test_compression.py``; no module
+under ``src/`` calls them.
+
 Unknown names (lenient-mode payload content outside the schema) pass
 through unchanged, which also makes decoding idempotent for uncompressed
 traffic.
@@ -72,11 +78,11 @@ class TagCodec:
     # -- element transforms -----------------------------------------------------
 
     def encode(self, element: Element) -> Element:
-        """A copy of ``element`` with tag names replaced by codes."""
+        """A copy of ``element`` with tag names replaced by codes (reference only)."""
         return self._rename(element, self._encode)
 
     def decode(self, element: Element) -> Element:
-        """Inverse of :meth:`encode`."""
+        """Inverse of :meth:`encode` (reference only)."""
         return self._rename(element, self._decode)
 
     def _rename(self, element: Element, table: dict[str, str]) -> Element:
@@ -91,12 +97,12 @@ class TagCodec:
     # -- wire transforms ------------------------------------------------------------
 
     def encode_wire(self, payload: str) -> str:
-        """Encode serialized filler XML."""
+        """Encode filler XML through a DOM: :meth:`compress_iter`'s reference."""
         nodes = [n for n in parse_fragment(payload) if isinstance(n, Element)]
         return "".join(serialize(self.encode(node)) for node in nodes)
 
     def decode_wire(self, payload: str) -> str:
-        """Decode serialized filler XML."""
+        """Decode filler XML through a DOM: :meth:`decompress_iter`'s reference."""
         nodes = [n for n in parse_fragment(payload) if isinstance(n, Element)]
         return "".join(serialize(self.decode(node)) for node in nodes)
 
@@ -125,9 +131,10 @@ class TagCodec:
         parse, no DOM, no serializer round-trip — so everything outside
         the rewritten names (whitespace, attribute order, escapes) is
         preserved *verbatim* and ``decompress(compress(text)) == text``
-        exactly.  This is the network batcher's compression path: a
-        compressed batch still delivers the exact wire text the
-        streaming-automaton ingest (:meth:`XCQLEngine.feed_raw`) needs.
+        exactly.  This is the compression path of the network batcher and
+        of :class:`CompressingChannel`: a compressed payload still
+        delivers the exact wire text the streaming-automaton ingest
+        (:meth:`XCQLEngine.feed_raw`) needs.
         """
         return self._rewrite_iter(chunks, self._encode)
 
@@ -201,7 +208,7 @@ class CompressingChannel(Channel):
 
     def publish(self, message: Message) -> None:
         if message.kind == FILLER:
-            encoded = self.codec.encode_wire(message.payload)
+            encoded = "".join(self.codec.compress_iter((message.payload,)))
             self.bytes_in += len(message.payload.encode("utf-8"))
             self.bytes_out += len(encoded.encode("utf-8"))
             message = Message(message.kind, message.stream, encoded)

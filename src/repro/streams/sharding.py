@@ -273,9 +273,7 @@ class ShardWorkerHost:
     def _shard(self) -> tuple[XCQLEngine, QueryScheduler]:
         if self.engine is None:
             options = self._options
-            self.engine = XCQLEngine(
-                default_backend=options.get("default_backend", "compiled")
-            )
+            self.engine = XCQLEngine()
             self.scheduler = QueryScheduler(
                 self.engine,
                 share_groups=options.get("share_groups", True),
@@ -596,7 +594,6 @@ class ShardedEngine:
         share_groups: bool = True,
         routing: bool = True,
         stream_automata: bool = True,
-        default_backend: str = "compiled",
     ):
         if shards < 1:
             raise ValueError("shards must be a positive integer")
@@ -620,12 +617,11 @@ class ShardedEngine:
             "share_groups": share_groups,
             "routing": routing,
             "stream_automata": stream_automata,
-            "default_backend": default_backend,
         }
         # The local engine holds schemas only (never fillers): queries are
         # compiled and validated here once, with the same pipeline the
         # workers run, before anything crosses a process boundary.
-        self._local = XCQLEngine(default_backend=default_backend)
+        self._local = XCQLEngine()
         self._structures: dict[str, TagStructure] = {}
         if journal_dir is None:
             self._journal_dir = tempfile.mkdtemp(prefix="repro-shards-")

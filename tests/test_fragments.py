@@ -554,6 +554,12 @@ class TestRawFedStore:
         assert (store.filler_count, store.seq) == (len(payloads), seq)
         assert store.materialized_fillers == 0
 
+    def test_wire_size_reads_the_retained_text(self, auction_structure, auction_wire):
+        payloads = auction_wire[0]
+        engine, store = _raw_fed_engine(auction_structure, payloads)
+        assert store.wire_size == sum(len(p.encode("utf-8")) for p in payloads)
+        assert store.materialized_fillers == 0
+
     def test_requoted_or_respaced_repeat_is_still_a_duplicate(
         self, auction_structure, auction_wire
     ):

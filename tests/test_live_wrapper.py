@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro import FragmentStore, Strategy, TagStructure, XCQLEngine
 from repro.dom import serialize
 from repro.dom.nodes import Element
-from repro.dom.parser import PayloadBuilder
+from repro.dom.parser import TreeBuilder
 from repro.fragments.model import Filler
 from repro.temporal import XSDateTime
 from repro.xmark.schema import AUCTION_STREAM
@@ -166,18 +166,18 @@ def _count_parses(monkeypatch) -> list[int]:
     """Count payload parses from wire text, and the characters they read.
 
     The store reads every payload kept as text through a
-    ``PayloadBuilder``: a whole envelope, or only the part a write
+    ``TreeBuilder``: a whole envelope, or only the part a write
     changed.
     """
     counts = [0, 0]
-    read = PayloadBuilder._read
+    read = TreeBuilder._read
 
     def counting(builder, text):
         counts[0] += 1
         counts[1] += len(text)
         return read(builder, text)
 
-    monkeypatch.setattr(PayloadBuilder, "_read", counting)
+    monkeypatch.setattr(TreeBuilder, "_read", counting)
     return counts
 
 

@@ -299,6 +299,55 @@ class TestJournalIndexed:
         assert seq == 1
         assert message.payload == payload
 
+    def test_line_breaks_survive_catchup(self, tmp_path):
+        """A CATCHUP subscriber gets the bytes a live one got, line breaks too."""
+        payloads = [
+            filler_xml(1).replace("c1", "line one\nline two"),
+            filler_xml(2).replace("c2", "crlf\r\nlone\rback\\slash"),
+            filler_xml(3),
+        ]
+
+        async def scenario():
+            server = await start_server(tmp_path)
+            live_got = []
+            live = StreamClient("127.0.0.1", server.port, on_message=live_got.append)
+            await live.connect()
+            await asyncio.wait_for(live.subscribe([Subscription("credit")]), 5)
+            await server.publish(Message(TAG_STRUCTURE, "credit", TS_XML))
+            for payload in payloads:
+                await server.publish(Message(FILLER, "credit", payload))
+            await wait_until(lambda: len(live_got) == 4)
+            assert server.journal.last_seq == 4
+
+            late_got = []
+            late = StreamClient("127.0.0.1", server.port, on_message=late_got.append)
+            await late.connect()
+            await asyncio.wait_for(
+                late.subscribe([Subscription("credit")], catchup=True), 5
+            )
+            ack = await asyncio.wait_for(late.catchup(after=0), 5)
+            assert ack["replayed"] == 4
+            await wait_until(lambda: len(late_got) == 4)
+            await live.close()
+            await late.close()
+            await server.close()
+            return live_got, late_got
+
+        live_got, late_got = run(scenario())
+        assert [m.payload for m in live_got[1:]] == payloads
+        assert [(m.kind, m.payload) for m in late_got] == [
+            (m.kind, m.payload) for m in live_got
+        ]
+        answers = []
+        for got in (live_got, late_got):
+            engine = XCQLEngine()
+            engine.register_stream("credit", TagStructure.from_xml(got[0].payload))
+            engine.feed_raw("credit", [m.payload for m in got[1:]])
+            store = engine.stores["credit"]
+            answers.append([store.versions_of(fid)[0].string_value() for fid in (1, 2, 3)])
+        assert answers[0] == answers[1]
+        assert answers[0][0].startswith("line one\nline two")
+
     def test_read_indexed_skips_before_parsing(self, tmp_path):
         journal = Journal(tmp_path / "j.log")
         for i in range(10):

@@ -13,13 +13,14 @@ lists records both readings.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.dom.nodes import Element
 from repro.dom.parser import (
     EventParser,
     XMLParseError,
-    build_fragment,
+    build_fragment_indexed,
+    parse_document,
     parse_fragment,
 )
-from repro.dom.serializer import serialize
 from repro.xquery import evaluate, parse, to_source
 from repro.xquery import xast
 
@@ -214,6 +215,13 @@ def _parse_outcome(chunks, keep_whitespace):
     return ("ok", events)
 
 
+def _shape(node):
+    """A node's kind, name, attributes or text, and its children's shapes."""
+    if isinstance(node, Element):
+        return ("element", node.tag, node.attrs, [_shape(child) for child in node.children])
+    return (type(node).__name__, getattr(node, "target", None), node.text)
+
+
 class TestEventParserChunking:
     @given(st.data(), xml_elements(), st.booleans())
     @settings(max_examples=150, deadline=None)
@@ -223,18 +231,23 @@ class TestEventParserChunking:
         assert whole[0] == "ok"
         assert _parse_outcome(chunks, keep_whitespace) == whole
 
-    @given(st.data(), xml_elements())
+    @given(st.data(), xml_elements(), st.booleans(), st.booleans())
     @settings(max_examples=100, deadline=None)
-    def test_chunked_dom_matches_whole(self, data, source):
+    def test_chunked_dom_matches_whole(self, data, source, fragment, keep_whitespace):
+        """The tree builder reads what the capture replay builds from chunked events."""
         chunks = data.draw(chunk_cuts(source))
-        parser = EventParser(fragment=True)
+        parser = EventParser(fragment=fragment, keep_whitespace=keep_whitespace)
         events = []
         for chunk in chunks:
             events.extend(parser.feed(chunk))
         events.extend(parser.close())
-        chunked_dom = "".join(serialize(node) for node in build_fragment(events))
-        whole_dom = "".join(serialize(node) for node in parse_fragment(source))
-        assert chunked_dom == whole_dom
+        replayed, _ = build_fragment_indexed(events)
+        if fragment:
+            built = parse_fragment(source, keep_whitespace)
+            assert all(node.parent is None for node in built)
+        else:
+            built = parse_document(source, keep_whitespace).children
+        assert [_shape(node) for node in built] == [_shape(node) for node in replayed]
 
     @given(st.data(), _xml_junk, st.booleans())
     @settings(max_examples=200, deadline=None)

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro import Channel, SimulatedClock, StreamClient, StreamServer, TagStructure
+from repro import (
+    Channel, SimulatedClock, StreamClient, StreamServer, TagStructure, XCQLEngine,
+)
 from repro.dom import parse_document, serialize
 from repro.fragments import temporalize
 from repro.fragments.persist import Journal, load_store, save_store
-from repro.streams.transport import FILLER, Message
+from repro.streams.transport import FILLER, TAG_STRUCTURE, Message
 
 from tests.conftest import CREDIT_TAG_STRUCTURE_XML
 
@@ -163,6 +165,76 @@ class TestJournal:
         before = client.store_of("credit").filler_count
         journal.replay(client._on_message)  # duplicates: all dropped
         assert client.store_of("credit").filler_count == before
+
+
+_UNIT_STRUCTURE_XML = (
+    '<stream:structure><tag type="snapshot" id="1" name="log">'
+    '<tag type="temporal" id="2" name="unit"/></tag></stream:structure>'
+)
+
+
+def _unit(fid: int, body: str, quote: str = '"') -> str:
+    q = quote
+    return (
+        f"<filler id={q}{fid}{q} tsid={q}2{q} validTime={q}2003-01-0{fid}T00:00:00{q}>"
+        f"<unit n={q}{fid}{q}>{body}</unit></filler>"
+    )
+
+
+class TestJournalByteExact:
+    """Every reader gets back the bytes that were recorded, line breaks too."""
+
+    PAYLOADS = [
+        _unit(1, "line one\nline two"),
+        _unit(2, "crlf\r\nend"),
+        _unit(3, "lone\rcarriage"),
+        _unit(4, "a \\n that is text,\nthen a break"),
+        _unit(5, "a \\ and a \\n, no break"),
+    ]
+
+    def _journal(self, tmp_path) -> Journal:
+        journal = Journal(tmp_path / "breaks.journal")
+        journal.record(Message(TAG_STRUCTURE, "s", _UNIT_STRUCTURE_XML))
+        journal.record_many(Message(FILLER, "s", p) for p in self.PAYLOADS)
+        return journal
+
+    def test_line_breaks_come_back_byte_exact(self, tmp_path):
+        journal = self._journal(tmp_path)
+        sent = [_UNIT_STRUCTURE_XML] + self.PAYLOADS
+        assert [m.payload for _, m in journal.read_indexed()] == sent
+        assert [m.payload for m in journal.read()] == sent
+        replayed = []
+        assert journal.replay(replayed.append) == 6
+        assert [m.payload for m in replayed] == sent
+        assert journal.last_seq == journal.records_written == 6
+        assert [seq for seq, _ in journal.read_indexed(after=4)] == [5, 6]
+
+    def test_only_records_with_line_breaks_are_escaped(self, tmp_path):
+        journal = self._journal(tmp_path)
+        lines = (tmp_path / "breaks.journal").read_bytes().split(b"\n")[:-1]
+        assert len(lines) == 6
+        assert [b'escaped="1"' in line for line in lines] == [
+            False, True, True, True, True, False
+        ]
+        # A record with no line break is written verbatim, backslashes too.
+        assert lines[5] == (
+            b'<journal kind="filler" stream="s">'
+            + self.PAYLOADS[4].encode() + b"</journal>"
+        )
+
+    def test_replayed_envelopes_read_as_duplicates_without_a_dom(self, tmp_path):
+        """Single-quoted envelopes come back as sent: equal text, no parse."""
+        engine = XCQLEngine()
+        engine.register_stream("s", TagStructure.from_xml(_UNIT_STRUCTURE_XML))
+        journal = Journal(tmp_path / "quoted.journal")
+        sent = [_unit(fid, f"v{fid}", quote="'") for fid in range(1, 6)]
+        assert engine.feed_raw("s", sent) == 5
+        journal.record_many(Message(FILLER, "s", p) for p in sent)
+        assert [m.payload for m in journal.read()] == sent
+        journal.replay(lambda m: engine.feed_raw(m.stream, m.payload))
+        store = engine.stores["s"]
+        assert store.filler_count == 5
+        assert store.materialized_fillers == 0
 
 
 class TestJournalAppendHandle:

@@ -393,26 +393,26 @@ class TestAVersionCostsWhatItsWriteChanged:
         assert [node.text for node in answer] == [node.text for node in interpreted]
 
     def test_paper_faithful_caq_still_parses_every_version_in_full(self, monkeypatch):
-        import repro.fragments.model as model
         from repro.core.translator import Strategy
-        from repro.dom.parser import PayloadBuilder
+        from repro.dom.parser import TreeBuilder
 
         store = _auction_store(6, use_cache=False)
         engine = XCQLEngine(default_now=NOW)
         engine.register_stream("s", PLAIN, store)
-        parses, reads = [0], [0]
-        parse = model.parse_filler
-        read = PayloadBuilder._read
-
-        def counting_parse(source):
-            parses[0] += isinstance(source, str)
-            return parse(source)
+        read_chars, extends = [0], [0]
+        read = TreeBuilder._read
+        extend = TreeBuilder.extend
 
         def counting_read(builder, text):
-            reads[0] += 1
+            read_chars[0] += len(text)
             return read(builder, text)
 
-        monkeypatch.setattr(model, "parse_filler", counting_parse)
-        monkeypatch.setattr(PayloadBuilder, "_read", counting_read)
+        def counting_extend(builder, version, text):
+            extends[0] += 1
+            return extend(builder, version, text)
+
+        monkeypatch.setattr(TreeBuilder, "_read", counting_read)
+        monkeypatch.setattr(TreeBuilder, "extend", counting_extend)
         engine.execute('count(stream("s")/log/unit/bidder)', Strategy.CAQ)
-        assert parses[0] == store.filler_count and reads[0] == 0
+        assert read_chars[0] == sum(len(f.wire_text) for f in store._fillers)
+        assert extends[0] == 0
