@@ -60,6 +60,8 @@ _WRAPPER_OPEN = "<ξ>"
 _WRAPPER_CLOSE = "</ξ>"
 #: expat's byte index of the first character after the wrapper's start tag.
 _WRAPPER_BYTES = len(_WRAPPER_OPEN.encode("utf-8"))
+# What may follow "<?xml" in an XML declaration ("" = not read yet).
+_DECLARATION_GAP = ("", " ", "\t", "\r", "\n")
 
 
 class XMLParseError(ValueError):
@@ -220,12 +222,14 @@ class EventParser:
 
         None while the input so far could still be the start of either;
         the skipped lead then moves the positions of everything after it.
+        ``<?xml`` opens the declaration only when whitespace follows it:
+        ``<?xml-stylesheet …?>`` is a processing instruction, and stays.
         """
         if text[:1] == "<" and text[1:2] not in ("?", ""):
             self._lead = None  # nothing to skip
             return text
         body = text.lstrip(" \t\r\n")
-        if body.startswith("<?xml"):
+        if body.startswith("<?xml") and body[5:6] in _DECLARATION_GAP:
             end = body.find("?>", 5)
             if end < 0:
                 if not self._final:

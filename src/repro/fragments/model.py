@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from repro.dom.nodes import Element
 from repro.dom.parser import TreeBuilder, parse_fragment
-from repro.dom.serializer import serialize
+from repro.dom.serializer import escape_attribute, serialize
 from repro.temporal.chrono import XSDateTime
 
 __all__ = [
@@ -46,7 +46,12 @@ class Filler:
     content: Element
 
     def envelope(self) -> Element:
-        """The ``<filler>`` envelope element (payload deep-copied)."""
+        """The ``<filler>`` envelope element around :meth:`detached_content`.
+
+        The payload is the caller's: a copy of ``content``, or for a
+        filler that keeps its wire text a tree read from that text, which
+        the filler does not retain.
+        """
         wrapper = Element(
             "filler",
             {
@@ -55,12 +60,21 @@ class Filler:
                 "validTime": str(self.valid_time),
             },
         )
-        wrapper.append(self.content.copy())
+        wrapper.append(self.detached_content())
         return wrapper
 
     def to_xml(self) -> str:
-        """Serialize the envelope to wire text."""
-        return serialize(self.envelope())
+        """Serialize the envelope to wire text: ``serialize(self.envelope())``.
+
+        Written around ``serialize(self.content)``, so the payload is not
+        copied first.
+        """
+        return (
+            f'<filler id="{escape_attribute(str(self.filler_id))}"'
+            f' tsid="{escape_attribute(str(self.tsid))}"'
+            f' validTime="{escape_attribute(str(self.valid_time))}">'
+            f"{serialize(self.content)}</filler>"
+        )
 
     @property
     def materialized(self) -> bool:
@@ -117,7 +131,9 @@ class LazyFiller(Filler):
     ``wire_size`` (the retained text's length) does.  Only the filler's
     own DOM-facing API — ``content``, ``holes()``, ``to_xml()``,
     DOM routing probes — parses on demand *and retains* the result, after
-    which the instance behaves exactly like an eager :class:`Filler`.
+    which the instance behaves exactly like an eager :class:`Filler`;
+    :meth:`envelope` (what ``save_store`` writes) reads the text into a
+    tree it hands over and retains nothing.
     """
 
     def __init__(

@@ -23,7 +23,8 @@ tuple source is the plan's prefix over those fillers — scanned by the
 query itself, or by a :class:`~repro.streams.scheduler.QueryScheduler`
 that worked the window out once for the query's whole group (a query on
 its own is a group of one) and lets the group's members share what a
-tuple's body built.  Runtime guards fall back to a full
+tuple's body built.  Either way the run is booked by one method,
+:meth:`ContinuousQuery.fold`.  Runtime guards fall back to a full
 re-evaluation whenever the delta could diverge: after ``prune_before`` /
 ``clear`` / a Tag Structure swap (the mutation epoch moved), and when a
 non-event fragment id receives another version (the new version closes
@@ -94,9 +95,12 @@ class ContinuousQuery:
         # Insertion-ordered so the cap evicts the oldest identity first.
         self._seen: dict[str, None] = {}
         # Delta state: the retained result and the store watermark
-        # (seq, mutation_epoch) it is valid for.  None = next run is full.
+        # (seq, mutation_epoch) it is valid for — None = the next run is
+        # full (no baseline yet, or it was reset).  A delta past it may be
+        # folded in (fold) only while the store's epoch still equals the
+        # recorded one.
         self._retained: list = []
-        self._watermark: Optional[tuple[int, int]] = None
+        self.watermark: Optional[tuple[int, int]] = None
         # The answer as of the last evaluation: a full run's own list, or
         # None after an incremental run — read off _retained on demand, so
         # a run that folds in one tuple does not copy the whole answer.
@@ -136,49 +140,82 @@ class ContinuousQuery:
         The scheduler uses it to prune automaton captures every standing
         query has already consumed.
         """
-        return self._watermark[0] if self._watermark is not None else None
+        return self.watermark[0] if self.watermark is not None else None
 
-    def evaluate(
-        self,
-        now: Optional[XSDateTime] = None,
-        tuple_source: Optional[Callable] = None,
-    ) -> list:
+    def evaluate(self, now: Optional[XSDateTime] = None) -> list:
         """Run the query at ``now`` and emit per the emission mode.
 
-        Returns the emitted items (delta mode: the new ones only).
+        Returns the emitted items (delta mode: the new ones only).  A
+        delta-safe plan whose watermark still holds folds in what its own
+        :class:`DeltaWindow` adds (:meth:`fold`, counted as a
+        ``delta_run``); anything else re-runs over the whole store
+        (:meth:`refresh`).
+        """
+        window = self._window()
+        if window is None:
+            return self.refresh(now)
+        if not window.fresh:
+            return self.fold((), (), window.end, "delta")
+        context = self.engine.build_context(now=now)
+        items, keys = window.residual(
+            window.plan, window.scan(self.engine, context), context
+        )
+        return self.fold(items, keys, window.end, "delta")
 
-        ``tuple_source`` is the scheduler's hook: called as
-        ``tuple_source(seq, context)`` with this query's watermark
-        sequence number and the wake's context getter, it returns what
-        the fillers past that watermark add to the answer — ``(items,
-        identity strings)``, the query's residual over the binding tuples
-        its group worked out once this tick — or ``None`` when those
-        fillers cannot be folded in (see :class:`DeltaWindow`).  Without
-        one the query scans its own window.  The watermark and epoch
-        guards run here either way, and the window is this module's own
-        function of the store, so sharing never changes what gets
-        evaluated.
+    def refresh(self, now: Optional[XSDateTime] = None) -> list:
+        """A full run at ``now``: re-evaluate over the whole store and emit.
+
+        The run's answer becomes the retained one, valid at the store's
+        current watermark.
+        """
+        self.watermark = None
+        result = self.engine.execute(self.compiled, now=now)
+        self.evaluations += 1
+        self.full_runs += 1
+        self.last_mode = "full"
+        self._remember(result)
+        self._last_result = result
+        return self._emit(result, None)
+
+    def fold(self, items, keys, end: tuple[int, int], mode: str = "shared") -> list:
+        """Fold a computed delta in, move the watermark to ``end`` and emit.
+
+        ``items`` is what the fillers between :attr:`watermark` and ``end``
+        add to the answer and ``keys`` their :func:`item_identity`
+        strings — the residual over their binding tuples, worked out by
+        the query's own window (``mode="delta"``, :meth:`evaluate`) or by
+        a scheduler settling the query's whole group (``"shared"``).  The
+        caller has checked that the delta may be folded in: the epoch
+        still holds and the window is :func:`delta_applicable`.  This is
+        the one place an incremental run is booked: the counters,
+        ``last_mode``, the retained answer, the emission dedup and the
+        subscribers.
         """
         self.evaluations += 1
-        delta = self._evaluate_incremental(now, tuple_source) if self.incremental else None
-        if delta is None:
-            result = self.engine.execute(self.compiled, now=now)
-            self.full_runs += 1
-            self.last_mode = "full"
-            self._remember(result)
-            self._last_result = candidates = result
-            keys = None
+        if mode == "shared":
+            self.shared_runs += 1
         else:
-            self._last_result = None
-            # After a delta run every retained item's identity is already
-            # in _seen (each previous evaluation scanned its full result),
-            # so only the delta items can be fresh — unless a seen_cap may
-            # have evicted identities, in which case the full scan keeps
-            # re-emission semantics identical to the full-evaluation path.
-            if self.emit == "full" or self.seen_cap is not None:
-                candidates, keys = self._retained, None
-            else:
-                candidates, keys = delta
+            self.delta_runs += 1
+        self.last_mode = mode
+        self.watermark = end
+        self._last_result = None
+        if items:
+            self._retained.extend(items)
+        if self.emit == "full" or self.seen_cap is not None:
+            # A seen_cap may have evicted retained identities, and full
+            # emission re-emits everything: both read the whole answer,
+            # as a full run would.
+            return self._emit(self._retained, None)
+        # Every retained item's identity is already in _seen (each
+        # earlier run emitted from its whole answer or from a delta
+        # folded in here), so only the delta items can be fresh.
+        if not items:
+            self._emitted, self._emitted_keys = [], []
+            return self._emitted
+        return self._emit(items, keys)
+
+    def _emit(self, candidates, keys: Optional[list]) -> list:
+        """Emit per the mode; ``keys`` are the candidates' identities, if known."""
         if self.emit == "full":
             fresh, fresh_keys = list(candidates), None
         else:
@@ -202,7 +239,7 @@ class ContinuousQuery:
                 subscriber(fresh)
         return fresh
 
-    # -- the incremental driver: tuple source -> residual -----------------------------
+    # -- the query's own delta window ---------------------------------------------------
 
     def _plan_and_store(self) -> tuple:
         """The query's incremental plan and the store it reads, if both exist."""
@@ -210,55 +247,25 @@ class ContinuousQuery:
         store = self.engine.stores.get(plan.stream) if plan is not None else None
         return plan, store
 
-    def _evaluate_incremental(
-        self, now: Optional[XSDateTime], tuple_source: Optional[Callable]
-    ) -> Optional[tuple[list, list]]:
-        """What this run adds — ``(items, identities)`` — or ``None`` to force a full run."""
+    def _window(self) -> Optional["DeltaWindow"]:
+        """The arrivals past this query's watermark, or ``None`` to run full.
+
+        ``None`` on a first (baseline) run, after ``prune_before`` /
+        ``clear`` / a schema swap rewrote history (the mutation epoch
+        moved: retained tuples may reference dropped or re-annotated
+        versions), and when the arrivals cannot be folded in
+        (:func:`delta_applicable`).
+        """
+        if not self.incremental or self.watermark is None:
+            return None
         plan, store = self._plan_and_store()
         if store is None:
             return None
-        if self._watermark is None:
-            return None  # first evaluation establishes the baseline
-        seq, epoch = self._watermark
+        seq, epoch = self.watermark
         if store.mutation_epoch != epoch:
-            # prune_before / clear / schema swap rewrote history: retained
-            # tuples may reference dropped or re-annotated versions.
-            self._watermark = None
             return None
-        # One Context per wake, built on first use: the prefix scan (when
-        # this wake is the one that runs it) and the residual share it, and
-        # a wake left with nothing to evaluate builds none.
-        made: list = []
-
-        def context():
-            if not made:
-                made.append(self.engine.build_context(now=now))
-            return made[0]
-
-        if tuple_source is not None:
-            delta = tuple_source(seq, context)
-        else:
-            window = DeltaWindow(store, plan, seq)
-            if not window.applicable:
-                delta = None
-            elif window.fresh:
-                delta = window.residual(
-                    plan, window.scan(self.engine, context()), context
-                )
-            else:
-                delta = [], []
-        if delta is None:
-            self._watermark = None
-            return None
-        self._retained.extend(delta[0])
-        if tuple_source is not None:
-            self.shared_runs += 1
-            self.last_mode = "shared"
-        else:
-            self.delta_runs += 1
-            self.last_mode = "delta"
-        self._watermark = store.watermark
-        return delta
+        window = DeltaWindow(store, plan, seq)
+        return window if window.applicable else None
 
     def _remember(self, result: list) -> None:
         """After a full run, reset the retained state and watermark."""
@@ -268,7 +275,7 @@ class ContinuousQuery:
         if store is None:
             return
         self._retained = list(result)
-        self._watermark = store.watermark
+        self.watermark = store.watermark
 
     def reset(self) -> None:
         """Forget emission history (delta mode starts over)."""
@@ -277,7 +284,7 @@ class ContinuousQuery:
         self.emitted_total = 0
         self.seen_evictions = 0
         self._retained = []
-        self._watermark = None
+        self.watermark = None
 
     def stats(self) -> dict[str, int]:
         """This query's lifetime counters.
@@ -311,40 +318,43 @@ class ContinuousQuery:
 class DeltaWindow:
     """The arrivals past one watermark on one incremental plan's source.
 
-    ``fresh`` is the arrival-ordered filler list, ``applicable`` the
-    :func:`delta_applicable` verdict over it, ``tuples`` the binding
-    tuples once somebody has produced them (:meth:`scan`, or a scheduler
-    answering from event captures), ``partition`` a scheduler's
-    per-member split of them and ``results`` what the bodies run so far
-    built from them (:meth:`residual`).  A function of the store and the
-    plan's source alone, so a scheduler builds one per group and
-    watermark, not one per member.  ``tally`` counts the residual's work
+    ``fresh`` is the arrival-ordered filler list, ``end`` the store
+    watermark it reaches (what a member that folds it in records),
+    ``applicable`` the :func:`delta_applicable` verdict over it,
+    ``tuples`` the binding tuples once somebody has produced them
+    (:meth:`scan`, or a scheduler answering from event captures),
+    ``partition`` a scheduler's split of them among the members its
+    group index filed and ``results`` what the bodies run so far built
+    from them (:meth:`residual`).  A function of the store and the plan's
+    source alone, so a scheduler builds one per group and watermark, not
+    one per member.  ``tally`` counts the residual's work
     (``guards_skipped`` / ``guards_run`` / ``body_runs`` /
     ``body_reuses``) into a dict the caller owns.  What a body built
     stays private to the window: members get copies of it.
     """
 
-    __slots__ = ("store", "plan", "seq", "fresh", "applicable", "tuples",
+    __slots__ = ("store", "plan", "seq", "end", "fresh", "applicable", "tuples",
                  "partition", "results", "tally")
 
     def __init__(self, store, plan, seq: int, tally: Optional[dict] = None) -> None:
         self.store = store
         self.plan = plan
         self.seq = seq
+        self.end = store.watermark
         self.fresh = store.fillers_since(
             seq, tsid=plan.tsid, filler_id=plan.filler_id
         )
         self.applicable = delta_applicable(store, plan.binds_versions, self.fresh)
         self.tuples: Optional[list] = None
-        self.partition: Optional[dict] = None  # id(member) -> its sub-list
+        self.partition = None  # a routing.Partition: id(member) -> its sub-list
         # (body_key, id(tuple)) -> (items, how to hand each on, their
         # identity strings); see _hand_on
         self.results: dict[tuple, tuple] = {}
         self.tally = tally
 
-    def residual(self, plan, tuples: list, context: Callable,
+    def residual(self, plan, tuples: list, context,
                  undecided: Optional[set] = None) -> tuple[list, list]:
-        """One member's residual over ``tuples``: ``(items, identities)``.
+        """One member's residual over ``tuples`` in ``context``: ``(items, identities)``.
 
         *guard ∘ body*, tuple by tuple, in the order the member's own
         FLWOR would have run them — so whichever raises first still does.
@@ -372,7 +382,7 @@ class DeltaWindow:
             if guard is not None:
                 if undecided is None or id(item) in undecided:
                     guards += 1
-                    if not guard(context(), item):
+                    if not guard(context, item):
                         continue
                 else:
                     skipped += 1
@@ -383,7 +393,7 @@ class DeltaWindow:
                 source, makers, produced_keys = known
             else:
                 built += 1
-                source = body(context(), (item,))
+                source = body(context, (item,))
                 produced_keys = [_identity(node) for node in source]
                 makers = None
                 if known is None:

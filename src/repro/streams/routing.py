@@ -612,18 +612,23 @@ class _Shape:
 class Partition(dict):
     """``id(member)`` → the order-preserving sub-list it can accept.
 
-    ``undecided`` maps ``id(member)`` to the ``id`` s of the tuples its
-    shape had no verdict for and passed through (one set per shape,
-    shared by its members; absent = none).  Every other tuple of a
-    member's sub-list is there because its own comparison holds —
-    exactly, not conservatively.
+    Only members the split fed are listed: a filed member that is absent
+    accepted no tuple.  ``undecided`` maps ``id(member)`` to the ``id`` s
+    of the tuples its shape had no verdict for and passed through (one
+    set per shape, shared by its members; absent = none).  Every other
+    tuple of a member's sub-list is there because its own comparison
+    holds — exactly, not conservatively.
     """
 
     __slots__ = ("undecided",)
 
-    def __init__(self, members) -> None:
-        super().__init__((key, []) for key in members)
+    def __init__(self) -> None:
+        super().__init__()
         self.undecided: dict[int, set] = {}
+
+    def __missing__(self, key: int) -> list:
+        fed = self[key] = []
+        return fed
 
 
 class TupleIndex:
@@ -639,9 +644,10 @@ class TupleIndex:
     exactly the tuples its predicate accepts plus those the kernel could
     not decide (non-numeric text under a numeric comparison, ``NaN``, a
     value comparison over two items), which the partition names so that
-    only they still need the member's guard; members the index cannot
-    serve (:func:`index_shape` is ``None``) are simply absent from the
-    partition and take every tuple.
+    only they still need the member's guard.  The partition lists only
+    the members it fed, so a filed member it leaves out accepted nothing;
+    members the index cannot serve (:func:`index_shape` is ``None``) are
+    never filed (:meth:`add` says so) and take every tuple.
     """
 
     def __init__(self) -> None:
@@ -681,7 +687,7 @@ class TupleIndex:
 
     def partition(self, tuples: list) -> Partition:
         """Split ``tuples`` among the filed members; see :class:`Partition`."""
-        lists = Partition(self._filed)
+        lists = Partition()
         for shape in self._shapes.values():
             pred = shape.pred
             passed: set = set()

@@ -3,7 +3,7 @@
 The paper re-evaluates every standing query on every poll and defers
 "scheduling the fragments through the XCQL query tree" (Aurora-style
 operator scheduling) to future work.  This module implements the practical
-core of that idea at query granularity:
+core of that idea at the granularity of groups of same-prefix queries:
 
 - each compiled query's *dependencies* are derived statically from its
   translated AST — which streams it touches, and (for QaC+ plans) exactly
@@ -27,19 +27,22 @@ regime of paper §2/§7):
 - **Shared group evaluation.**  Incremental queries (the pipeline's
   ``incremental`` pass — the verdict is read off ``CompiledQuery.info``;
   see :mod:`repro.core.pipeline`) are grouped by ``(engine, stream, tsid,
-  filler id, prefix source)``.  A poll tick materializes each group's
-  binding tuples *once* per distinct watermark and hands them to every
-  member's residual closure, so N same-source queries cost one delta scan
-  plus N cheap residuals instead of N scans.  A query with nobody to
-  share with is a group of one: same window, same driver.
+  filler id, prefix source)``.  A poll is a loop over groups: each
+  group settles once per tick, with one delta window per distinct
+  member watermark, one tuple production and one evaluation context,
+  so N same-source queries cost one delta scan plus the residuals of
+  the members that received a tuple instead of N scans.  A query with
+  nobody to share with is a group of one: same window, same settle.
 - **Group predicate index.**  A query whose residual leads with a
   literal-comparable conjunct (``$t/amount > 50``) is filed under it in
   its group's :class:`repro.streams.routing.TupleIndex` at registration,
   sorted by the literal among the members whose predicates differ only
   there.  A tick extracts the operand once per tuple and hands each
-  member the order-preserving sub-list its literal accepts; a member
-  left with nothing folds in an empty delta — its watermark moves, no
-  context is built and nothing of its residual runs.
+  member the order-preserving sub-list its literal accepts; the
+  partition lists only the members it fed, and a filed member it
+  leaves out is folded in O(1) — :meth:`ContinuousQuery.fold` of an
+  empty delta moves its watermark, and no closure, context, store
+  lookup or residual call is made for it.
 - **Shared residual.**  A residual is *guard ∘ body* (see
   :func:`repro.core.optimizer.analyze_delta`): the guard is that same
   conjunct, so a tuple the index accepted with a verdict — not one it
@@ -48,17 +51,20 @@ regime of paper §2/§7):
   copies of the constructed items and their identity strings
   (:meth:`repro.streams.continuous.DeltaWindow.residual`).
 
-Re-evaluations run each query's cached :class:`CompiledQuery` — with the
-default ``"compiled"`` backend that is a closure plan (see
-:mod:`repro.xquery.compiler`), so a poll tick pays zero parse/translate
-and zero AST dispatch.  The saved evaluations are counted, which ablations
-A3b and A11 measure.
+Every incremental run is booked by the query itself
+(:meth:`ContinuousQuery.fold`: counters, retained answer, emission
+dedup, subscribers) and every full run by :meth:`ContinuousQuery.refresh`;
+the scheduler sets no private state of a query.  Re-evaluations run each
+query's cached :class:`CompiledQuery` — with the default ``"compiled"``
+backend that is a closure plan (see :mod:`repro.xquery.compiler`), so a
+poll tick pays zero parse/translate and zero AST dispatch.  The saved
+evaluations are counted, which ablations A3b and A11 measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.core.engine import CompiledQuery, IncrementalPlan
 from repro.streams.continuous import ContinuousQuery, DeltaWindow
@@ -70,6 +76,7 @@ __all__ = ["QueryDependencies", "dependencies_of", "QueryScheduler"]
 
 ALL_TSIDS = "*"
 _ALL_DECIDED: frozenset = frozenset()  # the index had a verdict for every tuple
+_NOTHING = ()  # the empty delta a member left without tuples folds in
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,7 @@ class _Entry:
     plan: Optional[IncrementalPlan] = None
     group_key: Optional[tuple] = None  # (id(engine), *IncrementalPlan.group_key)
     automaton: Optional[object] = None  # compile-stream-automaton verdict
+    filed: bool = False  # in its group's tuple index
     last_now: Optional[XSDateTime] = None
     evaluations: int = 0
     skips: int = 0
@@ -162,15 +170,38 @@ class _Entry:
     automaton_fallbacks: int = 0  # declines that took the DOM prefix scan
 
 
+class _Group:
+    """The members one tick settles together.
+
+    A shared group (one ``group_key``), one member on its own
+    (``share_groups`` off), or the entries without an incremental plan
+    (``plan`` is ``None``: their every run is full).  ``index`` is the
+    tuple index the settle splits the group's tuples with, ``watching``
+    the members that answer wakes from an automaton's captures, and
+    ``floor`` the lowest watermark seq those hold (``None`` = not known
+    since the last settle: read it off the members).
+    """
+
+    __slots__ = ("members", "plan", "engine", "index", "watching", "floor")
+
+    def __init__(self, members: list, index: Optional[TupleIndex] = None) -> None:
+        self.members = members
+        self.plan = members[0].plan
+        self.engine = members[0].query.engine
+        self.index = index
+        self.watching = [entry for entry in members if entry.automaton is not None]
+        self.floor: Optional[int] = None
+
+
 class QueryScheduler:
     """Skips re-evaluation of queries whose inputs did not change.
 
     Pass ``engine`` (or call :meth:`watch_engine`) to receive arrival
     notifications automatically from every :meth:`XCQLEngine.feed` — no
     hand-plumbed ``notify_arrival`` calls.  An incremental query the
-    scheduler runs is handed its group's delta window; :meth:`poll` records
-    per query whether the run was incremental (``shared``), a full
-    re-evaluation, or a skip.
+    scheduler runs is settled with its group (:meth:`_settle`);
+    :meth:`poll` records per query whether the run was incremental
+    (``shared``), a full re-evaluation, or a skip.
 
     ``share_groups`` lets same-prefix queries share one window per tick
     (off: every query is a group of one and scans for itself);
@@ -199,13 +230,11 @@ class QueryScheduler:
         # Per-group tuple dispatch index over the members' leading
         # predicates; maintained by add/remove, only read inside a poll.
         self._indexes: dict[tuple, TupleIndex] = {}
-        # Per-tick cache of delta windows (fresh fillers, applicability,
-        # binding tuples, per-member partition, body results), keyed
-        # (group key, member watermark, store seq, store epoch).
-        self._tick_windows: dict[tuple, DeltaWindow] = {}
-        # (id(engine), automaton) -> [engine, the entries answering wakes
-        # from it]: whose watermarks bound what its host may forget.
-        self._automaton_members: dict[tuple, list] = {}
+        # The dispatch order, worked out on the first poll after an
+        # add/remove: the groups a tick settles, and per automaton the
+        # groups whose floors bound what its host may forget.
+        self._dispatch: Optional[list[_Group]] = None
+        self._pruning: list[tuple] = []
         self._shared_residual = {
             "guards_skipped": 0, "guards_run": 0, "body_runs": 0, "body_reuses": 0,
         }
@@ -248,14 +277,13 @@ class QueryScheduler:
                 query.engine.automaton_host.register(
                     automaton, query.compiled.info.projection
                 )
-                self._automaton_members.setdefault(
-                    (id(query.engine), automaton), [query.engine, []]
-                )[1].append(entry)
             if self.routing and plan.routing is not None:
                 index = self._indexes.get(entry.group_key) or TupleIndex()
                 if index.add(entry, plan.routing):
                     self._indexes[entry.group_key] = index
+                    entry.filed = True
         self._entries.append(entry)
+        self._dispatch = None
         return dependencies
 
     def remove(self, query: ContinuousQuery) -> bool:
@@ -267,6 +295,7 @@ class QueryScheduler:
         for entry in self._entries:
             if entry.query is query:
                 self._entries.remove(entry)
+                self._dispatch = None
                 for key in entry.dependencies.streams:
                     watching = self._watchers[key]
                     watching.discard(entry)
@@ -276,11 +305,6 @@ class QueryScheduler:
                     query.engine.automaton_host.unregister(
                         entry.automaton, query.compiled.info.projection
                     )
-                    key = (id(query.engine), entry.automaton)
-                    watching = self._automaton_members[key][1]
-                    watching.remove(entry)
-                    if not watching:
-                        del self._automaton_members[key]
                 if entry.group_key is not None:
                     members = self._groups.get(entry.group_key, [])
                     if entry in members:
@@ -321,64 +345,74 @@ class QueryScheduler:
     # -- the scheduling decision -----------------------------------------------------
 
     def poll(self, now: XSDateTime) -> dict[ContinuousQuery, list]:
-        """Re-evaluate exactly the queries whose answer can have changed."""
+        """Re-evaluate exactly the queries whose answer can have changed.
+
+        Returns every tracked query's emission, in dispatch order (see
+        :meth:`_ordered_entries`): ``[]`` for the queries skipped.
+        """
         emitted: dict[ContinuousQuery, list] = {}
-        self._tick_windows.clear()
         woken = self._woken()
-        for entry in self._ordered_entries():
-            if self._should_run(entry, now, woken):
-                tuple_source = self._tuple_source_for(entry)
-                emitted[entry.query] = entry.query.evaluate(
-                    now, tuple_source=tuple_source
-                )
-                entry.evaluations += 1
-                if entry.query.last_mode == "shared":
-                    entry.shared_runs += 1
-                elif entry.query.last_mode == "delta":
-                    entry.delta_runs += 1
-                else:
-                    entry.full_runs += 1
-            else:
-                entry.skips += 1
-                entry.query.skips += 1
-                emitted[entry.query] = []
-            entry.last_now = now
+        for group in self._groups_in_order():
+            self._settle(group, now, woken, emitted)
         self._arrivals.clear()
-        self._tick_windows.clear()
         if self.stream_automata:
             self._prune_automata()
         return emitted
 
-    def _ordered_entries(self) -> list[_Entry]:
-        """Entries in deterministic dispatch order for one poll tick.
+    def _groups_in_order(self) -> list[_Group]:
+        """The groups a tick settles, in deterministic dispatch order.
 
-        Grouped entries run first, group by group sorted on ``group_key``
-        — excluding the leading ``id(engine)`` discriminator, which is not
-        stable across runs or processes — then ungrouped entries in
-        registration order.  The sort is stable, so registration order
+        Shared groups run first, sorted on ``group_key`` — excluding the
+        leading ``id(engine)`` discriminator, which is not stable across
+        runs or processes — then the entries without an incremental plan
+        in registration order.  The sort is stable, so registration order
         breaks ties within and across equal keys.  Without this, tick
         output ordering depended on dict insertion history, which differs
         between a single process and the sharded coordinator's per-worker
         schedulers; a deterministic order is what lets the coordinator's
-        merge compare per-shard answers positionally.
+        merge compare per-shard answers positionally.  Worked out on the
+        first poll after an ``add`` / ``remove``, not per poll.
         """
-        if not self._groups:
-            return list(self._entries)
-        ordered: list[_Entry] = []
-        for key in sorted(
-            self._groups, key=lambda k: tuple(str(part) for part in k[1:])
-        ):
-            ordered.extend(self._groups[key])
-        grouped = {id(entry) for entry in ordered}
-        ordered.extend(
-            entry for entry in self._entries if id(entry) not in grouped
-        )
-        return ordered
+        if self._dispatch is None:
+            groups: list[_Group] = []
+            for key in sorted(
+                self._groups, key=lambda k: tuple(str(part) for part in k[1:])
+            ):
+                members = self._groups[key]
+                if self.share_groups:
+                    groups.append(_Group(list(members), self._indexes.get(key)))
+                else:
+                    groups.extend(_Group([entry]) for entry in members)
+            planless = [entry for entry in self._entries if entry.group_key is None]
+            if planless:
+                groups.append(_Group(planless))
+            pruning: dict[tuple, tuple] = {}
+            for group in groups:
+                if group.watching:
+                    entry = group.watching[0]
+                    engine = entry.query.engine
+                    pruning.setdefault(
+                        (id(engine), entry.automaton), (engine, entry.automaton, [])
+                    )[2].append(group)
+            self._pruning = list(pruning.values())
+            self._dispatch = groups
+        return self._dispatch
+
+    def _ordered_entries(self) -> list[_Entry]:
+        """Every entry, in the order a tick dispatches them."""
+        return [entry for group in self._groups_in_order() for entry in group.members]
 
     def _prune_automata(self) -> None:
         """Drop automaton captures every watching query has consumed."""
-        for (_, automaton), (engine, watching) in self._automaton_members.items():
-            floor = min(entry.query.watermark_seq or 0 for entry in watching)
+        for engine, automaton, groups in self._pruning:
+            floor = None
+            for group in groups:
+                if group.floor is None:
+                    group.floor = min(
+                        entry.query.watermark_seq or 0 for entry in group.watching
+                    )
+                if floor is None or group.floor < floor:
+                    floor = group.floor
             engine.automaton_host.prune(automaton, floor)
 
     def _woken(self) -> set:
@@ -390,101 +424,150 @@ class QueryScheduler:
             woken.update(watchers.get((stream, ALL_TSIDS), ()))
         return woken
 
-    @staticmethod
-    def _should_run(entry: _Entry, now: XSDateTime, woken: set) -> bool:
-        if entry.last_now is None:
-            return True  # first poll establishes a baseline
-        if entry in woken:
-            return True
-        return entry.dependencies.time_sensitive and now != entry.last_now
+    def _settle(self, group: _Group, now: XSDateTime, woken: set, emitted: dict) -> None:
+        """Run the group's members that can have changed, in member order.
 
-    def _tuple_source_for(self, entry: _Entry) -> Optional[Callable]:
-        """The entry's delta-window hook for this tick, or ``None``.
+        Members at one watermark share one :class:`DeltaWindow`: one
+        fresh-filler scan and applicability verdict, one tuple production
+        and one split by the group's index.  A member at an older
+        watermark (it joined late, or was skipped) pays one catch-up
+        window from there.  A member folds in its residual over the
+        tuples it was handed (:meth:`ContinuousQuery.fold`); one the
+        index gave nothing folds in an empty delta — no context, no
+        residual, nothing built.  Whatever the window cannot settle — a
+        first (baseline) run, a moved mutation epoch, a window that is
+        not :func:`~repro.streams.continuous.delta_applicable`, a query
+        with no plan or store — re-runs in full
+        (:meth:`ContinuousQuery.refresh`).
+        """
+        plan = group.plan
+        store = group.engine.stores.get(plan.stream) if plan is not None else None
+        # member watermark -> its window (None: the member runs full)
+        windows: dict[Optional[tuple], Optional[DeltaWindow]] = {}
+        mark = window = None  # the last member's watermark and its window
+        context = None  # one evaluation context per settle, built on first use
+        ran = False
+        folded = 0  # members answering from captures that folded a window in
+        for entry in group.members:
+            query = entry.query
+            if not (
+                entry in woken
+                or entry.last_now is None  # the first poll establishes a baseline
+                or (entry.dependencies.time_sensitive and now != entry.last_now)
+            ):
+                entry.skips += 1
+                query.skips += 1
+                emitted[query] = []
+                entry.last_now = now
+                continue
+            ran = True
+            if query.watermark is not mark:
+                mark = query.watermark
+                if mark in windows:
+                    window = windows[mark]
+                else:
+                    window = None
+                    if store is not None and mark is not None and (
+                        mark[1] == store.mutation_epoch
+                    ):
+                        window = DeltaWindow(store, plan, mark[0], self._shared_residual)
+                        if not window.applicable:
+                            window = None
+                    windows[mark] = window
+            if window is None:
+                emitted[query] = query.refresh(now)
+                entry.full_runs += 1
+            else:
+                partition = window.partition
+                if partition is not None and entry.filed and id(entry) not in partition:
+                    # The index gave it nothing: an empty delta, nothing built.
+                    self._prefix_reuses += 1
+                    self._tuples_pruned += len(window.tuples)
+                    emitted[query] = query.fold(_NOTHING, _NOTHING, window.end)
+                elif window.fresh:
+                    emitted[query], context = self._fold(
+                        group, entry, window, now, context
+                    )
+                else:
+                    emitted[query] = query.fold(_NOTHING, _NOTHING, window.end)
+                entry.shared_runs += 1
+                if entry.automaton is not None:
+                    folded += 1
+            entry.evaluations += 1
+            entry.last_now = now
+        if ran:
+            # When every member answering from captures folded the one
+            # window in, they all hold its end: the floor its host may
+            # prune to.  Otherwise it is read off the members.
+            group.floor = None
+            if folded == len(group.watching) and len(windows) == 1:
+                (only,) = windows.values()
+                if only is not None:
+                    group.floor = only.end[0]
 
-        The hook answers what the fillers past the member's watermark add
-        to its answer (see :meth:`ContinuousQuery.evaluate`): the binding
-        tuples, then the member's residual over them.  Two tuple
-        producers hide behind it, tried in order:
+    def _fold(self, group: _Group, entry: _Entry, window: DeltaWindow, now,
+              context) -> tuple[list, object]:
+        """Fold one member's share of a window with fresh arrivals in.
+
+        The window's binding tuples are produced once, by the first
+        member that needs them, from one of two producers tried in order:
 
         1. the engine's automaton host — event captures recorded at
            ``feed_raw`` ingest answer the wake with zero DOM work;
         2. the plan's prefix scan over the window's wrapper DOMs, which
-           every automaton decline falls back to.
+           every automaton decline falls back to;
 
-        Windows are keyed by the group and the member's watermark, so
-        members at equal watermarks — the steady state under a scheduler —
-        share one fresh-filler scan, one applicability verdict, one tuple
-        materialization, one pass of the group's predicate index and one
-        run of each distinct residual body per tuple per tick, regardless
-        of which producer made the tuples; a member at an older watermark
-        (it joined late, or was re-baselined) simply pays one catch-up
-        run from there.  The member's residual sees the sub-list of
-        tuples its leading predicate can accept (all of them when it has
-        none, or ``routing`` is off) and skips its guard for those the
-        index accepted with a verdict; left with none, it folds in an
-        empty delta without building anything.  With ``share_groups`` off
-        every member keys its own windows, takes all their tuples and
-        runs every guard and body itself.  The watermark and epoch guards run in
-        :class:`~repro.streams.continuous.ContinuousQuery`, so neither
-        producer can change what gets evaluated.
+        and split by the group's index.  The member's residual sees the
+        sub-list its leading predicate can accept (all of the tuples when
+        it is not filed, or ``routing`` / ``share_groups`` is off) and
+        skips its guard for those the index accepted with a verdict.
+        ``context`` is the settle's evaluation context, ``None`` until a
+        scan or a residual needs it; returns the member's emission and
+        the context.
         """
-        plan = entry.plan
-        if plan is None:
-            return None
-        engine = entry.query.engine
-        store = engine.stores.get(plan.stream)
-        if store is None:
-            return None
-        automaton = entry.automaton
-        group = entry.group_key if self.share_groups else id(entry)
-        index = self._indexes.get(entry.group_key) if self.share_groups else None
-
-        def source(watermark_seq: int, context: Callable) -> Optional[tuple]:
-            key = (group, watermark_seq, store.seq, store.mutation_epoch)
-            window = self._tick_windows.get(key)
-            if window is None:
-                window = self._tick_windows[key] = DeltaWindow(
-                    store, plan, watermark_seq, self._shared_residual
+        query = entry.query
+        if window.tuples is None:
+            engine = group.engine
+            automaton = entry.automaton
+            if automaton is not None:
+                window.tuples = engine.automaton_host.answer(
+                    automaton, window.fresh, window.store
                 )
-            if not window.applicable:
-                return None
-            if not window.fresh:
-                return [], []
-            if window.tuples is not None:
-                self._prefix_reuses += 1
-            else:
-                if automaton is not None:
-                    window.tuples = engine.automaton_host.answer(
-                        automaton, window.fresh, store
-                    )
-                    if window.tuples is not None:
-                        entry.automaton_runs += 1
-                        self._automaton_runs += 1
-                    else:
-                        entry.automaton_fallbacks += 1
-                        self._automaton_fallbacks += 1
-                if window.tuples is None:
-                    window.scan(engine, context())
-                    self._prefix_runs += 1
-                if index is not None:
-                    window.partition = index.partition(window.tuples)
-                    self._tuple_probes += index.shapes * len(window.tuples)
-            tuples = window.tuples
-            partition = window.partition
-            accepted = partition.get(id(entry)) if partition is not None else None
-            if accepted is not None:
-                self._tuples_pruned += len(tuples) - len(accepted)
-                tuples = accepted
-            if not tuples:
-                return [], []  # nothing to fold in: no context, no residual
-            undecided = (
-                None  # nobody looked at this member's tuples
-                if accepted is None
-                else partition.undecided.get(id(entry), _ALL_DECIDED)
-            )
-            return window.residual(plan, tuples, context, undecided)
-
-        return source
+                if window.tuples is not None:
+                    entry.automaton_runs += 1
+                    self._automaton_runs += 1
+                else:
+                    entry.automaton_fallbacks += 1
+                    self._automaton_fallbacks += 1
+            if window.tuples is None:
+                if context is None:
+                    context = engine.build_context(now=now)
+                window.scan(engine, context)
+                self._prefix_runs += 1
+            index = group.index
+            if index is not None:
+                window.partition = index.partition(window.tuples)
+                self._tuple_probes += index.shapes * len(window.tuples)
+        else:
+            self._prefix_reuses += 1
+        tuples = window.tuples
+        undecided = None  # nobody looked at this member's tuples
+        partition = window.partition
+        if partition is not None and entry.filed:
+            accepted = partition.get(id(entry))
+            if accepted is None:
+                # The index gave it nothing: fold in an empty delta.
+                self._tuples_pruned += len(tuples)
+                return query.fold(_NOTHING, _NOTHING, window.end), context
+            self._tuples_pruned += len(tuples) - len(accepted)
+            undecided = partition.undecided.get(id(entry), _ALL_DECIDED)
+            tuples = accepted
+        if not tuples:
+            return query.fold(_NOTHING, _NOTHING, window.end), context
+        if context is None:
+            context = group.engine.build_context(now=now)
+        items, keys = window.residual(entry.plan, tuples, context, undecided)
+        return query.fold(items, keys, window.end), context
 
     # -- statistics ---------------------------------------------------------------------
 

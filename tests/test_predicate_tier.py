@@ -115,7 +115,7 @@ class TestIdleMembersCostNothing:
         # Every member ran — over its own sub-list — and stands at the head.
         assert stats["skips"] == 0
         head = engine.stores["s"].watermark
-        assert all(query._watermark == head for query in queries)
+        assert all(query.watermark == head for query in queries)
 
     def test_a_tick_nobody_accepts_builds_nothing(self, monkeypatch):
         engine, scheduler, queries, contexts = self._group(monkeypatch)

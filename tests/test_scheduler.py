@@ -542,7 +542,7 @@ class TestWatermarkEpochs:
         stats = scheduler.stats()
         assert query.stats()["evaluations"] == 2
         assert query.stats()["shared_runs"] == 1
-        assert query._watermark == store.watermark
+        assert query.watermark == store.watermark
         assert stats["routing"]["tuples_pruned"] == 3
         assert stats["shared_residual"]["guards_run"] == 0
         assert stats["shared_residual"]["body_runs"] == 0
@@ -558,7 +558,7 @@ class TestWatermarkEpochs:
         engine, scheduler, query = self._rig()
         store = engine.stores["credit"]
         engine.feed("credit", [self._txn(100, 1, 10)])
-        baseline_watermark = query._watermark
+        baseline_watermark = query.watermark
         epoch_before = store.mutation_epoch
         # History rewrite between the arrival and the next poll.
         store.prune_before(XSDateTime.parse("2003-10-01T02:00:00"))
@@ -568,7 +568,7 @@ class TestWatermarkEpochs:
         # The epoch moved under the old watermark: nothing was folded in,
         # the member re-ran in full and re-armed on the new history.
         assert query.stats()["full_runs"] == full_before + 1
-        assert query._watermark == store.watermark != baseline_watermark
+        assert query.watermark == store.watermark != baseline_watermark
         # The query still answers correctly, incrementally again.
         engine.feed("credit", [self._txn(300, 10, 777)])
         emitted = scheduler.poll(self.NOW)[query]
@@ -600,22 +600,22 @@ class TestWatermarkEpochs:
         full_before = query.stats()["full_runs"]
         assert scheduler.poll(self.NOW)[query] == []
         assert query.stats()["full_runs"] == full_before + 1
-        assert query._watermark == store.watermark
+        assert query.watermark == store.watermark
 
     def test_advance_watermark_never_rewinds(self):
         """Idle runs move the watermark forward only, one store head at a time."""
         engine, scheduler, query = self._rig()
         store = engine.stores["credit"]
-        marks = [query._watermark]
+        marks = [query.watermark]
         for i in range(4):
             engine.feed("credit", [self._txn(600 + i, 1 + i, 10)])
             assert scheduler.poll(self.NOW)[query] == []
-            marks.append(query._watermark)
+            marks.append(query.watermark)
         assert marks == sorted(marks) and len(set(marks)) == len(marks)
         assert marks[-1] == store.watermark
         # A poll with no arrival is a dependency skip and leaves it alone.
         scheduler.poll(self.NOW)
-        assert query._watermark == marks[-1]
+        assert query.watermark == marks[-1]
         assert query.stats()["skips"] == 1
 
 
