@@ -10,9 +10,8 @@ import pytest
 
 from repro import Channel, SimulatedClock, Strategy, StreamClient, StreamServer, TagStructure
 from repro.dom import Element, parse_document
-from repro.streams.scheduler import QueryScheduler
 
-from tests.conftest import CREDIT_TAG_STRUCTURE_XML
+from tests.conftest import CREDIT_TAG_STRUCTURE_XML, RerunClient
 
 # Ten standing queries: only two touch transactions (tsid 5).
 QUERIES = [
@@ -33,7 +32,7 @@ def build(with_scheduler: bool):
     structure = TagStructure.from_xml(CREDIT_TAG_STRUCTURE_XML)
     clock = SimulatedClock("2003-10-01T00:00:00")
     channel = Channel()
-    client = StreamClient(clock, scheduler=QueryScheduler() if with_scheduler else None)
+    client = StreamClient(clock) if with_scheduler else RerunClient(clock)
     client.tune_in(channel)
     server = StreamServer("credit", structure, channel, clock)
     server.announce()

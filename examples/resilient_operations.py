@@ -31,7 +31,6 @@ from repro import (
 from repro.dom import Element, parse_document
 from repro.fragments import Journal, temporalize
 from repro.streams.compression import CompressingChannel, TagCodec
-from repro.streams.scheduler import QueryScheduler
 from repro.temporal import XSDateTime, XSDuration
 
 STRUCTURE = TagStructure.build(
@@ -87,7 +86,7 @@ def main() -> None:
     journal = Journal(workdir / "plant.journal")
     channel.subscribe(journal.record)
 
-    client = StreamClient(clock, scheduler=QueryScheduler())
+    client = StreamClient(clock)  # schedules its queries
     client.tune_in(channel)
 
     server = StreamServer("plant", STRUCTURE, channel, clock)

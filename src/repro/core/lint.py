@@ -233,8 +233,17 @@ _WORKER_COMMANDS = frozenset(
     {"configure", "register_stream", "feed_raw", "add_query", "remove_query", "stats"}
 )
 _PICKLE_MODULES = ("pickle", "_pickle", "cPickle")
-#: Every XML text is read by ``EventParser``, the one expat parser.
-_TOKENIZER_HOME = "src/repro/dom/parser.py"
+#: Calls one ``src/repro/`` module alone makes: ``(home, callee, code,
+#: advice)``.  Every XML text is read by ``EventParser``, the one expat
+#: parser; an incremental standing query is run by one driver, the
+#: scheduler's settle (a query evaluated on its own is a group of one).
+_ONE_HOME = (
+    ("src/repro/dom/parser.py", "ParserCreate", "one-tokenizer",
+     "read XML through repro.dom.parser.EventParser, not an expat parser of its own"),
+    ("src/repro/streams/scheduler.py", "DeltaWindow", "one-driver",
+     "a DeltaWindow is opened by the scheduler's settle alone — run a query "
+     "on its own through ContinuousQuery.evaluate (a group of one)"),
+)
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -292,7 +301,11 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     reported for a ``ParserCreate(...)`` call under ``src/repro/``
     outside ``dom/parser.py``: every XML text is read through
     ``EventParser``, so its event tuples, whitespace rule and error
-    positions hold everywhere.  Unparseable
+    positions hold everywhere.  A ``one-driver`` diagnostic is reported
+    for a ``DeltaWindow(...)`` call under ``src/repro/`` outside
+    ``streams/scheduler.py``: the scheduler's settle is the one code that
+    opens a delta window, for a scheduled group and for a query evaluated
+    on its own alike.  Unparseable
     files yield ``syntax-error`` diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
@@ -317,8 +330,8 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
         if "/src/repro/" in "/" + normalized and not normalized.endswith(_PREDICATE_HOME):
             _check_predicate_tier(path, normalized, tree, diagnostics)
         _check_worker_codec(path, normalized, tree, diagnostics)
-        if "/src/repro/" in "/" + normalized and not normalized.endswith(_TOKENIZER_HOME):
-            _check_one_tokenizer(path, tree, diagnostics)
+        if "/src/repro/" in "/" + normalized:
+            _check_one_home(path, normalized, tree, diagnostics)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
         for node in _pyast.walk(tree):
@@ -528,22 +541,21 @@ def _check_worker_codec(
             )
 
 
-def _check_one_tokenizer(path: str, tree: _pyast.AST, out: list[Diagnostic]) -> None:
-    """Flag an expat parser created beside ``EventParser``."""
+def _check_one_home(path: str, normalized: str, tree: _pyast.AST,
+                    out: list[Diagnostic]) -> None:
+    """Flag a call made outside the one module that may make it."""
+    callees = {
+        callee: (code, advice) for home, callee, code, advice in _ONE_HOME
+        if not normalized.endswith(home)
+    }
     for node in _pyast.walk(tree):
         if not isinstance(node, _pyast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, _pyast.Attribute) else getattr(func, "id", None)
-        if name == "ParserCreate":
-            out.append(
-                Diagnostic(
-                    "one-tokenizer",
-                    f"{path}:{node.lineno}: read XML through "
-                    "repro.dom.parser.EventParser, not an expat parser of "
-                    "its own",
-                )
-            )
+        if name in callees:
+            code, advice = callees[name]
+            out.append(Diagnostic(code, f"{path}:{node.lineno}: {advice}"))
 
 
 def _imported_modules(tree: _pyast.AST) -> list[tuple[str, int]]:

@@ -66,6 +66,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from repro.dom.nodes import Document, Element, SharedElement, carry, new_tree_id, vouch
 from repro.dom.parser import TreeBuilder
+from repro.dom.serializer import serialize
 from repro.fragments.model import Filler
 from repro.fragments.tagstructure import TagStructure, TagType
 from repro.temporal.chrono import XSDateTime
@@ -199,6 +200,11 @@ def _successor(
     )
 
 
+def _canonical(filler: Filler) -> str:
+    """The envelope's serialised form, read without pinning a payload on it."""
+    return filler.to_xml() if filler.materialized else serialize(filler.envelope())
+
+
 class FragmentStore:
     """Holds all received fillers and answers ``get_fillers`` queries."""
 
@@ -300,8 +306,8 @@ class FragmentStore:
                 if text is not None and existing.wire_text == text:
                     return None
                 if signature is None:
-                    signature = filler.to_xml()
-                if existing.to_xml() == signature:
+                    signature = _canonical(filler)
+                if _canonical(existing) == signature:
                     return None
         else:
             self._seen.add(key)

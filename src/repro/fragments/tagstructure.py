@@ -246,10 +246,6 @@ class TagStructure:
             node = child
         return node
 
-    def type_of(self, tsid: int) -> TagType:
-        """The fragment role of a tsid."""
-        return self.by_id(tsid).type
-
     def all_tags(self) -> list[TagNode]:
         """Every tag, preorder."""
         return list(self.root.walk())

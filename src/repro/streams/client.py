@@ -3,7 +3,8 @@
 A client registers with a server's channel once, then receives everything
 pushed on it — no per-query registration with the server, no feedback.  All
 received fillers land in the client's :class:`XCQLEngine` stores, where any
-number of continuous queries evaluate over them.
+number of continuous queries evaluate over them, scheduled by the
+client's own :class:`~repro.streams.scheduler.QueryScheduler`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from repro.core.engine import XCQLEngine
 from repro.fragments.store import FragmentStore
 from repro.streams.clock import Clock, SimulatedClock
 from repro.streams.continuous import ContinuousQuery
+from repro.streams.scheduler import QueryScheduler
 from repro.streams.transport import FILLER, TAG_STRUCTURE, Channel, Message
 from repro.core.translator import Strategy
 
@@ -26,31 +28,27 @@ class StreamClient:
     The client owns an :class:`XCQLEngine`; each stream it hears about
     (via the Tag Structure announcement) gets a fragment store inside the
     engine.  Continuous queries registered on the client are re-evaluated
-    after every arrival batch and push *new* results to their subscribers.
+    by its :attr:`scheduler` (paper §8) when an arrival or the clock can
+    have changed their answer, and push *new* results to their
+    subscribers.
     """
 
-    def __init__(self, clock: Optional[Clock] = None, scheduler=None):
+    def __init__(self, clock: Optional[Clock] = None):
         self.clock = clock or SimulatedClock()
         self.engine = XCQLEngine()
         self.queries: list[ContinuousQuery] = []
-        self.scheduler = scheduler  # optional QueryScheduler (paper §8)
+        # Watches the engine, which announces every accepted arrival —
+        # delivered by a channel or fed straight in (replayed snapshots).
+        self.scheduler = QueryScheduler(self.engine)
         self.received_fillers = 0
         self.received_bytes = 0
         self._pending = 0
-        if scheduler is not None:
-            # The engine announces every accepted arrival — delivered by a
-            # channel or fed straight in (e.g. replayed snapshots).
-            scheduler.watch_engine(self.engine)
 
     # -- tuning in -----------------------------------------------------------------
 
     def tune_in(self, channel: Channel) -> None:
         """Subscribe to a channel (the one-time pull-based registration)."""
         channel.subscribe(self._on_message)
-
-    def tune_out(self, channel: Channel) -> None:
-        """Unsubscribe from a channel."""
-        channel.unsubscribe(self._on_message)
 
     def _on_message(self, message: Message) -> None:
         """Hand a channel message to :meth:`XCQLEngine.deliver`.
@@ -80,8 +78,7 @@ class StreamClient:
         """Register a continuous XCQL query on this client."""
         query = ContinuousQuery(self.engine, source, strategy=strategy, emit=emit)
         self.queries.append(query)
-        if self.scheduler is not None:
-            self.scheduler.add(query)
+        self.scheduler.add(query)
         return query
 
     def poll(self) -> dict[ContinuousQuery, list]:
@@ -89,17 +86,11 @@ class StreamClient:
 
         Returns each query's newly emitted results.  Call after arrivals
         and/or clock advances (window queries can fire on time alone).
-        With a scheduler attached, queries whose dependencies saw no new
-        fragments (and whose windows cannot have moved) are skipped.
+        Queries whose dependencies saw no new fragments (and whose
+        windows cannot have moved) are skipped: they emit ``[]``.
         """
-        now = self.clock.now()
         self._pending = 0
-        if self.scheduler is not None:
-            return self.scheduler.poll(now)
-        emitted = {}
-        for query in self.queries:
-            emitted[query] = query.evaluate(now)
-        return emitted
+        return self.scheduler.poll(self.clock.now())
 
     @property
     def has_pending_arrivals(self) -> bool:

@@ -18,12 +18,12 @@ over the whole store on every tick.  The query keeps its last result and a store
 watermark ``(seq, mutation_epoch)``; a re-evaluation is then *tuple source
 → residual*: the binding tuples of the fillers past the watermark, run
 through the plan's residual (*guard ∘ body*, tuple by tuple — see
-:meth:`DeltaWindow.residual`), appended to the retained result.  The
-tuple source is the plan's prefix over those fillers — scanned by the
-query itself, or by a :class:`~repro.streams.scheduler.QueryScheduler`
-that worked the window out once for the query's whole group (a query on
-its own is a group of one) and lets the group's members share what a
-tuple's body built.  Either way the run is booked by one method,
+:meth:`DeltaWindow.residual`), appended to the retained result.  One
+driver does that: the settle of :mod:`repro.streams.scheduler`, which
+works a :class:`DeltaWindow` out once for a query's whole group and lets
+the group's members share what a tuple's body built.  A query evaluated
+on its own (:meth:`ContinuousQuery.evaluate`) is settled as a group of
+one; either way the run is booked by one method,
 :meth:`ContinuousQuery.fold`.  Runtime guards fall back to a full
 re-evaluation whenever the delta could diverge: after ``prune_before`` /
 ``clear`` / a Tag Structure swap (the mutation epoch moved), and when a
@@ -145,22 +145,17 @@ class ContinuousQuery:
     def evaluate(self, now: Optional[XSDateTime] = None) -> list:
         """Run the query at ``now`` and emit per the emission mode.
 
-        Returns the emitted items (delta mode: the new ones only).  A
-        delta-safe plan whose watermark still holds folds in what its own
-        :class:`DeltaWindow` adds (:meth:`fold`, counted as a
-        ``delta_run``); anything else re-runs over the whole store
-        (:meth:`refresh`).
+        Returns the emitted items (delta mode: the new ones only).  The
+        run is the scheduler's settle of a group of one
+        (:func:`repro.streams.scheduler.run_alone`): never skipped, no
+        automaton, no index; an incremental run is counted as a
+        ``delta_run``, anything its window cannot settle re-runs over the
+        whole store (:meth:`refresh`).
         """
-        window = self._window()
-        if window is None:
-            return self.refresh(now)
-        if not window.fresh:
-            return self.fold((), (), window.end, "delta")
-        context = self.engine.build_context(now=now)
-        items, keys = window.residual(
-            window.plan, window.scan(self.engine, context), context
-        )
-        return self.fold(items, keys, window.end, "delta")
+        # Imported here: the scheduler module imports this one.
+        from repro.streams.scheduler import run_alone
+
+        return run_alone(self, now)
 
     def refresh(self, now: Optional[XSDateTime] = None) -> list:
         """A full run at ``now``: re-evaluate over the whole store and emit.
@@ -177,15 +172,16 @@ class ContinuousQuery:
         self._last_result = result
         return self._emit(result, None)
 
-    def fold(self, items, keys, end: tuple[int, int], mode: str = "shared") -> list:
+    def fold(self, items, keys, end: tuple[int, int], mode: str) -> list:
         """Fold a computed delta in, move the watermark to ``end`` and emit.
 
         ``items`` is what the fillers between :attr:`watermark` and ``end``
         add to the answer and ``keys`` their :func:`item_identity`
         strings — the residual over their binding tuples, worked out by
-        the query's own window (``mode="delta"``, :meth:`evaluate`) or by
-        a scheduler settling the query's whole group (``"shared"``).  The
-        caller has checked that the delta may be folded in: the epoch
+        a scheduler settling the query's group: the query's own group of
+        one (``mode="delta"``, :meth:`evaluate`) or a
+        :class:`~repro.streams.scheduler.QueryScheduler`'s (``"shared"``).
+        The caller has checked that the delta may be folded in: the epoch
         still holds and the window is :func:`delta_applicable`.  This is
         the one place an incremental run is booked: the counters,
         ``last_mode``, the retained answer, the emission dedup and the
@@ -239,39 +235,12 @@ class ContinuousQuery:
                 subscriber(fresh)
         return fresh
 
-    # -- the query's own delta window ---------------------------------------------------
-
-    def _plan_and_store(self) -> tuple:
-        """The query's incremental plan and the store it reads, if both exist."""
-        plan = self.engine.prepare_incremental(self.compiled)
-        store = self.engine.stores.get(plan.stream) if plan is not None else None
-        return plan, store
-
-    def _window(self) -> Optional["DeltaWindow"]:
-        """The arrivals past this query's watermark, or ``None`` to run full.
-
-        ``None`` on a first (baseline) run, after ``prune_before`` /
-        ``clear`` / a schema swap rewrote history (the mutation epoch
-        moved: retained tuples may reference dropped or re-annotated
-        versions), and when the arrivals cannot be folded in
-        (:func:`delta_applicable`).
-        """
-        if not self.incremental or self.watermark is None:
-            return None
-        plan, store = self._plan_and_store()
-        if store is None:
-            return None
-        seq, epoch = self.watermark
-        if store.mutation_epoch != epoch:
-            return None
-        window = DeltaWindow(store, plan, seq)
-        return window if window.applicable else None
-
     def _remember(self, result: list) -> None:
         """After a full run, reset the retained state and watermark."""
         if not self.incremental:
             return
-        _, store = self._plan_and_store()
+        plan = self.engine.prepare_incremental(self.compiled)
+        store = self.engine.stores.get(plan.stream) if plan is not None else None
         if store is None:
             return
         self._retained = list(result)
@@ -293,7 +262,7 @@ class ContinuousQuery:
         have changed (no dependent arrivals, clock irrelevant); a query
         evaluated directly never accrues skips.  ``delta_runs`` +
         ``shared_runs`` of the ``evaluations`` were served incrementally
-        (over the query's own scan / a scheduler's group window;
+        (evaluated directly, as a group of one / under a scheduler;
         ``full_runs`` re-scanned the store); ``seen_size`` /
         ``seen_evictions`` report the bounded emission-dedup memory.
         """

@@ -51,10 +51,14 @@ regime of paper §2/§7):
   copies of the constructed items and their identity strings
   (:meth:`repro.streams.continuous.DeltaWindow.residual`).
 
-Every incremental run is booked by the query itself
-(:meth:`ContinuousQuery.fold`: counters, retained answer, emission
-dedup, subscribers) and every full run by :meth:`ContinuousQuery.refresh`;
-the scheduler sets no private state of a query.  Re-evaluations run each
+The settle is the one driver of an incremental standing query: a query
+evaluated on its own (:meth:`ContinuousQuery.evaluate`) is settled as a
+group of one (:func:`run_alone`).  Every incremental run is booked by
+the query itself (:meth:`ContinuousQuery.fold`: counters, retained
+answer, emission dedup, subscribers) and every full run by
+:meth:`ContinuousQuery.refresh`; the scheduler sets no private state of
+a query and keeps none of its run counters — :meth:`QueryScheduler.stats`
+reads the members' own.  Re-evaluations run each
 query's cached :class:`CompiledQuery` — with the default ``"compiled"``
 backend that is a closure plan (see :mod:`repro.xquery.compiler`), so a
 poll tick pays zero parse/translate and zero AST dispatch.  The saved
@@ -77,6 +81,8 @@ __all__ = ["QueryDependencies", "dependencies_of", "QueryScheduler"]
 ALL_TSIDS = "*"
 _ALL_DECIDED: frozenset = frozenset()  # the index had a verdict for every tuple
 _NOTHING = ()  # the empty delta a member left without tuples folds in
+#: The query's own run counters (ContinuousQuery.stats) the scheduler reports.
+_RUN_COUNTERS = ("evaluations", "skips", "delta_runs", "full_runs", "shared_runs")
 
 
 @dataclass(frozen=True)
@@ -161,11 +167,6 @@ class _Entry:
     automaton: Optional[object] = None  # compile-stream-automaton verdict
     filed: bool = False  # in its group's tuple index
     last_now: Optional[XSDateTime] = None
-    evaluations: int = 0
-    skips: int = 0
-    full_runs: int = 0    # evaluations that re-scanned the whole store
-    delta_runs: int = 0   # incremental evaluations over the query's own scan
-    shared_runs: int = 0  # incremental evaluations fed from a group window
     automaton_runs: int = 0       # wakes answered from event captures
     automaton_fallbacks: int = 0  # declines that took the DOM prefix scan
 
@@ -177,20 +178,42 @@ class _Group:
     (``share_groups`` off), or the entries without an incremental plan
     (``plan`` is ``None``: their every run is full).  ``index`` is the
     tuple index the settle splits the group's tuples with, ``watching``
-    the members that answer wakes from an automaton's captures, and
-    ``floor`` the lowest watermark seq those hold (``None`` = not known
-    since the last settle: read it off the members).
+    the members that answer wakes from an automaton's captures, ``floor``
+    the lowest watermark seq those hold (``None`` = not known since the
+    last settle: read it off the members) and ``mode`` what an
+    incremental run is booked as (``"delta"`` for a query nobody
+    schedules, :func:`run_alone`).
     """
 
-    __slots__ = ("members", "plan", "engine", "index", "watching", "floor")
+    __slots__ = ("members", "plan", "engine", "index", "watching", "floor", "mode")
 
-    def __init__(self, members: list, index: Optional[TupleIndex] = None) -> None:
+    def __init__(self, members: list, index: Optional[TupleIndex] = None,
+                 mode: str = "shared") -> None:
         self.members = members
         self.plan = members[0].plan
         self.engine = members[0].query.engine
         self.index = index
+        self.mode = mode
         self.watching = [entry for entry in members if entry.automaton is not None]
         self.floor: Optional[int] = None
+
+
+#: What a member settled on its own depends on: nothing — it is always woken.
+_WOKEN = QueryDependencies(frozenset(), False)
+
+
+def run_alone(query: ContinuousQuery, now: Optional[XSDateTime]) -> list:
+    """Settle ``query`` at ``now`` as a group of one that nobody schedules.
+
+    :meth:`ContinuousQuery.evaluate`: the one member is always woken and
+    has no automaton and no index; an incremental run is booked as
+    ``"delta"``.  Returns its emission.
+    """
+    plan = query.engine.prepare_incremental(query.compiled)
+    entry = _Entry(query, _WOKEN, plan)
+    emitted: dict[ContinuousQuery, list] = {}
+    QueryScheduler()._settle(_Group([entry], mode="delta"), now, {entry}, emitted)
+    return emitted[query]
 
 
 class QueryScheduler:
@@ -351,10 +374,12 @@ class QueryScheduler:
         :meth:`_ordered_entries`): ``[]`` for the queries skipped.
         """
         emitted: dict[ContinuousQuery, list] = {}
-        woken = self._woken()
+        # Taken, not cleared afterwards: what a subscriber feeds during
+        # this tick wakes its watchers on the next one.
+        arrivals, self._arrivals = self._arrivals, set()
+        woken = self._woken(arrivals)
         for group in self._groups_in_order():
             self._settle(group, now, woken, emitted)
-        self._arrivals.clear()
         if self.stream_automata:
             self._prune_automata()
         return emitted
@@ -415,11 +440,11 @@ class QueryScheduler:
                     floor = group.floor
             engine.automaton_host.prune(automaton, floor)
 
-    def _woken(self) -> set:
-        """The entries some arrival since the last poll can have changed."""
+    def _woken(self, arrivals: set) -> set:
+        """The entries some of ``arrivals`` can have changed."""
         woken: set[_Entry] = set()
         watchers = self._watchers
-        for stream, tsid in self._arrivals:
+        for stream, tsid in arrivals:
             woken.update(watchers.get((stream, tsid), ()))
             woken.update(watchers.get((stream, ALL_TSIDS), ()))
         return woken
@@ -455,7 +480,6 @@ class QueryScheduler:
                 or entry.last_now is None  # the first poll establishes a baseline
                 or (entry.dependencies.time_sensitive and now != entry.last_now)
             ):
-                entry.skips += 1
                 query.skips += 1
                 emitted[query] = []
                 entry.last_now = now
@@ -476,24 +500,21 @@ class QueryScheduler:
                     windows[mark] = window
             if window is None:
                 emitted[query] = query.refresh(now)
-                entry.full_runs += 1
             else:
                 partition = window.partition
                 if partition is not None and entry.filed and id(entry) not in partition:
                     # The index gave it nothing: an empty delta, nothing built.
                     self._prefix_reuses += 1
                     self._tuples_pruned += len(window.tuples)
-                    emitted[query] = query.fold(_NOTHING, _NOTHING, window.end)
+                    emitted[query] = query.fold(_NOTHING, _NOTHING, window.end, group.mode)
                 elif window.fresh:
                     emitted[query], context = self._fold(
                         group, entry, window, now, context
                     )
                 else:
-                    emitted[query] = query.fold(_NOTHING, _NOTHING, window.end)
-                entry.shared_runs += 1
+                    emitted[query] = query.fold(_NOTHING, _NOTHING, window.end, group.mode)
                 if entry.automaton is not None:
                     folded += 1
-            entry.evaluations += 1
             entry.last_now = now
         if ran:
             # When every member answering from captures folded the one
@@ -558,16 +579,16 @@ class QueryScheduler:
             if accepted is None:
                 # The index gave it nothing: fold in an empty delta.
                 self._tuples_pruned += len(tuples)
-                return query.fold(_NOTHING, _NOTHING, window.end), context
+                return query.fold(_NOTHING, _NOTHING, window.end, group.mode), context
             self._tuples_pruned += len(tuples) - len(accepted)
             undecided = partition.undecided.get(id(entry), _ALL_DECIDED)
             tuples = accepted
         if not tuples:
-            return query.fold(_NOTHING, _NOTHING, window.end), context
+            return query.fold(_NOTHING, _NOTHING, window.end, group.mode), context
         if context is None:
             context = group.engine.build_context(now=now)
         items, keys = window.residual(entry.plan, tuples, context, undecided)
-        return query.fold(items, keys, window.end), context
+        return query.fold(items, keys, window.end, group.mode), context
 
     # -- statistics ---------------------------------------------------------------------
 
@@ -582,25 +603,15 @@ class QueryScheduler:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    @property
-    def total_evaluations(self) -> int:
-        return sum(entry.evaluations for entry in self._entries)
+    def _total(self, counter: str) -> int:
+        """One run counter summed over the members' own :meth:`ContinuousQuery.stats`."""
+        return sum(entry.query.stats()[counter] for entry in self._entries)
 
-    @property
-    def total_skips(self) -> int:
-        return sum(entry.skips for entry in self._entries)
-
-    @property
-    def total_delta_runs(self) -> int:
-        return sum(entry.delta_runs for entry in self._entries)
-
-    @property
-    def total_full_runs(self) -> int:
-        return sum(entry.full_runs for entry in self._entries)
-
-    @property
-    def total_shared_runs(self) -> int:
-        return sum(entry.shared_runs for entry in self._entries)
+    total_evaluations = property(lambda self: self._total("evaluations"))
+    total_skips = property(lambda self: self._total("skips"))
+    total_delta_runs = property(lambda self: self._total("delta_runs"))
+    total_full_runs = property(lambda self: self._total("full_runs"))
+    total_shared_runs = property(lambda self: self._total("shared_runs"))
 
     def stats(self) -> dict:
         """Counters for reporting: totals plus a per-query breakdown.
@@ -620,14 +631,21 @@ class QueryScheduler:
         the index's verdict made unnecessary vs. guards run, bodies
         evaluated vs. answered from a co-member's run of the same body
         over the same tuple; ``groups`` maps each shared group to its
-        member count.
+        member count.  The run counters are the members' own
+        (:meth:`ContinuousQuery.stats`), so a query that also ran outside
+        this scheduler — evaluated directly, or in another scheduler —
+        reports those runs too.
         """
+        rows = []
+        for entry in self._entries:
+            counters = entry.query.stats()
+            row = {"source": entry.query.source}
+            row.update((counter, counters[counter]) for counter in _RUN_COUNTERS)
+            row["automaton_runs"] = entry.automaton_runs
+            row["automaton_fallbacks"] = entry.automaton_fallbacks
+            rows.append(row)
         return {
-            "evaluations": self.total_evaluations,
-            "skips": self.total_skips,
-            "delta_runs": self.total_delta_runs,
-            "full_runs": self.total_full_runs,
-            "shared_runs": self.total_shared_runs,
+            **{counter: sum(row[counter] for row in rows) for counter in _RUN_COUNTERS},
             "notifications": self._notifications,
             "routing": {
                 "registered": sum(len(index) for index in self._indexes.values()),
@@ -658,17 +676,5 @@ class QueryScheduler:
                     self._groups.items(), key=lambda item: str(item[0])
                 )
             },
-            "queries": [
-                {
-                    "source": entry.query.source,
-                    "evaluations": entry.evaluations,
-                    "skips": entry.skips,
-                    "delta_runs": entry.delta_runs,
-                    "full_runs": entry.full_runs,
-                    "shared_runs": entry.shared_runs,
-                    "automaton_runs": entry.automaton_runs,
-                    "automaton_fallbacks": entry.automaton_fallbacks,
-                }
-                for entry in self._entries
-            ],
+            "queries": rows,
         }

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro import Fragmenter, FragmentStore, TagStructure, XCQLEngine
+from repro import ContinuousQuery, Fragmenter, FragmentStore, Strategy, TagStructure, XCQLEngine
 from repro.dom import parse_document
 from repro.temporal import XSDateTime
 from repro.xmark import AUCTION_STREAM, auction_tag_structure, generate_auction_document
@@ -116,3 +116,29 @@ def tiny_auction_engine(auction_structure) -> XCQLEngine:
         AUCTION_STREAM, fragmenter.fragment(document, XSDateTime.parse("2003-01-01T00:00:00"))
     )
     return engine
+
+
+class RerunClient:
+    """The unscheduled reference for a ``StreamClient``.
+
+    A plain engine tuned in to a channel, whose every query is evaluated
+    at every poll; it has the client surface the with/without-scheduler
+    comparisons use (``tune_in`` / ``register_query`` / ``poll``).
+    """
+
+    def __init__(self, clock):
+        self.clock = clock
+        self.engine = XCQLEngine()
+        self.queries: list[ContinuousQuery] = []
+
+    def tune_in(self, channel) -> None:
+        channel.subscribe(self.engine.deliver)
+
+    def register_query(self, source, strategy=Strategy.QAC, emit="delta"):
+        query = ContinuousQuery(self.engine, source, strategy=strategy, emit=emit)
+        self.queries.append(query)
+        return query
+
+    def poll(self) -> dict:
+        now = self.clock.now()
+        return {query: query.evaluate(now) for query in self.queries}

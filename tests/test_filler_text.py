@@ -108,3 +108,36 @@ class TestSnapshotPinsNothing:
         assert [f.to_xml() for f in restored.stores["s"].fillers_since(0)] == [
             f.to_xml() for f in engine.stores["s"].fillers_since(0)
         ]
+
+
+class TestDuplicateCheckPinsNothing:
+    """A re-sent envelope is recognised on trees nobody keeps."""
+
+    EVENTS = TagStructure.from_xml(
+        """
+        <stream:structure>
+          <tag type="snapshot" id="1" name="log">
+            <tag type="event" id="2" name="unit"/>
+          </tag>
+        </stream:structure>
+        """
+    )
+
+    def test_a_resent_envelope_in_another_form_is_dropped(self):
+        engine = XCQLEngine()
+        engine.register_stream("s", STRUCTURE)
+        sent = envelope(2, ['<a k="v">x</a>'], head='n="1"')
+        assert engine.feed_raw("s", [ROOT, sent]) == 2
+        assert engine.feed_raw("s", [sent.replace('"', "'")]) == 0
+        assert engine.feed_raw("s", [sent]) == 0
+        assert engine.stats()["streams"]["s"]["materialized_fillers"] == 0
+        assert engine.stores["s"].filler_count == 2
+
+    def test_events_sharing_id_and_time_are_all_kept(self):
+        engine = XCQLEngine()
+        engine.register_stream("s", self.EVENTS)
+        texts = [envelope(2, [part]) for part in ("<a>x</a>", "<a>y</a>", "<b/>")]
+        assert engine.feed_raw("s", [ROOT] + texts) == 4
+        assert engine.feed_raw("s", [text.replace('"', "'") for text in texts]) == 0
+        assert engine.stats()["streams"]["s"]["materialized_fillers"] == 0
+        assert [f.to_xml() for f in engine.stores["s"].fillers_since(1)] == texts

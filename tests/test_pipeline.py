@@ -596,6 +596,28 @@ class TestSourceLint:
         )
         assert len(lint_sources([str(tmp_path)])) == 3
 
+    def test_one_driver_opens_delta_windows(self, tmp_path):
+        package = tmp_path / "src" / "repro" / "streams"
+        package.mkdir(parents=True)
+        (package / "continuous.py").write_text(
+            "class DeltaWindow:\n"
+            "    pass\n"
+            "def window(store, plan, seq):\n"
+            "    return DeltaWindow(store, plan, seq)\n"
+            "def other(module, store, plan):\n"
+            "    return module.DeltaWindow(store, plan, 0)\n"
+        )
+        findings = lint_sources([str(tmp_path)])
+        assert [f.code for f in findings] == ["one-driver"] * 2
+        assert sorted(int(f.message.split(":")[1]) for f in findings) == [4, 6]
+        assert all("evaluate" in f.message for f in findings)
+        # The scheduler's settle opens them; tests may build their own.
+        for home in ("src/repro/streams/scheduler.py", "tests/test_window.py"):
+            path = tmp_path / home
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("def settle(store, plan):\n    return DeltaWindow(store, plan, 0)\n")
+        assert len(lint_sources([str(tmp_path)])) == 2
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")

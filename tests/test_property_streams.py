@@ -1,9 +1,10 @@
 """Property-based tests for the stream runtime.
 
-Random event/update/poll schedules drive two clients — one with the
-dependency scheduler, one without — and must produce identical emission
-streams; random version chains pruned at random horizons must keep every
-answer inside the retained window.
+Random event/update/poll schedules drive a client, which schedules its
+queries, and a plain engine that evaluates every query at every poll
+(``RerunClient``); both must produce identical emission streams.
+Random version chains pruned at random horizons must keep every answer
+inside the retained window.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -20,10 +21,9 @@ from repro import (
 )
 from repro.dom import Element, parse_document, serialize
 from repro.fragments.model import Filler
-from repro.streams.scheduler import QueryScheduler
 from repro.temporal import XSDateTime
 
-from tests.conftest import CREDIT_TAG_STRUCTURE_XML
+from tests.conftest import CREDIT_TAG_STRUCTURE_XML, RerunClient
 
 QUERIES = [
     ('count(stream("credit")//transaction)', Strategy.QAC_PLUS),
@@ -53,7 +53,7 @@ def _run_schedule(steps, with_scheduler: bool) -> list[str]:
     structure = TagStructure.from_xml(CREDIT_TAG_STRUCTURE_XML)
     clock = SimulatedClock("2003-10-01T00:00:00")
     channel = Channel()
-    client = StreamClient(clock, scheduler=QueryScheduler() if with_scheduler else None)
+    client = StreamClient(clock) if with_scheduler else RerunClient(clock)
     client.tune_in(channel)
     server = StreamServer("credit", structure, channel, clock)
     server.announce()

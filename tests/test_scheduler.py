@@ -11,13 +11,13 @@ from repro import (
     TagStructure,
     XCQLEngine,
 )
-from repro.dom import Element, parse_document
+from repro.dom import Element, parse_document, serialize
 from repro.fragments.model import Filler
 from repro.streams.continuous import ContinuousQuery
 from repro.streams.scheduler import ALL_TSIDS, QueryScheduler, dependencies_of
 from repro.temporal.chrono import XSDateTime
 
-from tests.conftest import CREDIT_TAG_STRUCTURE_XML
+from tests.conftest import CREDIT_TAG_STRUCTURE_XML, RerunClient
 
 
 def make_engine():
@@ -111,8 +111,8 @@ def scheduled_rig():
     structure = TagStructure.from_xml(CREDIT_TAG_STRUCTURE_XML)
     clock = SimulatedClock("2003-10-01T00:00:00")
     channel = Channel()
-    scheduler = QueryScheduler()
-    client = StreamClient(clock, scheduler=scheduler)
+    client = StreamClient(clock)
+    scheduler = client.scheduler
     client.tune_in(channel)
     server = StreamServer("credit", structure, channel, clock)
     server.announce()
@@ -260,9 +260,7 @@ class TestScheduler:
         def run(with_scheduler: bool):
             clock = SimulatedClock("2003-10-01T00:00:00")
             channel = Channel()
-            client = StreamClient(
-                clock, scheduler=QueryScheduler() if with_scheduler else None
-            )
+            client = StreamClient(clock) if with_scheduler else RerunClient(clock)
             client.tune_in(channel)
             server = StreamServer("credit", structure, channel, clock)
             server.announce()
@@ -316,9 +314,49 @@ class TestScheduler:
                 "automaton_fallbacks": 0,
             }
         ]
-        # The scheduler mirrors its skip decisions onto the query itself.
+        # The scheduler's rows are the query's own counters.
         assert query.stats()["evaluations"] == 1
         assert query.stats()["skips"] == 1
+
+
+class TestArrivalDuringPoll:
+    """What a subscriber feeds during a tick wakes its watchers on the next."""
+
+    def test_a_fed_limit_reaches_the_limit_query(self):
+        engine = make_engine()
+        engine.feed("credit", [
+            Filler(0, 1, XSDateTime.parse("2003-10-01T00:00:00"), parse_document(
+                '<creditAccounts><hole id="1" tsid="2"/></creditAccounts>'
+            ).document_element),
+            Filler(1, 2, XSDateTime.parse("2003-10-01T00:00:00"), parse_document(
+                '<account id="1"><hole id="2" tsid="4"/><hole id="3" tsid="5"/></account>'
+            ).document_element),
+        ])
+        scheduler = QueryScheduler(engine)
+        limits = ContinuousQuery(engine, 'stream("credit")//creditLimit', Strategy.QAC_PLUS)
+        txns = ContinuousQuery(engine, 'stream("credit")//transaction', Strategy.QAC_PLUS)
+        for query in (limits, txns):
+            scheduler.add(query)
+
+        def raise_the_limit(items):
+            engine.feed("credit", [Filler(
+                2, 4, XSDateTime.parse("2003-10-01T00:00:01"),
+                parse_document("<creditLimit>900</creditLimit>").document_element,
+            )])
+
+        txns.subscribe(raise_the_limit)
+        now = XSDateTime.parse("2003-10-02T00:00:00")
+        scheduler.poll(now)
+        assert limits.last_result == [] and txns.last_result == []
+        engine.feed("credit", [TestListenerLifecycle._txn(3, 2, 5)])
+        during = scheduler.poll(now)
+        after = scheduler.poll(now)
+        emitted = [serialize(item) for item in during[limits] + after[limits]]
+        assert emitted == [
+            '<creditLimit vtFrom="2003-10-01T00:00:01" vtTo="now">900</creditLimit>'
+        ]
+        fresh = engine.execute('stream("credit")//creditLimit', Strategy.QAC_PLUS, now=now)
+        assert list(map(serialize, limits.last_result)) == list(map(serialize, fresh))
 
 
 class TestListenerLifecycle:

@@ -595,7 +595,7 @@ class TestPushRuntimeRouting:
         server = StreamServer(
             "s", TagStructure.from_xml(STRUCTURE_XML), channel, clock
         )
-        client = StreamClient(clock, scheduler=QueryScheduler())
+        client = StreamClient(clock)
         client.tune_in(channel)
         server.announce()
         server.publish_document(parse_document("<log/>").document_element)
