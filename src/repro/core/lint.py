@@ -23,13 +23,15 @@ entry points anywhere but the pass pipeline, so every future compilation
 path stays traceable through :mod:`repro.core.pipeline`, and holds a few
 layering rules (DOM-free modules, the tree-builder primitive, the one
 home of the emission identity, the two places a routing predicate is
-decided, no timer on the delivery path, one shard worker codec).
+decided, no timer on the delivery path, one shard worker codec, no
+definition nothing reaches).
 """
 
 from __future__ import annotations
 
 import ast as _pyast
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -244,6 +246,13 @@ _ONE_HOME = (
      "a DeltaWindow is opened by the scheduler's settle alone — run a query "
      "on its own through ContinuousQuery.evaluate (a group of one)"),
 )
+#: The declared public surface of ``src/repro/``: a name inside a code
+#: span or code block of this file (relative to the tree's root).
+_SURFACE_DOC = os.path.join("docs", "api.md")
+_CODE_SPAN = re.compile(r"```.*?```|`[^`\n]+`", re.S)
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
+#: One ``name = "module:function"`` line of ``[project.scripts]``.
+_SCRIPT_TARGET = re.compile(r"""^\s*[\w.-]+\s*=\s*["'][\w.]+:(\w+)["']""", re.M)
 
 
 def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
@@ -305,10 +314,17 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
     for a ``DeltaWindow(...)`` call under ``src/repro/`` outside
     ``streams/scheduler.py``: the scheduler's settle is the one code that
     opens a delta window, for a scheduled group and for a query evaluated
-    on its own alike.  Unparseable
+    on its own alike.  An ``unreached`` diagnostic is reported for a
+    function, class or method under ``src/repro/`` that no ``src/repro/``
+    code names (a name, an attribute or an import; strings, comments and
+    ``__all__`` do not count) and that is neither a dunder, a
+    ``[project.scripts]`` entry point nor declared — a public name inside
+    a code span or block of the tree's ``docs/api.md`` (a tree without one
+    declares no surface and is not checked).  Unparseable
     files yield ``syntax-error`` diagnostics; the linter never raises.
     """
     diagnostics: list[Diagnostic] = []
+    sources: dict[str, tuple[str, _pyast.AST]] = {}
     for path in _python_files(paths):
         normalized = path.replace(os.sep, "/")
         try:
@@ -332,6 +348,7 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
         _check_worker_codec(path, normalized, tree, diagnostics)
         if "/src/repro/" in "/" + normalized:
             _check_one_home(path, normalized, tree, diagnostics)
+            sources[os.path.abspath(path)] = (path, tree)
         if normalized.endswith(_PIPELINE_EXEMPT):
             continue
         for node in _pyast.walk(tree):
@@ -349,6 +366,7 @@ def lint_sources(paths: Iterable[str]) -> list[Diagnostic]:
                             "rewrites/analyses must run as pipeline passes",
                         )
                     )
+    _check_unreached(sources, diagnostics)
     return _dedup(diagnostics)
 
 
@@ -556,6 +574,86 @@ def _check_one_home(path: str, normalized: str, tree: _pyast.AST,
         if name in callees:
             code, advice = callees[name]
             out.append(Diagnostic(code, f"{path}:{node.lineno}: {advice}"))
+
+
+def _check_unreached(
+    sources: dict[str, tuple[str, _pyast.AST]], out: list[Diagnostic]
+) -> None:
+    """Flag a linted ``src/repro/`` definition that nothing reaches.
+
+    Reachability is read over the whole ``src/repro/`` tree of each root,
+    whichever of its files were linted; only linted files are reported.
+    """
+    roots: dict[str, list[tuple[str, _pyast.AST]]] = {}
+    for absolute, linted in sources.items():
+        normalized = absolute.replace(os.sep, "/")
+        root = normalized[: normalized.rindex("/src/repro/")] or "/"
+        roots.setdefault(root, []).append(linted)
+    for root, linted in roots.items():
+        try:
+            with open(os.path.join(root, _SURFACE_DOC), encoding="utf-8") as fh:
+                surface = fh.read()
+        except OSError:
+            continue
+        declared = {
+            name
+            for span in _CODE_SPAN.findall(surface)
+            for name in _IDENTIFIER.findall(span)
+            if not name.startswith("_")
+        }
+        exempt = declared | _entry_points(root)
+        named: set[str] = set()
+        for path in _python_files([os.path.join(root, "src", "repro")]):
+            if os.path.abspath(path) in sources:
+                tree = sources[os.path.abspath(path)][1]
+            else:
+                try:
+                    with open(path, encoding="utf-8") as fh:
+                        tree = _pyast.parse(fh.read())
+                except (OSError, SyntaxError, ValueError):
+                    continue  # reported as a syntax error where it is linted
+            for node in _pyast.walk(tree):
+                if isinstance(node, _pyast.Name):
+                    named.add(node.id)
+                elif isinstance(node, _pyast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, _pyast.alias):
+                    named.update(node.name.split("."))
+                    named.add(node.asname or node.name)
+        for path, tree in linted:
+            for node in _pyast.walk(tree):
+                if not isinstance(
+                    node, (_pyast.FunctionDef, _pyast.AsyncFunctionDef, _pyast.ClassDef)
+                ):
+                    continue
+                name = node.name
+                if name in named or name in exempt or (
+                    name.startswith("__") and name.endswith("__")
+                ):
+                    continue
+                why = (
+                    "a private name cannot be declared: use it from src/ or delete it"
+                    if name.startswith("_")
+                    else f"delete it, or declare it in {_SURFACE_DOC} with a reason"
+                )
+                out.append(
+                    Diagnostic(
+                        "unreached",
+                        f"{path}:{node.lineno}: nothing under src/repro/ names "
+                        f"{name} — {why}",
+                    )
+                )
+
+
+def _entry_points(root: str) -> set[str]:
+    """The functions ``[project.scripts]`` of the root's pyproject names."""
+    try:
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            _head, found, rest = fh.read().partition("[project.scripts]")
+    except OSError:
+        return set()
+    section = rest.split("\n[", 1)[0] if found else ""
+    return set(_SCRIPT_TARGET.findall(section))
 
 
 def _imported_modules(tree: _pyast.AST) -> list[tuple[str, int]]:

@@ -41,11 +41,6 @@ class ElementDecl:
     children: list[tuple[str, str]] = field(default_factory=list)
     # children: (child element name, cardinality in {"", "?", "*", "+"})
 
-    @property
-    def is_text_only(self) -> bool:
-        """True for ``(#PCDATA)``/``(#CDATA)`` content."""
-        return self.content_model.replace(" ", "") in ("(#PCDATA)", "(#CDATA)", "EMPTY", "ANY") and not self.children
-
 
 @dataclass
 class DTD:
@@ -54,10 +49,6 @@ class DTD:
     root: str
     elements: dict[str, ElementDecl] = field(default_factory=dict)
     attributes: dict[str, list[AttrDecl]] = field(default_factory=dict)
-
-    def attrs_of(self, element: str) -> list[AttrDecl]:
-        """Attribute declarations for an element (empty list if none)."""
-        return self.attributes.get(element, [])
 
     def child_names(self, element: str) -> list[str]:
         """Declared child element names, in declaration order."""

@@ -71,13 +71,6 @@ class Node:
             node = node.parent
         return node
 
-    def ancestors(self) -> Iterator["Node"]:
-        """Ancestors from parent up to the root."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
-
     # -- values ----------------------------------------------------------------
 
     def string_value(self) -> str:
@@ -209,12 +202,6 @@ class _Container(Node):
     def iter(self) -> Iterator[Node]:
         """This node followed by all descendants in document order."""
         return _walk(self)
-
-    def iter_elements(self) -> Iterator["Element"]:
-        """All descendant elements (excluding self) in document order."""
-        for node in _walk(self):
-            if node is not self and isinstance(node, Element):
-                yield node
 
     def string_value(self) -> str:
         return "".join(

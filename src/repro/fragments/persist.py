@@ -208,44 +208,6 @@ class Journal:
 
                 yield seq, Message(kind, stream, payload)
 
-    # The filler-envelope id, read the way the transport's peek does —
-    # not imported from there, to keep fragments free of stream imports.
-    _FILLER_ID_RE = re.compile(r'<filler\b[^>]*?\bid\s*=\s*["\'](\d+)["\']')
-
-    def filler_version_counts(
-        self, upto: Optional[int] = None
-    ) -> "dict[Tuple[str, int], int]":
-        """``(stream, filler_id) -> version count`` over the journal.
-
-        This is the supersede state the broadcast front door tracks
-        live: how many versions of each filler have been published.  A
-        restarted server rebuilds its counts from here, and catch-up
-        replay reconstructs the counts *as of a resume point* (``upto``
-        bounds the scan to records at or before that seq) so the replay
-        filter can make byte-identical decisions to the live probe.  A
-        regex peek per record, no parsing — same budget as
-        :meth:`read_indexed` skipping.
-        """
-        counts: "dict[Tuple[str, int], int]" = {}
-        if not os.path.exists(self.path):
-            return counts
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for seq, line in enumerate(handle, start=1):
-                if upto is not None and seq > upto:
-                    break
-                match = self._RECORD_RE.match(line.rstrip("\n"))
-                if match is None:
-                    continue
-                kind, stream, _escaped, payload = match.groups()
-                if kind != FILLER:
-                    continue
-                filler = self._FILLER_ID_RE.search(payload)
-                if filler is None:
-                    continue
-                key = (stream, int(filler.group(1)))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
     @property
     def last_seq(self) -> int:
         """The 1-based index of the final record (0 for no journal)."""

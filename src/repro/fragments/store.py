@@ -1032,15 +1032,6 @@ class FragmentStore:
         """Total bytes of all fillers as transmitted."""
         return sum(filler.wire_size for filler in self._fillers)
 
-    def latest_time(self) -> Optional[XSDateTime]:
-        """The newest validTime seen, if any."""
-        if not self._fillers:
-            return None
-        return max(
-            (filler.valid_time for filler in self._fillers),
-            key=lambda t: t.to_epoch_seconds(),
-        )
-
     def __len__(self) -> int:
         return len(self._fillers)
 

@@ -98,15 +98,6 @@ class TagNode:
             node = node.parent
         return "/" + "/".join(reversed(parts))
 
-    def nearest_fragmented_ancestor(self) -> Optional["TagNode"]:
-        """The closest ancestor that is itself a filler boundary."""
-        node = self.parent
-        while node is not None:
-            if node.type.is_fragmented:
-                return node
-            node = node.parent
-        return None
-
     def __repr__(self) -> str:
         return f"<TagNode {self.tsid} {self.name!r} {self.type.value}>"
 
@@ -249,10 +240,6 @@ class TagStructure:
     def all_tags(self) -> list[TagNode]:
         """Every tag, preorder."""
         return list(self.root.walk())
-
-    def fragmented_tags(self) -> list[TagNode]:
-        """All tags that produce fillers (temporal + event)."""
-        return [node for node in self.root.walk() if node.type.is_fragmented]
 
     def __len__(self) -> int:
         return len(self._by_id)

@@ -42,7 +42,6 @@ class StreamClient:
         self.scheduler = QueryScheduler(self.engine)
         self.received_fillers = 0
         self.received_bytes = 0
-        self._pending = 0
 
     # -- tuning in -----------------------------------------------------------------
 
@@ -65,7 +64,6 @@ class StreamClient:
             added = self.engine.deliver(message)
             self.received_fillers += added
             self.received_bytes += added * message.wire_size
-            self._pending += added
 
     # -- continuous queries -----------------------------------------------------------
 
@@ -89,13 +87,7 @@ class StreamClient:
         Queries whose dependencies saw no new fragments (and whose
         windows cannot have moved) are skipped: they emit ``[]``.
         """
-        self._pending = 0
         return self.scheduler.poll(self.clock.now())
-
-    @property
-    def has_pending_arrivals(self) -> bool:
-        """True when fillers arrived since the last poll."""
-        return self._pending > 0
 
     def store_of(self, stream: str) -> FragmentStore:
         """The fragment store of a stream this client has heard."""

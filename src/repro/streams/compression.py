@@ -67,14 +67,6 @@ class TagCodec:
         self._encode = {name: f"t{index + 1}" for index, name in enumerate(names)}
         self._decode = {code: name for name, code in self._encode.items()}
 
-    def code_of(self, name: str) -> str:
-        """The code for a tag name (the name itself when unmapped)."""
-        return self._encode.get(name, name)
-
-    def name_of(self, code: str) -> str:
-        """The tag name for a code (the code itself when unmapped)."""
-        return self._decode.get(code, code)
-
     # -- element transforms -----------------------------------------------------
 
     def encode(self, element: Element) -> Element:

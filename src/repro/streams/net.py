@@ -55,12 +55,12 @@ Catch-up sequence (the no-retransmission model's only recovery path)::
 Replay and live traffic may overlap at the boundary; entries carry their
 journal seq, so the client absorbs duplicates idempotently.
 
-Catch-up replay is *predicate-narrowed*: the journal's filler version
-counts are reconstructed up to the client's resume point, so a
-``RoutingPredicate`` subscription replays exactly what it would have
-been sent live — non-matching and non-superseding entries are skipped
-(``replay_skipped`` counts them) instead of the old tsid-conservative
-flood.
+Catch-up replay is *predicate-narrowed*: each entry is judged with the
+supersede answer the live door gave it (the server's one ledger, the seq
+of each fragment's first counted version), so a ``RoutingPredicate``
+subscription replays exactly what it would have been sent live —
+non-matching and non-superseding entries are skipped (``replay_skipped``
+counts them) instead of the old tsid-conservative flood.
 
 The WORKER role (protocol v2)
 -----------------------------
@@ -513,9 +513,11 @@ class StreamServer:
         self._tag_types: dict[tuple[str, int], Optional[TagType]] = {}
         # (stream, tsid) -> the door probe of its predicate subscriptions.
         self._probes: dict[tuple[str, int], DoorProbe] = {}
-        # (stream, filler_id) -> published version count, for the
-        # conservative supersede wake (mirrors the sharded front door).
-        self._version_counts: dict[tuple[str, int], int] = {}
+        # (stream, filler_id) -> seq of the first version the door
+        # counted: the supersede ledger of the conservative wake (mirrors
+        # the sharded front door).  A version at seq had one before iff
+        # first < seq — live, after a restart and in catch-up alike.
+        self._first_versions: dict[tuple[str, int], int] = {}
         self._seq = journal.last_seq if journal is not None else 0
         # Counters (see stats()).
         self.published = 0
@@ -549,14 +551,14 @@ class StreamServer:
         )
 
     def _bootstrap_structures(self) -> None:
-        """Recover stream schemas, codecs, and supersede state.
+        """Recover stream schemas, codecs, and the supersede ledger.
 
         A restarted server must keep probing the routing front door with
         the same answers it would have given before the restart: the
-        per-filler version counts (the conservative supersede wake) are
-        part of that state, so they are rebuilt from the journal along
-        with the schemas, record by record like the live door — or a
-        fragment's first post-restart version would look like its first ever.
+        ledger (the conservative supersede wake) is part of that state,
+        so it is rebuilt from the journal along with the schemas, record
+        by record like the live door — or a fragment's first
+        post-restart version would look like its first ever.
         """
         for seq, message in self.journal.read_indexed():
             if message.kind == TAG_STRUCTURE:
@@ -566,7 +568,7 @@ class StreamServer:
                 filler_id, tsid, _holes = peek_filler(message.payload)
             except ValueError:
                 continue  # not an envelope: nothing the door could count
-            self._note_version(message.stream, filler_id, tsid)
+            self._note_version(message.stream, filler_id, tsid, seq)
 
     @property
     def port(self) -> int:
@@ -629,7 +631,7 @@ class StreamServer:
             self._register_structure(seq, message)
         elif message.kind == FILLER:
             filler_id, tsid, _holes = peek_filler(message.payload)
-            supersede = self._note_version(message.stream, filler_id, tsid)
+            supersede = self._note_version(message.stream, filler_id, tsid, seq)
             skips = self._door_skips(message, tsid, supersede)
         if self.engine is not None:
             self.engine.deliver(message)
@@ -659,20 +661,17 @@ class StreamServer:
         self.fanned_out += fanned
         return seq
 
-    def _note_version(self, stream: str, filler_id: int, tsid: int) -> bool:
-        """Count one published version; had the fragment one already?
+    def _note_version(self, stream: str, filler_id: int, tsid: int, seq: int) -> bool:
+        """Count the version published at ``seq``; had the fragment one already?
 
         The door asks only for non-event tags, and each live event is a
         fragment of its own: counting a tsid known to be an event would
-        grow the table by an entry per message for ever.  An unknown
+        grow the ledger by an entry per message for ever.  An unknown
         tsid is counted — the schema may yet say otherwise.
         """
         if self._tag_types.get((stream, tsid)) is TagType.EVENT:
             return False
-        key = (stream, filler_id)
-        versions = self._version_counts.get(key, 0)
-        self._version_counts[key] = versions + 1
-        return versions > 0
+        return self._first_versions.setdefault((stream, filler_id), seq) < seq
 
     def _register_structure(self, seq: int, message: Message) -> None:
         structure = TagStructure.from_xml(message.payload)
@@ -874,17 +873,14 @@ class StreamServer:
         max_seq = after
         if self.journal is not None:
             # Predicate subscriptions need the supersede state each
-            # journal entry was published under.  It is reconstructed,
-            # not approximated: version counts up to the resume point,
-            # then maintained entry by entry through the replay — so the
-            # replay filter gives byte-identical answers to the live
-            # front door, and superseded/non-matching entries are
-            # skipped instead of flooding the reconnecting client.
-            counts: Optional[dict] = None
-            if any(sub.predicate is not None for sub in conn.subscriptions):
-                counts = self.journal.filler_version_counts(upto=after)
+            # journal entry was published under: the ledger answers it
+            # for any seq, so the replay filter gives byte-identical
+            # answers to the live front door, superseded/non-matching
+            # entries are skipped instead of flooding the reconnecting
+            # client, and the journal is read once.
+            narrowed = any(sub.predicate is not None for sub in conn.subscriptions)
             for seq, message in self.journal.read_indexed(after):
-                if not self._replay_match(conn, message, counts):
+                if not self._replay_match(conn, seq, message, narrowed):
                     skipped += 1
                     continue
                 await conn.outbox.enqueue(seq, message)
@@ -911,17 +907,16 @@ class StreamServer:
         return True
 
     def _replay_match(
-        self, conn: _Connection, message: Message, counts: Optional[dict]
+        self, conn: _Connection, seq: int, message: Message, narrowed: bool
     ) -> bool:
-        """Replay filter: the live front-door probe, fed journal state.
+        """Replay filter: the live front-door probe, fed the ledger.
 
-        ``counts`` holds the reconstructed version counts as of this
-        entry (see :meth:`_on_catchup`; ``None`` when no subscription
-        asks); with its had-this-filler-a-version-yet answer, the exact
-        :meth:`_should_send` probe applies — same tsid dependency test,
-        same predicate probe, same conservative non-event supersede wake
-        — so a catch-up client receives precisely the frames it would
-        have been sent live.
+        When a predicate subscription asks (``narrowed``), the ledger's
+        had-this-filler-a-version-before-``seq`` answer feeds the exact
+        :meth:`_should_send` probe — same tsid dependency test, same
+        predicate probe, same conservative non-event supersede wake — so
+        a catch-up client receives precisely the frames it would have
+        been sent live.
         """
         if message.kind != FILLER:
             return conn.subscribes_stream(message.stream)
@@ -930,11 +925,9 @@ class StreamServer:
         except ValueError:
             return True  # undecidable — conservative replay
         skips = _NO_SKIPS  # no predicate of this connection asks
-        if counts is not None:
-            key = (message.stream, filler_id)
-            supersede = counts.get(key, 0) > 0
-            counts[key] = counts.get(key, 0) + 1
-            skips = self._door_skips(message, tsid, supersede)
+        if narrowed:
+            first = self._first_versions.get((message.stream, filler_id), seq)
+            skips = self._door_skips(message, tsid, first < seq)
         return self._should_send(conn, message, tsid, skips)
 
     async def _on_feed(self, conn: _Connection, frame: proto.Frame) -> bool:

@@ -279,11 +279,6 @@ class FrameDecoder:
             self.bytes_decoded += _LEN.size + length
         return frames
 
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes buffered for the (incomplete) next frame."""
-        return len(self._buffer)
-
 
 def _decode_body(body: bytes) -> Frame:
     ftype = body[0]

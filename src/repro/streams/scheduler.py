@@ -371,7 +371,7 @@ class QueryScheduler:
         """Re-evaluate exactly the queries whose answer can have changed.
 
         Returns every tracked query's emission, in dispatch order (see
-        :meth:`_ordered_entries`): ``[]`` for the queries skipped.
+        :meth:`_groups_in_order`): ``[]`` for the queries skipped.
         """
         emitted: dict[ContinuousQuery, list] = {}
         # Taken, not cleared afterwards: what a subscriber feeds during
@@ -422,10 +422,6 @@ class QueryScheduler:
             self._pruning = list(pruning.values())
             self._dispatch = groups
         return self._dispatch
-
-    def _ordered_entries(self) -> list[_Entry]:
-        """Every entry, in the order a tick dispatches them."""
-        return [entry for group in self._groups_in_order() for entry in group.members]
 
     def _prune_automata(self) -> None:
         """Drop automaton captures every watching query has consumed."""

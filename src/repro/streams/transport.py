@@ -338,17 +338,6 @@ class Channel:
         self.delivered += 1
         subscriber(message)
 
-    def pipe_to(self, publish: Callable[[Message], None]) -> Callable[[Message], None]:
-        """Bridge this channel into another publisher (e.g. a network server).
-
-        Subscribes ``publish`` — typically ``StreamServer.publish`` or
-        another channel's ``publish`` — and returns the callback so the
-        caller can later :meth:`unsubscribe` it.  This is the interop
-        shim between the in-process transport and :mod:`repro.streams.net`.
-        """
-        self.subscribe(publish)
-        return publish
-
     def stats(self) -> dict:
         """Counters in the same shape the sharded engine reports."""
         return {

@@ -12,7 +12,7 @@ spurious version boundary.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from repro.temporal.interval import TimeInterval
 
@@ -67,18 +67,3 @@ def coalesce_versions(
     return out
 
 
-def version_sequence(
-    values: Sequence[object], boundaries: Sequence
-) -> list[Versioned]:
-    """Build versions from N values and N timestamps plus a final endpoint.
-
-    ``boundaries`` has ``len(values) + 1`` instants: version *i* is valid on
-    ``[boundaries[i], boundaries[i+1]]``.  This mirrors how ``get_fillers``
-    derives lifespans from consecutive filler validTimes (paper §5).
-    """
-    if len(boundaries) != len(values) + 1:
-        raise ValueError("need len(values) + 1 boundaries")
-    return [
-        Versioned(value, TimeInterval(boundaries[i], boundaries[i + 1]))
-        for i, value in enumerate(values)
-    ]

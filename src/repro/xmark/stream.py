@@ -21,7 +21,6 @@ from repro.dom.nodes import Element, Text
 from repro.streams.clock import Clock
 from repro.streams.server import StreamServer
 from repro.xmark.generator import XMarkGenerator
-from repro.xmark.schema import AUCTION_STREAM, auction_tag_structure
 
 __all__ = ["AuctionStreamDriver"]
 
@@ -116,12 +115,3 @@ class AuctionStreamDriver:
             if close_every and (step + 1) % close_every == 0:
                 self.close_auction()
             self.clock.advance(advance_seconds)
-
-
-def live_auction_setup(clock: Clock, channel, scale: float = 0.0, seed: int = 2718):
-    """Convenience: (server, driver) wired to a channel."""
-    server = StreamServer(
-        AUCTION_STREAM, auction_tag_structure(), channel, clock
-    )
-    driver = AuctionStreamDriver(server, clock, scale, seed)
-    return server, driver

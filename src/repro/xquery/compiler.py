@@ -15,8 +15,9 @@ This module lowers an AST **once** into nested Python closures of shape
 - path steps become pre-resolved step chains — the axis walker and the
   node test are picked per step at compile time, and predicates are
   compiled once and re-applied through a single reusable focus context;
-- FLWOR clauses become a pre-bound pipeline of tuple-stream
-  transformers (no ``isinstance`` per clause per run);
+- FLWOR clauses become one pre-bound chain of drivers over a scratch
+  context (no ``isinstance`` per clause per run, no tuple list but the
+  one an ``order by`` sorts);
 - binary operators select their implementation at compile time;
 - function-call targets are resolved at compile time where statically
   known (the module's own prolog functions); all other calls do a single
@@ -329,56 +330,36 @@ def _c_if(expr: xast.IfExpr, scope: _ModuleScope) -> Plan:
 
 
 def _c_flwor(expr: xast.FLWOR, scope: _ModuleScope) -> Plan:
-    # Matching the interpreter, the (last) order-by clause is applied
-    # after all other clauses.
-    order_by: Optional[xast.OrderByClause] = None
-    for clause in expr.clauses:
-        if isinstance(clause, xast.OrderByClause):
-            order_by = clause
-    return_expr = _compile(expr.return_expr, scope)
-
-    if order_by is None:
-        return _streaming_flwor(expr.clauses, return_expr, scope)
-
-    # Each clause becomes a tuple-stream transformer picked at compile
-    # time; order-by needs every tuple materialized before sorting.
-    stages: list[Callable[[list[Context]], list[Context]]] = []
-    for clause in expr.clauses:
-        if isinstance(clause, xast.ForClause):
-            stages.append(_for_stage(clause, scope))
-        elif isinstance(clause, xast.LetClause):
-            stages.append(_let_stage(clause, scope))
-        elif isinstance(clause, xast.WhereClause):
-            stages.append(_where_stage(clause, scope))
-    order_stage = _order_stage(order_by, scope)
-    stages_t = tuple(stages)
-
-    def run(ctx: Context) -> list:
-        tuples: list[Context] = [ctx]
-        for stage in stages_t:
-            tuples = stage(tuples)
-        tuples = order_stage(tuples)
-        out: list = []
-        for tup in tuples:
-            out.extend(return_expr(tup))
-        return out
-
-    return run
-
-
-def _streaming_flwor(
-    clauses, return_expr: Plan, scope: _ModuleScope
-) -> Plan:
-    """Compile an order-free FLWOR into one nested driver loop.
+    """Compile a FLWOR into one nested driver loop.
 
     The tuple stream never materializes: drivers nest in clause order and
     share ONE scratch context whose variable dict is rebound in place per
     iteration.  Evaluation is strictly eager and every construct that
     captures bindings (function calls, ``bind``/``focus``) snapshots the
-    dict, so mutation is unobservable — while the per-tuple context clone
-    and the per-stage list of the materialized pipeline disappear.
+    dict, so mutation is unobservable.  With an ``order by`` (the last
+    one, applied after all other clauses as in the interpreter) the chain
+    ends in a snapshot of each tuple's bindings instead of the return
+    clause: the order stage sorts the snapshots, then the return clause
+    runs once per tuple.
     """
-    return _streaming_run(_stream_chain(clauses, scope, _stream_return(return_expr)))
+    order_by: Optional[xast.OrderByClause] = None
+    for clause in expr.clauses:
+        if isinstance(clause, xast.OrderByClause):
+            order_by = clause
+    return_expr = _compile(expr.return_expr, scope)
+    if order_by is None:
+        return _streaming_run(_stream_chain(expr.clauses, scope, _stream_return(return_expr)))
+
+    collect = _streaming_run(_stream_chain(expr.clauses, scope, _snapshot))
+    order_stage = _order_stage(order_by, scope)
+
+    def run(ctx: Context) -> list:
+        out: list = []
+        for tup in order_stage(collect(ctx)):
+            out.extend(return_expr(tup))
+        return out
+
+    return run
 
 
 def _stream_return(return_expr: Plan):
@@ -386,6 +367,12 @@ def _stream_return(return_expr: Plan):
         out.extend(return_expr(ctx))
 
     return terminal
+
+
+def _snapshot(ctx: Context, out: list) -> None:
+    tup = ctx._clone()
+    tup.variables = dict(ctx.variables)
+    out.append(tup)
 
 
 def _stream_chain(clauses, scope: _ModuleScope, drive):
@@ -785,44 +772,6 @@ def _positions_by_key(keys: list) -> Optional[dict]:
     return by_key
 
 
-def _for_stage(clause: xast.ForClause, scope: _ModuleScope):
-    source = _compile(clause.expr, scope)
-    var = clause.var
-    position_var = clause.position_var
-
-    if position_var is None:
-
-        def stage(tuples: list[Context]) -> list[Context]:
-            expanded: list[Context] = []
-            append = expanded.append
-            for tup in tuples:
-                for item in source(tup):
-                    append(tup.bind(var, [item]))
-            return expanded
-
-        return stage
-
-    def stage_at(tuples: list[Context]) -> list[Context]:
-        expanded: list[Context] = []
-        append = expanded.append
-        for tup in tuples:
-            for index, item in enumerate(source(tup), start=1):
-                append(tup.bind(var, [item]).bind(position_var, [index]))
-        return expanded
-
-    return stage_at
-
-
-def _let_stage(clause: xast.LetClause, scope: _ModuleScope):
-    source = _compile(clause.expr, scope)
-    var = clause.var
-
-    def stage(tuples: list[Context]) -> list[Context]:
-        return [tup.bind(var, source(tup)) for tup in tuples]
-
-    return stage
-
-
 def _boolean_shaped(expr: xast.Expr) -> bool:
     """True when the compiled plan always returns a one-boolean (or,
     for value comparisons, possibly empty) sequence — the effective
@@ -831,31 +780,6 @@ def _boolean_shaped(expr: xast.Expr) -> bool:
         isinstance(expr, xast.BinOp)
         and expr.op in _BOOLEAN_OPS
     )
-
-
-def _where_stage(clause: xast.WhereClause, scope: _ModuleScope):
-    condition = _compile(clause.expr, scope)
-
-    # Comparison/and/or/quantified conditions compile to plans returning
-    # a one-boolean sequence (value comparisons: possibly empty, whose
-    # effective boolean value is also False) — test it directly.
-    if _boolean_shaped(clause.expr):
-
-        def stage_boolean(tuples: list[Context]) -> list[Context]:
-            kept = []
-            append = kept.append
-            for tup in tuples:
-                result = condition(tup)
-                if result and result[0]:
-                    append(tup)
-            return kept
-
-        return stage_boolean
-
-    def stage(tuples: list[Context]) -> list[Context]:
-        return [tup for tup in tuples if effective_boolean_value(condition(tup))]
-
-    return stage
 
 
 def _order_stage(clause: xast.OrderByClause, scope: _ModuleScope):

@@ -1,4 +1,4 @@
-"""Static analysis of parsed queries: names, arities, free variables.
+"""Static analysis of parsed queries: names, arities, unbound variables.
 
 Catches the errors that would otherwise surface mid-evaluation (or worse,
 never, on a branch the test data does not reach):
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.xquery import xast
 
-__all__ = ["StaticIssue", "check_module", "free_variables"]
+__all__ = ["StaticIssue", "check_module"]
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,6 @@ def check_module(
     return issues
 
 
-def free_variables(expr: xast.Expr) -> set[str]:
-    """Variables an expression reads without binding them itself."""
-    free: set[str] = set()
-    _walk(expr, set(), None, None, free)
-    return free
-
-
 def _arity_of(fn: object) -> tuple[int, int]:
     if hasattr(fn, "min_arity"):
         return (fn.min_arity, fn.max_arity)
@@ -93,20 +86,14 @@ def _arity_of(fn: object) -> tuple[int, int]:
 def _walk(
     node: object,
     scope: set[str],
-    functions: dict[str, tuple[int, int]] | None,
-    issues: list[StaticIssue] | None,
-    free: set[str] | None = None,
+    functions: dict[str, tuple[int, int]],
+    issues: list[StaticIssue],
 ) -> None:
     if isinstance(node, xast.VarRef):
         if node.name not in scope:
-            if free is not None:
-                free.add(node.name)
-            if issues is not None:
-                issues.append(
-                    StaticIssue("undefined-variable", f"${node.name} is not bound")
-                )
+            issues.append(StaticIssue("undefined-variable", f"${node.name} is not bound"))
         return
-    if isinstance(node, xast.FunctionCall) and functions is not None and issues is not None:
+    if isinstance(node, xast.FunctionCall):
         lookup = node.name[3:] if node.name.startswith("fn:") else node.name
         signature = functions.get(lookup)
         if signature is None:
@@ -125,32 +112,32 @@ def _walk(
                     )
                 )
         for argument in node.args:
-            _walk(argument, scope, functions, issues, free)
+            _walk(argument, scope, functions, issues)
         return
     if isinstance(node, xast.FLWOR):
         inner = set(scope)
         for clause in node.clauses:
             if isinstance(clause, xast.ForClause):
-                _walk(clause.expr, inner, functions, issues, free)
+                _walk(clause.expr, inner, functions, issues)
                 inner.add(clause.var)
                 if clause.position_var:
                     inner.add(clause.position_var)
             elif isinstance(clause, xast.LetClause):
-                _walk(clause.expr, inner, functions, issues, free)
+                _walk(clause.expr, inner, functions, issues)
                 inner.add(clause.var)
             elif isinstance(clause, xast.WhereClause):
-                _walk(clause.expr, inner, functions, issues, free)
+                _walk(clause.expr, inner, functions, issues)
             elif isinstance(clause, xast.OrderByClause):
                 for spec in clause.specs:
-                    _walk(spec.expr, inner, functions, issues, free)
-        _walk(node.return_expr, inner, functions, issues, free)
+                    _walk(spec.expr, inner, functions, issues)
+        _walk(node.return_expr, inner, functions, issues)
         return
     if isinstance(node, xast.Quantified):
         inner = set(scope)
         for var, source in node.bindings:
-            _walk(source, inner, functions, issues, free)
+            _walk(source, inner, functions, issues)
             inner.add(var)
-        _walk(node.satisfies, inner, functions, issues, free)
+        _walk(node.satisfies, inner, functions, issues)
         return
     for child in xast.children(node):
-        _walk(child, scope, functions, issues, free)
+        _walk(child, scope, functions, issues)

@@ -34,14 +34,7 @@ __all__ = [
     "value_compare",
     "general_compare",
     "deep_equal",
-    "is_node",
-    "singleton",
 ]
-
-
-def is_node(item: object) -> bool:
-    """True for tree nodes (including attribute nodes)."""
-    return isinstance(item, Node)
 
 
 def atomize(item: object) -> object:
@@ -281,8 +274,3 @@ def _deep_equal_nodes(a: Node, b: Node) -> bool:
     return a.string_value() == b.string_value()
 
 
-def singleton(seq: Sequence[object], what: str = "expression") -> object:
-    """Require a one-item sequence and return the item."""
-    if len(seq) != 1:
-        raise XQueryTypeError(f"{what} must be a single item, got {len(seq)} items")
-    return seq[0]

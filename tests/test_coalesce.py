@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.temporal.chrono import XSDateTime
-from repro.temporal.coalesce import Versioned, coalesce_versions, version_sequence
+from repro.temporal.coalesce import Versioned, coalesce_versions
 from repro.temporal.interval import TimeInterval
 
 T = XSDateTime.parse
@@ -56,19 +56,6 @@ class TestCoalesce:
         assert coalesce_versions([]) == []
 
 
-class TestVersionSequence:
-    def test_builds_adjacent_versions(self):
-        boundaries = [T("2003-01-01"), T("2003-02-01"), T("2003-03-01")]
-        versions = version_sequence(["a", "b"], boundaries)
-        assert versions[0].interval.end == versions[1].interval.begin
-
-    def test_boundary_count_checked(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            version_sequence(["a"], [T("2003-01-01")])
-
-
 _value = st.sampled_from(["a", "b", "c"])
 _times = st.lists(
     st.integers(min_value=0, max_value=10**6), min_size=2, max_size=12, unique=True
@@ -79,8 +66,10 @@ _times = st.lists(
 def _chains(draw):
     times = draw(_times)
     boundaries = [XSDateTime.from_epoch_seconds(1_000_000_000 + t) for t in times]
-    values = [draw(_value) for _ in range(len(boundaries) - 1)]
-    return version_sequence(values, boundaries)
+    return [
+        Versioned(draw(_value), TimeInterval(begin, end))
+        for begin, end in zip(boundaries, boundaries[1:])
+    ]
 
 
 class TestCoalesceProperties:

@@ -141,6 +141,19 @@ EXPRESSIONS = [
     "substring(\"hello world\", 7)",
     "contains(\"haystack\", \"hay\")",
     "number(\"3.25\") * 4",
+    # order by: the compiled FLWOR's one driver chain, sorted snapshots.
+    "for $x at $i in (\"b\", \"a\", \"c\") order by $x return ($i, $x)",
+    "for $x in 1 to 6 let $y := $x mod 3 where $x ne 4 "
+    "order by $y descending, $x return ($y, $x)",
+    "for $x in (1, 2, 3), $y in (\"a\", \"b\") "
+    "order by $y descending, $x descending return concat($y, string($x))",
+    "let $s := (3, 1, 2) for $x in $s where $x gt 1 order by $x return $x",
+    "for $x in (<a k=\"2\"/>, <a/>, <a k=\"1\"/>) order by $x/@k empty least "
+    "return $x",
+    "for $x in (<a k=\"2\"/>, <a/>, <a k=\"1\"/>) "
+    "order by $x/@k descending empty greatest return $x",
+    "for $x in (2, 1) order by $x return for $y in (\"q\", \"p\") "
+    "order by $y return ($x, $y)",
 ]
 
 
@@ -150,6 +163,22 @@ def test_expression_parity(source):
     interpreted = Evaluator(Context()).evaluate_module(module)
     compiled = compile_module(module)(Context())
     assert normalized(interpreted) == normalized(compiled)
+
+
+def test_order_by_binds_no_context(monkeypatch):
+    """An ordered FLWOR runs the same driver chain as an order-free one:
+    its tuples are snapshots of one scratch context, none a ``bind``."""
+    binds = []
+    bind = Context.bind
+    monkeypatch.setattr(Context, "bind", lambda self, *a: binds.append(1) or bind(self, *a))
+    module = parse(
+        "for $x at $i in (3, 1, 2), $y in (1, 2) let $z := $x * $y where $z gt 1 "
+        "order by $z descending return ($i, $z)",
+        xcql=True,
+    )
+    assert compile_module(module)(Context()) == [1, 6, 3, 4, 1, 3, 2, 2, 3, 2]
+    assert binds == []
+    assert Evaluator(Context()).evaluate_module(module) == [1, 6, 3, 4, 1, 3, 2, 2, 3, 2]
 
 
 # -- error parity -----------------------------------------------------------
@@ -165,6 +194,8 @@ ERROR_CASES = [
     ("5 idiv 0", XQueryDynamicError),               # integer division by zero
     ("1 mod 0", XQueryDynamicError),                # modulo by zero
     ("for $x in (1, 2) order by (1, 2) return $x", XQueryTypeError),  # bad key
+    ("for $x in (1, 2) let $k := ($x, $x) where $x gt 0 order by $k return $x",
+     XQueryTypeError),                              # bad key after let/where
     ("\"x\" cast as xs:dateTime", XQueryTypeError),  # bad cast
     (".", XQueryDynamicError),                      # undefined context item
 ]

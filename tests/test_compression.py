@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Fragmenter, SimulatedClock, StreamClient, StreamServer, TagStructure
-from repro.dom import parse_document, serialize
+from repro.dom import Element, parse_document, serialize
 from repro.streams.compression import CompressingChannel, TagCodec
 from repro.temporal import XSDateTime
 from repro.xmark import auction_tag_structure, generate_auction_document
@@ -18,17 +18,17 @@ def codec():
 
 class TestTagCodec:
     def test_codes_assigned_in_preorder(self, codec):
-        assert codec.code_of("creditAccounts") == "t1"
-        assert codec.code_of("account") == "t2"
+        assert codec.encode(Element("creditAccounts")).tag == "t1"
+        assert codec.encode(Element("account")).tag == "t2"
         assert len(codec) == 8
 
     def test_structural_names_preserved(self, codec):
-        assert codec.code_of("hole") == "hole"
-        assert codec.code_of("filler") == "filler"
+        assert codec.encode(Element("hole")).tag == "hole"
+        assert codec.encode(Element("filler")).tag == "filler"
 
     def test_unknown_names_pass_through(self, codec):
-        assert codec.code_of("zzz") == "zzz"
-        assert codec.name_of("zzz") == "zzz"
+        assert codec.encode(Element("zzz")).tag == "zzz"
+        assert codec.decode(Element("zzz")).tag == "zzz"
 
     def test_encode_decode_element_round_trip(self, codec):
         element = parse_document(

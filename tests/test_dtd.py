@@ -56,17 +56,18 @@ class TestCreditDTD:
 
     def test_text_only(self):
         dtd = parse_dtd(CREDIT_DTD)
-        assert dtd.elements["amount"].is_text_only
-        assert dtd.elements["customer"].is_text_only
-        assert not dtd.elements["account"].is_text_only
+        assert dtd.elements["amount"].content_model == "(#PCDATA)"
+        assert dtd.elements["customer"].content_model == "(#CDATA)"
+        assert dtd.elements["amount"].children == dtd.elements["customer"].children == []
+        assert dtd.elements["account"].children
 
     def test_attlists(self):
         dtd = parse_dtd(CREDIT_DTD)
-        account_attrs = {attr.name: attr for attr in dtd.attrs_of("account")}
+        account_attrs = {attr.name: attr for attr in dtd.attributes["account"]}
         assert set(account_attrs) == {"id", "vtFrom", "vtTo"}
         assert account_attrs["id"].type == "ID"
         assert account_attrs["id"].default == "#REQUIRED"
-        assert dtd.attrs_of("vendor") == []
+        assert "vendor" not in dtd.attributes
 
 
 class TestTagStructureDTD:
@@ -77,7 +78,7 @@ class TestTagStructureDTD:
 
     def test_enumerated_attribute(self):
         dtd = parse_dtd(TAG_STRUCTURE_DTD)
-        type_attr = next(a for a in dtd.attrs_of("tag") if a.name == "type")
+        type_attr = next(a for a in dtd.attributes["tag"] if a.name == "type")
         assert "snapshot" in type_attr.type
 
 

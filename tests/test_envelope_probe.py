@@ -477,14 +477,14 @@ class TestDoorDecisions:
             await wait_until(lambda: len(replayed) == len(expected))
             assert replayed == expected
             # Only the non-event fragments are tracked at the door.
-            assert {key[1] for key in server._version_counts} == {1, 2, 3}
+            assert {key[1] for key in server._first_versions} == {1, 2, 3}
             for client in (live_client, late_client):
                 await client.close()
             await server.close()
 
             reborn = StreamServer(journal=Journal(path))
             await reborn.start()
-            assert reborn._version_counts == server._version_counts
+            assert reborn._first_versions == server._first_versions
             again: list = []
             client = await _subscriber(reborn, again, catchup=True)
             await wait_until(lambda: len(again) == len(expected))
@@ -500,6 +500,42 @@ class TestDoorDecisions:
 
         run(scenario())
 
+    def test_one_catch_up_reads_the_journal_once(self, tmp_path, monkeypatch):
+        """The ledger answers each replayed entry's supersede question, so
+        a narrowed catch-up opens the journal for its replay alone."""
+        import builtins
+
+        from repro.fragments import persist
+
+        path = os.path.join(tmp_path, "once.journal")
+        expected = [(TAG_STRUCTURE, STRUCTURE)] + [
+            (FILLER, payload) for payload, sent in HISTORY if sent
+        ]
+        reads: list = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if os.fspath(file) == path and "r" in mode:
+                reads.append(mode)
+            return builtins.open(file, mode, *args, **kwargs)
+
+        async def scenario():
+            server = StreamServer(journal=Journal(path))
+            await server.start()
+            await server.publish(Message(TAG_STRUCTURE, "credit", STRUCTURE))
+            for payload, _sent in HISTORY:
+                await server.publish(Message(FILLER, "credit", payload))
+            monkeypatch.setattr(persist, "open", spy, raising=False)
+            replayed: list = []
+            client = await _subscriber(server, replayed, catchup=True)
+            monkeypatch.undo()
+            assert reads == ["r"]
+            await wait_until(lambda: len(replayed) == len(expected))
+            assert replayed == expected
+            await client.close()
+            await server.close()
+
+        run(scenario())
+
     def test_event_streams_leave_no_state_at_the_door(self, tmp_path):
         """One dict entry per relayed event would be a leak: live events
         carry fresh ids and the door never asks about them."""
@@ -512,16 +548,16 @@ class TestDoorDecisions:
             await server.publish(Message(TAG_STRUCTURE, "credit", STRUCTURE))
             for i in range(10_000):
                 await server.publish(Message(FILLER, "credit", alert(i, i % 10)))
-            assert server._version_counts == {}
+            assert server._first_versions == {}
             # An envelope of a tsid the schema does not know still counts.
             unknown = customer(7, 1).replace('tsid="2"', 'tsid="77"')
             await server.publish(Message(FILLER, "credit", unknown))
-            assert server._version_counts == {("credit", 7): 1}
+            assert server._first_versions == {("credit", 7): 10_002}
             await server.close()
 
             reborn = StreamServer(journal=server.journal)
             await reborn.start()
-            assert reborn._version_counts == {("credit", 7): 1}
+            assert reborn._first_versions == {("credit", 7): 10_002}
             assert reborn.seq == 10_002
             await reborn.close()
 

@@ -87,7 +87,8 @@ class TestTickVisitsOnlyFedMembers:
         monkeypatch.setattr(
             engine, "build_context", lambda *a, **k: contexts.append(1) or build(*a, **k)
         )
-        plan_of = {id(entry): entry.plan for entry in scheduler._ordered_entries()}
+        entries = [entry for group in scheduler._groups_in_order() for entry in group.members]
+        plan_of = {id(entry): entry.plan for entry in entries}
         fed_ticks = 0
         for envelope in envelopes[8:]:
             partitions.clear(), residuals.clear(), folds.clear(), contexts.clear()
@@ -102,7 +103,7 @@ class TestTickVisitsOnlyFedMembers:
             assert len(folds) == len(queries) and set(folds) == set(queries)
             assert len(contexts) <= 2  # one per group settle, built on use
             assert all(not items for query, items in emitted.items() if id(query) not in {
-                id(entry.query) for entry in scheduler._ordered_entries()
+                id(entry.query) for entry in entries
                 if id(entry) in fed
             })
             fed_ticks += bool(fed)
@@ -219,7 +220,11 @@ class _Arm:
             out = {query: query.evaluate(NOW) for query in self.queries}
         else:
             out = self.scheduler.poll(NOW)
-            assert list(out) == [entry.query for entry in self.scheduler._ordered_entries()]
+            assert list(out) == [
+                entry.query
+                for group in self.scheduler._groups_in_order()
+                for entry in group.members
+            ]
         return [[item_identity(item) for item in out[query]] for query in self.queries]
 
     def counters(self) -> list:

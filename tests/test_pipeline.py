@@ -618,6 +618,49 @@ class TestSourceLint:
             path.write_text("def settle(store, plan):\n    return DeltaWindow(store, plan, 0)\n")
         assert len(lint_sources([str(tmp_path)])) == 2
 
+    def test_a_definition_nothing_reaches(self, tmp_path):
+        package = tmp_path / "src" / "repro"
+        package.mkdir(parents=True)
+        (package / "x.py").write_text(
+            '"""helper is named in this docstring."""\n'
+            '__all__ = ["helper"]\n'
+            "def main():\n"
+            "    # helper is named in this comment\n"
+            '    return Shape().area("helper")\n'
+            "def helper():\n"
+            "    return 1\n"
+            "class Shape:\n"
+            "    def __init__(self):\n"
+            "        self.sides = 0\n"
+            "    def area(self, unit):\n"
+            "        return self.sides\n"
+            "    def _scale(self):\n"
+            "        return 2\n"
+        )
+
+        def flagged():
+            findings = lint_sources([str(tmp_path / "src")])
+            assert {f.code for f in findings} <= {"unreached"}
+            return sorted(f.message.split(" names ")[1].split()[0] for f in findings)
+
+        # A tree with no declared surface is not held to one.
+        assert flagged() == []
+        (tmp_path / "docs").mkdir()
+        surface = tmp_path / "docs" / "api.md"
+        surface.write_text("# API\n\nhelper is prose here, not a declaration.\n")
+        assert flagged() == ["_scale", "helper", "main"]
+        (tmp_path / "pyproject.toml").write_text(
+            '[project.scripts]\nrepro-x = "repro.x:main"\n\n[tool.other]\nkey = "a:b"\n'
+        )
+        assert flagged() == ["_scale", "helper"]
+        surface.write_text("# API\n\n`helper()` and\n\n```python\nShape()._scale()\n```\n")
+        assert flagged() == ["_scale"]  # a private name cannot be declared
+        assert "cannot be declared" in lint_sources([str(tmp_path / "src")])[0].message
+        (package / "y.py").write_text("from repro.x import Shape\nShape()._scale()\n")
+        assert flagged() == []
+        # Reachability is read over the whole tree, whichever file is linted.
+        assert lint_sources([str(package / "x.py")]) == []
+
     def test_dom_imports_fine_outside_automata(self, tmp_path):
         benign = tmp_path / "host.py"
         benign.write_text("from repro.dom.nodes import Element\n")

@@ -69,14 +69,14 @@ class TestFragmentationRoundTrip:
     @settings(max_examples=40, deadline=None)
     def test_temporalize_preserves_values(self, document):
         original_values = [
-            v.string_value() for v in document.iter_elements() if v.tag == "value"
+            v.string_value() for v in document.iter() if getattr(v, "tag", None) == "value"
         ]
         engine = build_engine(document)
         rebuilt = temporalize(engine.stores["lab"])
         rebuilt_values = [
             v.string_value()
-            for v in rebuilt.document_element.iter_elements()
-            if v.tag == "value"
+            for v in rebuilt.document_element.iter()
+            if getattr(v, "tag", None) == "value"
         ]
         assert rebuilt_values == original_values
 

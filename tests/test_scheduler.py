@@ -678,7 +678,11 @@ class TestDeterministicDispatchOrder:
         scheduler = QueryScheduler(engine)
         for source in sources:
             scheduler.add(ContinuousQuery(engine, source, strategy=Strategy.QAC_PLUS))
-        return [entry.query.source for entry in scheduler._ordered_entries()]
+        return [
+            entry.query.source
+            for group in scheduler._groups_in_order()
+            for entry in group.members
+        ]
 
     def test_single_member_groups_order_is_registration_invariant(self):
         forward = self._order(self.SOURCES)
@@ -692,7 +696,7 @@ class TestDeterministicDispatchOrder:
         second = ContinuousQuery(engine, self.SOURCES[0], strategy=Strategy.QAC_PLUS)
         scheduler.add(second)
         scheduler.add(first)
-        ordered = scheduler._ordered_entries()
+        ordered = [entry for group in scheduler._groups_in_order() for entry in group.members]
         grouped = [entry for entry in ordered if entry.group_key is not None]
         ungrouped = [entry for entry in ordered if entry.group_key is None]
         # Grouped entries lead; same-group members keep registration order.

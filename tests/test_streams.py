@@ -316,16 +316,6 @@ class TestContinuousQueries:
         with pytest.raises(ValueError):
             client.register_query(self.QUERY, emit="sometimes")
 
-    def test_pending_arrivals_flag(self, rig):
-        _clock, _channel, server, client = rig
-        client.poll()
-        assert not client.has_pending_arrivals
-        account_hole = server.hole_id(0, "account", "1")
-        server.emit_event(account_hole, transaction("t9", "5"))
-        assert client.has_pending_arrivals
-        client.poll()
-        assert not client.has_pending_arrivals
-
     def test_strategies_available(self, rig):
         _clock, _channel, server, client = rig
         query = client.register_query(self.QUERY, strategy=Strategy.CAQ)

@@ -79,20 +79,6 @@ class TestLookup:
             "/creditAccounts/account/transaction/status"
         )
 
-    def test_fragmented_tags(self, credit_structure):
-        assert [t.name for t in credit_structure.fragmented_tags()] == [
-            "account",
-            "creditLimit",
-            "transaction",
-            "status",
-        ]
-
-    def test_nearest_fragmented_ancestor(self, credit_structure):
-        status = credit_structure.by_id(7)
-        assert status.nearest_fragmented_ancestor().name == "transaction"
-        account = credit_structure.by_id(2)
-        assert account.nearest_fragmented_ancestor() is None
-
 
 class TestFromDTD:
     DTD = parse_dtd(

@@ -11,7 +11,6 @@ from repro.xquery.xdm import (
     deep_equal,
     effective_boolean_value,
     general_compare,
-    singleton,
     string_value,
     to_number,
     value_compare,
@@ -154,14 +153,3 @@ class TestDeepEqual:
 
     def test_atomics(self):
         assert deep_equal([1, "x"], [1, "x"])
-
-
-class TestSingleton:
-    def test_ok(self):
-        assert singleton([7]) == 7
-
-    def test_rejects(self):
-        with pytest.raises(XQueryTypeError):
-            singleton([])
-        with pytest.raises(XQueryTypeError):
-            singleton([1, 2])

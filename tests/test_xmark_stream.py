@@ -2,9 +2,15 @@
 
 import pytest
 
-from repro import Channel, SimulatedClock, Strategy, StreamClient
+from repro import Channel, SimulatedClock, Strategy, StreamClient, StreamServer
 from repro.xmark import ALL_QUERIES, PAPER_QUERIES
-from repro.xmark.stream import live_auction_setup
+from repro.xmark.schema import AUCTION_STREAM, auction_tag_structure
+from repro.xmark.stream import AuctionStreamDriver
+
+
+def _driver(clock, channel, seed=2718):
+    server = StreamServer(AUCTION_STREAM, auction_tag_structure(), channel, clock)
+    return AuctionStreamDriver(server, clock, 0.0, seed)
 
 
 @pytest.fixture()
@@ -13,7 +19,7 @@ def market():
     channel = Channel()
     client = StreamClient(clock)
     client.tune_in(channel)
-    server, driver = live_auction_setup(clock, channel)
+    driver = _driver(clock, channel)
     driver.publish_catalog()
     return clock, client, driver
 
@@ -66,7 +72,7 @@ class TestDriver:
             channel = Channel()
             client = StreamClient(clock)
             client.tune_in(channel)
-            _server, driver = live_auction_setup(clock, channel, seed=99)
+            driver = _driver(clock, channel, seed=99)
             driver.publish_catalog()
             driver.run(steps=8)
             return client.engine.execute(
